@@ -3,10 +3,13 @@
 The orchestrator adds per-spec bookkeeping (outcome records, deferred
 in-spec-order telemetry folding, optional journal writes) on top of the
 legacy executor.  On a healthy sweep -- no faults, no retries -- that
-bookkeeping must stay in the noise: an orchestrated sweep may take at
-most ``ORCHESTRATOR_CEILING`` (1.5x) the legacy executor's wall-clock on
-the same matrix, serial and pooled alike.  The generous ceiling absorbs
-scheduler jitter on small CI machines; the recorded target is ~1.05x.
+bookkeeping must stay in the noise.  Serially, an orchestrated sweep
+may take at most ``ORCHESTRATOR_CEILING`` (1.5x) the legacy executor's
+wall-clock on the same matrix; on a two-worker lane-batched pool
+(``jobs=2, batch=4``) at most ``POOLED_CEILING`` (1.25x) the classic
+batched pool's.  The generous ceilings absorb scheduler jitter on small
+CI machines; the recorded target is ~1.05x for both.  The pooled ratio
+needs two cores: on a smaller machine its receipt section says so.
 
 Checkpointing is measured separately (journal lines are fsync'd, so it
 is disk-bound by design) and recorded in the receipt without a floor.
@@ -19,7 +22,10 @@ Appends measurements to ``BENCH_sweep.json`` like the other benchmarks
 
 from __future__ import annotations
 
+import os
 import time
+
+import pytest
 
 from benchmarks._receipt import update_receipt as _update_receipt
 from repro.sim.parallel import SweepOptions, matrix_specs, run_outcomes, run_specs
@@ -28,11 +34,19 @@ from repro.sim.parallel import SweepOptions, matrix_specs, run_outcomes, run_spe
 ORCHESTRATOR_CEILING = 1.5
 #: Aspirational ratio (recorded in the receipt, not asserted).
 ORCHESTRATOR_TARGET = 1.05
+#: Maximum orchestrated / classic ratio on a fault-free batched pool.
+POOLED_CEILING = 1.25
 
 BENCHMARKS = ("gcc", "gzip")
 POLICIES = ("none", "pid")
 INSTRUCTIONS = 400_000
 REPEATS = 3
+#: Pooled matrix: two 4-lane groups, one per worker, each long enough
+#: that pool start-up does not dominate the ratio.
+POOLED_BENCHMARKS = ("gcc", "gzip", "art", "mesa")
+POOLED_INSTRUCTIONS = 2_000_000
+POOLED_JOBS = 2
+POOLED_BATCH = 4
 
 
 def _specs():
@@ -71,6 +85,52 @@ def test_orchestrator_overhead_is_bounded():
     assert ratio <= ORCHESTRATOR_CEILING, (
         f"orchestrated sweep is {ratio:.2f}x the legacy executor "
         f"(ceiling {ORCHESTRATOR_CEILING}x)"
+    )
+
+
+def test_pooled_orchestrator_overhead_is_bounded():
+    """Fault-free orchestrated batched pool <= 1.25x the classic one."""
+    cores = os.cpu_count() or 1
+    if cores < POOLED_JOBS:
+        _update_receipt(
+            "resilience_overhead_pooled",
+            {"skipped": f"needs >={POOLED_JOBS} cores (have {cores})"},
+        )
+        pytest.skip(f"needs >={POOLED_JOBS} cores (have {cores})")
+    specs = matrix_specs(
+        POOLED_BENCHMARKS, POLICIES, instructions=POOLED_INSTRUCTIONS
+    )
+    classic = _best_of(
+        lambda: run_specs(
+            specs, jobs=POOLED_JOBS, batch=POOLED_BATCH, cache=False
+        )
+    )
+    orchestrated = _best_of(
+        lambda: run_outcomes(
+            specs,
+            jobs=POOLED_JOBS,
+            options=SweepOptions(batch=POOLED_BATCH),
+            cache=False,
+        )
+    )
+    ratio = orchestrated / classic
+    _update_receipt(
+        "resilience_overhead_pooled",
+        {
+            "matrix": f"{len(POOLED_BENCHMARKS)}x{len(POLICIES)}",
+            "instructions": POOLED_INSTRUCTIONS,
+            "jobs": POOLED_JOBS,
+            "batch": POOLED_BATCH,
+            "classic_seconds": round(classic, 4),
+            "orchestrated_seconds": round(orchestrated, 4),
+            "ratio": round(ratio, 4),
+            "ceiling": POOLED_CEILING,
+            "target": ORCHESTRATOR_TARGET,
+        },
+    )
+    assert ratio <= POOLED_CEILING, (
+        f"orchestrated batched pool is {ratio:.2f}x the classic one "
+        f"(ceiling {POOLED_CEILING}x)"
     )
 
 

@@ -380,9 +380,10 @@ class SweepOptions:
       the failsafe guard's open-loop fallback: keep producing results
       even when the fancy machinery is on fire.  Note the degraded
       mode cannot enforce timeouts and a worker crash becomes fatal.
-    * ``window_factor`` -- bound on in-flight submissions
-      (``window_factor * jobs``), so multi-thousand-spec matrices do
-      not hold every pickled spec and pending result in memory.
+    * ``window_factor`` -- bound on in-flight submissions: at most
+      ``window_factor * jobs`` tasks (a lane group counts once), so
+      multi-thousand-spec matrices do not hold every pickled spec and
+      pending result in memory.
     * ``batch`` -- lane-batch width (see :mod:`repro.sim.batch`):
       consecutive compatible specs run through one vectorized
       :class:`~repro.sim.batch.BatchEngine` kernel, inside each pool
@@ -823,8 +824,9 @@ def _submission_window(jobs: int, window_factor: int = 4) -> int:
 
     Submitting all N futures up front holds every pickled spec and
     every pending pickled result in memory at once; a window of
-    ``window_factor * jobs`` keeps the pool saturated (workers never
-    wait on the collector) while bounding both.
+    ``window_factor * jobs`` tasks (a lane group counts once) keeps the
+    pool saturated (workers never wait on the collector) while bounding
+    both.
     """
     return max(1, window_factor) * max(1, jobs)
 
@@ -833,14 +835,18 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Forcibly tear down a pool whose workers may be hung.
 
     ``shutdown`` alone waits for running work -- useless against a hung
-    or wedged worker -- so terminate the worker processes first.  Uses
-    the executor's private process table; guarded so a stdlib layout
-    change degrades to a plain (blocking-free) shutdown.
+    or wedged worker -- so kill the worker processes first.  SIGKILL,
+    not SIGTERM: forked workers inherit the parent's signal handlers,
+    and the CLI's SIGTERM -> KeyboardInterrupt handler would let a
+    worker catch the signal, survive, and block the old pool's manager
+    thread on a result nobody reads.  Uses the executor's private
+    process table; guarded so a stdlib layout change degrades to a
+    plain (blocking-free) shutdown.
     """
     processes = getattr(pool, "_processes", None) or {}
     for process in list(processes.values()):
         try:
-            process.terminate()
+            process.kill()
         except Exception:  # pragma: no cover - platform-specific
             pass
     pool.shutdown(wait=False, cancel_futures=True)
@@ -1683,9 +1689,6 @@ class _OutcomeRunner:
         # (lanes, future, deadline, is_solo); lanes = [(index, attempt)]
         in_flight: deque = deque()
 
-        def lanes_in_flight() -> int:
-            return sum(len(entry[0]) for entry in in_flight)
-
         def submit(lanes: list, is_solo: bool) -> None:
             if len(lanes) == 1:
                 future = pool.submit(
@@ -1720,7 +1723,9 @@ class _OutcomeRunner:
                             pending = [solo.popleft()]
                             submit(pending, True)
                     else:
-                        while queue and lanes_in_flight() < window:
+                        # The window counts tasks: a lane group is one
+                        # task, so every worker gets a group to run.
+                        while queue and len(in_flight) < window:
                             pending = self._next_group(queue)
                             submit(pending, False)
                     pending = None
@@ -1758,9 +1763,9 @@ class _OutcomeRunner:
                     payload = future.result(timeout=remaining)
                 except FuturesTimeoutError:
                     if future.cancel():
-                        # Never started running: it aged out in the
-                        # submission queue behind slow specs.  Not the
-                        # specs' fault -- resubmit without charge.
+                        # Never handed to a worker's call queue: it
+                        # aged out behind slow specs.  Not the specs'
+                        # fault -- resubmit without charge.
                         if is_solo:
                             solo.extendleft(reversed(lanes))
                         else:
@@ -1821,7 +1826,9 @@ class _OutcomeRunner:
                         # crasher.  Everyone lost becomes a suspect and
                         # re-runs in isolation, uncharged.
                         unattributed_deaths += 1
-                        suspects = lanes_in_flight() + len(lanes)
+                        suspects = len(lanes) + sum(
+                            len(entry[0]) for entry in in_flight
+                        )
                         if self.sink.enabled:
                             self.sink.event(
                                 "sweep.pool_crash",

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.parallel as parallel_module
 from repro.config import DTMConfig, FailsafeConfig
 from repro.errors import ConfigError, SimulationError
 from repro.faults import FaultSchedule
@@ -388,6 +389,46 @@ class TestExecutorBatch:
             assert out[0].result is not None
             assert out[1].result is None and out[1].error is not None
             assert out[2].result is not None
+
+    def test_orchestrator_window_counts_groups(self, monkeypatch):
+        """The submission window bounds in-flight *tasks*: a lane group
+        counts once, so ``window_factor * jobs`` groups keep every
+        worker busy instead of one group filling a lane-counted window."""
+        specs = matrix_specs(
+            ["gcc", "gzip"], ["none", "pid", "toggle1"], instructions=60_000
+        )
+        options = SweepOptions(batch=2, window_factor=1)
+        jobs = 2
+        groups = len(plan_batches(specs, options.batch))
+        uncollected: set = set()
+        peak = 0
+
+        class CountingPool(parallel_module.ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                nonlocal peak
+                future = super().submit(fn, *args, **kwargs)
+                uncollected.add(future)
+                peak = max(peak, len(uncollected))
+                result = future.result
+
+                def collect(timeout=None):
+                    try:
+                        return result(timeout)
+                    finally:
+                        uncollected.discard(future)
+
+                future.result = collect
+                return future
+
+        monkeypatch.setattr(
+            parallel_module, "ProcessPoolExecutor", CountingPool
+        )
+        out = run_outcomes(specs, jobs=jobs, options=options)
+        assert groups == 3
+        assert peak == min(options.window_factor * jobs, groups) == 2
+        ref = run_outcomes(specs, jobs=1, options=SweepOptions())
+        for a, b in zip(ref, out):
+            assert_results_equal(a.result, b.result)
 
     def test_fail_fast_raises_through_batch(self):
         specs = [

@@ -3,9 +3,12 @@
 Faults are injected by monkeypatching :func:`repro.sim.parallel._execute`
 with a version that recognizes magic benchmark names (``__crash__``
 ``os._exit``'s the worker, ``__hang__`` sleeps past any timeout,
-``__raise__`` raises, ``__flaky__`` fails N times then succeeds).  Worker
-processes inherit the patch because Linux uses the ``fork`` start
-method -- the whole module is skipped elsewhere.
+``__stubborn_hang__`` also ignores SIGTERM, ``__raise__`` raises,
+``__flaky__`` fails N times then succeeds).  A real benchmark tagged
+``("__hang__",)`` hangs both alone and as one lane of a batched group
+(``run_spec_lanes`` is patched too).  Worker processes inherit the
+patches because Linux uses the ``fork`` start method -- the whole
+module is skipped elsewhere.
 
 The determinism headline: a checkpointed sweep killed mid-run and
 resumed is bit-identical to an uninterrupted sweep -- results, retained
@@ -21,6 +24,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -54,9 +58,15 @@ INSTRUCTIONS = 150_000
 _PARENT_PID = os.getpid()
 
 _REAL_EXECUTE = parallel_module._execute
+_REAL_RUN_SPEC_LANES = parallel_module.run_spec_lanes
+
+#: A real benchmark tagged with this hangs, alone or as one batched lane.
+_HANG_TAG = ("__hang__",)
 
 
 def _injected_execute(spec, telemetry):
+    if spec.tag == _HANG_TAG:
+        time.sleep(120)
     if spec.benchmark == "__crash__":
         os._exit(42)
     if spec.benchmark == "__crash_worker_only__":
@@ -64,6 +74,9 @@ def _injected_execute(spec, telemetry):
             os._exit(42)
         return _delegate(spec, telemetry)
     if spec.benchmark == "__hang__":
+        time.sleep(120)
+    if spec.benchmark == "__stubborn_hang__":
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
         time.sleep(120)
     if spec.benchmark == "__raise__":
         raise RuntimeError("injected failure")
@@ -86,9 +99,18 @@ def _delegate(spec, telemetry):
     )
 
 
+def _injected_run_spec_lanes(specs, locals_):
+    if any(spec.tag == _HANG_TAG for spec in specs):
+        time.sleep(120)
+    return _REAL_RUN_SPEC_LANES(specs, locals_)
+
+
 @pytest.fixture
 def inject_faults(monkeypatch):
     monkeypatch.setattr(parallel_module, "_execute", _injected_execute)
+    monkeypatch.setattr(
+        parallel_module, "run_spec_lanes", _injected_run_spec_lanes
+    )
 
 
 def _spec(benchmark, policy="pid", tag=()):
@@ -177,6 +199,53 @@ class TestTimeouts:
         assert outcomes[1].error.kind == "timeout"
         assert elapsed < 60  # nowhere near the 120s sleep
         assert "sweep.timeout" in _kinds(telemetry)
+
+    def test_hung_lane_times_out_its_group_then_alone(self, inject_faults):
+        """Three 2-lane groups in flight on two workers; one lane hangs.
+        Its group's deadline (timeout x lanes) passes, the group's lanes
+        re-run unbatched, and only the hung spec is charged -- no
+        innocent lane or group pays for queueing behind others."""
+        telemetry = _quiet()
+        specs = matrix_specs(
+            ["gcc", "gzip", "art"], ["none", "pid"], instructions=INSTRUCTIONS
+        )
+        hung = 3  # second lane of the middle group
+        specs[hung] = dataclasses.replace(specs[hung], tag=_HANG_TAG)
+        started = time.monotonic()
+        outcomes = run_outcomes(
+            specs,
+            jobs=2,
+            telemetry=telemetry,
+            options=SweepOptions(timeout_seconds=3.0, batch=2),
+        )
+        elapsed = time.monotonic() - started
+        group_timeouts = [
+            e for e in telemetry.trace.events
+            if e.kind == "sweep.timeout" and e.data.get("lanes") == 2
+        ]
+        assert [e.sample_index for e in group_timeouts] == [hung - 1]
+        assert outcomes[hung].error.kind == "timeout"
+        assert outcomes[hung].attempts == 1
+        for index, outcome in enumerate(outcomes):
+            if index != hung:
+                assert outcome.ok and outcome.attempts == 1, index
+        assert elapsed < 60  # nowhere near the 120s sleep
+
+    def test_timed_out_worker_dies_even_if_it_ignores_sigterm(
+        self, inject_faults
+    ):
+        """Pool teardown kills with SIGKILL: a worker holding a SIGTERM
+        handler (forked workers inherit the CLI's) cannot outlive its
+        timed-out pool."""
+        outcomes = run_outcomes(
+            [_spec("__stubborn_hang__")],
+            jobs=1,
+            options=SweepOptions(timeout_seconds=1.0),
+        )
+        assert outcomes[0].error.kind == "timeout"
+        for child in multiprocessing.active_children():
+            child.join(timeout=10)
+            assert not child.is_alive(), child
 
     def test_jobs1_with_timeout_runs_on_a_pool(self, inject_faults):
         # In-process execution cannot preempt a hung spec; the
