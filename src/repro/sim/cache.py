@@ -51,9 +51,14 @@ the same flock/tempfile/``os.replace`` discipline as
 interleave partial lines, and GC publishes its compacted log
 atomically.  A crash mid-append leaves at most one torn final line,
 which readers skip and the next locked writer truncates
-(:func:`~repro.sim.checkpoint.truncate_partial_tail`).  A corrupt line
-anywhere is counted, skipped, and reclaimed by the next GC -- a cache
-that could abort the sweep it accelerates would be worse than none.
+(:func:`~repro.sim.checkpoint.truncate_partial_tail`, which reads only
+the log's tail).  A store is one ``json.dumps`` (numpy scalars through
+the :func:`~repro.sim.codec.json_default` hook) and one fsync'd
+append; the writer, having scanned to EOF under the lock, indexes its
+own line from the offset and length it wrote rather than re-reading
+it.  A corrupt line anywhere is counted, skipped, and reclaimed by the
+next GC -- a cache that could abort the sweep it accelerates would be
+worse than none.
 
 GC is deterministic LRU: ``touch`` lines appended at sweep end record
 hit order, the compactor keeps the most-recently-used entries whose
@@ -75,7 +80,7 @@ from pathlib import Path
 from repro.errors import CacheError
 from repro.sim.checkpoint import spec_fingerprint, truncate_partial_tail
 from repro.sim.codec import (
-    _jsonable,
+    json_default,
     result_to_dict,
     telemetry_to_dict,
 )
@@ -342,13 +347,19 @@ class ResultCache:
         finally:
             handle.close()
 
-    def _write_lines_locked(self, lines: list[dict], fsync: bool) -> None:
-        with open(self._log_path, "a", encoding="utf-8") as handle:
-            for data in lines:
-                handle.write(json.dumps(_jsonable(data)) + "\n")
+    def _write_lines_locked(self, lines: list[dict], fsync: bool) -> list[int]:
+        """Append ``lines`` to the log; return each line's byte length."""
+        encoded = [
+            (json.dumps(data, default=json_default) + "\n").encode("utf-8")
+            for data in lines
+        ]
+        with open(self._log_path, "ab") as handle:
+            for raw in encoded:
+                handle.write(raw)
             handle.flush()
             if fsync:
                 os.fsync(handle.fileno())
+        return [len(raw) for raw in encoded]
 
     def _prepare_log_locked(self) -> None:
         """Header + torn-tail hygiene; caller holds the flock."""
@@ -406,7 +417,11 @@ class ResultCache:
             self._refresh()
             if not fresh_needed():
                 return False
-            self._write_lines_locked(
+            # Under the flock the scan has reached EOF, so the entry
+            # lands at _scan_pos; index it directly instead of re-reading
+            # and re-parsing the line just written.
+            offset = self._scan_pos
+            [length] = self._write_lines_locked(
                 [
                     {
                         "type": "entry",
@@ -426,7 +441,14 @@ class ResultCache:
                 ],
                 fsync=True,
             )
-        self._refresh()
+            end = offset + length
+            handle = self._read_handle
+            if handle is not None and os.fstat(handle.fileno()).st_size == end:
+                has_telemetry = telemetry_payload is not None
+                self._index[key] = (offset, length, has_telemetry)
+                self._scan_pos = end
+            else:
+                self._refresh()
         return True
 
     def flush(self) -> None:

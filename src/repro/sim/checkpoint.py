@@ -48,10 +48,10 @@ import numpy as np
 
 from repro.errors import CheckpointError
 from repro.sim.codec import (
-    _jsonable,
     fold_saved_telemetry,
     history_from_dict,
     history_to_dict,
+    json_default,
     result_from_dict,
     result_to_dict,
     telemetry_to_dict,
@@ -175,7 +175,7 @@ class CheckpointJournal:
 
     def _write_line(self, data: dict) -> None:
         try:
-            line = json.dumps(_jsonable(data))
+            line = json.dumps(data, default=json_default)
         except (TypeError, ValueError) as error:
             raise CheckpointError(
                 f"checkpoint entry is not JSON-serializable: {error}"
@@ -242,6 +242,10 @@ class CheckpointJournal:
         self.close()
 
 
+#: Block size of :func:`truncate_partial_tail`'s backward newline scan.
+_TAIL_BLOCK = 64 * 1024
+
+
 def truncate_partial_tail(path: Path) -> None:
     """Drop a truncated final line left by a crash mid-append.
 
@@ -251,13 +255,29 @@ def truncate_partial_tail(path: Path) -> None:
     final line, which the next writer cuts before appending.  Complete
     lines are never touched, so byte offsets held by concurrent readers
     of the same file stay valid.
+
+    Reads only the tail: the last byte, and only when that is not a
+    newline, backwards in :data:`_TAIL_BLOCK`-sized blocks to the last
+    newline -- so the check costs O(1) on a healthy log of any size.
     """
-    raw = path.read_bytes()
-    if not raw or raw.endswith(b"\n"):
-        return
-    cut = raw.rfind(b"\n")
-    with path.open("r+b") as handle:
-        handle.truncate(cut + 1 if cut >= 0 else 0)
+    with path.open("rb") as handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end == 0:
+            return
+        handle.seek(end - 1)
+        if handle.read(1) == b"\n":
+            return
+        cut = 0
+        position = end
+        while position > 0:
+            start = max(0, position - _TAIL_BLOCK)
+            handle.seek(start)
+            newline = handle.read(position - start).rfind(b"\n")
+            if newline >= 0:
+                cut = start + newline + 1
+                break
+            position = start
+    os.truncate(path, cut)
 
 
 #: Backwards-compatible private alias (pre-cache internal name).

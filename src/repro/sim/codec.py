@@ -204,15 +204,21 @@ def spec_from_dict(data: dict):
 
 
 # -- result (de)serialization -------------------------------------------------
-def _jsonable(value):
-    """Map numpy scalars to Python scalars so ``json.dumps`` accepts them."""
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
+def json_default(value):
+    """``json.dumps(..., default=json_default)`` hook for numpy scalars.
+
+    The append-logs (checkpoint journal, result cache) encode each
+    payload in one ``json.dumps`` call with this hook.  ``np.float64``
+    never reaches it: it subclasses ``float``, which the encoder
+    already writes with ``float.__repr__``.  Other numpy scalars
+    (``float32``, ``int64``, ``bool_``...) encode as their ``.item()``,
+    so the bytes match a payload that held the Python scalar all along.
+    """
     if isinstance(value, np.generic):
         return value.item()
-    return value
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
 
 
 def history_to_dict(history: History) -> dict:

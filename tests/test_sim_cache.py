@@ -16,18 +16,21 @@ that must provably invalidate every prior entry.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import TelemetryConfig
-from repro.errors import CacheError, ConfigError
+from repro.errors import CacheError, CheckpointError, ConfigError
+from repro.sim import cache as cache_module
 from repro.sim.batch import plan_batches
 from repro.sim.cache import (
     CACHE_SCHEMA,
@@ -35,7 +38,12 @@ from repro.sim.cache import (
     cache_key,
     resolve_cache_dir,
 )
-from repro.sim.codec import result_from_dict
+from repro.sim.checkpoint import CheckpointJournal, spec_fingerprint
+from repro.sim.codec import (
+    result_from_dict,
+    result_to_dict,
+    telemetry_to_dict,
+)
 from repro.sim.parallel import (
     RetryPolicy,
     SweepOptions,
@@ -98,6 +106,13 @@ def _completed(spec, telemetry=True):
         else None,
     )
     return cache_key(spec), result, local
+
+
+def _scanned_index(directory) -> dict:
+    """The index a fresh reader builds by scanning the log."""
+    reader = ResultCache(directory)
+    reader._refresh()
+    return dict(reader._index)
 
 
 # -- the store ----------------------------------------------------------------
@@ -196,6 +211,8 @@ class TestResultCacheStore:
         assert not report["torn_tail"]
         assert report["entries"] == 2
         assert report["errors"] == []
+        # The writer indexed its own append where a reader finds it.
+        assert fresh._index == _scanned_index(tmp_path / "cache")
 
     def test_crash_mid_append_loses_only_the_last_entry(self, tmp_path):
         """Truncating the log mid-line (what a ``kill -9`` during the
@@ -255,12 +272,14 @@ class TestResultCacheStore:
             BENCHMARKS, POLICIES, seeds=(0, 1), instructions=INSTRUCTIONS
         )
         completed = [(spec, *_completed(spec)[1:]) for spec in specs]
+        writer_indexes = []
 
         def write(spec, result, local):
             # Each writer opens its own handle, like separate sweeps
             # sharing one directory.
             own = ResultCache(tmp_path / "cache")
             own.store(cache_key(spec), spec, result, local)
+            writer_indexes.append(dict(own._index))
             own.close()
 
         threads = [
@@ -278,6 +297,13 @@ class TestResultCacheStore:
         for spec, result, _ in completed:
             entry = store.lookup(cache_key(spec), need_telemetry=True)
             assert result_from_dict(entry["result"]) == result
+        # Each writer's view (the log up to and including its own
+        # append) agrees with a fresh scan of the finished log.
+        scanned = _scanned_index(tmp_path / "cache")
+        assert len(scanned) == len(specs)
+        for index in writer_indexes:
+            assert index.items() <= scanned.items()
+        assert set().union(*writer_indexes) == set(scanned)
 
     def test_gc_evicts_least_recently_used_first(self, tmp_path):
         specs = _specs()[:3]
@@ -363,6 +389,160 @@ class TestResultCacheStore:
         assert report["entries"] == 0
         assert report["errors"] == []
         assert not report["torn_tail"]
+
+
+class _CountingJson:
+    """Stand-in for :mod:`json` in :mod:`repro.sim.cache` counting parses."""
+
+    dumps = staticmethod(json.dumps)
+
+    def __init__(self):
+        self.parses = 0
+
+    def loads(self, *args, **kwargs):
+        self.parses += 1
+        return json.loads(*args, **kwargs)
+
+
+class TestStoreWritePath:
+    """A store is one encode plus one fsync'd append, nothing more."""
+
+    def test_store_neither_rereads_the_log_nor_reparses_its_line(
+        self, tmp_path, monkeypatch
+    ):
+        specs = _specs()[:3]
+        store = ResultCache(tmp_path / "cache")
+        for spec in specs[:2]:
+            key, result, local = _completed(spec)
+            store.store(key, spec, result, local)
+        key, result, local = _completed(specs[2])
+        counting = _CountingJson()
+
+        def whole_file_read(path):
+            raise AssertionError(f"whole-file read of {path}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "json", counting)
+            patch.setattr(Path, "read_bytes", whole_file_read)
+            assert store.store(key, specs[2], result, local)
+        assert counting.parses == 0
+        assert store._index == _scanned_index(tmp_path / "cache")
+        entry = store.lookup(key, need_telemetry=True)
+        assert result_from_dict(entry["result"]) == result
+
+    def test_fresh_reader_builds_the_writers_index(self, tmp_path):
+        directory = tmp_path / "cache"
+        store = ResultCache(directory)
+        spec = _specs()[0]
+        key, result, local = _completed(spec)
+        store.store(key, spec, result, None)
+        assert store._index == _scanned_index(directory)
+        # A telemetry upgrade supersedes the entry in both views.
+        store.store(key, spec, result, local)
+        assert store._index[key][2]
+        assert store._index == _scanned_index(directory)
+
+    def test_unexpected_log_size_falls_back_to_a_scan(self, tmp_path):
+        directory = tmp_path / "cache"
+        store = ResultCache(directory)
+        specs = _specs()[:2]
+        key, result, local = _completed(specs[0])
+        store.store(key, specs[0], result, local)
+        write = store._write_lines_locked
+
+        def write_then_stray_append(lines, fsync):
+            lengths = write(lines, fsync)
+            # Bytes the writer did not produce (a writer ignoring the
+            # flock) make the size check fail.
+            with open(directory / "cache.log", "ab") as handle:
+                handle.write(b'{"type": "touch", "key": "stray"}\n')
+            return lengths
+
+        store._write_lines_locked = write_then_stray_append
+        key, result, local = _completed(specs[1])
+        assert store.store(key, specs[1], result, local)
+        assert store._scan_pos == (directory / "cache.log").stat().st_size
+        assert store._index == _scanned_index(directory)
+        assert len(store._index) == 2
+
+
+def _jsonable(value):
+    """The recursive pre-encode walk the append-logs used to run."""
+    if isinstance(value, dict):
+        return {str(key): _jsonable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+class TestEncoderParity:
+    """The numpy-scalar encoder hook writes the bytes the walk wrote."""
+
+    def _numpy_run(self):
+        spec = _specs()[1]
+        _, result, local = _completed(spec)
+        extra = {
+            **result.extra,
+            "f64": np.float64(0.1),
+            "f32": np.float32(1 / 3),
+            "i64": np.int64(-7),
+            "flag": np.bool_(True),
+        }
+        return spec, dataclasses.replace(result, extra=extra), local
+
+    def test_cache_line_is_byte_identical(self, tmp_path):
+        spec, result, local = self._numpy_run()
+        key = cache_key(spec)
+        ResultCache(tmp_path / "cache").store(
+            key, spec, result, local, attempts=2
+        )
+        line = (tmp_path / "cache" / "cache.log").read_bytes()
+        expected = {
+            "type": "entry",
+            "key": key,
+            "fingerprint": spec_fingerprint(spec),
+            "benchmark": spec.benchmark,
+            "policy": spec.policy,
+            "seed": spec.seed,
+            "attempts": 2,
+            "result": result_to_dict(result),
+            "telemetry": telemetry_to_dict(local),
+        }
+        assert line.splitlines()[-1] == json.dumps(
+            _jsonable(expected)
+        ).encode("utf-8")
+
+    def test_journal_line_is_byte_identical(self, tmp_path):
+        spec, result, local = self._numpy_run()
+        path = tmp_path / "sweep.ckpt.jsonl"
+        fingerprint = spec_fingerprint(spec)
+        with CheckpointJournal.open(path) as journal:
+            journal.append_outcome(fingerprint, spec, 1, result, local)
+        expected = {
+            "type": "outcome",
+            "fingerprint": fingerprint,
+            "benchmark": spec.benchmark,
+            "policy": spec.policy,
+            "seed": spec.seed,
+            "attempts": 1,
+            "result": result_to_dict(result),
+            "telemetry": telemetry_to_dict(local),
+        }
+        assert path.read_bytes().splitlines()[-1] == json.dumps(
+            _jsonable(expected)
+        ).encode("utf-8")
+
+    def test_journal_rejects_a_non_serializable_value(self, tmp_path):
+        spec = _specs()[0]
+        _, result, _ = _completed(spec, telemetry=False)
+        result = dataclasses.replace(result, extra={"bad": object()})
+        with CheckpointJournal.open(tmp_path / "j.jsonl") as journal:
+            with pytest.raises(CheckpointError, match="JSON-serializable"):
+                journal.append_outcome(
+                    spec_fingerprint(spec), spec, 1, result
+                )
 
 
 class TestCacheConfiguration:

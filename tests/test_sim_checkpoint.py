@@ -16,13 +16,19 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import DTMConfig, TelemetryConfig
 from repro.errors import CheckpointError
 from repro.faults import FaultSchedule
+from repro.sim import checkpoint as checkpoint_module
 from repro.sim.checkpoint import (
     SWEEP_SCHEMA,
     CheckpointJournal,
@@ -34,6 +40,7 @@ from repro.sim.checkpoint import (
     result_to_dict,
     spec_fingerprint,
     telemetry_to_dict,
+    truncate_partial_tail,
 )
 from repro.sim.parallel import WorkSpec
 from repro.sim.sweep import run_one
@@ -249,3 +256,92 @@ class TestJournal:
         path, spec, _ = self._outcome_entry(tmp_path, n=2)
         CheckpointJournal.open(path).close()
         assert load_checkpoint(path) == {}
+
+    def test_resume_cuts_a_torn_tail_longer_than_the_scan_block(
+        self, tmp_path
+    ):
+        path, spec, result = self._outcome_entry(tmp_path, n=1)
+        intact = path.read_bytes()
+        with path.open("ab") as handle:
+            handle.write(
+                b'{"type": "outcome", "fingerprint": "'
+                + b"f" * (3 * checkpoint_module._TAIL_BLOCK)
+            )
+        with CheckpointJournal.open(path, resume=True) as journal:
+            assert path.read_bytes() == intact
+            journal.append_outcome(spec_fingerprint(spec), spec, 2, result)
+        entries = load_checkpoint(path)[spec_fingerprint(spec)]
+        assert [e["attempts"] for e in entries] == [1, 2]
+
+    def test_resume_on_a_fully_torn_journal_rewrites_the_header(
+        self, tmp_path
+    ):
+        path = tmp_path / "sweep.ckpt.jsonl"
+        path.write_bytes(b'{"type": "head')  # crash mid-header
+        with CheckpointJournal.open(path, resume=True):
+            pass
+        assert json.loads(path.read_text()) == {
+            "type": "header", "schema": SWEEP_SCHEMA,
+        }
+
+
+def _truncate_whole_file(path: Path) -> None:
+    """Whole-file torn-tail cut: the reference the tail-only cut matches."""
+    raw = path.read_bytes()
+    if not raw or raw.endswith(b"\n"):
+        return
+    cut = raw.rfind(b"\n")
+    with path.open("r+b") as handle:
+        handle.truncate(cut + 1 if cut >= 0 else 0)
+
+
+#: Log-like byte strings: newlines are frequent, any other byte may
+#: appear, and the final segment need not end a line.
+_LOGS = st.lists(
+    st.one_of(st.just(b"\n"), st.binary(max_size=40)), max_size=12
+).map(b"".join)
+
+
+class TestTruncatePartialTail:
+    """The tail-only cut leaves exactly what the whole-file cut left."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=_LOGS, block=st.sampled_from([1, 2, 7, 64, 64 * 1024]))
+    @example(raw=b"", block=7)
+    @example(raw=b"no newline at all", block=7)
+    @example(raw=b"complete\n", block=7)
+    @example(raw=b"a\nb\n", block=1)
+    @example(raw=b"line\n" + b"t" * 50, block=7)  # tail spans blocks
+    @example(raw=b"\n" + b"t" * 50, block=7)  # newline at offset 0
+    def test_matches_whole_file_reference(self, raw, block):
+        with tempfile.TemporaryDirectory() as directory:
+            tail_only = Path(directory) / "tail-only"
+            reference = Path(directory) / "reference"
+            tail_only.write_bytes(raw)
+            reference.write_bytes(raw)
+            with mock.patch.object(checkpoint_module, "_TAIL_BLOCK", block):
+                truncate_partial_tail(tail_only)
+            _truncate_whole_file(reference)
+            assert tail_only.read_bytes() == reference.read_bytes()
+
+    def test_healthy_log_reads_only_the_last_byte(self, tmp_path):
+        path = tmp_path / "log"
+        path.write_bytes(b"x" * 1000 + b"\n")
+        reads = []
+        real_open = Path.open
+
+        def spying_open(self, *args, **kwargs):
+            handle = real_open(self, *args, **kwargs)
+            real_read = handle.read
+
+            def read(size=-1):
+                reads.append(size)
+                return real_read(size)
+
+            handle.read = read
+            return handle
+
+        with mock.patch.object(Path, "open", spying_open):
+            truncate_partial_tail(path)
+        assert reads == [1]
+        assert path.read_bytes() == b"x" * 1000 + b"\n"
