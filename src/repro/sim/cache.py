@@ -56,9 +56,19 @@ the log's tail).  A store is one ``json.dumps`` (numpy scalars through
 the :func:`~repro.sim.codec.json_default` hook) and one fsync'd
 append; the writer, having scanned to EOF under the lock, indexes its
 own line from the offset and length it wrote rather than re-reading
-it.  A corrupt line anywhere is counted, skipped, and reclaimed by the
-next GC -- a cache that could abort the sweep it accelerates would be
-worse than none.
+it.
+
+Opening a store is one streamed pass over line boundaries.  An entry
+line in the writer's own layout (``{"type": "entry", "key": "<24 hex>",
+...`` ending in the ``telemetry`` value) is indexed from that fixed
+prefix and suffix without being parsed; every other line -- header,
+touch, counters, hand-edited or foreign -- is parsed and checked as it
+is scanned.  A hit parses its own line once and validates the body
+there.  So a corrupt line is counted when the scan meets it, or, for
+damage inside an entry's body, when a lookup first reads it; either
+way it is skipped (the lookup misses and the spec re-runs) and
+reclaimed by the next GC -- a cache that could abort the sweep it
+accelerates would be worse than none.
 
 GC is deterministic LRU: ``touch`` lines appended at sweep end record
 hit order, the compactor keeps the most-recently-used entries whose
@@ -73,6 +83,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -114,6 +125,17 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 _METRICS = MetricsRegistry()
 
 _COUNTERS = ("hits", "misses", "evictions")
+
+#: The start of every entry line :meth:`ResultCache.store_payload`
+#: writes: ``json.dumps`` keeps its dict's key order, so the type and
+#: the 24-hex-digit key always come first.  The scan indexes a line
+#: that starts this way and ends ``}\n`` without parsing it.
+_WRITER_ENTRY = re.compile(rb'\{"type": "entry", "key": "([0-9a-f]{24})",')
+
+#: How such a line ends when it carries no telemetry payload
+#: (``telemetry`` is the writer's last key; a nested payload would end
+#: ``}}\n`` instead).
+_NO_TELEMETRY_END = b', "telemetry": null}\n'
 
 
 def cache_metrics() -> MetricsRegistry:
@@ -252,7 +274,7 @@ class ResultCache:
             return
         self._read_handle.seek(self._scan_pos)
         position = self._scan_pos
-        for raw in self._read_handle.read().splitlines(keepends=True):
+        for raw in self._read_handle:
             if not raw.endswith(b"\n"):
                 break  # torn tail: a writer was killed mid-append
             self._consume_line(raw, position)
@@ -260,6 +282,15 @@ class ResultCache:
         self._scan_pos = position
 
     def _consume_line(self, raw: bytes, offset: int) -> None:
+        writer_entry = _WRITER_ENTRY.match(raw)
+        if writer_entry is not None and raw.endswith(b"}\n"):
+            # The body is checked by the lookup that reads it.
+            self._index[writer_entry[1].decode("ascii")] = (
+                offset,
+                len(raw),
+                not raw.endswith(_NO_TELEMETRY_END),
+            )
+            return
         try:
             data = json.loads(raw)
         except ValueError:
@@ -294,17 +325,31 @@ class ResultCache:
         elif kind != "touch":
             self._corrupt += 1
 
-    def _read_entry(self, offset: int, length: int) -> dict | None:
-        handle = self._read_handle
-        if handle is None:
-            return None
-        handle.seek(offset)
-        raw = handle.read(length)
+    def _read_entry(self, key: str) -> dict | None:
+        """Parse and check ``key``'s indexed line; drop it if damaged.
+
+        A line that is not a well-formed entry for ``key``, or whose
+        telemetry presence disagrees with the index, counts once as
+        corrupt and leaves the index, so the lookup misses and the spec
+        re-runs and re-stores.
+        """
+        offset, length, has_telemetry = self._index[key]
+        self._read_handle.seek(offset)
         try:
-            entry = json.loads(raw)
+            entry = json.loads(self._read_handle.read(length))
         except ValueError:
-            return None
-        return entry if isinstance(entry, dict) else None
+            entry = None
+        if (
+            isinstance(entry, dict)
+            and entry.get("type") == "entry"
+            and entry.get("key") == key
+            and isinstance(entry.get("result"), dict)
+            and (entry.get("telemetry") is not None) == has_telemetry
+        ):
+            return entry
+        self._corrupt += 1
+        del self._index[key]
+        return None
 
     # -- counters ------------------------------------------------------------
     def _count(self, name: str, amount: int = 1) -> None:
@@ -323,9 +368,9 @@ class ResultCache:
         self._refresh()
         location = self._index.get(key)
         if location is not None:
-            offset, length, has_telemetry = location
+            _, _, has_telemetry = location
             if has_telemetry or not need_telemetry:
-                entry = self._read_entry(offset, length)
+                entry = self._read_entry(key)
                 if entry is not None:
                     self._count("hits")
                     # Re-touching moves the key to the back of the LRU
@@ -599,6 +644,12 @@ class ResultCache:
         flushed to this store plus this instance's unflushed deltas;
         the same increments flow live through the shared registry
         (:func:`cache_metrics`) for in-process observability.
+
+        ``corrupt_lines`` counts the damaged lines this instance has
+        met: lines the scan could not index, plus entry lines whose
+        body failed its check when a lookup read it.  Damage inside an
+        unread entry's body shows up here only once a lookup reads it;
+        :meth:`verify` reports it up front.
         """
         self._refresh()
         try:

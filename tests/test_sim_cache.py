@@ -22,10 +22,12 @@ import shutil
 import tempfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import TelemetryConfig
@@ -398,9 +400,12 @@ class _CountingJson:
 
     def __init__(self):
         self.parses = 0
+        #: The bytes of every parsed line, in parse order.
+        self.parsed: list = []
 
     def loads(self, *args, **kwargs):
         self.parses += 1
+        self.parsed.append(args[0])
         return json.loads(*args, **kwargs)
 
 
@@ -464,6 +469,320 @@ class TestStoreWritePath:
         assert store._scan_pos == (directory / "cache.log").stat().st_size
         assert store._index == _scanned_index(directory)
         assert len(store._index) == 2
+
+
+def _parsed_scan(log: bytes):
+    """``(index, counters, corrupt)`` from parsing every complete line.
+
+    A copy of the scan the store ran before it indexed its own entry
+    lines by their fixed prefix and suffix: the reference that
+    prefix-indexing must reproduce.
+    """
+    index, corrupt = {}, 0
+    counters = dict.fromkeys(("hits", "misses", "evictions"), 0)
+    offset = 0
+    for raw in log.splitlines(keepends=True):
+        if not raw.endswith(b"\n"):
+            break
+        try:
+            data = json.loads(raw)
+        except ValueError:
+            data = None
+        kind = data.get("type") if isinstance(data, dict) else None
+        if kind == "entry":
+            key = data.get("key")
+            if isinstance(key, str) and isinstance(data.get("result"), dict):
+                index[key] = (
+                    offset, len(raw), data.get("telemetry") is not None
+                )
+            else:
+                corrupt += 1
+        elif kind == "counters":
+            for name in counters:
+                value = data.get(name, 0)
+                if isinstance(value, (int, float)):
+                    counters[name] += int(value)
+        elif kind == "header":
+            if data.get("schema") != CACHE_SCHEMA:
+                raise CacheError(f"foreign schema {data.get('schema')!r}")
+        elif kind != "touch":
+            corrupt += 1
+        offset += len(raw)
+    return index, counters, corrupt
+
+
+def _hand_entry(key, telemetry, variant) -> str:
+    """An entry line the writer would never produce, in one of the
+    layouts the scan must leave to the parser."""
+    entry = {
+        "type": "entry",
+        "key": key,
+        "benchmark": "gcc",
+        "result": {"value": 1.5},
+        "telemetry": telemetry,
+    }
+    if variant == "reordered":
+        return json.dumps({"key": key, "type": "entry", **entry})
+    if variant == "compact":
+        return json.dumps(entry, separators=(",", ":"))
+    if variant == "upper":
+        return json.dumps({**entry, "key": "ABCDEF" + key[6:]})
+    if variant == "short":
+        return json.dumps({**entry, "key": key[:23]})
+    if variant == "long":
+        return json.dumps({**entry, "key": key + "0"})
+    if variant == "escaped":
+        # Decodes to ``key`` itself: it must index under that key.
+        return json.dumps(entry).replace(
+            f'"key": "{key[0]}', f'"key": "\\u{ord(key[0]):04x}', 1
+        )
+    return json.dumps(entry) + "  "  # trailing spaces
+
+
+_HEX_KEY = st.text("0123456789abcdef", min_size=24, max_size=24)
+_TELEMETRY = st.sampled_from(
+    [None, {}, {"records": [1.5, -0.0], "telemetry": None}]
+)
+_LOG_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("store"),
+            st.integers(0, 3),
+            _TELEMETRY,
+            st.sampled_from(["gcc", "gzip-ñ", "ärger", "日本"]),
+        ),
+        st.tuples(
+            st.just("hand"),
+            st.integers(0, 3),
+            _TELEMETRY,
+            st.sampled_from(
+                ["reordered", "compact", "upper", "short", "long",
+                 "escaped", "trailing"]
+            ),
+        ),
+        st.tuples(st.just("touch"), st.integers(0, 3)),
+        st.tuples(
+            st.just("counters"), st.integers(0, 5), st.integers(0, 5)
+        ),
+        st.tuples(st.just("header")),
+        st.tuples(st.just("garbage")),
+    ),
+    max_size=12,
+)
+
+
+class TestPrefixIndexedScan:
+    """Opening a store indexes the writer's entry lines unparsed, and
+    builds exactly the index a parse of every line builds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.lists(_HEX_KEY, min_size=4, max_size=4, unique=True),
+           ops=_LOG_OPS)
+    @example(
+        keys=["0" * 24, "a" * 24, "0123456789abcdef01234567", "f" * 24],
+        ops=[
+            ("store", 0, None, "gcc"),
+            ("touch", 0),
+            ("store", 0, {"records": [1.5, -0.0], "telemetry": None}, "gcc"),
+            ("hand", 1, None, "escaped"),
+            ("store", 1, {}, "日本"),
+            ("counters", 2, 3),
+        ],
+    )
+    def test_scan_matches_a_full_parse(self, keys, ops):
+        header = json.dumps({"type": "header", "schema": CACHE_SCHEMA})
+        with tempfile.TemporaryDirectory() as scratch:
+            directory = Path(scratch) / "cache"
+            log = directory / "cache.log"
+            writer = ResultCache(directory)
+
+            def append(line):
+                with open(log, "ab") as handle:
+                    handle.write((line + "\n").encode("utf-8"))
+
+            append(header)
+            writer_lines = set()
+            for kind, *args in ops:
+                if kind == "store":
+                    which, telemetry, name = args
+                    size = log.stat().st_size
+                    spec = SimpleNamespace(
+                        benchmark=name, policy="pid", seed=0
+                    )
+                    if writer.store_payload(
+                        keys[which], spec, {"value": 1.5}, telemetry,
+                        fingerprint="fp",
+                    ):
+                        writer_lines.add(log.read_bytes()[size:])
+                elif kind == "hand":
+                    append(_hand_entry(keys[args[0]], *args[1:]))
+                elif kind == "touch":
+                    append(json.dumps({"type": "touch", "key": keys[args[0]]}))
+                elif kind == "counters":
+                    hits, misses = args
+                    append(json.dumps(
+                        {"type": "counters", "hits": hits, "misses": misses}
+                    ))
+                elif kind == "header":
+                    append(header)
+                else:
+                    append("!!! not json at all")
+            writer.close()
+            raw = log.read_bytes()
+            counting = _CountingJson()
+            reader = ResultCache(directory)
+            with mock.patch.object(cache_module, "json", counting):
+                reader._refresh()
+            index, counters, corrupt = _parsed_scan(raw)
+            assert reader._index == index
+            assert reader._persisted == counters
+            assert reader._corrupt == corrupt
+            assert reader._scan_pos == len(raw)
+            reader.close()
+        # Only the writer's entry lines skip the parser; every other
+        # line (header, touch, counters, garbage, hand-written entries)
+        # is parsed exactly as before.
+        for line in raw.splitlines(keepends=True):
+            assert (line in counting.parsed) == (line not in writer_lines)
+
+
+def _entry_line(log: Path, key: str) -> tuple[int, bytes]:
+    """``(1-based line number, bytes)`` of ``key``'s latest entry line."""
+    found = None
+    prefix = f'{{"type": "entry", "key": "{key}",'.encode("ascii")
+    for number, line in enumerate(log.read_bytes().splitlines(True), 1):
+        if line.startswith(prefix):
+            found = (number, line)
+    return found
+
+
+def _damage_result(log: Path, key: str) -> int:
+    """Overwrite bytes mid-``result`` in ``key``'s entry line, keeping
+    its prefix, suffix and length; return the line's number."""
+    number, line = _entry_line(log, key)
+    start = line.index(b'"result": ')
+    end = line.rindex(b', "telemetry": ')
+    middle = (start + end) // 2
+    # NUL is invalid JSON both inside and outside a string.
+    damaged = line[:middle] + b"\x00" * 8 + line[middle + 8:]
+    lines = log.read_bytes().splitlines(True)
+    lines[number - 1] = damaged
+    log.write_bytes(b"".join(lines))
+    return number
+
+
+class TestReadPath:
+    """A hit parses its own line once and validates it there."""
+
+    def test_open_parses_no_entry_and_each_hit_parses_once(
+        self, tmp_path, monkeypatch
+    ):
+        directory = tmp_path / "cache"
+        specs = _specs()
+        store = ResultCache(directory)
+        keys = []
+        for spec in specs:
+            key, result, local = _completed(spec)
+            store.store(key, spec, result, local)
+            keys.append(key)
+        store.close()
+        log = directory / "cache.log"
+        entry_lines = {_entry_line(log, key)[1] for key in keys}
+        counting = _CountingJson()
+        monkeypatch.setattr(cache_module, "json", counting)
+
+        def entry_parses():
+            return sum(line in entry_lines for line in counting.parsed)
+
+        fresh = ResultCache(directory)
+        assert fresh.stats()["entries"] == len(specs)
+        assert entry_parses() == 0
+        for key in keys:
+            assert fresh.lookup(key, need_telemetry=True) is not None
+        assert entry_parses() == len(specs)  # not 2N
+
+    @pytest.mark.parametrize("with_telemetry", [False, True])
+    def test_damaged_entry_body_is_a_counted_miss_then_heals(
+        self, tmp_path, with_telemetry
+    ):
+        directory = tmp_path / "cache"
+        log = directory / "cache.log"
+        specs = _specs()
+
+        def sweep():
+            sink = _quiet() if with_telemetry else None
+            return run_specs(specs, jobs=1, cache=str(directory),
+                             telemetry=sink)
+
+        reference = sweep()
+        key = cache_key(specs[1])
+        _, original = _entry_line(log, key)
+        # A telemetry-less line ends ``"telemetry": null}\n``; the
+        # damage leaves that suffix (and the prefix) intact.
+        assert original.endswith(b', "telemetry": null}\n') is (
+            not with_telemetry
+        )
+        number = _damage_result(log, key)
+        fresh = ResultCache(directory)
+        # Entry bodies are checked when read, not when the log opens.
+        assert fresh.stats()["corrupt_lines"] == 0
+        assert fresh.lookup(key, need_telemetry=with_telemetry) is None
+        assert fresh.stats()["corrupt_lines"] == 1
+        assert fresh.lookup(key, need_telemetry=with_telemetry) is None
+        assert fresh.stats()["corrupt_lines"] == 1
+        assert key not in fresh._index
+        fresh.close()
+        report = ResultCache(directory).verify()
+        assert any(
+            error.startswith(f"line {number}:") for error in report["errors"]
+        )
+        # The next sweep re-runs the spec and re-stores the same bytes.
+        assert sweep() == reference
+        assert _entry_line(log, key)[1] == original
+        report = ResultCache(directory).verify()
+        assert (report["entries"], report["corrupt_lines"]) == (len(specs), 1)
+        healed = ResultCache(directory)
+        assert healed.lookup(key, need_telemetry=with_telemetry) is not None
+        healed.gc()
+        assert healed.verify()["errors"] == []
+        assert healed.stats()["corrupt_lines"] == 0
+        assert healed.stats()["entries"] == len(specs)
+
+    _KEY = "0123456789abcdef01234567"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'"result": {"value": ###}, "telemetry": null}',
+            b'"result": [1.5], "telemetry": null}',
+            b'"result": {}, "telemetry": null, "attempts": 1}',
+            b'"key": "another", "result": {}, "telemetry": null}',
+            b'"type": "touch", "result": {}, "telemetry": {}}',
+        ],
+        ids=["not-json", "result-not-dict", "telemetry-flag",
+             "second-key", "second-type"],
+    )
+    def test_writer_layout_with_a_bad_body_never_replays(
+        self, tmp_path, body
+    ):
+        directory = tmp_path / "cache"
+        directory.mkdir()
+        header = json.dumps({"type": "header", "schema": CACHE_SCHEMA})
+        (directory / "cache.log").write_bytes(
+            header.encode("ascii")
+            + b'\n{"type": "entry", "key": "'
+            + self._KEY.encode("ascii")
+            + b'", '
+            + body
+            + b"\n"
+        )
+        store = ResultCache(directory)
+        # Indexed by its prefix, unparsed, at open.
+        assert store.stats()["entries"] == 1
+        assert store.lookup(self._KEY) is None
+        stats = store.stats()
+        assert stats["corrupt_lines"] == 1
+        assert stats["entries"] == 0
 
 
 def _jsonable(value):
