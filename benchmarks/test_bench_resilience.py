@@ -1,13 +1,16 @@
 """Overhead guard for the fault-tolerant sweep orchestrator.
 
-The orchestrator adds per-spec bookkeeping (outcome records, deferred
-in-spec-order telemetry folding, optional journal writes) on top of the
-legacy executor.  On a healthy sweep -- no faults, no retries -- that
-bookkeeping must stay in the noise.  Serially, an orchestrated sweep
-may take at most ``ORCHESTRATOR_CEILING`` (1.5x) the legacy executor's
-wall-clock on the same matrix; on a two-worker lane-batched pool
-(``jobs=2, batch=4``) at most ``POOLED_CEILING`` (1.25x) the classic
-batched pool's.  The generous ceilings absorb scheduler jitter on small
+``run_specs`` and ``run_outcomes`` run on one executor: ``run_specs``
+without options is its fail-fast mode, which stops at the first
+failure, while the fault-tolerant mode adds per-spec bookkeeping
+(failure isolation, retry accounting, optional journal writes).  The
+``legacy``/``classic`` side of each ratio below (names kept for the
+receipt keys) is that fail-fast mode.  On a healthy sweep -- no faults,
+no retries -- the bookkeeping must stay in the noise.  Serially, an
+orchestrated sweep may take at most ``ORCHESTRATOR_CEILING`` (1.5x)
+the fail-fast sweep's wall-clock on the same matrix; on a two-worker
+lane-batched pool (``jobs=2, batch=4``) at most ``POOLED_CEILING``
+(1.25x) the fail-fast batched pool's.  The generous ceilings absorb scheduler jitter on small
 CI machines; the recorded target is ~1.05x for both.  The pooled ratio
 needs two cores: on a smaller machine its receipt section says so.
 
@@ -30,11 +33,11 @@ import pytest
 from benchmarks._receipt import update_receipt as _update_receipt
 from repro.sim.parallel import SweepOptions, matrix_specs, run_outcomes, run_specs
 
-#: Maximum orchestrated / legacy wall-clock ratio on a fault-free sweep.
+#: Maximum orchestrated / fail-fast wall-clock ratio on a fault-free sweep.
 ORCHESTRATOR_CEILING = 1.5
 #: Aspirational ratio (recorded in the receipt, not asserted).
 ORCHESTRATOR_TARGET = 1.05
-#: Maximum orchestrated / classic ratio on a fault-free batched pool.
+#: Maximum orchestrated / fail-fast ratio on a fault-free batched pool.
 POOLED_CEILING = 1.25
 
 BENCHMARKS = ("gcc", "gzip")
@@ -63,7 +66,7 @@ def _best_of(callable_, repeats=REPEATS) -> float:
 
 
 def test_orchestrator_overhead_is_bounded():
-    """Fault-free orchestrated sweep <= 1.5x the legacy executor."""
+    """Fault-free orchestrated sweep <= 1.5x the fail-fast one."""
     specs = _specs()
     legacy = _best_of(lambda: run_specs(specs, jobs=1))
     orchestrated = _best_of(
@@ -83,13 +86,13 @@ def test_orchestrator_overhead_is_bounded():
         },
     )
     assert ratio <= ORCHESTRATOR_CEILING, (
-        f"orchestrated sweep is {ratio:.2f}x the legacy executor "
+        f"orchestrated sweep is {ratio:.2f}x the fail-fast one "
         f"(ceiling {ORCHESTRATOR_CEILING}x)"
     )
 
 
 def test_pooled_orchestrator_overhead_is_bounded():
-    """Fault-free orchestrated batched pool <= 1.25x the classic one."""
+    """Fault-free orchestrated batched pool <= 1.25x the fail-fast one."""
     cores = os.cpu_count() or 1
     if cores < POOLED_JOBS:
         _update_receipt(
@@ -129,7 +132,7 @@ def test_pooled_orchestrator_overhead_is_bounded():
         },
     )
     assert ratio <= POOLED_CEILING, (
-        f"orchestrated batched pool is {ratio:.2f}x the classic one "
+        f"orchestrated batched pool is {ratio:.2f}x the fail-fast one "
         f"(ceiling {POOLED_CEILING}x)"
     )
 

@@ -102,10 +102,9 @@ def plan_batches(specs, batch: int, skip=()) -> list[list[int]]:
     executor could also have produced.  Specs whose key is ``None``
     (multicore) always form singleton groups.
 
-    ``skip`` names spec indices to leave out of the plan entirely --
-    the cross-sweep result cache (:mod:`repro.sim.cache`) passes its
-    hit set here so cached lanes drop out of the batch and only the
-    misses occupy kernel lanes.  A skipped spec also breaks lane
+    ``skip`` names spec indices to leave out of the plan entirely, such
+    as specs a result cache already answers, so only the rest occupy
+    kernel lanes.  A skipped spec also breaks lane
     adjacency (groups stay contiguous runs of the *original* spec
     list), keeping the plan a strict sub-plan of the uncached one;
     lane grouping never changes bits, so this costs correctness

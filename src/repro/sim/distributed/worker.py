@@ -16,8 +16,9 @@ is only transport:
   match its claimed identity;
 * heartbeat from a side thread while executing, so a long-running
   lease is visibly alive and never expires under a healthy worker;
-* stream one ``result`` per spec -- success or captured failure, both
-  through the shared ``repr``-lossless codec -- and wait for the
+* stream one ``result`` per spec -- success or captured failure (an
+  ``error`` or a worker ``crash``, charged to the spec that caused it),
+  both through the shared ``repr``-lossless codec -- and wait for the
   coordinator's post-fsync ``ack``;
 * treat a lost coordinator like a lost worker is treated on the other
   side: abandon the session and reconnect.  Whatever was mid-flight
@@ -152,10 +153,10 @@ def _execute_session(
                     message["result"] = result_to_dict(result)
                     message["telemetry"] = telemetry_to_dict(local)
                 else:
-                    _, exc_type, error_message, tb = payload
+                    kind, exc_type, error_message, tb = payload
                     message["ok"] = False
                     message["failure"] = {
-                        "kind": "error",
+                        "kind": kind,
                         "exc_type": exc_type,
                         "message": error_message,
                         "traceback": tb,

@@ -12,17 +12,19 @@ guarantees survive the fan-out.  This module provides:
   run (names + frozen config dataclasses, never live objects), so a
   worker process can rebuild the exact engine the serial path would
   have built;
-* :func:`run_specs` -- execute a list of specs either serially (sharing
-  the caller's telemetry sink, exactly like the classic loop) or on a
-  :class:`~concurrent.futures.ProcessPoolExecutor`, folding each
-  worker's local telemetry back into the sink **in spec order**;
+* :func:`run_specs` -- the fail-fast sweep: execute a list of specs,
+  serially or on a :class:`~concurrent.futures.ProcessPoolExecutor`,
+  folding each worker's local telemetry back into the sink **in spec
+  order**, and raise the earliest failing spec's own exception;
 * :func:`run_outcomes` + :class:`SweepOptions` / :class:`RetryPolicy` --
-  the fault-tolerant orchestration layer: per-spec wall-clock timeouts,
+  the fault-tolerant sweep: per-spec wall-clock timeouts,
   bounded deterministic-backoff retries, ``BrokenProcessPool`` recovery
   (rebuild the pool, re-run only the lost in-flight specs, degrade to
   in-process serial execution after repeated pool deaths), failure
   isolation as structured :class:`SpecOutcome` values, and a crash-safe
   checkpoint journal (:mod:`repro.sim.checkpoint`) for ``--resume``;
+* :func:`execute_payloads` -- one attempt of a shard worker's specs
+  (:mod:`repro.sim.distributed.worker`), as settled payloads;
 * :func:`matrix_specs` -- build the (benchmark x policy x seed) spec
   list in the canonical benchmark-major order used by ``run_suite``;
 * :func:`set_default_jobs` / :func:`get_default_jobs` and
@@ -30,6 +32,12 @@ guarantees survive the fan-out.  This module provides:
   -- process-wide defaults so ``--jobs`` / ``--retries`` / ``--resume``
   on a driver's command line reach every ``run_suite`` call inside
   table modules without threading parameters through each one.
+
+The three entry points that execute (:func:`run_specs`,
+:func:`run_outcomes` and :func:`execute_payloads`) drive one executor,
+``_OutcomeRunner``, which owns the only worker pool: lane batching
+regroups its queue, the result cache pre-settles its hits, and
+fail-fast is a mode of it, not another loop.
 
 Determinism and telemetry parity
 --------------------------------
@@ -45,8 +53,11 @@ and the parent re-emits each worker's records onto the sink via
 therefore sees the exact emit sequence a serial sweep would have
 produced, and retains the exact same records, events, and metrics.  The
 one documented difference: profiler *span* timings are per-process
-wall-clock and are deliberately not merged, so a parallel sweep's sink
-carries the parent's spans only (no per-run ``engine.run`` spans).
+wall-clock and are deliberately not merged, so a sweep that folds
+run-local telemetry carries the parent's spans only (no per-run
+``engine.run`` spans).  Only an in-process, unbatched, uncached
+fail-fast sweep records straight into the sink and keeps them; batched
+or cached sweeps fold run-local telemetry even at ``jobs=1``.
 
 The fault-tolerant layer preserves the same guarantee: a failed attempt
 contributes *no* telemetry (only the final successful attempt of each
@@ -64,6 +75,7 @@ docs/robustness.md).
 from __future__ import annotations
 
 import os
+import pickle
 import time
 import traceback as traceback_module
 from collections import deque
@@ -90,7 +102,6 @@ from repro.errors import ConfigError, SweepError
 from repro.faults import FaultSchedule
 from repro.sim.batch import (
     batch_compatibility_key,
-    plan_batches,
     run_spec_lanes,
     validate_batch,
 )
@@ -112,13 +123,13 @@ from repro.thermal.floorplan import Floorplan
 #: decimating twice would diverge from the serial emit sequence.
 _RETAIN_ALL = 1 << 30
 
-#: Process-wide default for ``jobs=None`` (1 = classic serial sweep).
+#: Process-wide default for ``jobs=None`` (1 = in-process serial sweep).
 _DEFAULT_JOBS = 1
 
 #: Process-wide default for ``batch=None`` (1 = no lane batching).
 _DEFAULT_BATCH = 1
 
-#: Process-wide default for ``options=None`` (None = classic fail-fast
+#: Process-wide default for ``options=None`` (None = the fail-fast
 #: sweep with no retries, timeouts, or checkpointing).
 _DEFAULT_OPTIONS: "SweepOptions | None" = None
 
@@ -202,7 +213,7 @@ def set_default_sweep_options(options: "SweepOptions | None") -> None:
     Drivers wire their ``--retries/--timeout/--checkpoint/--resume/
     --strict`` flags here so every ``run_suite`` / ``run_specs`` call
     that does not pass explicit ``options`` runs under the same
-    fault-tolerance policy.  ``None`` restores the classic fail-fast
+    fault-tolerance policy.  ``None`` restores the fail-fast
     behaviour.
     """
     global _DEFAULT_OPTIONS
@@ -214,7 +225,7 @@ def set_default_sweep_options(options: "SweepOptions | None") -> None:
 
 
 def get_default_sweep_options() -> "SweepOptions | None":
-    """The process-wide default sweep options (``None`` = classic)."""
+    """The process-wide default sweep options (``None`` = fail-fast)."""
     return _DEFAULT_OPTIONS
 
 
@@ -616,6 +627,15 @@ def _execute(spec: WorkSpec, telemetry) -> RunResult:
     )
 
 
+def _local_telemetry(
+    telemetry_config: TelemetryConfig | None,
+) -> Telemetry | None:
+    """A retain-everything run-local sink, or ``None`` with telemetry off."""
+    if telemetry_config is None:
+        return None
+    return Telemetry(telemetry_config)
+
+
 def _run_spec(
     spec: WorkSpec, telemetry_config: TelemetryConfig | None
 ) -> tuple[RunResult, Telemetry | None]:
@@ -625,9 +645,7 @@ def _run_spec(
     worker's whole local :class:`Telemetry` -- plain dataclass/list
     state, so it pickles -- for the parent to fold into the sink.
     """
-    local = (
-        Telemetry(telemetry_config) if telemetry_config is not None else None
-    )
+    local = _local_telemetry(telemetry_config)
     result = _execute(spec, local)
     return result, local
 
@@ -636,10 +654,16 @@ def _group_locals(
     count: int, telemetry_config: TelemetryConfig | None
 ) -> list[Telemetry | None]:
     """Per-lane retain-everything sinks for one batched group."""
-    return [
-        Telemetry(telemetry_config) if telemetry_config is not None else None
-        for _ in range(count)
-    ]
+    return [_local_telemetry(telemetry_config) for _ in range(count)]
+
+
+def _picklable(error: BaseException) -> BaseException | None:
+    """``error`` if it survives a pickle round trip, else ``None``."""
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:
+        return None
+    return error
 
 
 def _run_group_payloads(
@@ -648,10 +672,11 @@ def _run_group_payloads(
     """Worker entry point: run compatible specs as one batched kernel.
 
     Returns one payload per lane, in lane order: ``("ok", result,
-    local_telemetry)`` or ``("error", exc_type, message, traceback)``.
-    Lane failures are settled *here* (strings, not exception objects)
-    so one lane's unpicklable exception cannot poison the whole
-    group's result transfer.
+    local_telemetry)`` or ``("error", exc_type, message, traceback,
+    exception)``.  Lane failures are settled *here*: the exception
+    object rides along only when it survives pickling (else ``None``,
+    leaving the strings), so one lane's unpicklable exception cannot
+    poison the whole group's result transfer.
     """
     locals_ = _group_locals(len(specs), telemetry_config)
     payloads: list[tuple] = []
@@ -665,30 +690,9 @@ def _run_group_payloads(
                 type(error).__name__,
                 str(error),
                 "".join(traceback_module.format_exception(error)),
+                _picklable(error),
             ))
     return payloads
-
-
-def _run_spec_group(
-    specs: Sequence[WorkSpec], telemetry_config: TelemetryConfig | None
-) -> list[tuple[RunResult, Telemetry | None]]:
-    """Fail-fast group worker: all lane results, or the earliest error.
-
-    The batched analogue of :func:`_run_spec` for the classic
-    (orchestrator-less) pool path: raising the earliest lane's error
-    reproduces the serial loop's observable fail-fast behaviour (later
-    lanes did execute, but their results are discarded with the
-    raise).
-    """
-    locals_ = _group_locals(len(specs), telemetry_config)
-    outcomes = run_spec_lanes(specs, locals_)
-    for outcome in outcomes:
-        if outcome.error is not None:
-            raise outcome.error
-    return [
-        (outcome.result, local)
-        for outcome, local in zip(outcomes, locals_)
-    ]
 
 
 def execute_payloads(
@@ -700,123 +704,46 @@ def execute_payloads(
     """Run specs locally; one settled payload per spec, in spec order.
 
     The shard worker's execution entry point
-    (:mod:`repro.sim.distributed.worker`), composing process-level
-    ``jobs`` and lane-level ``batch`` exactly like a local sweep, but
-    returning per-spec payload tuples instead of folding telemetry into
-    a sink: ``("ok", result, local_telemetry)`` for successes,
-    ``("error", exc_type, message, traceback)`` for failures -- the
-    same settled shape :func:`_run_group_payloads` produces, so one
-    lane's failure never poisons its neighbours.  Retry/backoff policy
-    stays with the coordinator; this function reports one attempt.
+    (:mod:`repro.sim.distributed.worker`): one attempt of every spec on
+    the same executor as a local sweep, composing process-level
+    ``jobs`` and lane-level ``batch``, but returning per-spec payload
+    tuples instead of folding telemetry into a sink:
+    ``("ok", result, local_telemetry)`` for successes, ``(kind,
+    exc_type, message, traceback)`` for failures, where ``kind`` is the
+    :class:`SpecFailure` channel (``"error"`` or ``"crash"``).  Retry
+    and backoff stay with the coordinator.
 
-    A local pool death (``BrokenExecutor``) degrades the unsettled
-    remainder to in-process serial execution -- results are pure
-    functions of their specs, so the fallback changes timing, never
-    bits.
+    A worker crash is isolated and charged to the spec that caused it,
+    exactly as in :func:`run_outcomes`: a crashing spec becomes one
+    ``"crash"`` payload instead of being re-run in the calling process
+    (only more than ``max_pool_rebuilds`` unattributed pool deaths in
+    one call degrade the rest to in-process execution).
     """
     specs = list(specs)
-    if not specs:
-        return []
-    jobs = resolve_jobs(jobs, len(specs))
-    batch = resolve_batch(batch)
-    groups = (
-        plan_batches(specs, batch)
-        if batch > 1
-        else [[index] for index in range(len(specs))]
+    runner = _OutcomeRunner(
+        specs,
+        resolve_jobs(jobs, len(specs)),
+        ensure_telemetry(None),
+        SweepOptions(),
+        resolve_batch(batch),
+        cache=False,
+        telemetry_config=telemetry_config,
     )
-    payloads: list[tuple | None] = [None] * len(specs)
-
-    def run_group_inline(group: list[int]) -> list[tuple]:
-        group_specs = [specs[i] for i in group]
-        if len(group) == 1:
-            try:
-                result, local = _run_spec(group_specs[0], telemetry_config)
-            except Exception as error:
-                return [(
-                    "error",
-                    type(error).__name__,
-                    str(error),
-                    traceback_module.format_exc(),
-                )]
-            return [("ok", result, local)]
-        return _run_group_payloads(group_specs, telemetry_config)
-
-    def settle(group: list[int], group_payloads: list[tuple]) -> None:
-        for index, payload in zip(group, group_payloads):
-            payloads[index] = payload
-
-    if jobs <= 1:
-        for group in groups:
-            settle(group, run_group_inline(group))
-        return payloads
-    window = _submission_window(jobs)
-    unsettled: list[list[int]] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        pending: deque = deque()
-        submitted = 0
-        settled = 0
-        try:
-            while settled < len(groups):
-                while submitted < len(groups) and len(pending) < window:
-                    group = groups[submitted]
-                    group_specs = [specs[i] for i in group]
-                    if len(group) == 1:
-                        future = pool.submit(
-                            _run_spec, group_specs[0], telemetry_config
-                        )
-                    else:
-                        future = pool.submit(
-                            _run_group_payloads,
-                            group_specs,
-                            telemetry_config,
-                        )
-                    pending.append((group, future))
-                    submitted += 1
-                group, future = pending.popleft()
-                settled += 1
-                try:
-                    payload = future.result()
-                except BrokenExecutor:
-                    # The pool died; blame is unattributable here (the
-                    # coordinator's concern is one attempt's outcome),
-                    # so finish everything unsettled in-process.
-                    unsettled.append(group)
-                    unsettled.extend(g for g, _ in pending)
-                    unsettled.extend(groups[submitted:])
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    break
-                except Exception as error:
-                    if len(group) == 1:
-                        settle(
-                            group,
-                            [(
-                                "error",
-                                type(error).__name__,
-                                str(error),
-                                "".join(
-                                    traceback_module.format_exception(error)
-                                ),
-                            )],
-                        )
-                    else:
-                        # Group workers settle per-lane failures into
-                        # payloads, so a group-level raise is
-                        # infrastructure, not one lane's fault: re-run
-                        # each lane in-process for exact attribution.
-                        for lane in group:
-                            settle([lane], run_group_inline([lane]))
-                else:
-                    if len(group) == 1:
-                        result, local = payload
-                        settle(group, [("ok", result, local)])
-                    else:
-                        settle(group, payload)
-        except KeyboardInterrupt:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-    for group in unsettled:
-        settle(group, run_group_inline(group))
-    return payloads
+    try:
+        outcomes = runner.run()
+    finally:
+        runner.close()
+    return [
+        ("ok", outcome.result, runner._locals[outcome.index])
+        if outcome.error is None
+        else (
+            outcome.error.kind,
+            outcome.error.exc_type,
+            outcome.error.message,
+            outcome.error.traceback,
+        )
+        for outcome in outcomes
+    ]
 
 
 def _submission_window(jobs: int, window_factor: int = 4) -> int:
@@ -863,23 +790,29 @@ def run_specs(
 ) -> list[RunResult]:
     """Execute specs, serially or on a process pool; results in spec order.
 
-    ``jobs <= 1`` runs the classic serial loop sharing ``telemetry``
-    directly (identical in every observable way to the pre-executor
-    sweeps, including profiler span counts).  ``jobs > 1`` fans out
-    over worker processes (submissions bounded by a sliding window) and
-    folds each worker's retain-everything local telemetry back into the
-    sink in spec order, so retained traces, events, and merged metrics
-    match the serial run exactly (spans excepted; see the module
-    docstring).
+    With no ``options`` and no ``cluster`` (nor process-wide defaults
+    for either), this is the *fail-fast* sweep: no retries, and the
+    earliest failing spec's own exception propagates (a worker crash,
+    which leaves no exception object behind, raises
+    :class:`~repro.errors.SweepError` naming the spec).  At ``jobs=1``
+    no spec after the failing one runs; on a pool the in-flight
+    workers are killed.  Results of specs that completed before the
+    failure are kept -- folded into ``telemetry`` and, with a cache,
+    stored.
+
+    ``jobs > 1`` fans out over worker processes (submissions bounded by
+    a sliding window) and folds each worker's retain-everything local
+    telemetry back into the sink in spec order, so retained traces,
+    events, and merged metrics match the serial run exactly (spans
+    excepted; see the module docstring).  An in-process, unbatched,
+    uncached fail-fast sweep records straight into ``telemetry``, so
+    its profiler also sees one ``engine.run`` span per spec.
 
     ``options`` (or a process-wide default installed via
-    :func:`set_default_sweep_options`) routes execution through the
-    fault-tolerant orchestrator :func:`run_outcomes`: failing specs
-    yield ``None`` entries in the returned list (or, with
-    ``options.strict``, one aggregated
-    :class:`~repro.errors.SweepError` at the end).  With no options
-    anywhere, behaviour is the classic fail-fast sweep, bit-identical
-    to the pre-orchestrator code.
+    :func:`set_default_sweep_options`) selects the fault-tolerant mode
+    of :func:`run_outcomes` instead: failing specs yield ``None``
+    entries in the returned list (or, with ``options.strict``, one
+    aggregated :class:`~repro.errors.SweepError` at the end).
 
     ``batch`` (``None`` defers to :func:`get_default_batch`) groups
     consecutive compatible specs into one vectorized
@@ -893,10 +826,10 @@ def run_specs(
     ``cache`` (``None`` defers to :func:`resolve_cache`) consults the
     cross-sweep result cache before executing anything: hits replay
     their stored result and telemetry bit-identically, only misses run
-    (and write their outcome back).  ``cache.*`` orchestration events
-    are excluded from the parity guarantee, like ``sweep.*``.
+    (and write their outcome back).  Misses fold worker-local telemetry
+    even at ``jobs=1``, like lane batching.  ``cache.*`` orchestration
+    events are excluded from the parity guarantee, like ``sweep.*``.
     """
-    specs = list(specs)
     if options is None:
         options = _DEFAULT_OPTIONS
     if cluster is None:
@@ -906,272 +839,12 @@ def run_specs(
             specs, jobs=jobs, telemetry=telemetry, options=options,
             batch=batch, cluster=cluster, cache=cache,
         )
-        return [outcome.result for outcome in outcomes]
-    sink = ensure_telemetry(telemetry)
-    jobs = resolve_jobs(jobs, len(specs))
-    batch = resolve_batch(batch)
-    store = resolve_cache(cache)
-    if store is not None:
-        return _run_specs_cached(specs, jobs, sink, batch, store)
-    if batch > 1:
-        return _run_specs_batched(specs, jobs, sink, batch)
-    if jobs <= 1:
-        shared = sink if sink.enabled else None
-        return [_execute(spec, shared) for spec in specs]
-    config = (
-        _worker_telemetry_config(getattr(sink, "config", None))
-        if sink.enabled
-        else None
-    )
-    results: list[RunResult] = []
-    window = _submission_window(jobs)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        try:
-            pending: deque = deque()
-            submitted = 0
-            # Submit in a sliding window and collect in SUBMISSION
-            # order, not completion order: result ordering and
-            # telemetry fold order must match the serial loop, and the
-            # window bounds pickled-spec/result memory on huge
-            # matrices.
-            while len(results) < len(specs):
-                while submitted < len(specs) and len(pending) < window:
-                    pending.append(
-                        pool.submit(_run_spec, specs[submitted], config)
-                    )
-                    submitted += 1
-                result, local = pending.popleft().result()
-                results.append(result)
-                if local is not None:
-                    merge_telemetry(sink, local)
-        except KeyboardInterrupt:
-            # Telemetry for collected results is already folded (the
-            # loop folds as it collects); drop queued specs so Ctrl-C
-            # does not hang waiting on them.  Workers already running
-            # finish their current spec during context exit.
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-    if sink.enabled and specs:
-        # A serial sweep leaves the sink contextualized on its last
-        # run; match that so downstream snapshot headers agree.
-        last = specs[-1]
-        sink.set_context(last.benchmark, last.policy)
-    return results
-
-
-def _run_specs_batched(
-    specs: list[WorkSpec], jobs: int, sink, batch: int
-) -> list[RunResult]:
-    """Classic fail-fast execution with lane batching.
-
-    Groups are planned once (:func:`~repro.sim.batch.plan_batches`)
-    and run in spec order -- in-process for ``jobs <= 1``, else one
-    group per pool task with the usual sliding window.  Singleton
-    groups (incompatible neighbours, multicore specs) run through the
-    ordinary :func:`_execute` path.  Telemetry uses per-lane local
-    sinks folded in spec order even in-process: lanes of one group run
-    interleaved, so sharing the sink directly would scramble the emit
-    sequence.
-    """
-    groups = plan_batches(specs, batch)
-    config = (
-        _worker_telemetry_config(getattr(sink, "config", None))
-        if sink.enabled
-        else None
-    )
-    results: list[RunResult] = [None] * len(specs)  # type: ignore[list-item]
-
-    def settle(group, pairs) -> None:
-        for index, (result, local) in zip(group, pairs):
-            results[index] = result
-            if local is not None:
-                merge_telemetry(sink, local)
-
-    if jobs <= 1:
-        for group in groups:
-            group_specs = [specs[i] for i in group]
-            if len(group) == 1:
-                local = Telemetry(config) if config is not None else None
-                settle(group, [(_execute(group_specs[0], local), local)])
-            else:
-                settle(group, _run_spec_group(group_specs, config))
     else:
-        window = _submission_window(jobs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            try:
-                pending: deque = deque()
-                submitted = 0
-                settled = 0
-                while settled < len(groups):
-                    while (
-                        submitted < len(groups) and len(pending) < window
-                    ):
-                        group = groups[submitted]
-                        group_specs = [specs[i] for i in group]
-                        if len(group) == 1:
-                            future = pool.submit(
-                                _run_spec, group_specs[0], config
-                            )
-                        else:
-                            future = pool.submit(
-                                _run_spec_group, group_specs, config
-                            )
-                        pending.append((group, future))
-                        submitted += 1
-                    group, future = pending.popleft()
-                    payload = future.result()
-                    if len(group) == 1:
-                        payload = [payload]
-                    settle(group, payload)
-                    settled += 1
-            except KeyboardInterrupt:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-    if sink.enabled and specs:
-        last = specs[-1]
-        sink.set_context(last.benchmark, last.policy)
-    return results
-
-
-def _run_specs_cached(
-    specs: list[WorkSpec], jobs: int, sink, batch: int, store
-) -> list[RunResult]:
-    """Classic fail-fast execution through the cross-sweep result cache.
-
-    Hits replay their stored result without executing anything (and
-    without occupying a pool slot or a batch lane); only the misses
-    run -- through the usual jobs/batch machinery -- and write their
-    outcome back on completion.  Telemetry folds in spec order,
-    interleaving replayed payloads (:func:`fold_saved_telemetry`) with
-    fresh worker-local sinks (:func:`merge_telemetry`), which is what
-    makes a warm sweep's retained traces, events, and metrics
-    bit-identical to a cold one's.  Misses use worker-local telemetry
-    even at ``jobs=1`` -- the same documented deviation as lane
-    batching (no per-run profiler spans on the sink).  A ``cache.hit``
-    summary event reports the hit/miss split; ``cache.*`` events are
-    excluded from parity like ``sweep.*``.
-    """
-    from repro.sim.cache import cache_key
-
-    keys = [cache_key(spec) for spec in specs]
-    # An entry without telemetry cannot replay what this sink needs to
-    # fold, so it misses (and upgrades in place when the re-run stores).
-    need_telemetry = sink.enabled
-    entries = [
-        store.lookup(key, need_telemetry=need_telemetry) for key in keys
-    ]
-    hit_set = {i for i, entry in enumerate(entries) if entry is not None}
-    config = (
-        _worker_telemetry_config(getattr(sink, "config", None))
-        if sink.enabled
-        else None
-    )
-    try:
-        groups = (
-            plan_batches(specs, batch, skip=hit_set)
-            if batch > 1
-            else [[i] for i in range(len(specs)) if i not in hit_set]
+        outcomes = _run_local(
+            list(specs), jobs, ensure_telemetry(telemetry), SweepOptions(),
+            batch, cache, fail_fast=True,
         )
-        pairs = _run_spec_pairs(specs, groups, jobs, config)
-        results: list[RunResult] = [None] * len(specs)  # type: ignore[list-item]
-        for index in sorted(pairs):
-            result, local = pairs[index]
-            store.store(
-                keys[index], specs[index], result, local
-            )
-        for index, spec in enumerate(specs):
-            entry = entries[index]
-            if entry is None:
-                result, local = pairs[index]
-                results[index] = result
-                if local is not None:
-                    merge_telemetry(sink, local)
-            else:
-                results[index] = result_from_dict(entry["result"])
-                if sink.enabled:
-                    fold_saved_telemetry(sink, entry.get("telemetry"))
-        if sink.enabled and specs:
-            sink.event(
-                "cache.hit",
-                -1,
-                f"result cache replayed {len(hit_set)} of {len(specs)} "
-                f"specs ({len(specs) - len(hit_set)} executed)",
-                hits=len(hit_set),
-                misses=len(specs) - len(hit_set),
-                total=len(specs),
-                path=str(store.directory),
-            )
-            last = specs[-1]
-            sink.set_context(last.benchmark, last.policy)
-    finally:
-        # Persist LRU touches and counters even when a miss fails
-        # fast -- the hits that happened before the raise are real.
-        store.flush()
-    return results
-
-
-def _run_spec_pairs(
-    specs: list[WorkSpec],
-    groups: list[list[int]],
-    jobs: int,
-    config: TelemetryConfig | None,
-) -> dict[int, tuple[RunResult, "Telemetry | None"]]:
-    """Fail-fast execution of planned groups; pairs keyed by spec index.
-
-    The cached sweep's miss runner: the same serial/pool/batched
-    machinery as :func:`run_specs`'s classic paths, but returning each
-    run's ``(result, worker-local telemetry)`` instead of folding into
-    a sink, so the caller can interleave fresh and replayed telemetry
-    in spec order.  ``groups`` is a batch plan over the *full* spec
-    list (cached lanes already dropped); indices key the result dict.
-    """
-    pairs: dict[int, tuple] = {}
-    if not groups:
-        return pairs
-    jobs = resolve_jobs(jobs, sum(len(group) for group in groups))
-
-    def settle(group: list[int], group_pairs) -> None:
-        for index, pair in zip(group, group_pairs):
-            pairs[index] = pair
-
-    if jobs <= 1:
-        for group in groups:
-            group_specs = [specs[i] for i in group]
-            if len(group) == 1:
-                settle(group, [_run_spec(group_specs[0], config)])
-            else:
-                settle(group, _run_spec_group(group_specs, config))
-        return pairs
-    window = _submission_window(jobs)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        try:
-            pending: deque = deque()
-            submitted = 0
-            settled = 0
-            while settled < len(groups):
-                while submitted < len(groups) and len(pending) < window:
-                    group = groups[submitted]
-                    group_specs = [specs[i] for i in group]
-                    if len(group) == 1:
-                        future = pool.submit(
-                            _run_spec, group_specs[0], config
-                        )
-                    else:
-                        future = pool.submit(
-                            _run_spec_group, group_specs, config
-                        )
-                    pending.append((group, future))
-                    submitted += 1
-                group, future = pending.popleft()
-                payload = future.result()
-                if len(group) == 1:
-                    payload = [payload]
-                settle(group, payload)
-                settled += 1
-        except KeyboardInterrupt:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-    return pairs
+    return [outcome.result for outcome in outcomes]
 
 
 def run_outcomes(
@@ -1220,23 +893,7 @@ def run_outcomes(
         return run_cluster_outcomes(
             specs, cluster, options=options, telemetry=sink, cache=cache
         )
-    jobs = resolve_jobs(jobs, len(specs))
-    # Explicit argument > options.batch > process-wide default.
-    if batch is None:
-        batch = options.batch
-    batch = resolve_batch(batch)
-    runner = _OutcomeRunner(specs, jobs, sink, options, batch, cache=cache)
-    try:
-        outcomes = runner.run()
-    except KeyboardInterrupt:
-        # Keep what we have: fold completed runs' telemetry (in spec
-        # order) so the sink -- and the journal, already fsync'd per
-        # outcome -- reflect every finished spec before propagating.
-        runner.fold_telemetry()
-        raise
-    finally:
-        runner.close()
-    runner.fold_telemetry()
+    outcomes = _run_local(specs, jobs, sink, options, batch, cache)
     failures = [o for o in outcomes if o.error is not None]
     if failures and options.strict:
         detail = "; ".join(
@@ -1254,8 +911,49 @@ def run_outcomes(
     return outcomes
 
 
+def _run_local(
+    specs: list[WorkSpec],
+    jobs: int | None,
+    sink,
+    options: SweepOptions,
+    batch: int | None,
+    cache,
+    fail_fast: bool = False,
+) -> list[SpecOutcome]:
+    """Execute ``specs`` here, through one :class:`_OutcomeRunner`."""
+    # Explicit argument > options.batch > process-wide default.
+    if batch is None:
+        batch = options.batch
+    runner = _OutcomeRunner(
+        specs,
+        resolve_jobs(jobs, len(specs)),
+        sink,
+        options,
+        resolve_batch(batch),
+        cache=cache,
+        fail_fast=fail_fast,
+    )
+    try:
+        return runner.run()
+    finally:
+        # Also on an interrupt or a fail-fast raise: fold completed
+        # runs' telemetry (in spec order) so the sink -- and the
+        # journal, already fsync'd per outcome -- reflect every
+        # finished spec before the exception propagates.
+        runner.fold_telemetry()
+        runner.close()
+
+
 class _OutcomeRunner:
-    """One fault-tolerant sweep execution: state + the retry/rebuild loop."""
+    """One sweep execution: state + the retry/rebuild loop.
+
+    The only local executor: :func:`run_outcomes` runs it
+    fault-tolerantly, :func:`run_specs` in fail-fast mode (the first
+    permanent failure raises, and on a pool kills the in-flight
+    workers), and :func:`execute_payloads` for one shard-worker
+    attempt.  ``telemetry_config`` overrides the run-local telemetry
+    derived from ``sink`` (the shard worker has no sink of its own).
+    """
 
     def __init__(
         self,
@@ -1265,6 +963,8 @@ class _OutcomeRunner:
         options: SweepOptions,
         batch: int = 1,
         cache=None,
+        fail_fast: bool = False,
+        telemetry_config: TelemetryConfig | None = None,
     ) -> None:
         self.specs = specs
         self.jobs = jobs
@@ -1285,11 +985,24 @@ class _OutcomeRunner:
         #: failure (timeout, group-level error) its lanes re-run as
         #: singletons so blame is attributable on the next attempt.
         self._no_batch: set[int] = set()
-        self.config = (
-            _worker_telemetry_config(getattr(sink, "config", None))
-            if sink.enabled
-            else None
+        if telemetry_config is None and sink.enabled:
+            telemetry_config = _worker_telemetry_config(
+                getattr(sink, "config", None)
+            )
+        self.config = telemetry_config
+        self.fail_fast = fail_fast
+        #: An in-process, unbatched, uncached fail-fast sweep records
+        #: straight into the sink: nothing else has to fold between its
+        #: runs, so per-run profiler spans land there too.
+        self._share_sink = (
+            fail_fast
+            and jobs <= 1
+            and batch <= 1
+            and self.cache is None
+            and sink.enabled
         )
+        #: Fail-fast: the failing spec's index; folding stops before it.
+        self._failed_at: int | None = None
         n = len(specs)
         self.outcomes: list[SpecOutcome | None] = [None] * n
         #: Worker-local telemetry of live successful runs, by index.
@@ -1394,8 +1107,9 @@ class _OutcomeRunner:
                 "cache.hit",
                 -1,
                 f"result cache replayed {cached} of {len(self.specs)} "
-                f"specs",
+                f"specs ({len(queue)} executed)",
                 hits=cached,
+                misses=len(queue),
                 total=len(self.specs),
                 path=str(self.cache.directory),
             )
@@ -1445,8 +1159,14 @@ class _OutcomeRunner:
         exc_type: str,
         message: str,
         traceback: str = "",
+        error: BaseException | None = None,
     ) -> bool:
-        """Handle one failed attempt; True if the spec should retry."""
+        """Handle one failed attempt; True if the spec should retry.
+
+        In fail-fast mode a permanent failure raises instead: ``error``
+        (the spec's own exception) when there is one, else a
+        :class:`~repro.errors.SweepError` naming the spec.
+        """
         spec = self.specs[index]
         retry = self.options.retry
         if attempt < retry.max_retries:
@@ -1485,7 +1205,30 @@ class _OutcomeRunner:
                 attempts=attempt + 1,
                 exc_type=exc_type,
             )
+        if self.fail_fast:
+            self._failed_at = index
+            if error is not None:
+                raise error
+            raise SweepError(
+                f"{spec.benchmark}/{spec.policy}[seed={spec.seed}] "
+                f"failed: {self.outcomes[index].error}",
+                [self.outcomes[index]],
+            )
         return False
+
+    def _register_error(
+        self, index: int, attempt: int, error: BaseException
+    ) -> bool:
+        """Charge one attempt that raised ``error``; True if it retries."""
+        return self._register_failure(
+            index,
+            attempt,
+            "error",
+            type(error).__name__,
+            str(error),
+            "".join(traceback_module.format_exception(error)),
+            error,
+        )
 
     # -- execution -----------------------------------------------------------
     def run(self) -> list[SpecOutcome]:
@@ -1526,19 +1269,28 @@ class _OutcomeRunner:
             lanes.append(queue.popleft())
         return lanes
 
-    def _settle_lane_payload(
-        self, index: int, attempt: int, payload: tuple, queue: deque
-    ) -> None:
-        """Apply one lane's worker payload (success or captured error)."""
-        if payload[0] == "ok":
-            _, result, local = payload
+    def _settle_task(self, lanes: list, payload, retries) -> None:
+        """Apply one finished pool task: a solo run or a lane group.
+
+        A solo payload is ``(result, local)``; a group's is one settled
+        lane payload per lane (see :func:`_run_group_payloads`).  Lanes
+        whose failure should retry are appended to ``retries``.
+        """
+        if len(lanes) == 1:
+            index, attempt = lanes[0]
+            result, local = payload
             self._finish_success(index, attempt, result, local)
-        else:
-            _, exc_type, message, tb = payload
+            return
+        for (index, attempt), item in zip(lanes, payload):
+            if item[0] == "ok":
+                _, result, local = item
+                self._finish_success(index, attempt, result, local)
+                continue
+            _, exc_type, message, tb, error = item
             if self._register_failure(
-                index, attempt, "error", exc_type, message, tb
+                index, attempt, "error", exc_type, message, tb, error
             ):
-                queue.append((index, attempt + 1))
+                retries.append((index, attempt + 1))
 
     def _run_serial(self, queue: deque) -> None:
         """In-process execution: isolation + retries, no preemption."""
@@ -1556,30 +1308,17 @@ class _OutcomeRunner:
                         self._finish_success(
                             index, attempt, outcome.result, local
                         )
-                    elif self._register_failure(
-                        index,
-                        attempt,
-                        "error",
-                        type(outcome.error).__name__,
-                        str(outcome.error),
-                        "".join(
-                            traceback_module.format_exception(outcome.error)
-                        ),
-                    ):
+                    elif self._register_error(index, attempt, outcome.error):
                         queue.append((index, attempt + 1))
                 continue
             index, attempt = lanes[0]
+            local = None if self._share_sink else _local_telemetry(self.config)
             try:
-                result, local = _run_spec(self.specs[index], self.config)
+                result = _execute(
+                    self.specs[index], self.sink if self._share_sink else local
+                )
             except Exception as error:
-                if self._register_failure(
-                    index,
-                    attempt,
-                    "error",
-                    type(error).__name__,
-                    str(error),
-                    traceback_module.format_exc(),
-                ):
+                if self._register_error(index, attempt, error):
                     queue.append((index, attempt + 1))
             else:
                 self._finish_success(index, attempt, result, local)
@@ -1600,32 +1339,14 @@ class _OutcomeRunner:
                 continue
             error = future.exception()
             if error is None:
-                payload = future.result()
-                if len(lanes) == 1:
-                    index, attempt = lanes[0]
-                    result, local = payload
-                    self._finish_success(index, attempt, result, local)
-                else:
-                    retries: deque = deque()
-                    for (index, attempt), item in zip(lanes, payload):
-                        self._settle_lane_payload(
-                            index, attempt, item, retries
-                        )
-                    survivors.extend(retries)
+                self._settle_task(lanes, future.result(), survivors)
             elif isinstance(error, BrokenExecutor):
                 survivors.extend(lanes)
             elif len(lanes) == 1:
                 # The spec raised normally just before the pool died:
                 # attributable, so charge it like any worker error.
                 index, attempt = lanes[0]
-                if self._register_failure(
-                    index,
-                    attempt,
-                    "error",
-                    type(error).__name__,
-                    str(error),
-                    "".join(traceback_module.format_exception(error)),
-                ):
+                if self._register_error(index, attempt, error):
                     survivors.append((index, attempt + 1))
             else:
                 # A batched group raised at group level (not one
@@ -1748,8 +1469,7 @@ class _OutcomeRunner:
                         )
                     rebuild()
                     if unattributed_deaths > options.max_pool_rebuilds:
-                        self._degrade(queue, solo, unattributed_deaths)
-                        return
+                        break
                     continue
                 lanes, future, deadline, is_solo = in_flight.popleft()
                 index, attempt = lanes[0]
@@ -1843,11 +1563,7 @@ class _OutcomeRunner:
                         solo.extend(self._harvest_in_flight(in_flight))
                         rebuild()
                         if unattributed_deaths > options.max_pool_rebuilds:
-                            self._degrade(queue, solo, unattributed_deaths)
-                            return
-                except KeyboardInterrupt:
-                    _kill_pool(pool)
-                    raise
+                            break
                 except Exception as error:
                     # The spec raised inside the worker; the pool is
                     # fine.  The remote traceback rides along as the
@@ -1860,30 +1576,20 @@ class _OutcomeRunner:
                         # batching-exempt singletons.
                         self._no_batch.update(i for i, _ in lanes)
                         queue.extendleft(reversed(lanes))
-                    elif self._register_failure(
-                        index,
-                        attempt,
-                        "error",
-                        type(error).__name__,
-                        str(error),
-                        "".join(
-                            traceback_module.format_exception(error)
-                        ),
-                    ):
+                    elif self._register_error(index, attempt, error):
                         queue.append((index, attempt + 1))
                 else:
-                    if len(lanes) == 1:
-                        result, local = payload
-                        self._finish_success(index, attempt, result, local)
-                    else:
-                        for (lane_index, lane_attempt), item in zip(
-                            lanes, payload
-                        ):
-                            self._settle_lane_payload(
-                                lane_index, lane_attempt, item, queue
-                            )
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+                    self._settle_task(lanes, payload, queue)
+        except BaseException:
+            # An interrupt or a fail-fast raise: nothing in flight is
+            # wanted any more, so do not wait for it.
+            _kill_pool(pool)
+            raise
+        # Nothing is in flight: let the idle workers exit now, so none
+        # outlives the sweep (a forked caller's exit would wait on them).
+        pool.shutdown(wait=True)
+        if unattributed_deaths > options.max_pool_rebuilds:
+            self._degrade(queue, solo, unattributed_deaths)
 
     def _degrade(
         self, queue: deque, solo: deque, rebuilds: int
@@ -1923,7 +1629,8 @@ class _OutcomeRunner:
         if self._folded or not self.sink.enabled:
             return
         self._folded = True
-        for index in range(len(self.specs)):
+        stop = len(self.specs) if self._failed_at is None else self._failed_at
+        for index in range(stop):
             outcome = self.outcomes[index]
             if outcome is None or outcome.error is not None:
                 continue

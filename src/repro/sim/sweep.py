@@ -202,7 +202,10 @@ def run_suite(
     A single ``telemetry`` instance is shared across every run: trace
     records are tagged with their (benchmark, policy) context, metrics
     aggregate over the whole sweep, and the profiler accumulates one
-    ``sweep.run_suite`` span around per-run ``engine.run`` spans.
+    ``sweep.run_suite`` span around per-run ``engine.run`` spans (the
+    latter only on a serial, unbatched, uncached sweep -- the one that
+    records straight into the sink).  The matrix runs through
+    :func:`~repro.sim.parallel.run_specs` in every configuration.
 
     ``jobs`` fans the matrix out over worker processes via
     :mod:`repro.sim.parallel` (``None`` defers to
@@ -245,78 +248,35 @@ def run_suite(
     docs/performance.md, "Level 5".
     """
     # Imported here: parallel builds on this module's run_one/defaults.
-    from repro.sim.parallel import (
-        get_default_cluster,
-        get_default_sweep_options,
-        matrix_specs,
-        resolve_batch,
-        resolve_cache,
-        resolve_jobs,
-        run_specs,
-    )
+    from repro.sim.parallel import matrix_specs, run_specs
 
-    instructions = _validate_instructions(instructions)
     telemetry = ensure_telemetry(telemetry)
-    chosen_benchmarks = (
-        list(benchmarks) if benchmarks is not None else list(BENCHMARKS)
+    specs = matrix_specs(
+        list(benchmarks) if benchmarks is not None else list(BENCHMARKS),
+        policies,
+        seeds=(seed,),
+        include_baseline=include_baseline,
+        instructions=_validate_instructions(instructions),
+        floorplan=floorplan,
+        machine=machine,
+        thermal_config=thermal_config,
+        dtm_config=dtm_config,
     )
-    chosen_policies = list(policies)
-    if include_baseline and "none" not in chosen_policies:
-        chosen_policies.insert(0, "none")
-    results: dict[tuple[str, str], RunResult] = {}
-    jobs = resolve_jobs(jobs, len(chosen_benchmarks) * len(chosen_policies))
-    batch = resolve_batch(batch)
-    if options is None:
-        options = get_default_sweep_options()
-    if cluster is None:
-        cluster = get_default_cluster()
-    store = resolve_cache(cache)
-    if (
-        jobs > 1
-        or options is not None
-        or batch > 1
-        or cluster is not None
-        or store is not None
-    ):
-        specs = matrix_specs(
-            chosen_benchmarks,
-            chosen_policies,
-            seeds=(seed,),
-            instructions=instructions,
-            floorplan=floorplan,
-            machine=machine,
-            thermal_config=thermal_config,
-            dtm_config=dtm_config,
-        )
-        with telemetry.span("sweep.run_suite"):
-            run_results = run_specs(
-                specs,
-                jobs=jobs,
-                telemetry=telemetry,
-                options=options,
-                batch=batch,
-                cluster=cluster,
-                cache=store if store is not None else False,
-            )
-        for spec, result in zip(specs, run_results):
-            if result is not None:
-                results[(spec.benchmark, spec.policy)] = result
-        return results
     with telemetry.span("sweep.run_suite"):
-        for benchmark in chosen_benchmarks:
-            for policy_name in chosen_policies:
-                results[(benchmark, policy_name)] = run_one(
-                    benchmark,
-                    policy_name,
-                    instructions=instructions,
-                    floorplan=floorplan,
-                    machine=machine,
-                    thermal_config=thermal_config,
-                    dtm_config=dtm_config,
-                    seed=seed,
-                    telemetry=None if not telemetry.enabled else telemetry,
-                )
-    return results
+        run_results = run_specs(
+            specs,
+            jobs=jobs,
+            telemetry=telemetry,
+            options=options,
+            batch=batch,
+            cluster=cluster,
+            cache=cache,
+        )
+    return {
+        (spec.benchmark, spec.policy): result
+        for spec, result in zip(specs, run_results)
+        if result is not None
+    }
 
 
 def suite_summary(
