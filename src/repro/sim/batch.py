@@ -7,16 +7,21 @@ that independence with a structure-of-arrays kernel: B lanes share one
 stacked thermal state ``(B, n_blocks)``, and each sampling interval
 advances every live lane through
 
+* one stacked jitter/activity/demand evaluation,
+* one vectorized supply/power evaluation,
 * one stacked :meth:`~repro.thermal.lumped.LumpedThermalModel.
   advance_batch` exponential update,
-* one broadcast :meth:`~repro.thermal.lumped.LumpedThermalModel.
-  fractions_above` pass over both thresholds and all lanes,
-* one vectorized supply/power evaluation.
+* a few vector ops of stacked per-lane bookkeeping,
+* one row copy per staged array into the shared
+  :class:`~repro.sim.stage.SampleStage`, whose post-pass evaluates the
+  emergency/stress fractions of every lane once per chunk of
+  :data:`~repro.sim.stage.STAGE_ROWS` steps, as the scalar kernel's
+  does.
 
 Only the inherently scalar per-lane work -- the phase bisect, the
-seeded jitter draws, and the :class:`~repro.dtm.manager.DTMManager`
+seeded RNG draws, and the :class:`~repro.dtm.manager.DTMManager`
 control decision -- stays in a Python loop, so the per-sample numpy
-dispatch overhead (the serial kernel's dominant cost at 17-block
+dispatch overhead (the serial kernel's dominant cost at 7-block
 problem sizes) is amortized over the whole batch.
 
 Bit-identity, not approximate equivalence, is the contract: every
@@ -30,10 +35,12 @@ including ragged lane lengths, injected faults, and failsafe
 engagement.
 
 Divergence between lanes is handled with masks, not synchronization:
-a lane that finishes early (or dies on a non-finite state) is frozen
--- removed from the active row set with its thermal row and
-accumulators untouched -- while the remaining lanes keep stepping.
-Results pop in spec order regardless of completion order.
+a step in which a lane warms up or dies on a non-finite state updates
+the bookkeeping through ``where=`` masks, and a lane that finishes or
+dies leaves -- the stage flushes, the lane's outcome is assembled, and
+the live columns are compacted -- while the remaining lanes keep
+stepping.  Outcomes come back in spec order regardless of completion
+order.
 
 The planner (:func:`plan_batches`) groups *compatible* specs -- same
 floorplan / machine / thermal / DTM configuration, differing
@@ -57,7 +64,8 @@ from repro.errors import ConfigError, SimulationError
 from repro.power.clock_gating import ClockGatingStyle
 from repro.sim.checkpoint import _canonical
 from repro.sim.fast import FastEngine, build_phase_tables
-from repro.sim.results import History, RunResult
+from repro.sim.results import RunResult
+from repro.sim.stage import STAGE_ROWS, SampleStage
 from repro.sim.sweep import _validate_instructions, build_engine
 
 
@@ -211,23 +219,25 @@ def run_spec_lanes(specs, telemetries=None) -> list[LaneOutcome]:
 
 
 class _Lane:
-    """Mutable per-lane kernel state (one serial run's locals)."""
+    """Per-lane scalar state: what the stacked kernel cannot broadcast."""
 
     __slots__ = (
         "engine", "slot", "profile", "policy", "manager", "telemetry",
         "recording", "time_samples", "on_sample", "rng",
-        "phase_total", "phase_ends", "phase_activity", "phase_jitter",
-        "phase_ipc", "single_phase",
-        "instructions", "max_cycles", "budget_remaining",
-        "warmup_remaining", "warmup_cycles", "warmup_samples",
-        "committed", "total_committed", "cycles",
-        "emergency_cycles", "stress_cycles",
-        "power_sum", "power_max", "energy_joules",
-        "interrupt_stalls", "samples",
-        "record_history", "hist_cap", "h_max_temp", "h_duty",
-        "h_chip_power", "h_temps", "h_powers", "h_em", "h_st",
-        "error",
+        "phase_total", "phase_ends", "phase_jitter", "single_phase",
+        "first_row", "max_cycles", "error",
     )
+
+
+#: Rows of the stacked per-lane bookkeeping (one column per live lane).
+#: Rows that a step updates with one operation sit next to each other.
+(
+    _TOTAL, _COMMITTED,          # += instructions committed this sample
+    _SPENT, _SAMPLES,            # += (sample cycles, 1)
+    _INSTRUCTIONS, _MAX_CYCLES,  # where _COMMITTED / _SPENT stop a lane
+    _POWER_SUM, _ENERGY,         # += chip power x (1, sample seconds)
+    _POWER_MAX, _STALLS, _WARMUP, _WARMUP_SAMPLES,
+) = range(12)
 
 
 class BatchEngine:
@@ -330,34 +340,28 @@ class BatchEngine:
         )
         return self._run(instructions, max_cycles, warmup_instructions)
 
-    def _run(self, instructions, max_cycles, warmup) -> list[LaneOutcome]:
-        first = self.engines[0]
-        sample = first.dtm_config.sampling_interval
-        sample_seconds = sample * first.machine.cycle_time
-        emergency_level = first.thermal_config.emergency_temperature
-        stress_level = first.dtm_config.nonct_trigger
-        thresholds = (emergency_level, stress_level)
-        fetch_supply = first.machine.fetch_width * first.supply_efficiency
-        thermal = first.thermal
-        peaks = first.power_model.peaks_view
-        idle = first.power_model.idle_fraction
-        active_frac = 1.0 - idle
-        unmonitored_peak = first.floorplan.unmonitored_peak_power
-        names = first.floorplan.names
+    def _start_lanes(self, instructions, max_cycles, warmup, outcomes):
+        """Per-lane scalar state, bookkeeping columns and phase table.
+
+        The phase table stacks every lane's phases, lane after lane
+        (the lane's phase ``i`` is row ``first_row + i``).  A row holds
+        the jitter scale of each of the ``n + 1`` standard normals a
+        jittered sample draws (``n`` activity draws, then one IPC draw
+        at half the jitter), the ``n`` activities, and the IPC.
+        """
+        sample = self.engines[0].dtm_config.sampling_interval
+        names = self.engines[0].floorplan.names
         block_count = len(names)
-        count = len(self.engines)
-
         lanes: list[_Lane] = []
-        outcomes = [LaneOutcome() for _ in range(count)]
-        temps = np.empty((count, block_count))
-        # Stacked block-level accumulators: one fancy-indexed update
-        # per sample replaces four small per-lane array ops.
-        block_em = np.zeros((count, block_count))
-        block_st = np.zeros((count, block_count))
-        temp_sum = np.zeros((count, block_count))
-        temp_max = np.full((count, block_count), -np.inf)
-
+        columns: list[tuple] = []
+        phase_rows: list[np.ndarray] = []
         for slot, engine in enumerate(self.engines):
+            budget = instructions[slot]
+            if budget <= 0:
+                outcomes[slot].error = SimulationError(
+                    "instructions must be positive"
+                )
+                continue
             lane = _Lane()
             lane.engine = engine
             lane.slot = slot
@@ -365,23 +369,12 @@ class BatchEngine:
             lane.policy = engine.policy
             lane.manager = engine.manager
             lane.error = None
-            budget = instructions[slot]
-            if budget <= 0:
-                outcomes[slot].error = SimulationError(
-                    "instructions must be positive"
-                )
-                continue
-            lane.instructions = budget
             lane_max = max_cycles[slot]
             if lane_max is None:
                 lane_max = int(
                     40 * budget / max(0.1, engine.profile.mean_ipc)
                 )
             lane.max_cycles = lane_max
-            lane.budget_remaining = lane_max
-            lane.warmup_remaining = float(warmup[slot])
-            lane.warmup_cycles = 0
-            lane.warmup_samples = 0
 
             telemetry = engine.telemetry
             lane.telemetry = telemetry
@@ -416,319 +409,338 @@ class BatchEngine:
             )
             lane.phase_total = engine.profile.total_instructions
             (
-                lane.phase_ends,
-                lane.phase_activity,
-                lane.phase_jitter,
-                lane.phase_ipc,
+                lane.phase_ends, phase_activity, lane.phase_jitter, phase_ipc,
             ) = build_phase_tables(engine.profile, names)
             lane.single_phase = len(lane.phase_ends) == 1
-
-            lane.committed = 0.0
-            lane.total_committed = 0.0
-            lane.cycles = 0
-            lane.emergency_cycles = 0.0
-            lane.stress_cycles = 0.0
-            lane.power_sum = 0.0
-            lane.power_max = 0.0
-            lane.energy_joules = 0.0
-            lane.interrupt_stalls = 0
-            lane.samples = 0
-
-            lane.record_history = engine.record_history
-            lane.hist_cap = 0
-            if lane.record_history:
-                lane.hist_cap = 1024
-                lane.h_max_temp = np.empty(lane.hist_cap)
-                lane.h_duty = np.empty(lane.hist_cap)
-                lane.h_chip_power = np.empty(lane.hist_cap)
-                lane.h_temps = np.empty((lane.hist_cap, block_count))
-                lane.h_powers = np.empty((lane.hist_cap, block_count))
-                lane.h_em = np.empty((lane.hist_cap, block_count))
-                lane.h_st = np.empty((lane.hist_cap, block_count))
-
-            temps[slot] = engine.thermal.temperatures_view
-            lanes.append(lane)
-
-        # Preallocated structure-of-arrays step buffers (row r of each
-        # holds lane ``active[r]`` this sample).
-        a_buf = np.empty((count, block_count))
-        demand_buf = np.empty(count)
-        duty_buf = np.empty(count)
-        stall_buf = np.empty(count, dtype=np.int64)
-        duties_py: list[float] = [0.0] * count
-
-        active = lanes
-        while active:
-            k = len(active)
-            iter_start = perf_counter() if any(
-                lane.time_samples for lane in active
-            ) else 0.0
-            rows = np.fromiter(
-                (lane.slot for lane in active), dtype=np.intp, count=k
-            )
-            start = temps[rows]
-            sensed = start.max(axis=1)
-            activity = a_buf[:k]
-            demand = demand_buf[:k]
-            duty = duty_buf[:k]
-            stalls = stall_buf[:k]
-            for r, lane in enumerate(active):
-                # Scalar per-lane work: phase lookup, seeded jitter
-                # draws (per-lane RNG stream, same draw order as the
-                # serial kernel), and the DTM control decision.
-                if lane.single_phase:
-                    index = 0
-                else:
-                    position = (
-                        int(lane.total_committed) % lane.phase_total
-                    )
-                    index = bisect_right(lane.phase_ends, position)
-                jitter = lane.phase_jitter[index]
-                if jitter:
-                    row = activity[r]
-                    np.multiply(
-                        lane.phase_activity[index],
-                        1.0 + lane.rng.normal(0.0, jitter, block_count),
-                        out=row,
-                    )
-                    np.clip(row, 0.0, 1.0, out=row)
-                    demand_ipc = lane.phase_ipc[index] * (
-                        1.0 + lane.rng.normal(0.0, 0.5 * jitter)
-                    )
-                else:
-                    activity[r] = lane.phase_activity[index]
-                    demand_ipc = lane.phase_ipc[index]
-                demand[r] = max(0.05, demand_ipc)
-                duty_r, stall_r = lane.on_sample(float(sensed[r]))
-                duties_py[r] = duty_r
-                duty[r] = duty_r
-                stalls[r] = stall_r
-
-            # One vectorized pass over all live lanes: identical
-            # elementwise arithmetic to the serial kernel, broadcast
-            # over the lane axis.
-            supply = duty * fetch_supply
-            effective = np.minimum(demand, supply)
-            ratio = effective / demand
-            utilization = activity * ratio[:, None]
-            powers = peaks * (idle + active_frac * utilization)
-            unmonitored = unmonitored_peak * (
-                idle + active_frac * utilization.mean(axis=1)
-            )
-            chip_power = powers.sum(axis=1) + unmonitored
-            end, steady = thermal.advance_batch(start, powers, sample)
-            finite = np.isfinite(chip_power) & np.isfinite(end).all(axis=1)
-            fractions = thermal.fractions_above(
-                start, steady, sample_seconds, thresholds
-            )
-            em_peaks = fractions[0].max(axis=1)
-            st_peaks = fractions[1].max(axis=1)
-            sample_committed = effective * np.maximum(0, sample - stalls)
-
-            measuring: list[int] = []
-            ok_rows: list[int] = []
-            still_active: list[_Lane] = []
-            completed: list[_Lane] = []
-            for r, lane in enumerate(active):
-                if not finite[r]:
-                    # Same diagnostics as the serial guard; the lane is
-                    # frozen (thermal row untouched) and the others
-                    # keep stepping.
-                    end_row = end[r]
-                    row_finite = np.isfinite(end_row)
-                    if not row_finite.all():
-                        bad = names[int(np.argmin(row_finite))]
-                    else:
-                        bad = names[int(np.argmax(end_row))]
-                    lane.error = SimulationError(
-                        f"non-finite simulation state in profile "
-                        f"{lane.profile.name!r}",
-                        sample_index=lane.manager.samples - 1,
-                        block=bad,
-                        duty=duties_py[r],
-                        chip_power=float(chip_power[r]),
-                        policy=lane.policy.name,
-                    )
-                    continue
-                ok_rows.append(r)
-                committed_r = float(sample_committed[r])
-                lane.total_committed += committed_r
-                lane.budget_remaining -= sample
-                if lane.warmup_remaining > 0:
-                    lane.warmup_remaining -= committed_r
-                    lane.warmup_cycles += sample
-                    lane.warmup_samples += 1
-                    if lane.budget_remaining <= 0:
-                        lane.error = SimulationError(
-                            f"warmup of profile {lane.profile.name!r} "
-                            f"exceeded its cycle budget of "
-                            f"{lane.max_cycles:,} cycles "
-                            f"({lane.warmup_samples:,} samples consumed, "
-                            f"{lane.warmup_remaining:,.0f} warmup "
-                            f"instructions still outstanding)",
-                            sample_index=lane.manager.samples - 1,
-                            warmup_cycles=lane.warmup_cycles,
-                            warmup_budget=lane.max_cycles,
-                            duty=duties_py[r],
-                            policy=lane.policy.name,
-                        )
-                        continue
-                    still_active.append(lane)
-                    continue
-                chip_r = float(chip_power[r])
-                lane.committed += committed_r
-                lane.cycles += sample
-                lane.emergency_cycles += float(em_peaks[r]) * sample
-                lane.stress_cycles += float(st_peaks[r]) * sample
-                lane.power_sum += chip_r
-                lane.power_max = max(lane.power_max, chip_r)
-                lane.energy_joules += chip_r * sample_seconds
-                lane.interrupt_stalls += int(stalls[r])
-                lane.samples += 1
-                measuring.append(r)
-                if lane.record_history:
-                    if lane.samples > lane.hist_cap:
-                        _grow_lane_history(lane, block_count)
-                    row = lane.samples - 1
-                    lane.h_max_temp[row] = end[r].max()
-                    lane.h_duty[row] = duties_py[r]
-                    lane.h_chip_power[row] = chip_r
-                    lane.h_temps[row] = end[r]
-                    lane.h_powers[row] = powers[r]
-                    lane.h_em[row] = fractions[0][r]
-                    lane.h_st[row] = fractions[1][r]
-                if lane.recording:
-                    lane.telemetry.record_sample(
-                        index=lane.samples - 1,
-                        cycle=lane.cycles,
-                        sensed=float(sensed[r]),
-                        max_temp=float(end[r].max()),
-                        block_temps=end[r],
-                        chip_power=chip_r,
-                        ipc=committed_r / sample,
-                        duty=duties_py[r],
-                        emergency_fraction=float(em_peaks[r]),
-                        stress_fraction=float(st_peaks[r]),
-                        latency_seconds=(
-                            perf_counter() - iter_start
-                            if lane.time_samples
-                            else math.nan
-                        ),
-                    )
-                if (
-                    lane.committed < lane.instructions
-                    and lane.budget_remaining > 0
-                ):
-                    still_active.append(lane)
-                else:
-                    completed.append(lane)
-
-            if measuring:
-                m = np.fromiter(measuring, dtype=np.intp)
-                g = rows[m]
-                block_em[g] += fractions[0][m] * sample
-                block_st[g] += fractions[1][m] * sample
-                temp_sum[g] += end[m]
-                temp_max[g] = np.maximum(temp_max[g], end[m])
-            # Finalized only now: the stacked block accumulation above
-            # must include the completing lane's last sample.
-            for lane in completed:
-                outcomes[lane.slot] = self._finalize(
-                    lane, sample, names, block_em, block_st,
-                    temp_sum, temp_max,
+            lane.first_row = len(phase_rows)
+            phase_rows.extend(
+                np.concatenate((
+                    [jitter] * block_count, [0.5 * jitter], activity, [ipc]
+                ))
+                for jitter, activity, ipc in zip(
+                    lane.phase_jitter, phase_activity, phase_ipc
                 )
-            if ok_rows:
-                o = np.fromiter(ok_rows, dtype=np.intp)
-                temps[rows[o]] = end[o]
-            active = still_active
+            )
+            lanes.append(lane)
+            # One value per bookkeeping row, _TOTAL to _WARMUP_SAMPLES.
+            columns.append((
+                0.0, 0.0, 0, 0, budget, lane_max,
+                0.0, 0.0, 0.0, 0, float(warmup[slot]), 0,
+            ))
+        return lanes, columns, np.array(phase_rows)
 
-        for lane in lanes:
-            if lane.error is not None:
-                outcomes[lane.slot] = LaneOutcome(error=lane.error)
+    def _run(self, instructions, max_cycles, warmup) -> list[LaneOutcome]:
+        first = self.engines[0]
+        sample = first.dtm_config.sampling_interval
+        sample_seconds = sample * first.machine.cycle_time
+        emergency_level = first.thermal_config.emergency_temperature
+        stress_level = first.dtm_config.nonct_trigger
+        thresholds = (emergency_level, stress_level)
+        fetch_supply = first.machine.fetch_width * first.supply_efficiency
+        thermal = first.thermal
+        peaks = first.power_model.peaks_view
+        idle = first.power_model.idle_fraction
+        active_frac = 1.0 - idle
+        unmonitored_peak = first.floorplan.unmonitored_peak_power
+        names = first.floorplan.names
+        block_count = len(names)
+        count = len(self.engines)
+
+        outcomes = [LaneOutcome() for _ in range(count)]
+        live, columns, phase_table = self._start_lanes(
+            instructions, max_cycles, warmup, outcomes
+        )
+        if not live:
+            return outcomes
+
+        # Stacked per-lane bookkeeping: row ``_X`` of ``acc`` holds
+        # field X of every live lane, so a sample updates all lanes with
+        # a few contiguous vector ops.  Integer fields (cycles, counts,
+        # stalls) are exact in float64.  Columns are compacted when
+        # lanes leave, never per step.
+        acc = np.array(columns, dtype=float).T.copy()
+        clock_step = np.array([[sample], [1.0]])
+        power_weights = np.array([[1.0], [sample_seconds]])
+        slots = np.fromiter((lane.slot for lane in live), dtype=np.intp)
+        state = np.array(
+            [lane.engine.thermal.temperatures_view for lane in live]
+        )
+        warming = bool((acc[_WARMUP] > 0).any())
+        timing = any(lane.time_samples for lane in live)
+
+        # The deferred threshold pass: lanes' rows are staged per step
+        # and flushed per chunk, and whenever lanes leave.
+        stage = SampleStage(
+            thermal, self.engines, sample, sample_seconds, thresholds
+        )
+        s_start, s_steady, s_end = stage.start, stage.steady, stage.end
+        keep_rows = stage.keep_rows
+        history_rows = stage.powers is not None
+
+        # Per-step lane values from the scalar loop (index r holds live
+        # lane r this sample).  Row r of ``noise`` takes live lane r's
+        # jitter draws; a non-jittered lane leaves stale draws there.
+        draws = block_count + 1
+        noise = np.zeros((count, draws))
+        noise_rows = list(noise)
+        phase_rows: list[int] = [0] * count
+        duties_py: list = [0.0] * count
+        stalls_py: list = [0] * count
+        controls: list = [None] * count
+
+        step = 0
+        progress, clock, power, reached, limits, power_max, stall_sum = (
+            _row_views(acc)
+        )
+        try:
+            while live:
+                k = len(live)
+                iter_start = perf_counter() if timing else 0.0
+                start = state
+                sensed = start.max(axis=1)
+                sensed_py = sensed.tolist()
+                positions = acc[_TOTAL].tolist()
+                for r, lane in enumerate(live):
+                    # Scalar per-lane work: phase lookup, seeded jitter
+                    # draws (per-lane RNG stream, the serial kernel's
+                    # draw order), and the DTM control decision.
+                    if lane.single_phase:
+                        index = 0
+                    else:
+                        index = bisect_right(
+                            lane.phase_ends,
+                            int(positions[r]) % lane.phase_total,
+                        )
+                    phase_rows[r] = lane.first_row + index
+                    if lane.phase_jitter[index]:
+                        lane.rng.standard_normal(out=noise_rows[r])
+                    duty_r, stall_r = lane.on_sample(sensed_py[r])
+                    duties_py[r] = duty_r
+                    stalls_py[r] = stall_r
+                    if lane.recording:
+                        controls[r] = lane.telemetry.take_control()
+
+                # The jittered phase draws, stacked.  ``normal(0, s)``
+                # is ``0 + s * z`` on the same standard normals ``z``,
+                # and the ``0 +`` cannot show after ``1.0 +``.  A
+                # non-jittered row has scale 0, so its factor is
+                # exactly 1.0 whatever stale (finite) draws its noise
+                # row holds.  The stacked clip leaves those rows'
+                # values alone because prebuilt phase activity lies in
+                # [0, 1] (build_phase_tables checks it).  ``maximum``
+                # is the serial ``max(0.05, demand)`` for the finite
+                # demand a phase IPC in (0, 6] gives.
+                phase = phase_table[phase_rows[:k]]
+                factor = noise[:k] * phase[:, :draws]
+                factor += 1.0
+                activity = phase[:, draws:-1] * factor[:, :block_count]
+                np.clip(activity, 0.0, 1.0, out=activity)
+                demand = phase[:, -1] * factor[:, block_count]
+                np.maximum(demand, 0.05, out=demand)
+                duty, stalls = np.array(
+                    (duties_py[:k], stalls_py[:k]), dtype=float
+                )
+
+                # One vectorized pass over all live lanes: identical
+                # elementwise arithmetic to the serial kernel,
+                # broadcast over the lane axis.  ``add.reduce / n`` is
+                # what ``mean`` computes, minus its Python wrapper.
+                supply = duty * fetch_supply
+                effective = np.minimum(demand, supply)
+                ratio = effective / demand
+                utilization = activity * ratio[:, None]
+                powers = peaks * (idle + active_frac * utilization)
+                unmonitored = unmonitored_peak * (
+                    idle
+                    + active_frac
+                    * (np.add.reduce(utilization, axis=1) / block_count)
+                )
+                chip_power = powers.sum(axis=1) + unmonitored
+                end, steady = thermal.advance_batch(start, powers, sample)
+                sample_committed = effective * np.maximum(0, sample - stalls)
+
+                s_start[step, :k] = start
+                s_steady[step, :k] = steady
+                s_end[step, :k] = end
+                if keep_rows:
+                    stage.sensed[step, :k] = sensed
+                    stage.chip[step, :k] = chip_power
+                    stage.committed[step, :k] = sample_committed
+                    if history_rows:
+                        stage.powers[step, :k] = powers
+                    stage.extras.append((
+                        duties_py[:k],
+                        controls[:k],
+                        perf_counter() - iter_start if timing else math.nan,
+                    ))
+
+                # A sum is finite only if every term is: one cheap test
+                # for the common step; the exact per-lane mask (and the
+                # rare overflowing sum) takes the masked path.
+                if warming or not math.isfinite(
+                    chip_power.sum() + end.sum()
+                ):
+                    leaving = _settle_masked(
+                        live, acc, stage, step, start, end,
+                        sample_committed, chip_power, stalls, duties_py,
+                        power_weights, sample, names,
+                    )
+                    warming = bool((acc[_WARMUP] > 0).any())
+                else:
+                    progress += sample_committed
+                    clock += clock_step
+                    power += chip_power * power_weights
+                    np.maximum(power_max, chip_power, out=power_max)
+                    stall_sum += stalls
+                    leaving = reached >= limits
+                    leaving = leaving.any(axis=0) if leaving.any() else None
+                step += 1
+
+                if leaving is not None and leaving.any():
+                    # Flush before compacting: the staged columns are
+                    # the live lanes of this chunk.
+                    staged, step = step, 0
+                    stage.flush(staged, slots)
+                    for r in np.flatnonzero(leaving).tolist():
+                        lane = live[r]
+                        outcomes[lane.slot] = (
+                            LaneOutcome(error=lane.error)
+                            if lane.error is not None
+                            else _finish(stage, lane, acc[:, r])
+                        )
+                    keep = ~leaving
+                    live = [
+                        lane for lane, kept in zip(live, keep.tolist())
+                        if kept
+                    ]
+                    slots = slots[keep]
+                    acc = acc[:, keep]
+                    (
+                        progress, clock, power, reached, limits,
+                        power_max, stall_sum,
+                    ) = _row_views(acc)
+                    state = end[keep]
+                    warming = warming and bool((acc[_WARMUP] > 0).any())
+                    timing = any(lane.time_samples for lane in live)
+                else:
+                    state = end
+                    if step == STAGE_ROWS:
+                        step = 0
+                        stage.flush(STAGE_ROWS, slots)
+        finally:
+            stage.flush(step, slots)
         return outcomes
 
-    def _finalize(
-        self, lane, sample, names, block_em, block_st, temp_sum, temp_max
-    ) -> LaneOutcome:
-        """Assemble one lane's RunResult exactly as the serial kernel."""
-        if lane.samples == 0:
-            return LaneOutcome(error=SimulationError(
-                f"run of profile {lane.profile.name!r} produced no samples",
-                policy=lane.policy.name,
-                max_cycles=lane.max_cycles,
-            ))
-        slot = lane.slot
-        extra: dict[str, float] = {}
-        guard = lane.manager.failsafe
-        if guard is not None:
-            extra["failsafe_engagements"] = float(guard.engagements)
-            extra["failsafe_rejected_samples"] = float(
-                guard.rejected_samples
-            )
-            extra["failsafe_degraded_samples"] = float(
-                guard.degraded_samples
-            )
-            extra["failsafe_forced_samples"] = float(guard.failsafe_samples)
-        history = None
-        if lane.record_history:
-            history = History(
-                sample_cycles=sample,
-                names=names,
-                max_temp=lane.h_max_temp[: lane.samples].copy(),
-                duty=lane.h_duty[: lane.samples].copy(),
-                chip_power=lane.h_chip_power[: lane.samples].copy(),
-                block_temps=lane.h_temps[: lane.samples].copy(),
-                block_powers=lane.h_powers[: lane.samples].copy(),
-                block_emergency=lane.h_em[: lane.samples].copy(),
-                block_stress=lane.h_st[: lane.samples].copy(),
-            )
-        result = RunResult(
-            benchmark=lane.profile.name,
-            policy=lane.policy.name,
-            cycles=lane.cycles,
-            instructions=lane.committed,
-            emergency_fraction=lane.emergency_cycles / lane.cycles,
-            stress_fraction=lane.stress_cycles / lane.cycles,
-            block_emergency_fraction={
-                name: float(block_em[slot, i]) / lane.cycles
-                for i, name in enumerate(names)
-            },
-            block_stress_fraction={
-                name: float(block_st[slot, i]) / lane.cycles
-                for i, name in enumerate(names)
-            },
-            mean_block_temperature={
-                name: float(temp_sum[slot, i]) / lane.samples
-                for i, name in enumerate(names)
-            },
-            max_block_temperature={
-                name: float(temp_max[slot, i])
-                for i, name in enumerate(names)
-            },
-            mean_chip_power=lane.power_sum / lane.samples,
-            max_chip_power=lane.power_max,
-            energy_joules=lane.energy_joules,
-            engaged_fraction=lane.manager.engaged_fraction,
-            interrupt_events=lane.manager.interrupts.events,
-            interrupt_stall_cycles=lane.interrupt_stalls,
-            history=history,
-            extra=extra,
-        )
-        return LaneOutcome(result=result)
+
+def _row_views(acc: np.ndarray) -> tuple:
+    """The views of ``acc`` the common step updates in place."""
+    return (
+        acc[_TOTAL:_COMMITTED + 1],
+        acc[_SPENT:_SAMPLES + 1],
+        acc[_POWER_SUM:_ENERGY + 1],
+        acc[_COMMITTED:_SPENT + 1],
+        acc[_INSTRUCTIONS:_MAX_CYCLES + 1],
+        acc[_POWER_MAX],
+        acc[_STALLS],
+    )
 
 
-def _grow_lane_history(lane: _Lane, block_count: int) -> None:
-    """Double one lane's history buffers (amortized growth)."""
-    lane.hist_cap *= 2
-    cap = lane.hist_cap
-    for attr in (
-        "h_max_temp", "h_duty", "h_chip_power",
-        "h_temps", "h_powers", "h_em", "h_st",
+def _settle_masked(
+    live, acc, stage, step, start, end, sample_committed, chip_power,
+    stalls, duties_py, power_weights, sample, names,
+) -> np.ndarray:
+    """Bookkeeping of a step with a warming or non-finite lane.
+
+    A warming lane advances only its phase position, cycle budget and
+    warmup counters; a non-finite lane advances nothing and gets the
+    serial kernel's error.  Both are masked out of the threshold pass.
+    Returns the mask of lanes that leave.
+    """
+    finite = np.isfinite(chip_power) & np.isfinite(end).all(axis=1)
+    warm = acc[_WARMUP]
+    warming = finite & (warm > 0)
+    measuring = finite & ~warming
+    np.add(acc[_TOTAL], sample_committed, out=acc[_TOTAL], where=finite)
+    np.add(acc[_SPENT], sample, out=acc[_SPENT], where=finite)
+    np.subtract(warm, sample_committed, out=warm, where=warming)
+    np.add(
+        acc[_WARMUP_SAMPLES], 1, out=acc[_WARMUP_SAMPLES], where=warming
+    )
+    for row, increment in (
+        (_COMMITTED, sample_committed),
+        (_SAMPLES, 1),
+        (_STALLS, stalls),
     ):
-        buffer = getattr(lane, attr)
-        grown = np.empty((cap, *buffer.shape[1:]))
-        grown[: len(buffer)] = buffer
-        setattr(lane, attr, grown)
+        np.add(acc[row], increment, out=acc[row], where=measuring)
+    power = acc[_POWER_SUM:_ENERGY + 1]
+    np.add(power, chip_power * power_weights, out=power, where=measuring)
+    np.maximum(
+        acc[_POWER_MAX], chip_power, out=acc[_POWER_MAX], where=measuring
+    )
+    stuck = warming & (acc[_SPENT] >= acc[_MAX_CYCLES])
+    for r in np.flatnonzero(~finite).tolist():
+        # Same diagnostics as the serial guard; the lane leaves and
+        # the others keep stepping.
+        lane = live[r]
+        row_finite = np.isfinite(end[r])
+        if not row_finite.all():
+            bad = names[int(np.argmin(row_finite))]
+        else:
+            bad = names[int(np.argmax(end[r]))]
+        lane.error = SimulationError(
+            f"non-finite simulation state in profile "
+            f"{lane.profile.name!r}",
+            sample_index=lane.manager.samples - 1,
+            block=bad,
+            duty=duties_py[r],
+            chip_power=float(chip_power[r]),
+            policy=lane.policy.name,
+        )
+    for r in np.flatnonzero(stuck).tolist():
+        lane = live[r]
+        lane.error = SimulationError(
+            f"warmup of profile {lane.profile.name!r} "
+            f"exceeded its cycle budget of "
+            f"{lane.max_cycles:,} cycles "
+            f"({int(acc[_WARMUP_SAMPLES, r]):,} samples consumed, "
+            f"{float(warm[r]):,.0f} warmup "
+            f"instructions still outstanding)",
+            sample_index=lane.manager.samples - 1,
+            warmup_cycles=int(acc[_WARMUP_SAMPLES, r]) * sample,
+            warmup_budget=lane.max_cycles,
+            duty=duties_py[r],
+            policy=lane.policy.name,
+        )
+    k = len(live)
+    stage.measured[step, :k] = measuring
+    stage.masked = True
+    # The threshold pass still evaluates masked cells: give the
+    # non-finite ones finite rows.
+    bad = ~finite
+    stage.steady[step, :k][bad] = start[bad]
+    stage.end[step, :k][bad] = start[bad]
+    reached = acc[_COMMITTED:_SPENT + 1] >= acc[_INSTRUCTIONS:_MAX_CYCLES + 1]
+    return ~finite | stuck | (measuring & reached.any(axis=0))
+
+
+def _finish(stage: SampleStage, lane: _Lane, column: np.ndarray) -> LaneOutcome:
+    """One leaving lane's outcome from its bookkeeping column."""
+    values = column.tolist()
+    try:
+        result = stage.result(
+            lane.slot,
+            lane.engine,
+            samples=int(values[_SAMPLES]),
+            instructions=values[_COMMITTED],
+            power_sum=values[_POWER_SUM],
+            power_max=values[_POWER_MAX],
+            energy_joules=values[_ENERGY],
+            interrupt_stalls=int(values[_STALLS]),
+            max_cycles=lane.max_cycles,
+        )
+    except SimulationError as error:
+        return LaneOutcome(error=error)
+    return LaneOutcome(result=result)
 
 
 def _per_lane(value, count: int, name: str) -> list:

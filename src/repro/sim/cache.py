@@ -81,6 +81,7 @@ across every process that ever used the store.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -199,6 +200,15 @@ def cache_key(spec, kernel_version: str | None = None) -> str:
         kernel_version = fast_module.KERNEL_VERSION
     text = f"{spec_fingerprint(spec)}|{CACHE_SCHEMA}|{kernel_version}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
+
+
+def _log_lines(raw: bytes) -> list[bytes]:
+    """``raw`` cut after each ``\\n`` only, as the open scan reads it.
+
+    ``bytes.splitlines`` would also cut at a ``\\r`` inside a damaged
+    line, turning one bad line into several.
+    """
+    return io.BytesIO(raw).readlines()
 
 
 class ResultCache:
@@ -565,7 +575,7 @@ class ResultCache:
             entries: dict[str, bytes] = {}
             last_use: dict[str, int] = {}
             totals = dict.fromkeys(_COUNTERS, 0)
-            for position, line in enumerate(raw.splitlines(keepends=True)):
+            for position, line in enumerate(_log_lines(raw)):
                 if not line.endswith(b"\n"):
                     break
                 try:
@@ -697,7 +707,7 @@ class ResultCache:
         from repro.sim.codec import result_from_dict
 
         report["bytes"] = len(raw)
-        lines = raw.splitlines(keepends=True)
+        lines = _log_lines(raw)
         if lines and not lines[-1].endswith(b"\n"):
             report["torn_tail"] = True
             lines = lines[:-1]

@@ -297,7 +297,9 @@ def load_checkpoint(path: str | Path) -> dict[str, list[dict]]:
     if not path.exists():
         return {}
     saved: dict[str, list[dict]] = {}
-    with path.open("r", encoding="utf-8") as handle:
+    # ``newline="\n"``: lines end at ``\n`` only, so a ``\r`` inside a
+    # torn final line leaves it the torn tail, not mid-file corruption.
+    with path.open("r", encoding="utf-8", newline="\n") as handle:
         lines = handle.readlines()
     header_seen = False
     for number, line in enumerate(lines, start=1):

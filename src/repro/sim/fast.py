@@ -18,8 +18,11 @@ Per sample the engine:
 4. scales structure activity by the achieved throughput ratio, turns
    it into per-block power (Wattch CC3), and advances the lumped RC
    model with the *exact* exponential update;
-5. accounts emergency/stress time with sub-sample accuracy from the
-   closed-form trajectory.
+5. stages the sample's ``(start, steady, end)`` temperature rows for
+   the emergency/stress accounting, which the
+   :class:`~repro.sim.stage.SampleStage` post-pass computes with
+   sub-sample accuracy from the closed-form trajectory, once per
+   chunk of :data:`~repro.sim.stage.STAGE_ROWS` samples.
 
 ``supply_efficiency`` is calibrated against the detailed core
 (experiment C1).
@@ -39,7 +42,8 @@ from repro.dtm.policies import NoDTMPolicy
 from repro.errors import SimulationError
 from repro.power.clock_gating import ClockGatingStyle
 from repro.power.wattch import PowerModel
-from repro.sim.results import History, RunResult
+from repro.sim.results import RunResult
+from repro.sim.stage import LANE0, STAGE_ROWS, SampleStage
 from repro.telemetry.core import ensure_telemetry
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.lumped import LumpedThermalModel
@@ -61,13 +65,6 @@ DEFAULT_SUPPLY_EFFICIENCY = 0.80
 KERNEL_VERSION = "fast-kernel/v1"
 
 
-def _grow(buffer: np.ndarray, capacity: int) -> np.ndarray:
-    """Double a history buffer, preserving its leading rows."""
-    grown = np.empty((capacity, *buffer.shape[1:]))
-    grown[: len(buffer)] = buffer
-    return grown
-
-
 def build_phase_tables(
     profile: BenchmarkProfile, names: tuple[str, ...]
 ) -> tuple[list[int], list[np.ndarray], list[float], list[float]]:
@@ -80,6 +77,8 @@ def build_phase_tables(
     single-lane kernel (:meth:`FastEngine._run`) and the lane-batched
     kernel (:class:`repro.sim.batch.BatchEngine`) so both look up the
     exact same prebuilt arrays -- part of the bit-identity argument.
+    Activity must lie in [0, 1]: the lane kernel clips every row,
+    jittered or not, and the clip must leave the others' values alone.
     """
     phase_ends: list[int] = []
     running = 0
@@ -90,6 +89,10 @@ def build_phase_tables(
         running += phase.instructions
         phase_ends.append(running)
         base = np.array(phase.activity_vector(names), dtype=float)
+        if not np.all((base >= 0.0) & (base <= 1.0)):
+            raise SimulationError(
+                f"{profile.name}: phase {phase.name!r} activity outside [0, 1]"
+            )
         base.flags.writeable = False
         phase_activity.append(base)
         phase_jitter.append(phase.jitter)
@@ -193,7 +196,7 @@ class FastEngine:
         max_cycles: int | None,
         warmup_instructions: float,
     ) -> RunResult:
-        """The fused per-sample kernel.
+        """The fused sample kernel.
 
         Optimized but **bit-identical** to the original (pinned as
         :class:`repro.sim.reference.ReferenceFastEngine` and asserted
@@ -208,11 +211,13 @@ class FastEngine:
         * one fused :meth:`~repro.thermal.lumped.LumpedThermalModel.
           advance_from` call returns ``(end, steady)`` and shares the
           steady-state solve the original computed twice;
-        * the emergency and stress thresholds go through one broadcast
-          :meth:`~repro.thermal.lumped.LumpedThermalModel.
-          fractions_above` pass instead of two full kernels;
-        * history lands in preallocated (amortized-doubling) buffers
-          instead of a list of tuples + ``np.vstack``.
+        * threshold accounting is deferred: each measured sample only
+          copies its ``(start, steady, end)`` rows into a
+          :class:`~repro.sim.stage.SampleStage`, whose post-pass makes
+          one broadcast :meth:`~repro.thermal.lumped.LumpedThermalModel.
+          fractions_above` call per :data:`~repro.sim.stage.STAGE_ROWS`
+          samples and accumulates, records history and emits telemetry
+          in sample order.
         """
         if instructions <= 0:
             raise SimulationError("instructions must be positive")
@@ -233,6 +238,7 @@ class FastEngine:
         recording = telemetry.enabled
         time_samples = False
         sample_start = 0.0
+        latency = math.nan
         on_sample = self.manager.on_sample
         if recording:
             telemetry.set_context(self.profile.name, self.policy.name)
@@ -288,13 +294,6 @@ class FastEngine:
 
         committed = 0.0
         warmup_remaining = float(warmup_instructions)
-        cycles = 0
-        emergency_cycles = 0.0
-        stress_cycles = 0.0
-        block_emergency = np.zeros(block_count)
-        block_stress = np.zeros(block_count)
-        temp_sum = np.zeros(block_count)
-        temp_max = np.full(block_count, -np.inf)
         power_sum = 0.0
         power_max = 0.0
         energy_joules = 0.0
@@ -309,235 +308,159 @@ class FastEngine:
         warmup_cycles = 0
         warmup_samples = 0
 
-        # -- preallocated history buffers (amortized doubling growth).
-        record_history = self.record_history
-        hist_cap = 0
-        if record_history:
-            hist_cap = 1024
-            h_max_temp = np.empty(hist_cap)
-            h_duty = np.empty(hist_cap)
-            h_chip_power = np.empty(hist_cap)
-            h_temps = np.empty((hist_cap, block_count))
-            h_powers = np.empty((hist_cap, block_count))
-            h_em = np.empty((hist_cap, block_count))
-            h_st = np.empty((hist_cap, block_count))
+        # -- the deferred threshold pass: this lane's stage columns.
+        stage = SampleStage(thermal, (self,), sample, sample_seconds, thresholds)
+        rows_start = stage.start[:, 0]
+        rows_steady = stage.steady[:, 0]
+        rows_end = stage.end[:, 0]
+        keep_rows = stage.keep_rows
+        if keep_rows:
+            rows_sensed = stage.sensed[:, 0]
+            rows_chip = stage.chip[:, 0]
+            rows_committed = stage.committed[:, 0]
+            rows_powers = None if stage.powers is None else stage.powers[:, 0]
+            extras = stage.extras
+        staged = 0
 
-        while committed < instructions and budget_remaining > 0:
-            if time_samples:
-                sample_start = perf_counter()
-            if single_phase:
-                index = 0
-            else:
-                position = int(total_committed) % phase_total
-                index = bisect_right(phase_ends, position)
-            jitter = phase_jitter[index]
-            if jitter:
-                activity = phase_activity[index] * (
-                    1.0 + rng.normal(0.0, jitter, block_count)
-                )
-                np.clip(activity, 0.0, 1.0, out=activity)
-                demand_ipc = phase_ipc[index] * (
-                    1.0 + rng.normal(0.0, 0.5 * jitter)
-                )
-            else:
-                activity = phase_activity[index]
-                demand_ipc = phase_ipc[index]
-            demand_ipc = max(0.05, demand_ipc)
+        try:
+            while committed < instructions and budget_remaining > 0:
+                if time_samples:
+                    sample_start = perf_counter()
+                if single_phase:
+                    index = 0
+                else:
+                    position = int(total_committed) % phase_total
+                    index = bisect_right(phase_ends, position)
+                jitter = phase_jitter[index]
+                if jitter:
+                    activity = phase_activity[index] * (
+                        1.0 + rng.normal(0.0, jitter, block_count)
+                    )
+                    np.clip(activity, 0.0, 1.0, out=activity)
+                    demand_ipc = phase_ipc[index] * (
+                        1.0 + rng.normal(0.0, 0.5 * jitter)
+                    )
+                else:
+                    activity = phase_activity[index]
+                    demand_ipc = phase_ipc[index]
+                demand_ipc = max(0.05, demand_ipc)
 
-            temps = thermal.temperatures_view
-            if monitored is None:
-                sensed = float(temps.max())
-            else:
-                sensed = float(temps[monitored].max())
-            duty, stall = on_sample(sensed)
-            supply_ipc = duty * fetch_supply
-            effective_ipc = min(demand_ipc, supply_ipc)
-            ratio = effective_ipc / demand_ipc
+                temps = thermal.temperatures_view
+                if monitored is None:
+                    sensed = float(temps.max())
+                else:
+                    sensed = float(temps[monitored].max())
+                duty, stall = on_sample(sensed)
+                supply_ipc = duty * fetch_supply
+                effective_ipc = min(demand_ipc, supply_ipc)
+                ratio = effective_ipc / demand_ipc
 
-            utilization = activity * ratio
-            if fused_cc3:
-                powers = peaks * (idle + active * utilization)
-                unmonitored = unmonitored_peak * (
-                    idle + active * float(utilization.mean())
-                )
-            else:
-                powers = power_model.block_powers(utilization)
-                unmonitored = power_model.unmonitored_power(
-                    float(utilization.mean())
-                )
-            if leakage is not None:
-                powers = powers + leakage.power(peaks, temps)
-            chip_power = float(powers.sum()) + unmonitored
+                utilization = activity * ratio
+                if fused_cc3:
+                    powers = peaks * (idle + active * utilization)
+                    unmonitored = unmonitored_peak * (
+                        idle + active * float(utilization.mean())
+                    )
+                else:
+                    powers = power_model.block_powers(utilization)
+                    unmonitored = power_model.unmonitored_power(
+                        float(utilization.mean())
+                    )
+                if leakage is not None:
+                    powers = powers + leakage.power(peaks, temps)
+                chip_power = float(powers.sum()) + unmonitored
 
-            # One fused thermal call: steady state solved once and
-            # shared between the exponential update and the threshold
-            # crossing analysis.  ``temps`` stays a valid pre-advance
-            # snapshot because advance_from rebinds the model state.
-            end, steady = thermal.advance_from(temps, powers, sample)
+                # One fused thermal call: steady state solved once and
+                # shared between the exponential update and the
+                # threshold crossing analysis.  ``temps`` stays a valid
+                # pre-advance snapshot because advance_from rebinds the
+                # model state.
+                end, steady = thermal.advance_from(temps, powers, sample)
 
-            # Guard rails: a non-finite power or temperature means the
-            # loop has blown up (NaN sensor feedback, runaway gains,
-            # ...).  Fail loudly with the state needed to triage it
-            # instead of silently poisoning every downstream metric.
-            if not np.isfinite(chip_power) or not np.all(np.isfinite(end)):
-                bad = (
-                    names[int(np.argmin(np.isfinite(end)))]
-                    if not np.all(np.isfinite(end))
-                    else thermal.hottest_block
-                )
-                raise SimulationError(
-                    f"non-finite simulation state in profile "
-                    f"{self.profile.name!r}",
-                    sample_index=self.manager.samples - 1,
-                    block=bad,
-                    duty=duty,
-                    chip_power=chip_power,
-                    policy=self.policy.name,
-                )
-
-            sample_committed = effective_ipc * max(0, sample - stall)
-            total_committed += sample_committed
-            budget_remaining -= sample
-            if warmup_remaining > 0:
-                # Warmup samples are excluded from every metric but
-                # still advance the samples-independent safety
-                # accounting, so a wedged warmup is diagnosable.
-                warmup_remaining -= sample_committed
-                warmup_cycles += sample
-                warmup_samples += 1
-                if budget_remaining <= 0:
+                # Guard rails: a non-finite power or temperature means
+                # the loop has blown up (NaN sensor feedback, runaway
+                # gains, ...).  Fail loudly with the state needed to
+                # triage it instead of silently poisoning every
+                # downstream metric.  The ``finally`` below flushes the
+                # samples staged so far before the error propagates.
+                if not np.isfinite(chip_power) or not np.all(np.isfinite(end)):
+                    bad = (
+                        names[int(np.argmin(np.isfinite(end)))]
+                        if not np.all(np.isfinite(end))
+                        else thermal.hottest_block
+                    )
                     raise SimulationError(
-                        f"warmup of profile {self.profile.name!r} exceeded "
-                        f"its cycle budget of {max_cycles:,} cycles "
-                        f"({warmup_samples:,} samples consumed, "
-                        f"{warmup_remaining:,.0f} warmup instructions "
-                        f"still outstanding)",
+                        f"non-finite simulation state in profile "
+                        f"{self.profile.name!r}",
                         sample_index=self.manager.samples - 1,
-                        warmup_cycles=warmup_cycles,
-                        warmup_budget=max_cycles,
+                        block=bad,
                         duty=duty,
+                        chip_power=chip_power,
                         policy=self.policy.name,
                     )
-                continue
 
-            # One broadcast pass over both thresholds (emergency row 0,
-            # stress row 1) instead of two independent kernels.
-            fractions = thermal.fractions_above(
-                temps, steady, sample_seconds, thresholds
-            )
-            em_frac = fractions[0]
-            st_frac = fractions[1]
+                sample_committed = effective_ipc * max(0, sample - stall)
+                total_committed += sample_committed
+                budget_remaining -= sample
+                if warmup_remaining > 0:
+                    # Warmup samples are excluded from every metric but
+                    # still advance the samples-independent safety
+                    # accounting, so a wedged warmup is diagnosable.
+                    warmup_remaining -= sample_committed
+                    warmup_cycles += sample
+                    warmup_samples += 1
+                    if budget_remaining <= 0:
+                        raise SimulationError(
+                            f"warmup of profile {self.profile.name!r} "
+                            f"exceeded its cycle budget of {max_cycles:,} "
+                            f"cycles ({warmup_samples:,} samples consumed, "
+                            f"{warmup_remaining:,.0f} warmup instructions "
+                            f"still outstanding)",
+                            sample_index=self.manager.samples - 1,
+                            warmup_cycles=warmup_cycles,
+                            warmup_budget=max_cycles,
+                            duty=duty,
+                            policy=self.policy.name,
+                        )
+                    continue
 
-            em_peak = float(em_frac.max())
-            st_peak = float(st_frac.max())
-            committed += sample_committed
-            cycles += sample
-            emergency_cycles += em_peak * sample
-            stress_cycles += st_peak * sample
-            block_emergency += em_frac * sample
-            block_stress += st_frac * sample
-            temp_sum += end
-            np.maximum(temp_max, end, out=temp_max)
-            power_sum += chip_power
-            power_max = max(power_max, chip_power)
-            energy_joules += chip_power * sample_seconds
-            interrupt_stalls += stall
-            samples += 1
-            if record_history:
-                if samples > hist_cap:
-                    hist_cap *= 2
-                    h_max_temp = _grow(h_max_temp, hist_cap)
-                    h_duty = _grow(h_duty, hist_cap)
-                    h_chip_power = _grow(h_chip_power, hist_cap)
-                    h_temps = _grow(h_temps, hist_cap)
-                    h_powers = _grow(h_powers, hist_cap)
-                    h_em = _grow(h_em, hist_cap)
-                    h_st = _grow(h_st, hist_cap)
-                row = samples - 1
-                h_max_temp[row] = end.max()
-                h_duty[row] = duty
-                h_chip_power[row] = chip_power
-                h_temps[row] = end
-                h_powers[row] = powers
-                h_em[row] = em_frac
-                h_st[row] = st_frac
-            if recording:
-                telemetry.record_sample(
-                    index=samples - 1,
-                    cycle=cycles,
-                    sensed=sensed,
-                    max_temp=float(end.max()),
-                    block_temps=end,
-                    chip_power=chip_power,
-                    ipc=sample_committed / sample,
-                    duty=duty,
-                    emergency_fraction=em_peak,
-                    stress_fraction=st_peak,
-                    latency_seconds=(
-                        perf_counter() - sample_start
-                        if time_samples
-                        else math.nan
-                    ),
-                )
+                committed += sample_committed
+                power_sum += chip_power
+                power_max = max(power_max, chip_power)
+                energy_joules += chip_power * sample_seconds
+                interrupt_stalls += stall
+                samples += 1
+                rows_start[staged] = temps
+                rows_steady[staged] = steady
+                rows_end[staged] = end
+                if keep_rows:
+                    rows_sensed[staged] = sensed
+                    rows_chip[staged] = chip_power
+                    rows_committed[staged] = sample_committed
+                    if rows_powers is not None:
+                        rows_powers[staged] = powers
+                    if time_samples:
+                        latency = perf_counter() - sample_start
+                    extras.append((
+                        (duty,),
+                        (telemetry.take_control() if recording else None,),
+                        latency,
+                    ))
+                staged += 1
+                if staged == STAGE_ROWS:
+                    staged = 0
+                    stage.flush(STAGE_ROWS, LANE0)
+        finally:
+            stage.flush(staged, LANE0)
 
-        if samples == 0:
-            raise SimulationError(
-                f"run of profile {self.profile.name!r} produced no samples",
-                policy=self.policy.name,
-                max_cycles=max_cycles,
-            )
-
-        extra: dict[str, float] = {}
-        guard = self.manager.failsafe
-        if guard is not None:
-            extra["failsafe_engagements"] = float(guard.engagements)
-            extra["failsafe_rejected_samples"] = float(guard.rejected_samples)
-            extra["failsafe_degraded_samples"] = float(guard.degraded_samples)
-            extra["failsafe_forced_samples"] = float(guard.failsafe_samples)
-
-        history = None
-        if record_history:
-            # Trim the doubling buffers to the recorded row count; the
-            # copies also release the (up to 2x) growth slack.
-            history = History(
-                sample_cycles=sample,
-                names=names,
-                max_temp=h_max_temp[:samples].copy(),
-                duty=h_duty[:samples].copy(),
-                chip_power=h_chip_power[:samples].copy(),
-                block_temps=h_temps[:samples].copy(),
-                block_powers=h_powers[:samples].copy(),
-                block_emergency=h_em[:samples].copy(),
-                block_stress=h_st[:samples].copy(),
-            )
-
-        return RunResult(
-            benchmark=self.profile.name,
-            policy=self.policy.name,
-            cycles=cycles,
+        return stage.result(
+            0,
+            self,
+            samples=samples,
             instructions=committed,
-            emergency_fraction=emergency_cycles / cycles,
-            stress_fraction=stress_cycles / cycles,
-            block_emergency_fraction={
-                name: float(block_emergency[i]) / cycles
-                for i, name in enumerate(names)
-            },
-            block_stress_fraction={
-                name: float(block_stress[i]) / cycles
-                for i, name in enumerate(names)
-            },
-            mean_block_temperature={
-                name: float(temp_sum[i]) / samples for i, name in enumerate(names)
-            },
-            max_block_temperature={
-                name: float(temp_max[i]) for i, name in enumerate(names)
-            },
-            mean_chip_power=power_sum / samples,
-            max_chip_power=power_max,
+            power_sum=power_sum,
+            power_max=power_max,
             energy_joules=energy_joules,
-            engaged_fraction=self.manager.engaged_fraction,
-            interrupt_events=self.manager.interrupts.events,
-            interrupt_stall_cycles=interrupt_stalls,
-            history=history,
-            extra=extra,
+            interrupt_stalls=interrupt_stalls,
+            max_cycles=max_cycles,
         )

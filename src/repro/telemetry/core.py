@@ -38,6 +38,9 @@ from repro.telemetry.trace import TraceEvent, TraceRecord, TraceRecorder
 
 _NULL_SPAN = _NullSpan()
 
+#: ``record_sample``'s default ``control``: consume the staged half.
+_STAGED = object()
+
 
 class Telemetry:
     """Live observability for one engine run (or one shared sweep)."""
@@ -130,6 +133,18 @@ class Telemetry:
             "failsafe_state": failsafe_state,
         }
 
+    def take_control(self) -> dict | None:
+        """Detach the controller half staged by :meth:`record_control`.
+
+        For engines that emit a sample's record after later samples ran
+        (the deferred threshold pass of :mod:`repro.sim.stage`): the
+        half taken here is handed back through ``record_sample``'s
+        ``control`` argument at emission time.
+        """
+        pending = self._pending_control
+        self._pending_control = None
+        return pending
+
     def record_sample(
         self,
         index: int,
@@ -143,10 +158,18 @@ class Telemetry:
         emergency_fraction: float = 0.0,
         stress_fraction: float = 0.0,
         latency_seconds: float = math.nan,
+        control=_STAGED,
     ) -> TraceRecord:
-        """Complete and emit one per-sample trace record + metrics."""
-        pending = self._pending_control
-        self._pending_control = None
+        """Complete and emit one per-sample trace record + metrics.
+
+        ``control`` is the controller half (a :meth:`take_control`
+        result, ``None`` for none); by default the half staged by the
+        latest :meth:`record_control` is consumed.
+        """
+        pending = control
+        if pending is _STAGED:
+            pending = self._pending_control
+            self._pending_control = None
         record = TraceRecord(
             index=index,
             cycle=cycle,
@@ -240,6 +263,10 @@ class NullTelemetry:
 
     def record_control(self, sample_index: int, **fields) -> None:
         """Ignored."""
+
+    def take_control(self) -> None:
+        """Nothing is ever staged."""
+        return None
 
     def record_sample(self, *args, **kwargs):
         """Ignored; returns ``None``."""

@@ -355,7 +355,7 @@ class LumpedThermalModel:
     ) -> np.ndarray:
         """Per-block above-threshold fractions for several thresholds.
 
-        The fast engine needs the emergency *and* the stress fraction
+        The fast engines need the emergency *and* the stress fraction
         of every sample; evaluating both in one broadcast pass shares
         the trajectory analysis (rising mask, crossing-time ``log``)
         instead of running the whole kernel twice.  Returns an array of
@@ -364,12 +364,13 @@ class LumpedThermalModel:
         every operation is the same elementwise expression, merely
         broadcast over the threshold axis.
 
-        ``start``/``steady`` may also carry leading *lane* axes (e.g.
-        the ``(B, n_blocks)`` stacked state of
-        :class:`repro.sim.batch.BatchEngine`); the thresholds then
-        broadcast to shape ``(len(thresholds), B, n_blocks)`` and each
-        lane's slice is bit-identical to its own single-lane pass, for
-        the same reason as the threshold axis: pure elementwise
+        ``start``/``steady`` may also carry leading axes.  The sample
+        stage of :mod:`repro.sim.stage` passes a whole chunk at once,
+        shape ``(samples, lanes, n_blocks)``: one call per chunk
+        instead of one per sample.  The thresholds then broadcast to
+        shape ``(len(thresholds), samples, lanes, n_blocks)`` and each
+        ``(sample, lane)`` slice is bit-identical to its own 1-D pass,
+        for the same reason as the threshold axis: pure elementwise
         broadcasting.
         """
         start = np.asarray(start, dtype=float)
