@@ -84,7 +84,7 @@ class SweepError(ReproError):
 
     Raised at the *end* of a fault-tolerant sweep (never mid-flight):
     the orchestrator isolates each failure as a
-    :class:`~repro.sim.parallel.SpecOutcome` and keeps going, then
+    :class:`~repro.sim.ledger.SpecOutcome` and keeps going, then
     aggregates the permanent failures into one exception so a strict
     caller sees every problem at once instead of the first.
     ``failures`` carries the failing outcomes (spec, captured error,

@@ -34,10 +34,9 @@ from repro.sim.checkpoint import (
     spec_fingerprint,
 )
 from repro.sim.fast import FastEngine
+from repro.sim.ledger import SpecFailure, SpecOutcome
 from repro.sim.parallel import (
     RetryPolicy,
-    SpecFailure,
-    SpecOutcome,
     SweepOptions,
     WorkSpec,
     execute_payloads,

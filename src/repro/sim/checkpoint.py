@@ -161,7 +161,7 @@ class CheckpointJournal:
         """
         path = Path(path)
         if resume and path.exists():
-            _truncate_partial_tail(path)
+            truncate_partial_tail(path)
             handle = path.open("a", encoding="utf-8")
             journal = cls(path, handle)
             if path.stat().st_size == 0:
@@ -278,10 +278,6 @@ def truncate_partial_tail(path: Path) -> None:
                 break
             position = start
     os.truncate(path, cut)
-
-
-#: Backwards-compatible private alias (pre-cache internal name).
-_truncate_partial_tail = truncate_partial_tail
 
 
 def load_checkpoint(path: str | Path) -> dict[str, list[dict]]:

@@ -42,6 +42,7 @@ from repro.errors import CodecError
 from repro.sim.results import History, RunResult
 from repro.telemetry.core import ensure_telemetry
 from repro.telemetry.export import event_from_dict, record_from_dict
+from repro.telemetry.metrics import MetricsRegistry
 
 #: Tag key marking an encoded composite value; chosen to be absent from
 #: every plain mapping the sweep types carry.
@@ -395,3 +396,22 @@ def fold_saved_telemetry(sink, payload: dict | None) -> None:
     sink.metrics.merge_snapshot(payload.get("metrics", {}))
     if payload.get("meta"):
         sink.meta.update(payload["meta"])
+
+
+def check_saved_telemetry(payload) -> None:
+    """Raise unless :func:`fold_saved_telemetry` can read ``payload``.
+
+    Decodes every record and event and merges the metrics into a
+    scratch registry, touching no sink.  The shard coordinator runs it
+    on a worker's payload before journaling and caching it, so a shape
+    the fold cannot read never reaches the final fold or a later
+    sweep's cache replay.
+    """
+    if payload is None:
+        return
+    for data in payload.get("records", ()):
+        record_from_dict(data)
+    for data in payload.get("events", ()):
+        event_from_dict(data)
+    MetricsRegistry().merge_snapshot(payload.get("metrics", {}))
+    dict(payload.get("meta") or {})

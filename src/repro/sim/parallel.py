@@ -21,8 +21,9 @@ guarantees survive the fan-out.  This module provides:
   bounded deterministic-backoff retries, ``BrokenProcessPool`` recovery
   (rebuild the pool, re-run only the lost in-flight specs, degrade to
   in-process serial execution after repeated pool deaths), failure
-  isolation as structured :class:`SpecOutcome` values, and a crash-safe
-  checkpoint journal (:mod:`repro.sim.checkpoint`) for ``--resume``;
+  isolation as structured :class:`~repro.sim.ledger.SpecOutcome`
+  values, and a crash-safe checkpoint journal
+  (:mod:`repro.sim.checkpoint`) for ``--resume``;
 * :func:`execute_payloads` -- one attempt of a shard worker's specs
   (:mod:`repro.sim.distributed.worker`), as settled payloads;
 * :func:`matrix_specs` -- build the (benchmark x policy x seed) spec
@@ -36,8 +37,11 @@ guarantees survive the fan-out.  This module provides:
 The three entry points that execute (:func:`run_specs`,
 :func:`run_outcomes` and :func:`execute_payloads`) drive one executor,
 ``_OutcomeRunner``, which owns the only worker pool: lane batching
-regroups its queue, the result cache pre-settles its hits, and
-fail-fast is a mode of it, not another loop.
+regroups its queue and fail-fast is a mode of it, not another loop.
+Outcomes settle through a :class:`~repro.sim.ledger.SweepLedger`, the
+same one the shard coordinator uses: it pre-settles resumed specs and
+cache hits, journals and caches each success, charges failures, and
+folds telemetry in spec order.
 
 Determinism and telemetry parity
 --------------------------------
@@ -105,16 +109,14 @@ from repro.sim.batch import (
     run_spec_lanes,
     validate_batch,
 )
-from repro.sim.checkpoint import (
-    CheckpointJournal,
-    fold_saved_telemetry,
-    load_checkpoint,
-    result_from_dict,
-    spec_fingerprint,
-)
+# Re-exported: repro.sim.ledger looks these three up here at call time.
+from repro.sim.codec import fold_saved_telemetry as fold_saved_telemetry
+from repro.sim.codec import result_from_dict as result_from_dict
+from repro.sim.ledger import SpecOutcome, SweepLedger
 from repro.sim.results import RunResult
 from repro.sim.sweep import DEFAULT_INSTRUCTIONS, run_one
-from repro.telemetry.core import Telemetry, ensure_telemetry, merge_telemetry
+from repro.telemetry.core import Telemetry, ensure_telemetry
+from repro.telemetry.core import merge_telemetry as merge_telemetry
 from repro.thermal.floorplan import Floorplan
 
 #: Worker-local trace/event capacity: effectively "retain everything".
@@ -446,48 +448,6 @@ class SweepOptions:
 
 
 @dataclass(frozen=True)
-class SpecFailure:
-    """The captured cause of one spec's permanent failure.
-
-    ``kind`` is the failure channel: ``"error"`` (the spec raised),
-    ``"timeout"`` (exceeded the per-spec wall clock), or ``"crash"``
-    (the worker process died, e.g. ``BrokenProcessPool``).
-    """
-
-    kind: str
-    exc_type: str
-    message: str
-    traceback: str = ""
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"[{self.kind}] {self.exc_type}: {self.message}"
-
-
-@dataclass
-class SpecOutcome:
-    """One spec's structured sweep outcome: a result or a captured error."""
-
-    spec: WorkSpec
-    index: int
-    result: RunResult | None = None
-    error: SpecFailure | None = None
-    #: Attempts actually executed (1 = first try succeeded).  Resumed
-    #: outcomes report the journaled count.
-    attempts: int = 1
-    #: True when the outcome was loaded from the checkpoint journal
-    #: instead of being re-run.
-    from_checkpoint: bool = False
-    #: True when the outcome was replayed from the cross-sweep result
-    #: cache (:mod:`repro.sim.cache`) instead of being executed.
-    from_cache: bool = False
-
-    @property
-    def ok(self) -> bool:
-        """Whether the spec produced a result."""
-        return self.error is None
-
-
-@dataclass(frozen=True)
 class WorkSpec:
     """One self-contained simulation: everything a worker needs, by value.
 
@@ -710,8 +670,8 @@ def execute_payloads(
     tuples instead of folding telemetry into a sink:
     ``("ok", result, local_telemetry)`` for successes, ``(kind,
     exc_type, message, traceback)`` for failures, where ``kind`` is the
-    :class:`SpecFailure` channel (``"error"`` or ``"crash"``).  Retry
-    and backoff stay with the coordinator.
+    :class:`~repro.sim.ledger.SpecFailure` channel (``"error"`` or
+    ``"crash"``).  Retry and backoff stay with the coordinator.
 
     A worker crash is isolated and charged to the spec that caused it,
     exactly as in :func:`run_outcomes`: a crashing spec becomes one
@@ -729,12 +689,10 @@ def execute_payloads(
         cache=False,
         telemetry_config=telemetry_config,
     )
-    try:
-        outcomes = runner.run()
-    finally:
-        runner.close()
+    # No journal and no cache: the ledger has nothing to close.
+    outcomes = runner.run()
     return [
-        ("ok", outcome.result, runner._locals[outcome.index])
+        ("ok", outcome.result, runner.ledger.locals[outcome.index])
         if outcome.error is None
         else (
             outcome.error.kind,
@@ -859,9 +817,10 @@ def run_outcomes(
     """Fault-tolerantly execute specs; structured outcomes in spec order.
 
     The resilient counterpart of :func:`run_specs`: every spec yields a
-    :class:`SpecOutcome` -- a result, or a :class:`SpecFailure`
-    capturing the exception/traceback, timeout, or worker crash that
-    exhausted its retry budget -- and one spec's failure never aborts
+    :class:`SpecOutcome` -- a result, or a
+    :class:`~repro.sim.ledger.SpecFailure` capturing the
+    exception/traceback, timeout, or worker crash that exhausted its
+    retry budget -- and one spec's failure never aborts
     the rest of the sweep.  See :class:`SweepOptions` for the retry,
     timeout, checkpoint/resume, and strict-mode knobs, and the module
     docstring for the determinism guarantees.
@@ -886,29 +845,13 @@ def run_outcomes(
         cluster = _DEFAULT_CLUSTER
     if cluster is not None:
         # Function-level import: repro.sim.distributed builds on this
-        # module.  The coordinator applies the same strict-mode
-        # aggregation itself, so return its outcomes directly.
+        # module.
         from repro.sim.distributed.coordinator import run_cluster_outcomes
 
         return run_cluster_outcomes(
             specs, cluster, options=options, telemetry=sink, cache=cache
         )
-    outcomes = _run_local(specs, jobs, sink, options, batch, cache)
-    failures = [o for o in outcomes if o.error is not None]
-    if failures and options.strict:
-        detail = "; ".join(
-            f"{o.spec.benchmark}/{o.spec.policy}[seed={o.spec.seed}] "
-            f"{o.error}"
-            for o in failures[:5]
-        )
-        if len(failures) > 5:
-            detail += f"; ... {len(failures) - 5} more"
-        raise SweepError(
-            f"{len(failures)} of {len(specs)} specs failed permanently: "
-            f"{detail}",
-            failures,
-        )
-    return outcomes
+    return _run_local(specs, jobs, sink, options, batch, cache)
 
 
 def _run_local(
@@ -933,15 +876,17 @@ def _run_local(
         cache=cache,
         fail_fast=fail_fast,
     )
+    ledger = runner.ledger
     try:
-        return runner.run()
+        outcomes = runner.run()
     finally:
         # Also on an interrupt or a fail-fast raise: fold completed
         # runs' telemetry (in spec order) so the sink -- and the
         # journal, already fsync'd per outcome -- reflect every
         # finished spec before the exception propagates.
-        runner.fold_telemetry()
-        runner.close()
+        ledger.close(stop=runner.failed_at)
+    ledger.raise_if_strict()
+    return outcomes
 
 
 class _OutcomeRunner:
@@ -953,6 +898,9 @@ class _OutcomeRunner:
     workers), and :func:`execute_payloads` for one shard-worker
     attempt.  ``telemetry_config`` overrides the run-local telemetry
     derived from ``sink`` (the shard worker has no sink of its own).
+    Outcomes, the journal, the cache and the telemetry fold belong to
+    its :class:`~repro.sim.ledger.SweepLedger`; the runner only
+    decides what runs where, and when a failure retries.
     """
 
     def __init__(
@@ -971,10 +919,7 @@ class _OutcomeRunner:
         self.sink = sink
         self.options = options
         self.batch = batch
-        #: The cross-sweep result cache, or None (see resolve_cache).
-        self.cache = resolve_cache(cache)
-        #: Per-spec cache keys, computed only when the cache is on.
-        self._cache_keys: list[str | None] = [None] * len(specs)
+        self.ledger = SweepLedger(specs, sink, options, resolve_cache(cache))
         #: Per-spec lane-compatibility keys (None = never batch).
         self._batch_keys = (
             [batch_compatibility_key(spec) for spec in specs]
@@ -998,159 +943,13 @@ class _OutcomeRunner:
             fail_fast
             and jobs <= 1
             and batch <= 1
-            and self.cache is None
+            and self.ledger.cache is None
             and sink.enabled
         )
         #: Fail-fast: the failing spec's index; folding stops before it.
-        self._failed_at: int | None = None
-        n = len(specs)
-        self.outcomes: list[SpecOutcome | None] = [None] * n
-        #: Worker-local telemetry of live successful runs, by index.
-        self._locals: list[Telemetry | None] = [None] * n
-        #: Journaled telemetry payloads of resumed outcomes, by index.
-        self._saved_payloads: list[dict | None] = [None] * n
-        self._journal: CheckpointJournal | None = None
-        self._fingerprints: list[str | None] = [None] * n
-        self._folded = False
-
-    # -- checkpoint and cache plumbing ---------------------------------------
-    def _open_journal(self) -> deque:
-        """Resolve resumed and cached specs; queue of (index, attempt).
-
-        Checkpoint resume wins over the cache (both replay the same
-        codec payloads, but the journal is this sweep's own authority);
-        a resumed entry also warms the cache, so a later sweep without
-        the journal still hits.  Cache hits are pre-settled here
-        exactly like resumed outcomes -- and journaled, so a
-        ``--resume`` of an interrupted warm sweep works -- which is
-        what keeps them out of every execution path (no pool slot, no
-        batch lane, no shard lease).
-        """
-        options = self.options
-        queue: deque = deque()
-        saved: dict[str, list[dict]] = {}
-        if options.checkpoint_path is not None:
-            self._fingerprints = [
-                spec_fingerprint(spec) for spec in self.specs
-            ]
-            if options.resume:
-                saved = load_checkpoint(options.checkpoint_path)
-            self._journal = CheckpointJournal.open(
-                options.checkpoint_path, resume=options.resume
-            )
-        if self.cache is not None:
-            from repro.sim.cache import cache_key
-
-            self._cache_keys = [cache_key(spec) for spec in self.specs]
-        resumed = 0
-        cached = 0
-        for index, spec in enumerate(self.specs):
-            entries = saved.get(self._fingerprints[index] or "")
-            if entries:
-                entry = entries.pop(0)
-                self.outcomes[index] = SpecOutcome(
-                    spec=spec,
-                    index=index,
-                    result=result_from_dict(entry["result"]),
-                    attempts=entry.get("attempts", 1),
-                    from_checkpoint=True,
-                )
-                self._saved_payloads[index] = entry.get("telemetry")
-                resumed += 1
-                if self.cache is not None:
-                    self.cache.store_payload(
-                        self._cache_keys[index],
-                        spec,
-                        entry["result"],
-                        entry.get("telemetry"),
-                        attempts=entry.get("attempts", 1),
-                        fingerprint=self._fingerprints[index],
-                    )
-                continue
-            if self.cache is not None:
-                entry = self.cache.lookup(
-                    self._cache_keys[index],
-                    need_telemetry=self.sink.enabled,
-                )
-                if entry is not None:
-                    self.outcomes[index] = SpecOutcome(
-                        spec=spec,
-                        index=index,
-                        result=result_from_dict(entry["result"]),
-                        attempts=entry.get("attempts", 1),
-                        from_cache=True,
-                    )
-                    self._saved_payloads[index] = entry.get("telemetry")
-                    cached += 1
-                    if self._journal is not None:
-                        self._journal.append_payload(
-                            self._fingerprints[index],
-                            spec,
-                            entry.get("attempts", 1),
-                            entry["result"],
-                            entry.get("telemetry"),
-                        )
-                    continue
-            queue.append((index, 0))
-        if resumed and self.sink.enabled:
-            self.sink.event(
-                "sweep.resume",
-                -1,
-                f"resumed {resumed} of {len(self.specs)} specs "
-                f"from checkpoint",
-                resumed=resumed,
-                total=len(self.specs),
-                path=str(options.checkpoint_path),
-            )
-        if cached and self.sink.enabled:
-            self.sink.event(
-                "cache.hit",
-                -1,
-                f"result cache replayed {cached} of {len(self.specs)} "
-                f"specs ({len(queue)} executed)",
-                hits=cached,
-                misses=len(queue),
-                total=len(self.specs),
-                path=str(self.cache.directory),
-            )
-        return queue
-
-    def close(self) -> None:
-        """Close the journal; flush cache bookkeeping (idempotent)."""
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
-        if self.cache is not None:
-            self.cache.flush()
+        self.failed_at: int | None = None
 
     # -- outcome bookkeeping -------------------------------------------------
-    def _finish_success(
-        self, index: int, attempt: int, result: RunResult, local
-    ) -> None:
-        self.outcomes[index] = SpecOutcome(
-            spec=self.specs[index],
-            index=index,
-            result=result,
-            attempts=attempt + 1,
-        )
-        self._locals[index] = local
-        if self._journal is not None:
-            self._journal.append_outcome(
-                self._fingerprints[index],
-                self.specs[index],
-                attempt + 1,
-                result,
-                local,
-            )
-        if self.cache is not None:
-            self.cache.store(
-                self._cache_keys[index],
-                self.specs[index],
-                result,
-                local,
-                attempts=attempt + 1,
-            )
-
     def _register_failure(
         self,
         index: int,
@@ -1167,52 +966,23 @@ class _OutcomeRunner:
         (the spec's own exception) when there is one, else a
         :class:`~repro.errors.SweepError` naming the spec.
         """
-        spec = self.specs[index]
-        retry = self.options.retry
-        if attempt < retry.max_retries:
-            if self.sink.enabled:
-                self.sink.event(
-                    "sweep.retry",
-                    index,
-                    f"{spec.benchmark}/{spec.policy} attempt "
-                    f"{attempt + 1} failed ({kind}); retrying",
-                    failure_kind=kind,
-                    attempt=attempt + 1,
-                    exc_type=exc_type,
-                )
-            delay = retry.delay(attempt + 1)
+        delay = self.ledger.charge_failure(
+            index, attempt, kind, exc_type, message, traceback
+        )
+        if delay is not None:
             if delay > 0:
                 time.sleep(delay)
             return True
-        self.outcomes[index] = SpecOutcome(
-            spec=spec,
-            index=index,
-            error=SpecFailure(
-                kind=kind,
-                exc_type=exc_type,
-                message=message,
-                traceback=traceback,
-            ),
-            attempts=attempt + 1,
-        )
-        if self.sink.enabled:
-            self.sink.event(
-                "sweep.spec_failed",
-                index,
-                f"{spec.benchmark}/{spec.policy} failed permanently "
-                f"after {attempt + 1} attempt(s) ({kind})",
-                failure_kind=kind,
-                attempts=attempt + 1,
-                exc_type=exc_type,
-            )
         if self.fail_fast:
-            self._failed_at = index
+            self.failed_at = index
             if error is not None:
                 raise error
+            spec = self.specs[index]
+            outcome = self.ledger.outcomes[index]
             raise SweepError(
                 f"{spec.benchmark}/{spec.policy}[seed={spec.seed}] "
-                f"failed: {self.outcomes[index].error}",
-                [self.outcomes[index]],
+                f"failed: {outcome.error}",
+                [outcome],
             )
         return False
 
@@ -1232,7 +1002,7 @@ class _OutcomeRunner:
 
     # -- execution -----------------------------------------------------------
     def run(self) -> list[SpecOutcome]:
-        queue = self._open_journal()
+        queue = deque((index, 0) for index in self.ledger.open())
         if queue:
             # Timeouts are only enforceable on a pool (a hung in-process
             # spec cannot be preempted), so jobs=1 with a timeout runs
@@ -1241,7 +1011,7 @@ class _OutcomeRunner:
                 self._run_serial(queue)
             else:
                 self._run_pool(queue)
-        return [outcome for outcome in self.outcomes]  # all filled now
+        return list(self.ledger.outcomes)  # all filled now
 
     def _next_group(self, queue: deque) -> list[tuple[int, int]]:
         """Pop the leading lane group: compatible consecutive specs.
@@ -1279,12 +1049,12 @@ class _OutcomeRunner:
         if len(lanes) == 1:
             index, attempt = lanes[0]
             result, local = payload
-            self._finish_success(index, attempt, result, local)
+            self.ledger.settle_success(index, attempt + 1, result, local)
             return
         for (index, attempt), item in zip(lanes, payload):
             if item[0] == "ok":
                 _, result, local = item
-                self._finish_success(index, attempt, result, local)
+                self.ledger.settle_success(index, attempt + 1, result, local)
                 continue
             _, exc_type, message, tb, error = item
             if self._register_failure(
@@ -1305,8 +1075,8 @@ class _OutcomeRunner:
                     lanes, outcomes, locals_
                 ):
                     if outcome.error is None:
-                        self._finish_success(
-                            index, attempt, outcome.result, local
+                        self.ledger.settle_success(
+                            index, attempt + 1, outcome.result, local
                         )
                     elif self._register_error(index, attempt, outcome.error):
                         queue.append((index, attempt + 1))
@@ -1321,7 +1091,7 @@ class _OutcomeRunner:
                 if self._register_error(index, attempt, error):
                     queue.append((index, attempt + 1))
             else:
-                self._finish_success(index, attempt, result, local)
+                self.ledger.settle_success(index, attempt + 1, result, local)
 
     def _harvest_in_flight(self, in_flight: deque) -> list[tuple[int, int]]:
         """After a pool death: settle finished futures, list the lost.
@@ -1614,30 +1384,3 @@ class _OutcomeRunner:
                 remaining=len(remaining),
             )
         self._run_serial(remaining)
-
-    # -- telemetry folding ---------------------------------------------------
-    def fold_telemetry(self) -> None:
-        """Fold completed runs' telemetry into the sink, in spec order.
-
-        Deferred to the end of the sweep (idempotent; also called on
-        KeyboardInterrupt): retries and crash re-runs complete out of
-        spec order, and only a strict in-spec-order fold reproduces the
-        serial emit sequence the decimation/parity guarantees rest on.
-        Failed specs contribute nothing -- a half-run's telemetry would
-        poison determinism.
-        """
-        if self._folded or not self.sink.enabled:
-            return
-        self._folded = True
-        stop = len(self.specs) if self._failed_at is None else self._failed_at
-        for index in range(stop):
-            outcome = self.outcomes[index]
-            if outcome is None or outcome.error is not None:
-                continue
-            if outcome.from_checkpoint or outcome.from_cache:
-                fold_saved_telemetry(self.sink, self._saved_payloads[index])
-            elif self._locals[index] is not None:
-                merge_telemetry(self.sink, self._locals[index])
-        if self.specs:
-            last = self.specs[-1]
-            self.sink.set_context(last.benchmark, last.policy)
