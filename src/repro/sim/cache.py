@@ -43,20 +43,16 @@ and the entry upgrades in place).
 Durability and concurrency
 --------------------------
 
-The store is an append-only, fsync'd JSONL log (``cache.log``) plus an
-in-memory index, under ``~/.cache/repro`` by default.  Writers follow
-the same flock/tempfile/``os.replace`` discipline as
-``benchmarks/_receipt.py``: every append happens under an exclusive
-``fcntl`` lock on a sibling ``cache.lock``, so concurrent sweeps never
-interleave partial lines, and GC publishes its compacted log
-atomically.  A crash mid-append leaves at most one torn final line,
-which readers skip and the next locked writer truncates
-(:func:`~repro.sim.checkpoint.truncate_partial_tail`, which reads only
-the log's tail).  A store is one ``json.dumps`` (numpy scalars through
-the :func:`~repro.sim.codec.json_default` hook) and one fsync'd
-append; the writer, having scanned to EOF under the lock, indexes its
-own line from the offset and length it wrote rather than re-reading
-it.
+The store is a ``repro.cache/v1``
+:class:`~repro.sim.checkpoint.AppendLog` (``cache.log``: schema header,
+fsync'd appends, torn-tail rule, line walker) plus an in-memory index,
+under ``~/.cache/repro`` by default.  Every append happens under an
+exclusive ``fcntl`` lock on a sibling ``cache.lock``, so concurrent
+sweeps never interleave partial lines, and GC publishes its compacted
+log atomically (:meth:`~repro.sim.checkpoint.AppendLog.replace`).  A
+store is one encode and one fsync'd append; the writer, having scanned
+to EOF under the lock, indexes its own line from the offset and length
+it wrote rather than re-reading it.
 
 Opening a store is one streamed pass over line boundaries.  An entry
 line in the writer's own layout (``{"type": "entry", "key": "<24 hex>",
@@ -81,21 +77,15 @@ across every process that ever used the store.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import re
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
 from repro.errors import CacheError
-from repro.sim.checkpoint import spec_fingerprint, truncate_partial_tail
-from repro.sim.codec import (
-    json_default,
-    result_to_dict,
-    telemetry_to_dict,
-)
+from repro.sim.checkpoint import AppendLog, spec_fingerprint
+from repro.sim.codec import result_to_dict, telemetry_to_dict
 from repro.telemetry.metrics import MetricsRegistry
 
 try:  # pragma: no cover - always present on the POSIX CI runners
@@ -202,15 +192,6 @@ def cache_key(spec, kernel_version: str | None = None) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
 
 
-def _log_lines(raw: bytes) -> list[bytes]:
-    """``raw`` cut after each ``\\n`` only, as the open scan reads it.
-
-    ``bytes.splitlines`` would also cut at a ``\\r`` inside a damaged
-    line, turning one bad line into several.
-    """
-    return io.BytesIO(raw).readlines()
-
-
 class ResultCache:
     """One directory-backed result store: append-log + index + GC.
 
@@ -234,7 +215,7 @@ class ResultCache:
                 f"max_bytes must be a positive int, got {max_bytes!r}"
             )
         self.max_bytes = max_bytes
-        self._log_path = self.directory / "cache.log"
+        self._log = AppendLog(self.directory / "cache.log", CACHE_SCHEMA)
         self._lock_path = self.directory / "cache.lock"
         #: key -> (byte offset, line length, has_telemetry); latest
         #: entry line per key wins, matching the append-log semantics.
@@ -265,7 +246,7 @@ class ResultCache:
         """Fold any newly appended complete log lines into the index."""
         if self._read_handle is not None:
             try:
-                stat = os.stat(self._log_path)
+                stat = os.stat(self._log.path)
             except FileNotFoundError:
                 self._reset_view()
                 return
@@ -275,21 +256,16 @@ class ResultCache:
                 self._reset_view()
         if self._read_handle is None:
             try:
-                self._read_handle = open(self._log_path, "rb")
+                self._read_handle = open(self._log.path, "rb")
             except FileNotFoundError:
                 return
             self._log_ino = os.fstat(self._read_handle.fileno()).st_ino
         size = os.fstat(self._read_handle.fileno()).st_size
         if size <= self._scan_pos:
             return
-        self._read_handle.seek(self._scan_pos)
-        position = self._scan_pos
-        for raw in self._read_handle:
-            if not raw.endswith(b"\n"):
-                break  # torn tail: a writer was killed mid-append
-            self._consume_line(raw, position)
-            position += len(raw)
-        self._scan_pos = position
+        for offset, raw in AppendLog.lines(self._read_handle, self._scan_pos):
+            self._consume_line(raw, offset)
+            self._scan_pos = offset + len(raw)
 
     def _consume_line(self, raw: bytes, offset: int) -> None:
         writer_entry = _WRITER_ENTRY.match(raw)
@@ -329,7 +305,7 @@ class ResultCache:
             schema = data.get("schema")
             if schema != CACHE_SCHEMA:
                 raise CacheError(
-                    f"{self._log_path}: store schema {schema!r} is not "
+                    f"{self._log.path}: store schema {schema!r} is not "
                     f"{CACHE_SCHEMA!r}; point --cache at a fresh directory"
                 )
         elif kind != "touch":
@@ -403,30 +379,8 @@ class ResultCache:
             handle.close()
 
     def _write_lines_locked(self, lines: list[dict], fsync: bool) -> list[int]:
-        """Append ``lines`` to the log; return each line's byte length."""
-        encoded = [
-            (json.dumps(data, default=json_default) + "\n").encode("utf-8")
-            for data in lines
-        ]
-        with open(self._log_path, "ab") as handle:
-            for raw in encoded:
-                handle.write(raw)
-            handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
-        return [len(raw) for raw in encoded]
-
-    def _prepare_log_locked(self) -> None:
-        """Header + torn-tail hygiene; caller holds the flock."""
-        if (
-            not self._log_path.exists()
-            or self._log_path.stat().st_size == 0
-        ):
-            self._write_lines_locked(
-                [{"type": "header", "schema": CACHE_SCHEMA}], fsync=True
-            )
-        else:
-            truncate_partial_tail(self._log_path)
+        """Append ``lines`` (always fsync'd); return each line's byte length."""
+        return self._log.append(lines)
 
     def store(
         self, key: str, spec, result, local_telemetry=None, attempts: int = 1
@@ -468,7 +422,7 @@ class ResultCache:
         if not fresh_needed():
             return False
         with self._locked():
-            self._prepare_log_locked()
+            self._log.prepare()
             self._refresh()
             if not fresh_needed():
                 return False
@@ -524,14 +478,14 @@ class ResultCache:
             lines.append({"type": "counters", **deltas})
         if lines:
             with self._locked():
-                self._prepare_log_locked()
+                self._log.prepare()
                 self._write_lines_locked(lines, fsync=True)
             self._touched.clear()
             # The persisted line is re-read by the next _refresh; only
             # the unflushed deltas reset here, so totals never double.
             self._session = dict.fromkeys(_COUNTERS, 0)
         try:
-            size = self._log_path.stat().st_size
+            size = self._log.path.stat().st_size
         except OSError:
             return
         if size > self.max_bytes:
@@ -568,36 +522,32 @@ class ResultCache:
                 f"gc budget must be a non-negative int, got {budget!r}"
             )
         with self._locked():
-            try:
-                raw = self._log_path.read_bytes()
-            except FileNotFoundError:
-                raw = b""
+            self._log.prepare()
             entries: dict[str, bytes] = {}
             last_use: dict[str, int] = {}
             totals = dict.fromkeys(_COUNTERS, 0)
-            for position, line in enumerate(_log_lines(raw)):
-                if not line.endswith(b"\n"):
-                    break
-                try:
-                    data = json.loads(line)
-                except ValueError:
-                    continue
-                if not isinstance(data, dict):
-                    continue
-                kind = data.get("type")
-                key = data.get("key")
-                if kind == "entry" and isinstance(key, str):
-                    if isinstance(data.get("result"), dict):
-                        entries[key] = line
-                        last_use[key] = position
-                elif kind == "touch" and isinstance(key, str):
-                    if key in entries:
-                        last_use[key] = position
-                elif kind == "counters":
-                    for name in _COUNTERS:
-                        value = data.get(name, 0)
-                        if isinstance(value, (int, float)):
-                            totals[name] += int(value)
+            with open(self._log.path, "rb") as handle:
+                for offset, line in AppendLog.lines(handle):
+                    try:
+                        data = json.loads(line)
+                    except ValueError:
+                        continue
+                    if not isinstance(data, dict):
+                        continue
+                    kind = data.get("type")
+                    key = data.get("key")
+                    if kind == "entry" and isinstance(key, str):
+                        if isinstance(data.get("result"), dict):
+                            entries[key] = line
+                            last_use[key] = offset
+                    elif kind == "touch" and isinstance(key, str):
+                        if key in entries:
+                            last_use[key] = offset
+                    elif kind == "counters":
+                        for name in _COUNTERS:
+                            value = data.get(name, 0)
+                            if isinstance(value, (int, float)):
+                                totals[name] += int(value)
             ordered = sorted(entries, key=lambda k: last_use[k])
             payload_bytes = sum(len(entries[key]) for key in ordered)
             evicted = 0
@@ -606,33 +556,10 @@ class ResultCache:
                 payload_bytes -= len(entries.pop(victim))
                 evicted += 1
             totals["evictions"] += evicted
-            fd, temp_path = tempfile.mkstemp(
-                prefix="cache.log.", suffix=".tmp", dir=self.directory
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    header = {"type": "header", "schema": CACHE_SCHEMA}
-                    handle.write(
-                        (json.dumps(header) + "\n").encode("utf-8")
-                    )
-                    for key in ordered:
-                        handle.write(entries[key])
-                    if any(totals.values()):
-                        handle.write(
-                            (
-                                json.dumps({"type": "counters", **totals})
-                                + "\n"
-                            ).encode("utf-8")
-                        )
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(temp_path, self._log_path)
-            except BaseException:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
+            kept = [entries[key] for key in ordered]
+            if any(totals.values()):
+                kept.append(AppendLog.encode({"type": "counters", **totals}))
+            self._log.replace(kept)
         if evicted:
             # The compacted counters line already persists the eviction
             # total; only the live registry needs the increment (going
@@ -643,7 +570,7 @@ class ResultCache:
         return {
             "kept": len(ordered),
             "evicted": evicted,
-            "bytes": self._log_path.stat().st_size,
+            "bytes": self._log.path.stat().st_size,
         }
 
     # -- diagnostics ---------------------------------------------------------
@@ -663,7 +590,7 @@ class ResultCache:
         """
         self._refresh()
         try:
-            size = self._log_path.stat().st_size
+            size = self._log.path.stat().st_size
         except OSError:
             size = 0
         return {
@@ -689,7 +616,7 @@ class ResultCache:
         verifies clean as empty).
         """
         report = {
-            "path": str(self._log_path),
+            "path": str(self._log.path),
             "schema_ok": True,
             "entries": 0,
             "touches": 0,
@@ -701,16 +628,15 @@ class ResultCache:
             "errors": [],
         }
         try:
-            raw = self._log_path.read_bytes()
+            handle = open(self._log.path, "rb")
         except FileNotFoundError:
             return report
         from repro.sim.codec import result_from_dict
 
-        report["bytes"] = len(raw)
-        lines = _log_lines(raw)
-        if lines and not lines[-1].endswith(b"\n"):
-            report["torn_tail"] = True
-            lines = lines[:-1]
+        with handle:
+            report["bytes"] = os.fstat(handle.fileno()).st_size
+            lines = [line for _, line in AppendLog.lines(handle)]
+        report["torn_tail"] = sum(map(len, lines)) < report["bytes"]
         header_seen = False
         for number, line in enumerate(lines, start=1):
             try:

@@ -5,16 +5,18 @@ killed at any instant -- a worker ``os._exit``, an OOM kill, a Ctrl-C,
 a machine reboot.  This module persists every *completed* spec so a
 restarted sweep re-runs only the incomplete ones:
 
-* :class:`CheckpointJournal` -- an append-only JSONL file.  Line 1 is a
-  schema header (``repro.sweep/v1``); every further line is one
-  completed spec: its order-independent fingerprint, attempt count, the
-  full :class:`~repro.sim.results.RunResult` (history included), and
-  the run's worker-local telemetry (retained records, events, metrics,
-  meta).  Each line is flushed and ``fsync``'d before the outcome is
-  reported upward, so the journal never claims work the disk has not
-  seen.  A crash mid-write leaves at most one truncated final line,
-  which both the loader and the append path tolerate (the partial line
-  is discarded; that spec simply re-runs).
+* :class:`AppendLog` -- the append-only JSON-lines format this journal
+  and the result cache (:mod:`repro.sim.cache`) are both written in:
+  a schema header, fsync'd appends, the torn-tail rule and the one
+  line walker.
+* :class:`CheckpointJournal` -- the ``repro.sweep/v1`` log.  After the
+  header, every line is one completed spec: its order-independent
+  fingerprint, attempt count, the full
+  :class:`~repro.sim.results.RunResult` (history included), and the
+  run's worker-local telemetry (retained records, events, metrics,
+  meta).  Each line is on disk before the outcome is reported upward,
+  so the journal never claims work the disk has not seen; a torn final
+  line left by a crash is discarded and that spec simply re-runs.
 * :func:`spec_fingerprint` -- a canonical content hash of a
   :class:`~repro.sim.parallel.WorkSpec` (names, frozen configs, fault
   schedules...), stable across processes and sessions.  Resume matches
@@ -41,8 +43,9 @@ import enum
 import hashlib
 import json
 import os
+import stat
+import tempfile
 from pathlib import Path
-from typing import IO
 
 import numpy as np
 
@@ -123,6 +126,7 @@ def spec_fingerprint(spec) -> str:
 # the journal format is defined in their terms.
 __all__ = [
     "SWEEP_SCHEMA",
+    "AppendLog",
     "CheckpointJournal",
     "fold_saved_telemetry",
     "history_from_dict",
@@ -138,14 +142,14 @@ __all__ = [
 
 # -- the journal --------------------------------------------------------------
 class CheckpointJournal:
-    """Append-only, fsync'd JSONL journal of completed sweep specs.
+    """The ``repro.sweep/v1`` journal of completed sweep specs.
 
     Use :meth:`open` (fresh or resuming) rather than the constructor.
     """
 
-    def __init__(self, path: str | Path, handle: IO[str]) -> None:
-        self.path = Path(path)
-        self._handle = handle
+    def __init__(self, log: AppendLog) -> None:
+        self.path = log.path
+        self._log = log
 
     # -- writing -------------------------------------------------------------
     @classmethod
@@ -155,36 +159,16 @@ class CheckpointJournal:
         """Open a journal for appending.
 
         ``resume=False`` starts fresh (an existing file is replaced);
-        ``resume=True`` keeps existing outcomes, first truncating any
-        partial final line a crash may have left.  Either way the
-        header is guaranteed to be present afterwards.
+        ``resume=True`` keeps existing outcomes, first cutting any torn
+        tail a crash may have left.  Either way the header is guaranteed
+        to be present afterwards.
         """
-        path = Path(path)
-        if resume and path.exists():
-            truncate_partial_tail(path)
-            handle = path.open("a", encoding="utf-8")
-            journal = cls(path, handle)
-            if path.stat().st_size == 0:
-                journal._write_line({"type": "header", "schema": SWEEP_SCHEMA})
-            return journal
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle = path.open("w", encoding="utf-8")
-        journal = cls(path, handle)
-        journal._write_line({"type": "header", "schema": SWEEP_SCHEMA})
-        return journal
-
-    def _write_line(self, data: dict) -> None:
-        try:
-            line = json.dumps(data, default=json_default)
-        except (TypeError, ValueError) as error:
-            raise CheckpointError(
-                f"checkpoint entry is not JSON-serializable: {error}"
-            ) from error
-        self._handle.write(line + "\n")
-        # Durability before acknowledgement: the orchestrator reports a
-        # spec complete only after its journal line is on disk.
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        log = AppendLog(path, SWEEP_SCHEMA)
+        log.path.parent.mkdir(parents=True, exist_ok=True)
+        if not resume:
+            open(log.path, "wb").close()
+        log.prepare()
+        return cls(log)
 
     def append_outcome(
         self,
@@ -217,23 +201,25 @@ class CheckpointJournal:
         and journals them verbatim -- re-decoding and re-encoding would
         only risk drift, since the worker already used the same codec.
         """
-        self._write_line(
-            {
-                "type": "outcome",
-                "fingerprint": fingerprint,
-                "benchmark": spec.benchmark,
-                "policy": spec.policy,
-                "seed": spec.seed,
-                "attempts": attempts,
-                "result": result_payload,
-                "telemetry": telemetry_payload,
-            }
-        )
+        record = {
+            "type": "outcome",
+            "fingerprint": fingerprint,
+            "benchmark": spec.benchmark,
+            "policy": spec.policy,
+            "seed": spec.seed,
+            "attempts": attempts,
+            "result": result_payload,
+            "telemetry": telemetry_payload,
+        }
+        try:
+            self._log.append([record])
+        except (TypeError, ValueError) as error:
+            raise CheckpointError(
+                f"checkpoint entry is not JSON-serializable: {error}"
+            ) from error
 
     def close(self) -> None:
-        """Close the underlying file handle."""
-        if not self._handle.closed:
-            self._handle.close()
+        """Nothing to release: each append opens and closes the log."""
 
     def __enter__(self) -> "CheckpointJournal":
         return self
@@ -242,19 +228,16 @@ class CheckpointJournal:
         self.close()
 
 
+# -- the append log -----------------------------------------------------------
 #: Block size of :func:`truncate_partial_tail`'s backward newline scan.
 _TAIL_BLOCK = 64 * 1024
 
 
 def truncate_partial_tail(path: Path) -> None:
-    """Drop a truncated final line left by a crash mid-append.
+    """Cut the torn tail (the bytes after the last newline) off a log.
 
-    Shared by the checkpoint journal and the cross-sweep result cache
-    (:mod:`repro.sim.cache`): both are append-only JSONL logs with the
-    same crash contract -- a kill mid-write leaves at most one partial
-    final line, which the next writer cuts before appending.  Complete
-    lines are never touched, so byte offsets held by concurrent readers
-    of the same file stay valid.
+    Complete lines are never touched, so byte offsets held by concurrent
+    readers of the same file stay valid.
 
     Reads only the tail: the last byte, and only when that is not a
     newline, backwards in :data:`_TAIL_BLOCK`-sized blocks to the last
@@ -280,23 +263,110 @@ def truncate_partial_tail(path: Path) -> None:
     os.truncate(path, cut)
 
 
+class AppendLog:
+    """The JSON-lines format of the sweep journal and the result store.
+
+    Line 1 is the schema header; every line ends at ``\\n`` and only
+    there, whatever bytes (``\\r``, non-UTF-8) it holds.  Appends are
+    ``fsync``'d before they return, so a caller acknowledges only work
+    the disk has seen.  A crash mid-append leaves at most one *torn
+    tail*, the bytes after the last ``\\n``, which :meth:`lines` never
+    yields and :meth:`prepare` cuts.  A complete line that does not
+    parse is corruption wherever it sits, for the reader to reject (the
+    journal) or skip (the cache).  The log takes no lock: the journal
+    has one writer, and the cache serializes its writers under a flock.
+    """
+
+    def __init__(self, path: str | Path, schema: str) -> None:
+        self.path = Path(path)
+        self._header = {"type": "header", "schema": schema}
+
+    @staticmethod
+    def encode(record: dict) -> bytes:
+        """One record as a log line (numpy scalars via ``json_default``)."""
+        line = json.dumps(record, default=json_default) + "\n"
+        return line.encode("utf-8")
+
+    def prepare(self) -> None:
+        """Cut a torn tail (even a torn header); add a header if empty."""
+        try:
+            truncate_partial_tail(self.path)
+            empty = self.path.stat().st_size == 0
+        except FileNotFoundError:
+            empty = True
+        if empty:
+            self.append([self._header])
+
+    def append(self, records: list[dict]) -> list[int]:
+        """Append ``records`` as lines; return each line's byte length.
+
+        A record that does not encode raises before any byte is written.
+        """
+        encoded = [self.encode(record) for record in records]
+        with open(self.path, "ab") as handle:
+            handle.writelines(encoded)
+            handle.flush()
+            os.fsync(handle.fileno())
+        return [len(raw) for raw in encoded]
+
+    @staticmethod
+    def lines(handle, start: int = 0):
+        """``(offset, raw)`` for each complete line of a log opened ``"rb"``.
+
+        ``start`` must be a line boundary.  Binary iteration cuts at
+        ``\\n`` only, where ``bytes.splitlines`` would also cut at a
+        ``\\r`` inside a damaged line.
+        """
+        handle.seek(start)
+        offset = start
+        for raw in handle:
+            if not raw.endswith(b"\n"):
+                return
+            yield offset, raw
+            offset += len(raw)
+
+    def replace(self, raw_lines) -> None:
+        """Publish the header plus encoded ``raw_lines`` atomically.
+
+        Tempfile, fsync, ``os.replace``: readers see the old log or the
+        new one, never a mix.  The new log keeps the old one's mode,
+        not ``mkstemp``'s 0600.
+        """
+        mode = stat.S_IMODE(self.path.stat().st_mode)
+        fd, temp_path = tempfile.mkstemp(
+            prefix=f"{self.path.name}.", suffix=".tmp", dir=self.path.parent
+        )
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(self.encode(self._header))
+                handle.writelines(raw_lines)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.chmod(temp_path, mode)
+            os.replace(temp_path, self.path)
+        except BaseException:
+            try:
+                os.unlink(temp_path)
+            except OSError:
+                pass
+            raise
+
+
 def load_checkpoint(path: str | Path) -> dict[str, list[dict]]:
     """Saved outcomes of a journal, keyed by fingerprint (a multiset).
 
     Returns ``{fingerprint: [entry, ...]}`` in journal order; resume
     pops one entry per matching spec.  A missing file is an empty
-    checkpoint.  A truncated final line (crash mid-write) is discarded;
-    corruption anywhere else, or a schema mismatch, raises
-    :class:`CheckpointError`.
+    checkpoint.  The torn tail (crash mid-write) is discarded; a
+    complete line that does not parse, anywhere, or a schema mismatch
+    raises :class:`CheckpointError`.
     """
     path = Path(path)
     if not path.exists():
         return {}
     saved: dict[str, list[dict]] = {}
-    # ``newline="\n"``: lines end at ``\n`` only, so a ``\r`` inside a
-    # torn final line leaves it the torn tail, not mid-file corruption.
-    with path.open("r", encoding="utf-8", newline="\n") as handle:
-        lines = handle.readlines()
+    with path.open("rb") as handle:
+        lines = [line for _, line in AppendLog.lines(handle)]
     header_seen = False
     for number, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -304,9 +374,7 @@ def load_checkpoint(path: str | Path) -> dict[str, list[dict]]:
             continue
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError as error:
-            if number == len(lines):
-                break  # crash-truncated tail: that spec just re-runs
+        except ValueError as error:  # bad JSON or bad UTF-8
             raise CheckpointError(
                 f"{path}:{number}: corrupt journal line ({error})"
             ) from error
