@@ -105,7 +105,7 @@ class CacheError(ReproError):
 
     Covers an invalid cache directory (relative, uncreatable, or not
     writable), a store whose schema header does not match
-    ``repro.cache/v1``, and entries that fail to decode during an
+    ``repro.cache/v2``, and entries that fail to decode during an
     explicit ``verify``.  Ordinary lookups never raise: a corrupt or
     torn entry is simply a miss, because a cache that can abort the
     sweep it is meant to accelerate would be worse than no cache.

@@ -26,7 +26,7 @@ reclaimed by GC.
 Replay parity
 -------------
 
-A cache entry stores the same codec payloads the ``repro.sweep/v1``
+A cache entry stores the same codec payloads the ``repro.sweep/v2``
 checkpoint journal stores: the encoded
 :class:`~repro.sim.results.RunResult` plus the run's retain-everything
 worker telemetry.  A hit therefore replays the result bit-identically
@@ -43,7 +43,7 @@ and the entry upgrades in place).
 Durability and concurrency
 --------------------------
 
-The store is a ``repro.cache/v1``
+The store is a ``repro.cache/v2``
 :class:`~repro.sim.checkpoint.AppendLog` (``cache.log``: schema header,
 fsync'd appends, torn-tail rule, line walker) plus an in-memory index,
 under ``~/.cache/repro`` by default.  Every append happens under an
@@ -60,9 +60,11 @@ line in the writer's own layout (``{"type": "entry", "key": "<24 hex>",
 prefix and suffix without being parsed; every other line -- header,
 touch, counters, hand-edited or foreign -- is parsed and checked as it
 is scanned.  A hit parses its own line once and validates the body
-there.  So a corrupt line is counted when the scan meets it, or, for
-damage inside an entry's body, when a lookup first reads it; either
-way it is skipped (the lookup misses and the spec re-runs) and
+there: the result must decode and the telemetry must pass
+:func:`~repro.sim.codec.check_saved_telemetry` (a structural check; the
+trace block itself is decoded once, by the fold).  So a corrupt line
+is counted when the scan meets it, or, for damage inside an entry's
+body, when a lookup first reads it; either way it is skipped (the lookup misses and the spec re-runs) and
 reclaimed by the next GC -- a cache that could abort the sweep it
 accelerates would be worse than none.
 
@@ -85,7 +87,12 @@ from pathlib import Path
 
 from repro.errors import CacheError
 from repro.sim.checkpoint import AppendLog, spec_fingerprint
-from repro.sim.codec import result_to_dict, telemetry_to_dict
+from repro.sim.codec import (
+    check_saved_telemetry,
+    result_from_dict,
+    result_to_dict,
+    telemetry_to_dict,
+)
 from repro.telemetry.metrics import MetricsRegistry
 
 try:  # pragma: no cover - always present on the POSIX CI runners
@@ -99,7 +106,7 @@ import hashlib
 #: bumped on any change to the entry layout.  Entries written under a
 #: different schema never match a lookup, so a format change invalidates
 #: the store without a migration step.
-CACHE_SCHEMA = "repro.cache/v1"
+CACHE_SCHEMA = "repro.cache/v2"
 
 #: Default store location (``--cache`` with no directory, and the
 #: ``REPRO_CACHE`` environment variable's conventional value).
@@ -132,6 +139,16 @@ _NO_TELEMETRY_END = b', "telemetry": null}\n'
 def cache_metrics() -> MetricsRegistry:
     """The shared registry cache counters are recorded on."""
     return _METRICS
+
+
+def _entry_body_error(entry: dict) -> str | None:
+    """Why an entry's result or telemetry would not replay, or ``None``."""
+    try:
+        result_from_dict(entry["result"])
+        check_saved_telemetry(entry.get("telemetry"))
+    except Exception as error:
+        return f"{type(error).__name__}: {error}"
+    return None
 
 
 def resolve_cache_dir(directory) -> Path:
@@ -314,10 +331,11 @@ class ResultCache:
     def _read_entry(self, key: str) -> dict | None:
         """Parse and check ``key``'s indexed line; drop it if damaged.
 
-        A line that is not a well-formed entry for ``key``, or whose
-        telemetry presence disagrees with the index, counts once as
-        corrupt and leaves the index, so the lookup misses and the spec
-        re-runs and re-stores.
+        A line that is not a well-formed entry for ``key``, whose
+        telemetry presence disagrees with the index, whose result does
+        not decode or whose telemetry the fold could not read counts
+        once as corrupt and leaves the index, so the lookup misses and
+        the spec re-runs and re-stores.
         """
         offset, length, has_telemetry = self._index[key]
         self._read_handle.seek(offset)
@@ -329,8 +347,8 @@ class ResultCache:
             isinstance(entry, dict)
             and entry.get("type") == "entry"
             and entry.get("key") == key
-            and isinstance(entry.get("result"), dict)
             and (entry.get("telemetry") is not None) == has_telemetry
+            and _entry_body_error(entry) is None
         ):
             return entry
         self._corrupt += 1
@@ -609,9 +627,11 @@ class ResultCache:
         """Scan the whole log; report structural and decode problems.
 
         Unlike :meth:`lookup` (which silently treats damage as a miss),
-        this decodes every entry's result payload through the codec and
-        reports anything wrong: corrupt lines, undecodable results, a
-        torn tail, a missing or foreign schema header.  Returns a
+        this checks every entry's body the way a hit does -- the result
+        decodes, the telemetry passes
+        :func:`~repro.sim.codec.check_saved_telemetry` -- and reports
+        anything wrong: corrupt lines, undecodable entries, a torn tail,
+        a missing or foreign schema header.  Returns a
         report dict; never raises for content problems (a missing store
         verifies clean as empty).
         """
@@ -631,8 +651,6 @@ class ResultCache:
             handle = open(self._log.path, "rb")
         except FileNotFoundError:
             return report
-        from repro.sim.codec import result_from_dict
-
         with handle:
             report["bytes"] = os.fstat(handle.fileno()).st_size
             lines = [line for _, line in AppendLog.lines(handle)]
@@ -660,9 +678,8 @@ class ResultCache:
                     )
             elif kind == "entry":
                 report["entries"] += 1
-                try:
-                    result_from_dict(data["result"])
-                except Exception as error:
+                error = _entry_body_error(data)
+                if error is not None:
                     report["undecodable_entries"] += 1
                     report["errors"].append(
                         f"line {number}: entry "

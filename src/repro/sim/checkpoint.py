@@ -1,4 +1,4 @@
-"""Crash-safe sweep checkpointing: the ``repro.sweep/v1`` journal.
+"""Crash-safe sweep checkpointing: the ``repro.sweep/v2`` journal.
 
 A fault-tolerant sweep (:func:`repro.sim.parallel.run_outcomes`) can be
 killed at any instant -- a worker ``os._exit``, an OOM kill, a Ctrl-C,
@@ -9,7 +9,7 @@ restarted sweep re-runs only the incomplete ones:
   and the result cache (:mod:`repro.sim.cache`) are both written in:
   a schema header, fsync'd appends, the torn-tail rule and the one
   line walker.
-* :class:`CheckpointJournal` -- the ``repro.sweep/v1`` log.  After the
+* :class:`CheckpointJournal` -- the ``repro.sweep/v2`` log.  After the
   header, every line is one completed spec: its order-independent
   fingerprint, attempt count, the full
   :class:`~repro.sim.results.RunResult` (history included), and the
@@ -28,8 +28,9 @@ restarted sweep re-runs only the incomplete ones:
   :func:`~repro.telemetry.core.merge_telemetry` does for a live
   worker's, which is what makes a resumed sweep's retained traces
   bit-identical to an uninterrupted one (telemetry is folded in spec
-  order either way; floats survive the JSON round trip exactly because
-  ``repr``-based float serialization is lossless).
+  order either way; result floats survive the JSON round trip exactly
+  because ``repr``-based float serialization is lossless, and the trace
+  records travel as a raw float64 block).
 
 The journal is a cache keyed by content: two sweeps that share a spec
 (same fingerprint) share its saved outcome, because every run is a pure
@@ -64,7 +65,7 @@ from repro.sim.results import RunResult
 #: Version tag written into every journal header; bumped on any change
 #: to the line format.  Loading a journal with a different schema is a
 #: :class:`CheckpointError`, never a silent misread.
-SWEEP_SCHEMA = "repro.sweep/v1"
+SWEEP_SCHEMA = "repro.sweep/v2"
 
 
 # -- spec fingerprints --------------------------------------------------------
@@ -142,7 +143,7 @@ __all__ = [
 
 # -- the journal --------------------------------------------------------------
 class CheckpointJournal:
-    """The ``repro.sweep/v1`` journal of completed sweep specs.
+    """The ``repro.sweep/v2`` journal of completed sweep specs.
 
     Use :meth:`open` (fresh or resuming) rather than the constructor.
     """

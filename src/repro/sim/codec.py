@@ -12,11 +12,15 @@ agree byte-for-byte on what comes back:
 This module is that single agreement.  Every value codec here is
 **repr-lossless for floats**: Python's ``json`` encodes floats with
 ``repr`` (shortest round-trip form) and parses them back to the exact
-same IEEE-754 double, so a :class:`~repro.sim.results.RunResult` -- or
-a worker's whole retain-everything telemetry -- survives
-``loads(dumps(...))`` bit-exactly (property-tested).  NaN rides along
-as the non-strict JSON ``NaN`` literal; both ends of every channel are
-this library, so the extension is safe and symmetric.
+same IEEE-754 double, so a :class:`~repro.sim.results.RunResult`
+survives ``loads(dumps(...))`` bit-exactly (property-tested).  NaN
+rides along as the non-strict JSON ``NaN`` literal; both ends of every
+channel are this library, so the extension is safe and symmetric.  A
+worker's retained trace records are the bulk of every payload, so they
+travel column-wise instead: the float fields and block temperatures as
+one base64 little-endian float64 block (raw IEEE-754 bits, so NaN
+payloads, ``-0.0`` and subnormals survive too), the int and string
+fields as JSON lists.
 
 The spec codec (:func:`spec_to_dict` / :func:`spec_from_dict`) is a
 *tagged* encoding over a closed registry of types: the dataclasses,
@@ -33,16 +37,21 @@ identities and verify them on the worker.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import dataclasses
 import enum
+import itertools
+import operator
 
 import numpy as np
 
 from repro.errors import CodecError
 from repro.sim.results import History, RunResult
 from repro.telemetry.core import ensure_telemetry
-from repro.telemetry.export import event_from_dict, record_from_dict
+from repro.telemetry.export import event_from_dict
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.trace import TraceRecord
 
 #: Tag key marking an encoded composite value; chosen to be absent from
 #: every plain mapping the sweep types carry.
@@ -362,16 +371,183 @@ def result_from_dict(data: dict) -> RunResult:
 
 
 # -- telemetry (de)serialization ----------------------------------------------
+#: :class:`~repro.telemetry.trace.TraceRecord`'s float fields, in the
+#: column order of a saved trace block (the dataclass's field order);
+#: the record's block temperatures follow them.
+_FLOAT_FIELDS = (
+    "sensed",
+    "max_temp",
+    "chip_power",
+    "ipc",
+    "measurement",
+    "error",
+    "p_term",
+    "i_term",
+    "d_term",
+    "pre_saturation",
+    "post_saturation",
+    "duty",
+    "emergency_fraction",
+    "stress_fraction",
+)
+#: The record fields saved as plain JSON lists, one value per record.
+_LIST_FIELDS = (
+    "index",
+    "cycle",
+    "stall_cycles",
+    "benchmark",
+    "policy",
+    "failsafe_state",
+)
+#: The saved block's dtype: little-endian float64 on every host.
+_BLOCK_DTYPE = "<f8"
+_BASE64_ALPHABET = (
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+)
+_float_row = operator.attrgetter(*_FLOAT_FIELDS)
+
+
+def _records_to_columns(records: list) -> dict:
+    """One run's retained records as a packed float block plus lists.
+
+    Every record must carry the run's block count, and every float
+    field a ``float`` (``np.float64`` included): an int would come back
+    as a float, so it is refused rather than silently changed.
+    """
+    blocks = len(records[0].block_temps) if records else 0
+    rows = []
+    for record in records:
+        temps = tuple(record.block_temps)
+        if len(temps) != blocks:
+            raise CodecError(
+                f"trace record {record.index} has {len(temps)} block "
+                f"temperatures; the run's first record has {blocks}"
+            )
+        rows.append(_float_row(record) + temps)
+    odd = {
+        kind.__name__
+        for kind in set(map(type, itertools.chain.from_iterable(rows)))
+        if not issubclass(kind, float)
+    }
+    if odd:
+        raise CodecError(
+            f"trace float fields must hold floats, got {sorted(odd)}"
+        )
+    shape = [len(records), len(_FLOAT_FIELDS) + blocks]
+    block = np.array(rows, dtype=_BLOCK_DTYPE).reshape(shape)
+    columns = {
+        "blocks": blocks,
+        "floats": {
+            "dtype": _BLOCK_DTYPE,
+            "shape": shape,
+            "data": base64.b64encode(block.tobytes()).decode("ascii"),
+        },
+    }
+    for name in _LIST_FIELDS:
+        columns[name] = [getattr(record, name) for record in records]
+    return columns
+
+
+def _block_shape(columns) -> tuple[int, int]:
+    """``(records, width)`` of a saved trace block, checked structurally.
+
+    Checks the widths, every list's length and that the data is base64
+    of exactly ``records * width * 8`` bytes, without decoding it.
+    Raises :class:`~repro.errors.CodecError` on any mismatch.
+    """
+    if not isinstance(columns, dict):
+        raise CodecError("saved trace records are not a column block")
+    floats = columns.get("floats")
+    if not isinstance(floats, dict) or floats.get("dtype") != _BLOCK_DTYPE:
+        raise CodecError(f"saved trace block is not {_BLOCK_DTYPE} data")
+    shape = floats.get("shape")
+    if not (
+        isinstance(shape, list)
+        and len(shape) == 2
+        and all(type(size) is int and size >= 0 for size in shape)
+    ):
+        raise CodecError(f"saved trace block has shape {shape!r}")
+    count, width = shape
+    blocks = columns.get("blocks")
+    if (
+        type(blocks) is not int
+        or blocks < 0
+        or width != len(_FLOAT_FIELDS) + blocks
+    ):
+        raise CodecError(
+            f"saved trace block is {width} columns wide; "
+            f"{blocks!r} block temperatures need "
+            f"{len(_FLOAT_FIELDS)} + blocks"
+        )
+    for name in _LIST_FIELDS:
+        values = columns.get(name)
+        if not isinstance(values, list) or len(values) != count:
+            raise CodecError(
+                f"saved trace column {name!r} does not hold {count} values"
+            )
+    data = floats.get("data")
+    size = count * width * 8
+    padding = b"=" * (-size % 3)
+    if not (
+        isinstance(data, str)
+        and len(data) == 4 * -(-size // 3)
+        and data.isascii()
+        and data.encode("ascii").translate(None, _BASE64_ALPHABET)
+        == padding
+        and data.endswith(padding.decode("ascii"))
+    ):
+        raise CodecError(
+            f"saved trace block data is not base64 of {size} bytes"
+        )
+    return count, width
+
+
 def telemetry_to_dict(local) -> dict | None:
-    """JSON view of one run's worker-local retain-everything telemetry."""
+    """JSON view of one run's worker-local retain-everything telemetry.
+
+    The retained records are saved column-wise (``"records"``): the
+    float fields and block temperatures as one base64 float64 block,
+    the int and string fields as lists.
+    """
     if local is None:
         return None
     return {
-        "records": [record.to_dict() for record in local.trace.records()],
+        "records": _records_to_columns(local.trace.records()),
         "events": [event.to_dict() for event in local.trace.events],
         "metrics": local.metrics.snapshot(),
         "meta": dict(local.meta),
     }
+
+
+def _fold_records(trace, columns) -> None:
+    """Emit a saved block onto ``trace``, building only kept records."""
+    count, width = _block_shape(columns)
+    block = np.frombuffer(
+        binascii.a2b_base64(columns["floats"]["data"]), dtype=_BLOCK_DTYPE
+    ).reshape(count, width)
+    index, cycle, stall, benchmark, policy, failsafe = (
+        columns[name] for name in _LIST_FIELDS
+    )
+    scalars = len(_FLOAT_FIELDS)
+
+    def build(i: int) -> TraceRecord:
+        row = block[i].tolist()
+        # Positional (a third of the keyword cost): the float columns
+        # are TraceRecord's field order with the other fields taken out.
+        return TraceRecord(
+            index[i],
+            cycle[i],
+            benchmark[i],
+            policy[i],
+            *row[:2],
+            tuple(row[scalars:]),
+            *row[2:12],
+            stall[i],
+            failsafe[i],
+            *row[12:scalars],
+        )
+
+    trace.record_many(count, build)
 
 
 def fold_saved_telemetry(sink, payload: dict | None) -> None:
@@ -380,17 +556,19 @@ def fold_saved_telemetry(sink, payload: dict | None) -> None:
     Mirrors :func:`~repro.telemetry.core.merge_telemetry` exactly:
     records and events re-emit through the sink's own retention policy,
     metrics fold under the registry's associative merge, meta updates.
-    No-op when the sink is disabled or the payload is empty (the entry
-    came from a telemetry-less sweep).  Both the checkpoint resume path
-    and the shard coordinator fold through here, in spec order, which
-    is what makes resumed and distributed sweeps' retained traces
-    bit-identical to an uninterrupted local one.
+    The record block is decoded once, and only the records the sink's
+    retention keeps are built.  No-op when the sink is disabled or the
+    payload is empty (the entry came from a telemetry-less sweep).
+    Both the checkpoint resume path and the shard coordinator fold
+    through here, in spec order, which is what makes resumed and
+    distributed sweeps' retained traces bit-identical to an
+    uninterrupted local one.
     """
     sink = ensure_telemetry(sink)
     if not sink.enabled or payload is None:
         return
-    for data in payload.get("records", ()):
-        sink.trace.record(record_from_dict(data))
+    if payload.get("records") is not None:
+        _fold_records(sink.trace, payload["records"])
     for data in payload.get("events", ()):
         sink.trace.events.append(event_from_dict(data))
     sink.metrics.merge_snapshot(payload.get("metrics", {}))
@@ -399,19 +577,27 @@ def fold_saved_telemetry(sink, payload: dict | None) -> None:
 
 
 def check_saved_telemetry(payload) -> None:
-    """Raise unless :func:`fold_saved_telemetry` can read ``payload``.
+    """Raise :class:`~repro.errors.CodecError` unless the fold can read it.
 
-    Decodes every record and event and merges the metrics into a
-    scratch registry, touching no sink.  The shard coordinator runs it
-    on a worker's payload before journaling and caching it, so a shape
-    the fold cannot read never reaches the final fold or a later
-    sweep's cache replay.
+    The record block is checked structurally (widths, list lengths, the
+    base64 length) without being decoded; events decode and metrics
+    merge into a scratch registry, touching no sink.  The shard
+    coordinator runs it on a worker's payload before journaling and
+    caching it, and a cache hit runs it before it counts, so a shape
+    the fold cannot read never reaches the end-of-sweep fold.
     """
     if payload is None:
         return
-    for data in payload.get("records", ()):
-        record_from_dict(data)
-    for data in payload.get("events", ()):
-        event_from_dict(data)
-    MetricsRegistry().merge_snapshot(payload.get("metrics", {}))
-    dict(payload.get("meta") or {})
+    if not isinstance(payload, dict):
+        raise CodecError(
+            f"saved telemetry is a {type(payload).__name__}, not a mapping"
+        )
+    if payload.get("records") is not None:
+        _block_shape(payload["records"])
+    try:
+        for data in payload.get("events", ()):
+            event_from_dict(data)
+        MetricsRegistry().merge_snapshot(payload.get("metrics", {}))
+        dict(payload.get("meta") or {})
+    except Exception as error:
+        raise CodecError(f"saved telemetry does not fold: {error!r}") from error

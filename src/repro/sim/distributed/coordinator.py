@@ -17,7 +17,7 @@ through too, so the determinism contract is the same one:
   Coordinator orchestration diagnostics (``shard.*`` events) are, like
   ``sweep.*``, excluded from parity.
 * **Durability** before acknowledgement: a worker's ``result`` is
-  journaled (``repro.sweep/v1``, fsync'd) before the ``ack`` goes back,
+  journaled (``repro.sweep/v2``, fsync'd) before the ``ack`` goes back,
   so a coordinator killed at any instant resumes from its checkpoint
   with nothing double-counted and at most one in-flight result re-run.
 

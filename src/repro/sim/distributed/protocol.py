@@ -1,4 +1,4 @@
-"""The ``repro.shard/v1`` wire protocol: framing, config, validation.
+"""The ``repro.shard/v2`` wire protocol: framing, config, validation.
 
 A distributed sweep is one coordinator (it owns the spec list and the
 checkpoint journal) plus any number of workers (they own CPUs), talking
@@ -49,7 +49,7 @@ from repro.errors import ConfigError, ShardError
 #: change to the message format.  A coordinator and worker from
 #: different protocol versions refuse each other explicitly rather than
 #: misparse each other silently.
-SHARD_SCHEMA = "repro.shard/v1"
+SHARD_SCHEMA = "repro.shard/v2"
 
 
 @dataclass(frozen=True)

@@ -71,10 +71,10 @@ def record_from_dict(data: dict) -> TraceRecord:
     """Rebuild a :class:`TraceRecord` from its ``to_dict`` form.
 
     Accepts both strict-JSON dicts (NaN written as ``null``, as in the
-    JSONL trace files) and Python-JSON dicts (NaN preserved, as in the
-    sweep checkpoint journal): ``None`` maps back to ``nan`` either
-    way.  Shared by :func:`read_trace_jsonl` and
-    :mod:`repro.sim.checkpoint`.
+    JSONL trace files) and Python-JSON dicts (NaN preserved): ``None``
+    maps back to ``nan`` either way.  Saved sweep payloads do not come
+    through here; they carry records column-wise
+    (:func:`repro.sim.codec.telemetry_to_dict`).
     """
     return TraceRecord(
         index=data["index"],

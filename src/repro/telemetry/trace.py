@@ -200,28 +200,62 @@ class TraceRecorder:
         self.emitted = 0
 
     # -- write side ----------------------------------------------------------
-    def record(self, record: TraceRecord) -> None:
-        """Retain one per-sample record under the configured policy."""
+    def _admit(self) -> int:
+        """Advance the emit sequence by one record; return its slot.
+
+        The slot is the position in the retained list the record takes
+        (``len`` appends), or -1 when retention drops it.  This is the
+        one retention rule: :meth:`record` and :meth:`record_many` both
+        step through it, and it decides before the record exists.
+        """
         ordinal = self.emitted
         self.emitted += 1
         if self.mode == "ring":
             if len(self._records) < self.capacity:
-                self._records.append(record)
-            else:
-                self._records[self._head] = record
-                self._head = (self._head + 1) % self.capacity
-            return
+                return len(self._records)
+            slot = self._head
+            self._head = (slot + 1) % self.capacity
+            return slot
         # Decimation: keep emit ordinals divisible by the stride; on
         # overflow, drop every other retained record and double the
         # stride.  Both steps depend only on the emit sequence.
         if ordinal % self._stride:
-            return
+            return -1
         if len(self._records) >= self.capacity:
             self._records = self._records[::2]
             self._stride *= 2
             if ordinal % self._stride:
-                return
-        self._records.append(record)
+                return -1
+        return len(self._records)
+
+    def _place(self, slot: int, record) -> None:
+        if slot == len(self._records):
+            self._records.append(record)
+        else:
+            self._records[slot] = record
+
+    def record(self, record: TraceRecord) -> None:
+        """Retain one per-sample record under the configured policy."""
+        slot = self._admit()
+        if slot >= 0:
+            self._place(slot, record)
+
+    def record_many(self, count: int, build) -> None:
+        """Emit ``count`` records exactly as ``count`` :meth:`record` calls.
+
+        ``build(i)`` makes the batch's ``i``-th record and is called
+        only for records retention keeps on arrival: in ``"decimate"``
+        mode the ordinals on the stride, in ``"ring"`` mode the last
+        ``capacity`` of the batch (every earlier one is overwritten
+        before the batch ends, so its slot holds a placeholder until
+        then).  ``emitted``, the stride and the ring head end where the
+        per-record calls leave them.
+        """
+        first_built = count - self.capacity if self.mode == "ring" else 0
+        for i in range(count):
+            slot = self._admit()
+            if slot >= 0:
+                self._place(slot, build(i) if i >= first_built else None)
 
     def event(
         self, kind: str, sample_index: int, reason: str = "", **data

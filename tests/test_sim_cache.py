@@ -269,6 +269,17 @@ class TestResultCacheStore:
         with pytest.raises(CacheError, match="schema"):
             store.lookup("anything")
 
+    def test_v1_store_is_rejected_naming_v2(self, tmp_path):
+        directory = tmp_path / "cache"
+        directory.mkdir()
+        (directory / "cache.log").write_text(
+            json.dumps({"type": "header", "schema": "repro.cache/v1"})
+            + "\n"
+        )
+        store = ResultCache(directory)
+        with pytest.raises(CacheError, match="repro.cache/v2.*fresh"):
+            store.lookup("anything")
+
     def test_concurrent_writers_lose_no_entries(self, tmp_path):
         specs = matrix_specs(
             BENCHMARKS, POLICIES, seeds=(0, 1), instructions=INSTRUCTIONS
@@ -385,6 +396,28 @@ class TestResultCacheStore:
         report = ResultCache(directory).verify()
         assert report["undecodable_entries"] == 1
         assert report["errors"]
+
+    def test_verify_checks_each_trace_block(self, tmp_path):
+        directory = tmp_path / "cache"
+        specs = _specs()[:2]
+        store = ResultCache(directory)
+        for spec in specs:
+            key, result, local = _completed(spec)
+            store.store(key, spec, result, local)
+        store.close()
+        log = directory / "cache.log"
+        number = _rewrite_entry(
+            log,
+            cache_key(specs[1]),
+            lambda entry: entry["telemetry"]["records"]["index"].pop(),
+        )
+        report = ResultCache(directory).verify()
+        assert report["entries"] == 2
+        assert report["undecodable_entries"] == 1
+        assert report["corrupt_lines"] == 0
+        [error] = report["errors"]
+        assert error.startswith(f"line {number}: entry {cache_key(specs[1])}")
+        assert "index" in error
 
     def test_missing_store_verifies_clean(self, tmp_path):
         report = ResultCache(tmp_path / "cache").verify()
@@ -671,6 +704,38 @@ def _damage_result(log: Path, key: str) -> int:
     return number
 
 
+def _rewrite_entry(log: Path, key: str, mutate) -> int:
+    """Re-encode ``key``'s entry line after ``mutate(entry)``, keeping
+    the writer's layout (so the open still indexes it unparsed);
+    return the line's number."""
+    number, line = _entry_line(log, key)
+    entry = json.loads(line)
+    mutate(entry)
+    lines = log.read_bytes().splitlines(True)
+    lines[number - 1] = (json.dumps(entry) + "\n").encode("utf-8")
+    log.write_bytes(b"".join(lines))
+    return number
+
+
+#: Entry bodies that parse as JSON but could not replay.
+_BODY_DAMAGE = {
+    "result-missing-fields": lambda entry: entry.__setitem__(
+        "result", {"benchmark": "gcc"}
+    ),
+    "records-as-v1-rows": lambda entry: entry["telemetry"].__setitem__(
+        "records", [{"bogus": 1}]
+    ),
+    "records-not-a-block": lambda entry: entry["telemetry"].__setitem__(
+        "records", {"bogus": 1}
+    ),
+    "block-bytes-short": lambda entry: entry["telemetry"]["records"][
+        "floats"
+    ].__setitem__(
+        "data", entry["telemetry"]["records"]["floats"]["data"][:-8]
+    ),
+}
+
+
 class TestReadPath:
     """A hit parses its own line once and validates it there."""
 
@@ -747,6 +812,38 @@ class TestReadPath:
         assert healed.verify()["errors"] == []
         assert healed.stats()["corrupt_lines"] == 0
         assert healed.stats()["entries"] == len(specs)
+
+    @pytest.mark.parametrize("damage", sorted(_BODY_DAMAGE))
+    def test_parseable_bad_body_is_a_counted_miss(self, tmp_path, damage):
+        directory = tmp_path / "cache"
+        log = directory / "cache.log"
+        specs = _specs()
+
+        def sweep(sink):
+            return run_specs(specs, jobs=1, cache=str(directory),
+                             telemetry=sink)
+
+        cold = _quiet()
+        reference = sweep(cold)
+        key = cache_key(specs[1])
+        number = _rewrite_entry(log, key, _BODY_DAMAGE[damage])
+        fresh = ResultCache(directory)
+        assert fresh.lookup(key, need_telemetry=True) is None
+        assert fresh.lookup(key) is None
+        assert fresh.stats()["corrupt_lines"] == 1
+        assert key not in fresh._index
+        fresh.close()
+        report = ResultCache(directory).verify()
+        assert report["undecodable_entries"] == 1
+        assert any(
+            error.startswith(f"line {number}:") for error in report["errors"]
+        )
+        # The sweep misses on the damaged entry, re-runs that spec and
+        # replays the rest: same results and the same folded telemetry.
+        warm = _quiet()
+        assert sweep(warm) == reference
+        assert_telemetry_identical(warm, cold)
+        assert ResultCache(directory).lookup(key, need_telemetry=True)
 
     _KEY = "0123456789abcdef01234567"
 

@@ -235,6 +235,21 @@ class TestJournal:
         with pytest.raises(CheckpointError, match="schema"):
             load_checkpoint(path)
 
+    def test_v1_journal_raises_naming_v2(self, tmp_path):
+        from repro.sim.parallel import SweepOptions, run_outcomes
+
+        path = tmp_path / "v1.jsonl"
+        path.write_text('{"type": "header", "schema": "repro.sweep/v1"}\n')
+        with pytest.raises(CheckpointError, match="repro.sweep/v2"):
+            load_checkpoint(path)
+        spec = WorkSpec(benchmark="gcc", policy="pid",
+                        instructions=INSTRUCTIONS)
+        with pytest.raises(CheckpointError, match="repro.sweep/v2"):
+            run_outcomes(
+                [spec],
+                options=SweepOptions(checkpoint_path=path, resume=True),
+            )
+
     def test_missing_header_raises(self, tmp_path):
         path = tmp_path / "headerless.jsonl"
         path.write_text('{"type": "outcome", "fingerprint": "ab"}\n')

@@ -344,15 +344,21 @@ class TestHandshake:
                 coordinator.wait()
 
     def test_schema_mismatch_is_rejected_explicitly(self):
+        self._assert_hello_rejected("repro.shard/v999")
+
+    def test_v1_hello_is_rejected_naming_v2(self):
+        self._assert_hello_rejected("repro.shard/v1")
+
+    def _assert_hello_rejected(self, schema):
         coordinator = ShardCoordinator(
             _specs()[:1], _cluster(), telemetry=_quiet()
         )
         coordinator.start()
         try:
-            client = _RawClient(coordinator.port, schema="repro.shard/v999")
+            client = _RawClient(coordinator.port, schema=schema)
             reply = client.read()
             assert reply["type"] == "error"
-            assert "repro.shard/v1" in reply["reason"]
+            assert "repro.shard/v2" in reply["reason"]
             client.close()
         finally:
             coordinator.request_stop()
@@ -477,7 +483,7 @@ class TestBitIdentity:
         reference = _reference(tmp_path_factory.getbasetemp())
         serial = reference["serial_journal_lines"]
         distributed = reference["distributed_journal_lines"]
-        assert serial[0] == distributed[0]  # the repro.sweep/v1 header
+        assert serial[0] == distributed[0]  # the repro.sweep/v2 header
         assert sorted(serial[1:]) == sorted(distributed[1:])
 
     def test_run_suite_routes_through_the_cluster(self):

@@ -128,3 +128,74 @@ class TestValidation:
     def test_event_log_capacity_positive(self):
         with pytest.raises(TelemetryError):
             EventLog(0)
+
+
+class TestRecordMany:
+    """``record_many`` is ``count`` calls of ``record`` that build only
+    the records retention keeps on arrival."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mode=st.sampled_from(["ring", "decimate"]),
+        capacity=st.integers(2, 64),
+        batches=st.lists(st.integers(0, 300), max_size=8),
+    )
+    def test_matches_per_record_emission(self, mode, capacity, batches):
+        single = TraceRecorder(capacity=capacity, mode=mode)
+        batched = TraceRecorder(capacity=capacity, mode=mode)
+        start = 0
+        for count in batches:
+            built = []
+
+            def build(i, start=start):
+                built.append(i)
+                return _record(start + i)
+
+            # The slot each record would take, from a per-record twin
+            # observed before the batch runs.
+            kept_on_arrival = []
+            for i in range(count):
+                before = single.emitted
+                single.record(_record(start + i))
+                assert single.emitted == before + 1
+                retained = single._records
+                if any(r is not None and r.index == start + i
+                       for r in retained):
+                    kept_on_arrival.append(i)
+            batched.record_many(count, build)
+            if mode == "ring":
+                assert built == [
+                    i for i in kept_on_arrival if i >= count - capacity
+                ]
+            else:
+                assert built == kept_on_arrival
+            assert batched.emitted == single.emitted
+            assert batched.stride == single.stride
+            assert batched._head == single._head
+            assert [r.index for r in batched.records()] == [
+                r.index for r in single.records()
+            ]
+            start += count
+
+    @pytest.mark.parametrize("capacity", [2, 5, 8])
+    def test_ring_builds_only_the_last_capacity(self, capacity):
+        recorder = TraceRecorder(capacity=capacity, mode="ring")
+        _fill(recorder, 3)
+        built = []
+        recorder.record_many(
+            20, lambda i: built.append(i) or _record(100 + i)
+        )
+        assert built == list(range(20 - capacity, 20))
+        assert [r.index for r in recorder.records()] == [
+            100 + i for i in range(20 - capacity, 20)
+        ]
+
+    def test_decimate_builds_only_ordinals_on_the_stride(self):
+        recorder = TraceRecorder(capacity=8, mode="decimate")
+        _fill(recorder, 40)
+        stride = recorder.stride
+        built = []
+        recorder.record_many(
+            16, lambda i: built.append(40 + i) or _record(40 + i)
+        )
+        assert built and all(ordinal % stride == 0 for ordinal in built)
