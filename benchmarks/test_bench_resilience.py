@@ -112,7 +112,8 @@ def test_pooled_orchestrator_overhead_is_bounded():
         lambda: run_outcomes(
             specs,
             jobs=POOLED_JOBS,
-            options=SweepOptions(batch=POOLED_BATCH),
+            options=SweepOptions(),
+            batch=POOLED_BATCH,
             cache=False,
         )
     )

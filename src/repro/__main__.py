@@ -31,6 +31,7 @@ import sys
 from repro.config import FailsafeConfig, TelemetryConfig
 from repro.dtm.policies import POLICY_NAMES
 from repro.faults import FaultSchedule, FaultWindow
+from repro.sim.flags import add_sweep_arguments, sweep_defaults_from_args
 from repro.sim.sweep import run_one
 from repro.workloads.profiles import BENCHMARKS, get_profile
 
@@ -257,34 +258,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _sweep_options(args):
-    """Build SweepOptions from CLI flags, or None if none were given.
-
-    Returning ``None`` when no resilience flag is set keeps the default
-    path on the legacy (bit-identical, option-free) executor.
-    """
-    from repro.sim.parallel import RetryPolicy, SweepOptions
-
-    if not (
-        args.retries
-        or args.timeout is not None
-        or args.checkpoint is not None
-        or args.resume
-        or args.strict
-    ):
-        return None
-    return SweepOptions(
-        retry=RetryPolicy(
-            max_retries=args.retries,
-            backoff_seconds=args.retry_backoff,
-        ),
-        timeout_seconds=args.timeout,
-        checkpoint_path=args.checkpoint,
-        resume=args.resume,
-        strict=args.strict,
-    )
-
-
 def _install_signal_handlers() -> None:
     """Convert SIGTERM into KeyboardInterrupt for clean shutdown.
 
@@ -305,14 +278,6 @@ def _install_signal_handlers() -> None:
         raise KeyboardInterrupt
 
     signal.signal(signal.SIGTERM, _handler)
-
-
-def _cluster_config(endpoint: str, token, allow_ephemeral: bool = False):
-    """Validated :class:`ClusterConfig` from ``--cluster``/``--bind`` flags."""
-    from repro.sim.distributed import ClusterConfig, parse_endpoint
-
-    host, port = parse_endpoint(endpoint, allow_ephemeral=allow_ephemeral)
-    return ClusterConfig(host, port, token if token is not None else "")
 
 
 def _compare_specs(args):
@@ -357,39 +322,21 @@ def _print_compare_table(args, results, failures) -> int:
 
 
 def cmd_compare(args) -> int:
-    from repro.errors import CacheError, ConfigError, ShardError, SweepError
-    from repro.sim.parallel import run_outcomes, run_specs
+    from repro.errors import ShardError, SweepError
+    from repro.sim.parallel import run_outcomes, run_specs, sweep_defaults
 
-    cluster = None
-    if getattr(args, "cluster", None):
-        try:
-            cluster = _cluster_config(args.cluster, args.token)
-        except ConfigError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+    defaults = args.sweep
+    if defaults.cluster is not None:
         _install_signal_handlers()
-    try:
-        cache = _cache_store(args)
-    except CacheError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     specs = _compare_specs(args)
-    options = _sweep_options(args)
     failures: dict[int, object] = {}
-    if options is None and cluster is None:
-        results = run_specs(
-            specs, jobs=args.jobs, batch=args.batch, cache=cache
-        )
+    if defaults.options is None and defaults.cluster is None:
+        with sweep_defaults(defaults):
+            results = run_specs(specs)
     else:
         try:
-            outcomes = run_outcomes(
-                specs,
-                jobs=args.jobs,
-                options=options,
-                batch=args.batch,
-                cluster=cluster,
-                cache=cache,
-            )
+            with sweep_defaults(defaults):
+                outcomes = run_outcomes(specs)
         except (SweepError, ShardError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
@@ -404,25 +351,17 @@ def cmd_compare(args) -> int:
 
 def cmd_serve(args) -> int:
     """Coordinate a distributed compare sweep (``serve-sweep``)."""
-    from repro.errors import CacheError, ConfigError, ShardError, SweepError
+    from repro.errors import ShardError, SweepError
     from repro.sim.distributed import ShardCoordinator
+    from repro.sim.parallel import resolve_sweep, sweep_defaults
 
-    try:
-        cluster = _cluster_config(
-            args.bind, args.token, allow_ephemeral=True
-        )
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        cache = _cache_store(args)
-    except CacheError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    with sweep_defaults(args.sweep):
+        sweep = resolve_sweep()
+    cluster = sweep.cluster
     _install_signal_handlers()
     specs = _compare_specs(args)
     coordinator = ShardCoordinator(
-        specs, cluster, options=_sweep_options(args), cache=cache
+        specs, cluster, options=sweep.options, cache=sweep.cache
     )
     try:
         coordinator.start()
@@ -460,23 +399,18 @@ def cmd_serve(args) -> int:
 
 def cmd_work(args) -> int:
     """Serve a shard coordinator as a worker (``work``)."""
-    from repro.errors import ConfigError, ShardError
+    from repro.errors import ShardError
     from repro.sim.distributed import run_worker
 
-    try:
-        cluster = _cluster_config(args.connect, args.token)
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     if args.idle_timeout is not None and args.idle_timeout < 0:
         print("error: --idle-timeout must be >= 0", file=sys.stderr)
         return 2
     _install_signal_handlers()
     try:
         stats = run_worker(
-            cluster,
-            jobs=args.jobs,
-            batch=args.batch,
+            args.sweep.cluster,
+            jobs=args.sweep.jobs,
+            batch=args.sweep.batch,
             once=args.once,
             idle_timeout=args.idle_timeout,
         )
@@ -493,36 +427,15 @@ def cmd_work(args) -> int:
     return 0
 
 
-def _cache_store(args):
-    """The result-cache handle requested by ``--cache``/``--no-cache``.
-
-    Returns a :class:`~repro.sim.cache.ResultCache` for an explicit
-    ``--cache``, ``False`` for ``--no-cache`` (which also overrides the
-    process default and ``REPRO_CACHE``), or ``None`` to defer to
-    :func:`~repro.sim.parallel.resolve_cache` downstream.  Raises
-    :class:`~repro.errors.CacheError` for an unusable directory.
-    """
-    if getattr(args, "no_cache", False):
-        return False
-    if getattr(args, "cache", None) is None:
-        return None
-    from repro.sim.cache import ResultCache
-
-    return ResultCache(args.cache)
-
-
 def cmd_cache(args) -> int:
     """Inspect or compact a result cache (``cache stats|verify|gc``)."""
-    import os
-
     from repro.errors import CacheError
     from repro.sim.cache import DEFAULT_CACHE_DIR, ResultCache, cache_metrics
 
-    directory = args.cache
-    if directory is None:
-        directory = os.environ.get("REPRO_CACHE") or DEFAULT_CACHE_DIR
     try:
-        store = ResultCache(directory, max_bytes=args.max_bytes)
+        store = ResultCache(
+            args.sweep.cache or DEFAULT_CACHE_DIR, max_bytes=args.max_bytes
+        )
     except CacheError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -571,8 +484,8 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for ``python -m repro``."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The ``python -m repro`` parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Control-theoretic DTM with localized thermal-RC modeling.",
@@ -689,107 +602,18 @@ def main(argv: list[str] | None = None) -> int:
         )
         target.add_argument("--seed", type=int, default=0)
 
-    def add_resilience_args(target) -> None:
-        resilience = target.add_argument_group(
-            "fault tolerance (see docs/robustness.md)"
-        )
-        resilience.add_argument(
-            "--retries", type=int, default=0, metavar="N",
-            help="re-run a failed/crashed/timed-out spec up to N times",
-        )
-        resilience.add_argument(
-            "--retry-backoff", type=float, default=0.0, metavar="SECONDS",
-            help="deterministic backoff before the first retry "
-            "(doubles per further retry)",
-        )
-        resilience.add_argument(
-            "--timeout", type=float, default=None, metavar="SECONDS",
-            help="per-spec wall-clock timeout; a hung worker is "
-            "terminated and the spec charged one attempt",
-        )
-        resilience.add_argument(
-            "--checkpoint", default=None, metavar="PATH",
-            help="append each completed spec to a crash-safe JSONL "
-            "journal",
-        )
-        resilience.add_argument(
-            "--resume", action="store_true",
-            help="skip specs already completed in the --checkpoint "
-            "journal (results bit-identical to an uninterrupted sweep)",
-        )
-        resilience.add_argument(
-            "--strict", action="store_true",
-            help="raise one aggregated error at the end if any spec "
-            "failed permanently (default: print FAILED rows, exit 2)",
-        )
-
-    def add_cache_args(target) -> None:
-        from repro.sim.cache import DEFAULT_CACHE_DIR
-
-        caching = target.add_argument_group(
-            "result caching (see docs/performance.md, Level 5)"
-        )
-        caching.add_argument(
-            "--cache", nargs="?", const=DEFAULT_CACHE_DIR, default=None,
-            metavar="DIR",
-            help="replay previously completed specs from the persistent "
-            f"result cache in DIR (default {DEFAULT_CACHE_DIR}) and "
-            "store fresh ones; warm results and telemetry are "
-            "bit-identical to a cold sweep",
-        )
-        caching.add_argument(
-            "--no-cache", action="store_true",
-            help="disable the result cache even when REPRO_CACHE or a "
-            "process-wide default is set",
-        )
-
     compare_parser = sub.add_parser(
         "compare", help="compare several policies on one benchmark"
     )
     add_matrix_args(compare_parser)
-    compare_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the policy matrix (0 = all cores; "
-        "results are bit-identical to --jobs 1)",
-    )
-    compare_parser.add_argument(
-        "--batch", type=int, default=1, metavar="B",
-        help="lane-batch width: advance up to B compatible runs through "
-        "one vectorized kernel (composes with --jobs; results are "
-        "bit-identical to --batch 1)",
-    )
-    add_resilience_args(compare_parser)
-    add_cache_args(compare_parser)
-    distributed = compare_parser.add_argument_group(
-        "distributed sharding (see docs/performance.md, Level 4)"
-    )
-    distributed.add_argument(
-        "--cluster", default=None, metavar="HOST:PORT",
-        help="coordinate the sweep for distributed workers bound to "
-        "this endpoint instead of executing locally (results are "
-        "bit-identical; requires --token)",
-    )
-    distributed.add_argument(
-        "--token", default=None, metavar="SECRET",
-        help="shared worker-authentication token for --cluster",
-    )
+    add_sweep_arguments(compare_parser)
 
     serve_parser = sub.add_parser(
         "serve-sweep",
         help="coordinate a distributed compare sweep for remote workers",
     )
     add_matrix_args(serve_parser)
-    serve_parser.add_argument(
-        "--bind", required=True, metavar="HOST:PORT",
-        help="endpoint to listen on (port 0 picks a free port, printed "
-        "on startup)",
-    )
-    serve_parser.add_argument(
-        "--token", required=True, metavar="SECRET",
-        help="shared token workers must present to authenticate",
-    )
-    add_resilience_args(serve_parser)
-    add_cache_args(serve_parser)
+    add_sweep_arguments(serve_parser, local=False, endpoint="--bind")
 
     cache_parser = sub.add_parser(
         "cache",
@@ -801,10 +625,9 @@ def main(argv: list[str] | None = None) -> int:
         "counters; verify: full structural + codec scan; gc: compact "
         "the log, evicting least-recently-used entries past the budget",
     )
-    cache_parser.add_argument(
-        "--cache", default=None, metavar="DIR",
-        help="cache directory (default: REPRO_CACHE, else "
-        "~/.cache/repro)",
+    add_sweep_arguments(
+        cache_parser, local=False, resilience=False, cache="store",
+        endpoint=None,
     )
     cache_parser.add_argument(
         "--max-bytes", type=int, default=None, metavar="N",
@@ -815,22 +638,8 @@ def main(argv: list[str] | None = None) -> int:
     work_parser = sub.add_parser(
         "work", help="execute sweep specs leased from a coordinator"
     )
-    work_parser.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="the coordinator endpoint (serve-sweep or compare "
-        "--cluster)",
-    )
-    work_parser.add_argument(
-        "--token", required=True, metavar="SECRET",
-        help="shared authentication token",
-    )
-    work_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="local worker processes per lease batch (0 = all cores)",
-    )
-    work_parser.add_argument(
-        "--batch", type=int, default=1, metavar="B",
-        help="local lane-batch width (composes with --jobs)",
+    add_sweep_arguments(
+        work_parser, resilience=False, cache=None, endpoint="--connect"
     )
     work_parser.add_argument(
         "--once", action="store_true",
@@ -843,14 +652,15 @@ def main(argv: list[str] | None = None) -> int:
         "(default: keep retrying until signalled)",
     )
 
+    return parser, sub.choices
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point for ``python -m repro``."""
+    parser, subcommands = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("compare", "serve-sweep"):
-        if args.resume and args.checkpoint is None:
-            parser.error("--resume requires --checkpoint")
-        if args.cache is not None and args.no_cache:
-            parser.error("--cache conflicts with --no-cache")
-    if args.command == "compare" and args.cluster and not args.token:
-        parser.error("--cluster requires --token")
+    if args.command in ("compare", "serve-sweep", "cache", "work"):
+        args.sweep = sweep_defaults_from_args(subcommands[args.command], args)
     commands = {
         "list": cmd_list,
         "run": cmd_run,

@@ -9,25 +9,21 @@ Usage::
     python -m repro.experiments figure4_traces table7_emergency_breakdown \
         --trace-out suite.jsonl --metrics-out suite-metrics.json
 
-``--jobs N`` sets the process-wide default worker count
-(:func:`repro.sim.parallel.set_default_jobs`), so every ``run_suite`` /
-``run_specs`` call inside the experiment modules fans out over worker
-processes; results are bit-identical to the serial run.  ``--batch B``
-likewise sets the default lane-batch width
-(:func:`repro.sim.parallel.set_default_batch`): groups of up to B
-compatible runs advance through one vectorized
-:class:`~repro.sim.batch.BatchEngine` kernel, inside each worker when
-combined with ``--jobs``.  ``--cluster HOST:PORT --token SECRET``
-installs a process-wide :class:`~repro.sim.distributed.ClusterConfig`
-(:func:`repro.sim.parallel.set_default_cluster`), so every sweep is
-coordinated for distributed ``python -m repro work`` workers instead
-of executing locally -- still bit-identical.  ``--cache [DIR]``
-installs a process-wide result-cache default
-(:func:`repro.sim.parallel.set_default_cache`), so every sweep replays
-previously completed specs from the persistent store instead of
-re-running them -- bit-identical results and telemetry, see
+The sweep flags (:mod:`repro.sim.flags`, the same group as
+``python -m repro compare``) build one
+:class:`~repro.sim.parallel.SweepDefaults`, installed with
+:func:`~repro.sim.parallel.sweep_defaults` while the experiments run
+and restored afterwards, so every ``run_suite`` / ``run_specs`` call
+inside the experiment modules runs with them.  ``--jobs N`` fans sweeps
+out over worker processes, ``--batch B`` advances up to B compatible
+runs through one vectorized :class:`~repro.sim.batch.BatchEngine`
+kernel, ``--cluster HOST:PORT --token SECRET`` serves every sweep to
+distributed ``python -m repro work`` workers, and ``--cache [DIR]``
+replays previously completed specs from the persistent store (see
 docs/performance.md, "Level 5"; ``--no-cache`` disables caching even
-when ``REPRO_CACHE`` is set.
+when ``REPRO_CACHE`` is set).  Results are bit-identical to a serial,
+uncached run either way.  ``--checkpoint`` implies ``--resume`` here:
+every sweep of the run shares the one journal.
 
 ``--grid-solver {spectral,euler}`` / ``--resolution N`` select the
 time integrator and mesh for the experiments built on the 2D grid
@@ -51,10 +47,12 @@ import sys
 import time
 
 from repro.experiments import ALL_EXPERIMENTS
+from repro.sim.flags import add_sweep_arguments, sweep_defaults_from_args
+from repro.sim.parallel import sweep_defaults
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for ``python -m repro.experiments``."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.experiments`` parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.",
@@ -81,18 +79,6 @@ def main(argv: list[str] | None = None) -> int:
         "--metrics-out", default=None, metavar="PATH",
         help="export the shared metrics snapshot (JSON)",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for every sweep inside the experiments "
-        "(0 = all cores; results are bit-identical to --jobs 1, see "
-        "docs/performance.md)",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=1, metavar="B",
-        help="lane-batch width for every sweep: up to B compatible runs "
-        "advance through one vectorized kernel (composes with --jobs; "
-        "results are bit-identical to --batch 1)",
-    )
     grid = parser.add_argument_group(
         "grid experiments (see docs/thermal_model.md)"
     )
@@ -108,140 +94,20 @@ def main(argv: list[str] | None = None) -> int:
         "--resolution", type=int, default=None, metavar="N",
         help="grid resolution (N x N cells) for the grid experiments",
     )
-    resilience = parser.add_argument_group(
-        "fault tolerance (see docs/robustness.md)"
-    )
-    resilience.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="re-run a failed/crashed/timed-out spec up to N times",
-    )
-    resilience.add_argument(
-        "--retry-backoff", type=float, default=0.0, metavar="SECONDS",
-        help="deterministic backoff before the first retry "
-        "(doubles per further retry)",
-    )
-    resilience.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-spec wall-clock timeout (pool execution only)",
-    )
-    resilience.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="append each completed spec to a crash-safe JSONL journal "
-        "shared by every sweep in the selected experiments; implies "
-        "--resume (specs are deterministic, so journal reuse is "
-        "bit-identical by construction)",
-    )
-    resilience.add_argument(
-        "--resume", action="store_true",
-        help="skip specs already completed in the --checkpoint journal",
-    )
-    resilience.add_argument(
-        "--strict", action="store_true",
-        help="abort with an aggregated error if any spec fails "
-        "permanently",
-    )
-    from repro.sim.cache import DEFAULT_CACHE_DIR
+    add_sweep_arguments(parser)
+    return parser
 
-    caching = parser.add_argument_group(
-        "result caching (see docs/performance.md, Level 5)"
-    )
-    caching.add_argument(
-        "--cache", nargs="?", const=DEFAULT_CACHE_DIR, default=None,
-        metavar="DIR",
-        help="replay previously completed specs from the persistent "
-        f"result cache in DIR (default {DEFAULT_CACHE_DIR}) and store "
-        "fresh ones; warm results and telemetry are bit-identical",
-    )
-    caching.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the result cache even when REPRO_CACHE is set",
-    )
-    distributed = parser.add_argument_group(
-        "distributed sharding (see docs/performance.md, Level 4)"
-    )
-    distributed.add_argument(
-        "--cluster", default=None, metavar="HOST:PORT",
-        help="coordinate every sweep for distributed workers bound to "
-        "this endpoint instead of executing locally (results are "
-        "bit-identical; requires --token)",
-    )
-    distributed.add_argument(
-        "--token", default=None, metavar="SECRET",
-        help="shared worker-authentication token for --cluster",
-    )
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point for ``python -m repro.experiments``."""
+    parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.resume and args.checkpoint is None:
-        parser.error("--resume requires --checkpoint")
     if args.resolution is not None and args.resolution < 4:
         parser.error("--resolution must be at least 4")
-    if args.cluster and not args.token:
-        parser.error("--cluster requires --token")
-    if args.cache is not None and args.no_cache:
-        parser.error("--cache conflicts with --no-cache")
-
-    if args.no_cache or args.cache is not None:
-        from repro.errors import CacheError, ConfigError
-        from repro.sim.parallel import set_default_cache
-
-        try:
-            set_default_cache(False if args.no_cache else args.cache)
-        except (CacheError, ConfigError) as error:
-            parser.error(str(error))
-
-    if args.jobs != 1:
-        from repro.sim.parallel import set_default_jobs
-
-        set_default_jobs(args.jobs)
-
-    if args.batch != 1:
-        from repro.sim.parallel import set_default_batch
-
-        set_default_batch(args.batch)
-
-    if (
-        args.retries
-        or args.timeout is not None
-        or args.checkpoint is not None
-        or args.resume
-        or args.strict
-    ):
-        from repro.sim.parallel import (
-            RetryPolicy,
-            SweepOptions,
-            set_default_sweep_options,
-        )
-
-        set_default_sweep_options(
-            SweepOptions(
-                retry=RetryPolicy(
-                    max_retries=args.retries,
-                    backoff_seconds=args.retry_backoff,
-                ),
-                timeout_seconds=args.timeout,
-                checkpoint_path=args.checkpoint,
-                # Each experiment's sweep opens the shared journal; only
-                # append semantics keep earlier sweeps' entries alive.
-                resume=args.checkpoint is not None,
-                strict=args.strict,
-            )
-        )
-
-    if args.cluster:
-        from repro.errors import ConfigError
-        from repro.sim.distributed.protocol import (
-            ClusterConfig,
-            parse_endpoint,
-        )
-        from repro.sim.parallel import set_default_cluster
-
-        try:
-            host, port = parse_endpoint(args.cluster)
-            set_default_cluster(
-                ClusterConfig(host=host, port=port, token=args.token)
-            )
-        except ConfigError as error:
-            parser.error(str(error))
+    defaults = sweep_defaults_from_args(
+        parser, args, checkpoint_resumes=True
+    )
 
     if args.list:
         for name in ALL_EXPERIMENTS:
@@ -259,24 +125,25 @@ def main(argv: list[str] | None = None) -> int:
 
         telemetry = Telemetry()
 
-    for name in chosen:
-        module = importlib.import_module(f"repro.experiments.{name}")
-        parameters = inspect.signature(module.run).parameters
-        kwargs = {}
-        if args.quick and "quick" in parameters:
-            kwargs["quick"] = True
-        if telemetry is not None and "telemetry" in parameters:
-            kwargs["telemetry"] = telemetry
-        if args.grid_solver is not None and "solver" in parameters:
-            kwargs["solver"] = args.grid_solver
-        if args.resolution is not None and "resolution" in parameters:
-            kwargs["resolution"] = args.resolution
-        started = time.time()
-        result = module.run(**kwargs)
-        elapsed = time.time() - started
-        print(result)
-        print(f"[{name}: {elapsed:.1f}s]")
-        print()
+    with sweep_defaults(defaults):
+        for name in chosen:
+            module = importlib.import_module(f"repro.experiments.{name}")
+            parameters = inspect.signature(module.run).parameters
+            kwargs = {}
+            if args.quick and "quick" in parameters:
+                kwargs["quick"] = True
+            if telemetry is not None and "telemetry" in parameters:
+                kwargs["telemetry"] = telemetry
+            if args.grid_solver is not None and "solver" in parameters:
+                kwargs["solver"] = args.grid_solver
+            if args.resolution is not None and "resolution" in parameters:
+                kwargs["resolution"] = args.resolution
+            started = time.time()
+            result = module.run(**kwargs)
+            elapsed = time.time() - started
+            print(result)
+            print(f"[{name}: {elapsed:.1f}s]")
+            print()
 
     if telemetry is not None:
         from repro.telemetry import write_metrics_json, write_trace_jsonl

@@ -101,7 +101,7 @@ def run(
 
     The N x regime matrix runs through the orchestrated executor
     (:func:`~repro.sim.parallel.run_specs`), so ``jobs`` fans chip
-    sizes out over worker processes and the process-wide sweep options
+    sizes out over worker processes and the installed sweep options
     (retries, timeouts, checkpointing) apply.  Multicore specs never
     lane-batch -- each is a singleton group -- but they share the same
     journal format as single-core sweeps.

@@ -17,6 +17,15 @@ running each lane serially; ``run_specs(..., batch=B)`` composes it
 with the process-level executor.  :mod:`repro.sim.distributed` shards
 a sweep across machines (``run_suite(..., cluster=...)``), with the
 same bit-identity contract.
+
+How a sweep runs when a call leaves a setting out is one frozen
+:class:`~repro.sim.parallel.SweepDefaults` (jobs, batch, options,
+cluster, cache), installed for a block with
+:func:`~repro.sim.parallel.sweep_defaults`.  Every sweep settles its
+settings once, in :func:`~repro.sim.parallel.resolve_sweep`: explicit
+argument, then the installed defaults, then ``REPRO_CACHE``, then
+built-ins.  Both command lines build their defaults through the one
+flag group in :mod:`repro.sim.flags`.
 """
 
 from repro.sim.batch import (
@@ -36,18 +45,27 @@ from repro.sim.checkpoint import (
 from repro.sim.fast import FastEngine
 from repro.sim.ledger import SpecFailure, SpecOutcome
 from repro.sim.parallel import (
+    ResolvedSweep,
     RetryPolicy,
+    SweepDefaults,
     SweepOptions,
     WorkSpec,
+    current_sweep_defaults,
     execute_payloads,
+    matrix_specs,
+    resolve_sweep,
+    run_outcomes,
+    run_specs,
+    sweep_defaults,
+)
+
+# Deprecated forwarders onto the one SweepDefaults slot, importable
+# here for one more release; not part of __all__.
+from repro.sim.parallel import (  # noqa: F401
     get_default_batch,
     get_default_cluster,
     get_default_jobs,
     get_default_sweep_options,
-    matrix_specs,
-    resolve_batch,
-    run_outcomes,
-    run_specs,
     set_default_batch,
     set_default_cluster,
     set_default_jobs,
@@ -73,34 +91,30 @@ __all__ = [
     "FastEngine",
     "History",
     "LaneOutcome",
+    "ResolvedSweep",
     "RetryPolicy",
     "RunResult",
     "SWEEP_SCHEMA",
     "ShardCoordinator",
     "SpecFailure",
     "SpecOutcome",
+    "SweepDefaults",
     "SweepOptions",
     "WorkSpec",
     "batch_compatibility_key",
+    "current_sweep_defaults",
     "execute_payloads",
-    "get_default_batch",
-    "get_default_cluster",
-    "get_default_jobs",
-    "get_default_sweep_options",
     "load_checkpoint",
     "matrix_specs",
     "plan_batches",
-    "resolve_batch",
+    "resolve_sweep",
     "run_cluster_outcomes",
     "run_outcomes",
     "run_spec_lanes",
     "run_specs",
     "run_suite",
     "run_worker",
-    "set_default_batch",
-    "set_default_cluster",
-    "set_default_jobs",
-    "set_default_sweep_options",
     "spec_fingerprint",
+    "sweep_defaults",
     "validate_batch",
 ]

@@ -102,34 +102,19 @@ def batch_compatibility_key(spec) -> str | None:
     )
 
 
-def plan_batches(specs, batch: int, skip=()) -> list[list[int]]:
+def plan_batches(specs, batch: int) -> list[list[int]]:
     """Group spec indices into lane batches of width <= ``batch``.
 
     Only *consecutive* compatible specs group together, so the results
     (and any checkpoint journal appends) stay in an order the serial
     executor could also have produced.  Specs whose key is ``None``
     (multicore) always form singleton groups.
-
-    ``skip`` names spec indices to leave out of the plan entirely, such
-    as specs a result cache already answers, so only the rest occupy
-    kernel lanes.  A skipped spec also breaks lane
-    adjacency (groups stay contiguous runs of the *original* spec
-    list), keeping the plan a strict sub-plan of the uncached one;
-    lane grouping never changes bits, so this costs correctness
-    nothing and keeps the planner's output easy to reason about.
     """
     validate_batch(batch)
-    skip = frozenset(skip)
     groups: list[list[int]] = []
     current: list[int] = []
     current_key: str | None = None
     for index, spec in enumerate(specs):
-        if index in skip:
-            if current:
-                groups.append(current)
-            current = []
-            current_key = None
-            continue
         key = batch_compatibility_key(spec)
         if (
             key is not None

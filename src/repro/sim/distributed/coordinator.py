@@ -57,7 +57,7 @@ from repro.sim.distributed.protocol import (
     write_message,
 )
 from repro.sim.ledger import SpecOutcome, SweepLedger
-from repro.sim.parallel import SweepOptions, resolve_cache
+from repro.sim.parallel import SweepOptions
 from repro.telemetry.core import ensure_telemetry
 
 
@@ -84,6 +84,11 @@ class ShardCoordinator:
     the journal keeps everything settled so far, and :meth:`wait`
     raises :class:`~repro.errors.ShardError` to signal the partial
     sweep -- a later coordinator resumes from the checkpoint.
+
+    It takes settled settings (see
+    :func:`repro.sim.parallel.resolve_sweep`): ``options=None`` means
+    ``SweepOptions()``, and ``cache`` is an open
+    :class:`~repro.sim.cache.ResultCache` or ``None``.
     """
 
     def __init__(
@@ -111,7 +116,7 @@ class ShardCoordinator:
             self.specs,
             self.sink,
             self.options,
-            resolve_cache(cache),
+            cache,
             family="shard",
         )
         self.outcomes: list[SpecOutcome | None] = self.ledger.outcomes
@@ -561,9 +566,9 @@ def run_cluster_outcomes(
     The distributed analogue of
     :func:`repro.sim.parallel.run_outcomes`; see
     :class:`ShardCoordinator` for the lifecycle and failure model.
-    ``cache`` is resolved exactly like the local orchestrator's
-    (:func:`repro.sim.parallel.resolve_cache`): hits settle on the
-    coordinator before any worker is granted a lease.
+    ``cache`` (an open :class:`~repro.sim.cache.ResultCache` or
+    ``None``): hits settle on the coordinator before any worker is
+    granted a lease.
     """
     coordinator = ShardCoordinator(
         specs, cluster, options=options, telemetry=telemetry, cache=cache

@@ -46,8 +46,7 @@ from repro.sim.distributed.protocol import (
 from repro.sim.parallel import (
     _worker_telemetry_config,
     execute_payloads,
-    resolve_batch,
-    resolve_jobs,
+    resolve_sweep,
 )
 
 
@@ -199,11 +198,10 @@ def run_worker(
             f"idle_timeout must be >= 0 or None, got {idle_timeout!r}"
         )
     worker_name = name if name else _default_name()
-    # Resolve once against an unbounded task count: the clamp to the
-    # actual lease size happens on the coordinator per grant.
-    effective_jobs = resolve_jobs(jobs, 1 << 30)
-    effective_batch = resolve_batch(batch)
-    capacity = max(1, effective_jobs * effective_batch)
+    # Resolve once with no task count: the clamp to the actual lease
+    # size happens on the coordinator per grant.
+    sweep = resolve_sweep(jobs, batch, cache=False)
+    capacity = sweep.jobs * sweep.batch
     stats = {"sweeps": 0, "executed": 0, "failures": 0}
     deadline = (
         None
@@ -242,8 +240,8 @@ def run_worker(
                 wfile,
                 write_lock,
                 cluster,
-                effective_jobs,
-                effective_batch,
+                sweep.jobs,
+                sweep.batch,
                 capacity,
                 stats,
             )

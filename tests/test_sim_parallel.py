@@ -25,12 +25,13 @@ from hypothesis import strategies as st
 from repro.config import TelemetryConfig
 from repro.errors import ConfigError
 from repro.sim.parallel import (
+    SweepDefaults,
     WorkSpec,
-    get_default_jobs,
+    current_sweep_defaults,
     matrix_specs,
-    resolve_jobs,
+    resolve_sweep,
     run_specs,
-    set_default_jobs,
+    sweep_defaults,
 )
 from repro.sim.sweep import run_one, run_suite
 from repro.telemetry.core import Telemetry
@@ -128,41 +129,43 @@ class TestWorkSpec:
         assert_results_equal(result, direct)
 
 
+def _jobs(jobs, tasks):
+    return resolve_sweep(jobs=jobs, cache=False, tasks=tasks).jobs
+
+
 class TestResolveJobs:
     def test_none_uses_process_default(self):
-        assert resolve_jobs(None, 8) == get_default_jobs() == 1
+        assert _jobs(None, 8) == current_sweep_defaults().jobs == 1
 
     def test_zero_means_all_cores_clamped_to_tasks(self):
-        assert resolve_jobs(0, 1) == 1
+        assert _jobs(0, 1) == 1
 
     def test_clamped_to_task_count(self):
-        assert resolve_jobs(16, 3) == 3
+        assert _jobs(16, 3) == 3
 
     def test_default_jobs_round_trip(self):
-        set_default_jobs(3)
-        try:
-            assert get_default_jobs() == 3
-            assert resolve_jobs(None, 8) == 3
-        finally:
-            set_default_jobs(1)
+        with sweep_defaults(SweepDefaults(jobs=3)):
+            assert current_sweep_defaults().jobs == 3
+            assert _jobs(None, 8) == 3
+        assert current_sweep_defaults().jobs == 1
 
     def test_rejects_negative_and_non_int(self):
         with pytest.raises(ConfigError):
-            set_default_jobs(-1)
+            SweepDefaults(jobs=-1)
         with pytest.raises(ConfigError):
-            resolve_jobs(-2, 4)
+            _jobs(-2, 4)
         with pytest.raises(ConfigError):
-            resolve_jobs(1.5, 4)  # type: ignore[arg-type]
+            _jobs(1.5, 4)
 
     def test_rejects_bool(self):
-        # bool is an int subclass: set_default_jobs(True) used to pass
-        # the isinstance check and silently mean "one worker".
+        # bool is an int subclass: jobs=True used to pass the
+        # isinstance check and silently mean "one worker".
         with pytest.raises(ConfigError):
-            set_default_jobs(True)
+            SweepDefaults(jobs=True)
         with pytest.raises(ConfigError):
-            set_default_jobs(False)
+            SweepDefaults(jobs=False)
         with pytest.raises(ConfigError):
-            resolve_jobs(True, 4)  # type: ignore[arg-type]
+            _jobs(True, 4)
 
 
 class TestSubmissionWindow:

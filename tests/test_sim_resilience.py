@@ -216,7 +216,8 @@ class TestTimeouts:
             specs,
             jobs=2,
             telemetry=telemetry,
-            options=SweepOptions(timeout_seconds=3.0, batch=2),
+            options=SweepOptions(timeout_seconds=3.0),
+            batch=2,
         )
         elapsed = time.monotonic() - started
         group_timeouts = [
