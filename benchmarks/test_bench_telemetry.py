@@ -15,6 +15,10 @@ intentionally generous: the measured ratio is typically well under
 telemetry-enabled run is *bit-identical* to a disabled one, so
 enabling observability can never change science outputs.
 
+The enabled guard writes the ``telemetry`` section of the receipt
+(``benchmarks/_receipt.py``): enabled and disabled microseconds per
+sample, their ratio, the repeat count and the spread of the repeats.
+
 This module needs no pytest plugins (plain ``perf_counter`` timing),
 so CI can run it with only numpy + pytest installed:
 
@@ -23,6 +27,7 @@ so CI can run it with only numpy + pytest installed:
 
 import time
 
+from benchmarks._receipt import update_receipt
 from repro.sim.fast import FastEngine
 from repro.sim.sweep import run_one
 from repro.telemetry import NULL_TELEMETRY, Telemetry
@@ -33,6 +38,12 @@ INSTRUCTIONS = 500_000
 
 #: Overhead budget for disabled telemetry, as a fraction of a sample.
 OVERHEAD_BUDGET = 0.02
+
+#: Enabled-over-disabled per-sample factor that trips the enabled guard.
+TRIPWIRE = 25
+
+#: Timed runs per side for the enabled guard and its receipt.
+REPEATS = 5
 
 
 def _run_engine(repeats: int = 3) -> tuple[float, int]:
@@ -106,25 +117,55 @@ def test_disabled_run_bit_identical_to_enabled():
     assert enabled.energy_joules == disabled.energy_joules
 
 
-def test_enabled_overhead_is_bounded():
-    """Full telemetry (trace + metrics + spans) stays within ~25x.
-
-    Not a contract like the disabled bound -- just a tripwire against
-    accidentally quadratic record assembly.  The bound is deliberately
-    loose (typical measured factor is ~1.3x) because CI machines are
-    noisy and span timing amplifies scheduler jitter.
-    """
-    per_sample_disabled, _ = _run_engine()
-    best = float("inf")
-    for _ in range(3):
+def _run_enabled(repeats: int) -> list[float]:
+    """Seconds-per-sample of each fully-traced run."""
+    times = []
+    for _ in range(repeats):
         engine = FastEngine(
             get_profile("gcc"), seed=0, telemetry=Telemetry()
         )
         start = time.perf_counter()
         engine.run(instructions=INSTRUCTIONS)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed / engine.manager.samples)
-    assert best < 25 * per_sample_disabled, (
+        times.append((time.perf_counter() - start) / engine.manager.samples)
+    return times
+
+
+def test_enabled_overhead_is_bounded():
+    """Full telemetry (trace + metrics + spans) stays within ~25x.
+
+    Not a contract like the disabled bound -- just a tripwire against
+    accidentally quadratic record assembly.  The bound is deliberately
+    loose (the measured factor is 1.2-1.4x since the sample stage
+    hands whole chunks to the recorder; the receipt's ``telemetry``
+    section holds the latest figure) because CI machines are noisy and
+    span timing amplifies scheduler jitter.
+    """
+    disabled = []
+    for _ in range(REPEATS):
+        best, samples = _run_engine(repeats=1)
+        disabled.append(best)
+    enabled = _run_enabled(REPEATS)
+    per_sample_disabled, best = min(disabled), min(enabled)
+    update_receipt(
+        "telemetry",
+        {
+            "instructions": INSTRUCTIONS,
+            "samples": samples,
+            "repeats": REPEATS,
+            "disabled_us_per_sample": round(1e6 * per_sample_disabled, 3),
+            "enabled_us_per_sample": round(1e6 * best, 3),
+            "enabled_over_disabled": round(best / per_sample_disabled, 3),
+            "disabled_spread": round(_spread(disabled), 3),
+            "enabled_spread": round(_spread(enabled), 3),
+            "tripwire": TRIPWIRE,
+        },
+    )
+    assert best < TRIPWIRE * per_sample_disabled, (
         f"enabled telemetry: {1e6 * best:.2f} us/sample vs "
         f"{1e6 * per_sample_disabled:.2f} us/sample disabled"
     )
+
+
+def _spread(times: list[float]) -> float:
+    """``(max - min) / min`` of the repeats."""
+    return (max(times) - min(times)) / min(times)

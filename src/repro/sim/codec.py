@@ -41,8 +41,6 @@ import base64
 import binascii
 import dataclasses
 import enum
-import itertools
-import operator
 
 import numpy as np
 
@@ -51,7 +49,12 @@ from repro.sim.results import History, RunResult
 from repro.telemetry.core import ensure_telemetry
 from repro.telemetry.export import event_from_dict
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.trace import TraceRecord
+from repro.telemetry.trace import (
+    FLOAT_FIELDS,
+    INT_FIELDS,
+    TEXT_FIELDS,
+    TraceBlock,
+)
 
 #: Tag key marking an encoded composite value; chosen to be absent from
 #: every plain mapping the sweep types carry.
@@ -371,81 +374,13 @@ def result_from_dict(data: dict) -> RunResult:
 
 
 # -- telemetry (de)serialization ----------------------------------------------
-#: :class:`~repro.telemetry.trace.TraceRecord`'s float fields, in the
-#: column order of a saved trace block (the dataclass's field order);
-#: the record's block temperatures follow them.
-_FLOAT_FIELDS = (
-    "sensed",
-    "max_temp",
-    "chip_power",
-    "ipc",
-    "measurement",
-    "error",
-    "p_term",
-    "i_term",
-    "d_term",
-    "pre_saturation",
-    "post_saturation",
-    "duty",
-    "emergency_fraction",
-    "stress_fraction",
-)
 #: The record fields saved as plain JSON lists, one value per record.
-_LIST_FIELDS = (
-    "index",
-    "cycle",
-    "stall_cycles",
-    "benchmark",
-    "policy",
-    "failsafe_state",
-)
+_LIST_FIELDS = (*INT_FIELDS, *TEXT_FIELDS)
 #: The saved block's dtype: little-endian float64 on every host.
 _BLOCK_DTYPE = "<f8"
 _BASE64_ALPHABET = (
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 )
-_float_row = operator.attrgetter(*_FLOAT_FIELDS)
-
-
-def _records_to_columns(records: list) -> dict:
-    """One run's retained records as a packed float block plus lists.
-
-    Every record must carry the run's block count, and every float
-    field a ``float`` (``np.float64`` included): an int would come back
-    as a float, so it is refused rather than silently changed.
-    """
-    blocks = len(records[0].block_temps) if records else 0
-    rows = []
-    for record in records:
-        temps = tuple(record.block_temps)
-        if len(temps) != blocks:
-            raise CodecError(
-                f"trace record {record.index} has {len(temps)} block "
-                f"temperatures; the run's first record has {blocks}"
-            )
-        rows.append(_float_row(record) + temps)
-    odd = {
-        kind.__name__
-        for kind in set(map(type, itertools.chain.from_iterable(rows)))
-        if not issubclass(kind, float)
-    }
-    if odd:
-        raise CodecError(
-            f"trace float fields must hold floats, got {sorted(odd)}"
-        )
-    shape = [len(records), len(_FLOAT_FIELDS) + blocks]
-    block = np.array(rows, dtype=_BLOCK_DTYPE).reshape(shape)
-    columns = {
-        "blocks": blocks,
-        "floats": {
-            "dtype": _BLOCK_DTYPE,
-            "shape": shape,
-            "data": base64.b64encode(block.tobytes()).decode("ascii"),
-        },
-    }
-    for name in _LIST_FIELDS:
-        columns[name] = [getattr(record, name) for record in records]
-    return columns
 
 
 def _block_shape(columns) -> tuple[int, int]:
@@ -472,12 +407,12 @@ def _block_shape(columns) -> tuple[int, int]:
     if (
         type(blocks) is not int
         or blocks < 0
-        or width != len(_FLOAT_FIELDS) + blocks
+        or width != len(FLOAT_FIELDS) + blocks
     ):
         raise CodecError(
             f"saved trace block is {width} columns wide; "
             f"{blocks!r} block temperatures need "
-            f"{len(_FLOAT_FIELDS)} + blocks"
+            f"{len(FLOAT_FIELDS)} + blocks"
         )
     for name in _LIST_FIELDS:
         values = columns.get(name)
@@ -502,6 +437,32 @@ def _block_shape(columns) -> tuple[int, int]:
     return count, width
 
 
+def _saved_block(columns, decode: bool = True) -> TraceBlock | None:
+    """A saved trace block, checked; ``decode=False`` skips the floats.
+
+    Raises :class:`~repro.errors.CodecError` on any damage the fold
+    would trip over.
+    """
+    count, width = _block_shape(columns)
+    try:
+        ints = np.array(
+            [columns[name] for name in INT_FIELDS], dtype=np.int64
+        ).T.reshape(count, len(INT_FIELDS))
+        text = np.empty((count, len(TEXT_FIELDS)), dtype=object)
+        for column, name in enumerate(TEXT_FIELDS):
+            text[:, column] = columns[name]
+    except (TypeError, ValueError, OverflowError) as error:
+        raise CodecError(
+            f"saved trace lists do not decode: {error}"
+        ) from error
+    if not decode:
+        return None
+    floats = np.frombuffer(
+        binascii.a2b_base64(columns["floats"]["data"]), dtype=_BLOCK_DTYPE
+    ).reshape(count, width)
+    return TraceBlock(floats, ints, text)
+
+
 def telemetry_to_dict(local) -> dict | None:
     """JSON view of one run's worker-local retain-everything telemetry.
 
@@ -511,43 +472,30 @@ def telemetry_to_dict(local) -> dict | None:
     """
     if local is None:
         return None
+    blocks = local.trace.blocks()
+    if len({block.floats.shape[1] for block in blocks}) > 1:
+        raise CodecError(
+            "trace records carry different numbers of block temperatures"
+        )
+    block = TraceBlock.concatenate(blocks) if blocks else TraceBlock.empty()
+    floats = block.floats.astype(_BLOCK_DTYPE, copy=False)
+    columns = {
+        "blocks": floats.shape[1] - len(FLOAT_FIELDS),
+        "floats": {
+            "dtype": _BLOCK_DTYPE,
+            "shape": list(floats.shape),
+            "data": base64.b64encode(floats.tobytes()).decode("ascii"),
+        },
+    }
+    for fields, array in ((INT_FIELDS, block.ints), (TEXT_FIELDS, block.text)):
+        for column, name in enumerate(fields):
+            columns[name] = array[:, column].tolist()
     return {
-        "records": _records_to_columns(local.trace.records()),
+        "records": columns,
         "events": [event.to_dict() for event in local.trace.events],
         "metrics": local.metrics.snapshot(),
         "meta": dict(local.meta),
     }
-
-
-def _fold_records(trace, columns) -> None:
-    """Emit a saved block onto ``trace``, building only kept records."""
-    count, width = _block_shape(columns)
-    block = np.frombuffer(
-        binascii.a2b_base64(columns["floats"]["data"]), dtype=_BLOCK_DTYPE
-    ).reshape(count, width)
-    index, cycle, stall, benchmark, policy, failsafe = (
-        columns[name] for name in _LIST_FIELDS
-    )
-    scalars = len(_FLOAT_FIELDS)
-
-    def build(i: int) -> TraceRecord:
-        row = block[i].tolist()
-        # Positional (a third of the keyword cost): the float columns
-        # are TraceRecord's field order with the other fields taken out.
-        return TraceRecord(
-            index[i],
-            cycle[i],
-            benchmark[i],
-            policy[i],
-            *row[:2],
-            tuple(row[scalars:]),
-            *row[2:12],
-            stall[i],
-            failsafe[i],
-            *row[12:scalars],
-        )
-
-    trace.record_many(count, build)
 
 
 def fold_saved_telemetry(sink, payload: dict | None) -> None:
@@ -556,9 +504,9 @@ def fold_saved_telemetry(sink, payload: dict | None) -> None:
     Mirrors :func:`~repro.telemetry.core.merge_telemetry` exactly:
     records and events re-emit through the sink's own retention policy,
     metrics fold under the registry's associative merge, meta updates.
-    The record block is decoded once, and only the records the sink's
-    retention keeps are built.  No-op when the sink is disabled or the
-    payload is empty (the entry came from a telemetry-less sweep).
+    The record block is decoded once and appended as one column block.
+    No-op when the sink is disabled or the payload is empty (the entry
+    came from a telemetry-less sweep).
     Both the checkpoint resume path and the shard coordinator fold
     through here, in spec order, which is what makes resumed and
     distributed sweeps' retained traces bit-identical to an
@@ -568,7 +516,7 @@ def fold_saved_telemetry(sink, payload: dict | None) -> None:
     if not sink.enabled or payload is None:
         return
     if payload.get("records") is not None:
-        _fold_records(sink.trace, payload["records"])
+        sink.trace.record_many(_saved_block(payload["records"]))
     for data in payload.get("events", ()):
         sink.trace.events.append(event_from_dict(data))
     sink.metrics.merge_snapshot(payload.get("metrics", {}))
@@ -593,7 +541,7 @@ def check_saved_telemetry(payload) -> None:
             f"saved telemetry is a {type(payload).__name__}, not a mapping"
         )
     if payload.get("records") is not None:
-        _block_shape(payload["records"])
+        _saved_block(payload["records"], decode=False)
     try:
         for data in payload.get("events", ()):
             event_from_dict(data)

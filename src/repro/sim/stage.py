@@ -19,9 +19,11 @@ the stage's :meth:`~SampleStage.flush` post-pass then
   ``np.sum`` would add pairwise and change the bits.  Temperature peaks
   take a ``max``, which is exact in any order;
 * fills the history rows;
-* emits the chunk's telemetry records, in sample order (lane order
-  within one step), with the controller fields each sample took from
-  :meth:`~repro.telemetry.core.Telemetry.take_control`.
+* hands each lane's telemetry sink the lane's rows of the chunk as one
+  column block (:meth:`~repro.telemetry.core.Telemetry.record_block`),
+  in sample order, with the controller halves each sample took from
+  :meth:`~repro.telemetry.core.Telemetry.take_control` transposed once
+  per chunk.
 
 A kernel flushes when the chunk is full, when a lane leaves the lane
 kernel, and when its run ends or raises (the non-finite
@@ -35,6 +37,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.sim.results import History, RunResult
+from repro.telemetry.core import NO_CONTROL
 
 #: Samples (lane-kernel steps) staged per threshold pass.  A module
 #: constant, not a knob: results do not depend on it, and 512 rows keep
@@ -212,67 +215,64 @@ class SampleStage:
             self.masked = False
 
     def _emit(self, steps, slots, fractions, peaks, mask) -> None:
-        """Fill the history rows and emit the telemetry records."""
+        """Fill each lane's history rows and hand its sink one block."""
         lanes = len(slots)
         end = self.end[:steps, :lanes]
         max_temp = end.max(axis=2)
         extras = self.extras
         for column, slot in enumerate(slots):
             history = self._histories[slot]
-            if history is None:
+            telemetry = self._recorders[slot]
+            if history is None and telemetry is None:
                 continue
             rows = (
                 np.arange(steps)
                 if mask is None
                 else np.flatnonzero(mask[:, column])
             )
-            history.extend(
-                max_temp=max_temp[rows, column],
-                duty=[extras[row][0][column] for row in rows.tolist()],
-                chip_power=self.chip[rows, column],
-                block_temps=end[rows, column],
-                block_powers=self.powers[rows, column],
-                block_emergency=fractions[0, rows, column],
-                block_stress=fractions[1, rows, column],
-            )
-        recorders = [
-            (column, slot, self._recorders[slot])
-            for column, slot in enumerate(slots)
-            if self._recorders[slot] is not None
-        ]
-        if not recorders:
-            return
-        sample = self._sample
-        emitted = self._emitted
-        sensed = self.sensed[:steps, :lanes].tolist()
-        chip = self.chip[:steps, :lanes].tolist()
-        committed = self.committed[:steps, :lanes].tolist()
-        block_temps = end.tolist()
-        max_temp = max_temp.tolist()
-        emergency = peaks[0].tolist()
-        stress = peaks[1].tolist()
-        measured = None if mask is None else mask.tolist()
-        for row in range(steps):
-            duties, controls, latency = extras[row]
-            for column, slot, telemetry in recorders:
-                if measured is not None and not measured[row][column]:
-                    continue
-                index = emitted[slot]
-                emitted[slot] = index + 1
-                telemetry.record_sample(
-                    index=index,
-                    cycle=(index + 1) * sample,
-                    sensed=sensed[row][column],
-                    max_temp=max_temp[row][column],
-                    block_temps=block_temps[row][column],
-                    chip_power=chip[row][column],
-                    ipc=committed[row][column] / sample,
-                    duty=duties[column],
-                    emergency_fraction=emergency[row][column],
-                    stress_fraction=stress[row][column],
-                    latency_seconds=latency,
-                    control=controls[column],
+            duty = [extras[row][0][column] for row in rows.tolist()]
+            if history is not None:
+                history.extend(
+                    max_temp=max_temp[rows, column],
+                    duty=duty,
+                    chip_power=self.chip[rows, column],
+                    block_temps=end[rows, column],
+                    block_powers=self.powers[rows, column],
+                    block_emergency=fractions[0, rows, column],
+                    block_stress=fractions[1, rows, column],
                 )
+            if telemetry is not None and len(rows):
+                self._emit_chunk(
+                    telemetry, slot, rows, column, duty, max_temp, peaks
+                )
+
+    def _emit_chunk(
+        self, telemetry, slot, rows, column, duty, max_temp, peaks
+    ) -> None:
+        """Hand one lane's measured ``rows`` to its sink as one block."""
+        first = self._emitted[slot]
+        self._emitted[slot] = first + len(rows)
+        index = np.arange(first, first + len(rows))
+        extras = [self.extras[row] for row in rows.tolist()]
+        # The staged controller halves, transposed once per chunk.
+        control = list(zip(*(
+            extra[1][column] or NO_CONTROL for extra in extras
+        )))
+        # The float columns in FLOAT_FIELDS order, then the block rows.
+        floats = np.column_stack((
+            self.sensed[rows, column],
+            max_temp[rows, column],
+            self.chip[rows, column],
+            self.committed[rows, column] / self._sample,
+            np.transpose(control[1:8]),
+            duty,
+            peaks[0][rows, column],
+            peaks[1][rows, column],
+            self.end[rows, column],
+        ))
+        ints = np.column_stack((index, (index + 1) * self._sample, control[9]))
+        latency = np.array([extra[2] for extra in extras])
+        telemetry.record_block(floats, ints, control[10], latency)
 
     def result(
         self,

@@ -11,7 +11,8 @@ It bundles the three collectors --
 * :class:`~repro.telemetry.profiler.Profiler` (span timings)
 
 -- behind the narrow surface the engines call: ``span``, ``event``,
-``record_control`` / ``record_sample``, ``set_context``.
+``record_control`` / ``record_block`` (``record_sample`` per sample),
+``set_context``.
 
 **The default is off.**  Every instrumented component takes
 ``telemetry=None`` and substitutes :data:`NULL_TELEMETRY`, whose
@@ -26,6 +27,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.config import TelemetryConfig
 from repro.telemetry.metrics import (
     DUTY_EDGES,
@@ -34,12 +37,19 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
 )
 from repro.telemetry.profiler import NULL_PROFILER, Profiler, _NullSpan
-from repro.telemetry.trace import TraceEvent, TraceRecord, TraceRecorder
+from repro.telemetry.trace import (
+    COLUMN,
+    TEXT_FIELDS,
+    TraceBlock,
+    TraceEvent,
+    TraceRecord,
+    TraceRecorder,
+)
 
 _NULL_SPAN = _NullSpan()
 
-#: ``record_sample``'s default ``control``: consume the staged half.
-_STAGED = object()
+#: The controller half of a sample no controller staged.
+NO_CONTROL = (-1, *[math.nan] * 8, 0, "")
 
 
 class Telemetry:
@@ -63,7 +73,7 @@ class Telemetry:
         self.meta: dict = {}
         #: Controller-side fields staged by the DTM manager, merged
         #: into the next sample record by the engine.
-        self._pending_control: dict | None = None
+        self._pending_control: tuple | None = None
         # Pre-resolved metric handles (no dict lookup per sample).
         self._h_temp = self.metrics.histogram(
             "engine.max_temperature_c", TEMPERATURE_EDGES
@@ -92,11 +102,8 @@ class Telemetry:
         self, kind: str, sample_index: int, reason: str = "", **data
     ) -> TraceEvent:
         """Record a discrete event on the trace's event stream."""
-        self._c_events_inc(kind)
-        return self.trace.event(kind, sample_index, reason, **data)
-
-    def _c_events_inc(self, kind: str) -> None:
         self.metrics.counter(f"events.{kind}").inc()
+        return self.trace.event(kind, sample_index, reason, **data)
 
     # -- the per-sample path -------------------------------------------------
     def record_control(
@@ -117,29 +124,21 @@ class Telemetry:
 
         Called by :class:`~repro.dtm.manager.DTMManager` from inside
         ``on_sample``; the engine completes and emits the record with
-        the plant-side fields via :meth:`record_sample`.
+        the plant-side fields.  The half is a tuple in keyword order.
         """
-        self._pending_control = {
-            "sample_index": sample_index,
-            "measurement": measurement,
-            "error": error,
-            "p_term": p_term,
-            "i_term": i_term,
-            "d_term": d_term,
-            "pre_saturation": pre_saturation,
-            "post_saturation": post_saturation,
-            "duty": duty,
-            "stall_cycles": stall_cycles,
-            "failsafe_state": failsafe_state,
-        }
+        self._pending_control = (
+            sample_index, measurement, error, p_term, i_term, d_term,
+            pre_saturation, post_saturation, duty, stall_cycles,
+            failsafe_state,
+        )
 
-    def take_control(self) -> dict | None:
+    def take_control(self) -> tuple | None:
         """Detach the controller half staged by :meth:`record_control`.
 
         For engines that emit a sample's record after later samples ran
         (the deferred threshold pass of :mod:`repro.sim.stage`): the
-        half taken here is handed back through ``record_sample``'s
-        ``control`` argument at emission time.
+        halves taken here are handed back in :meth:`record_block`'s
+        columns at emission time.
         """
         pending = self._pending_control
         self._pending_control = None
@@ -158,43 +157,21 @@ class Telemetry:
         emergency_fraction: float = 0.0,
         stress_fraction: float = 0.0,
         latency_seconds: float = math.nan,
-        control=_STAGED,
-    ) -> TraceRecord:
-        """Complete and emit one per-sample trace record + metrics.
+    ) -> None:
+        """Emit one sample: the per-sample form of :meth:`record_block`.
 
-        ``control`` is the controller half (a :meth:`take_control`
-        result, ``None`` for none); by default the half staged by the
-        latest :meth:`record_control` is consumed.
+        The controller half is the one staged by the latest
+        :meth:`record_control` (NaN terms when none was).  The record
+        goes to the same trace store; the metrics take the per-value
+        updates that :meth:`record_block`'s bulk ones are tested against.
         """
-        pending = control
-        if pending is _STAGED:
-            pending = self._pending_control
-            self._pending_control = None
-        record = TraceRecord(
-            index=index,
-            cycle=cycle,
-            benchmark=self.benchmark,
-            policy=self.policy,
-            sensed=sensed,
-            max_temp=max_temp,
-            block_temps=tuple(float(t) for t in block_temps),
-            chip_power=chip_power,
-            ipc=ipc,
-            duty=duty,
-            emergency_fraction=emergency_fraction,
-            stress_fraction=stress_fraction,
-        )
-        if pending is not None:
-            record.measurement = pending["measurement"]
-            record.error = pending["error"]
-            record.p_term = pending["p_term"]
-            record.i_term = pending["i_term"]
-            record.d_term = pending["d_term"]
-            record.pre_saturation = pending["pre_saturation"]
-            record.post_saturation = pending["post_saturation"]
-            record.stall_cycles = pending["stall_cycles"]
-            record.failsafe_state = pending["failsafe_state"]
-        self.trace.record(record)
+        control = self.take_control() or NO_CONTROL
+        self.trace.record(TraceRecord(
+            index, cycle, self.benchmark, self.policy, sensed, max_temp,
+            tuple(float(t) for t in block_temps), chip_power, ipc,
+            *control[1:8], duty, control[9], control[10],
+            emergency_fraction, stress_fraction,
+        ))
         self._h_temp.observe(max_temp)
         self._h_duty.observe(duty)
         if not math.isnan(latency_seconds):
@@ -206,7 +183,34 @@ class Telemetry:
             self._c_stress.inc()
         self._g_peak_temp.set(max_temp)
         self._g_peak_power.set(chip_power)
-        return record
+
+    def record_block(self, floats, ints, failsafe, latency) -> None:
+        """Emit a chunk of samples, in order, and update the metrics.
+
+        ``floats`` and ``ints`` are the :class:`~repro.telemetry.trace.
+        TraceBlock` columns, ``failsafe`` the per-row failsafe state and
+        ``latency`` the per-row sample latency in seconds (NaN for an
+        untimed sample, which the latency histogram skips).  Benchmark
+        and policy come from the context.
+        """
+        text = np.empty((len(ints), len(TEXT_FIELDS)), dtype=object)
+        text[:, 0] = self.benchmark
+        text[:, 1] = self.policy
+        text[:, 2] = failsafe
+        self.trace.record_many(TraceBlock(floats, ints, text))
+        max_temp = floats[:, COLUMN["max_temp"]]
+        self._h_temp.observe_many(max_temp)
+        self._h_duty.observe_many(floats[:, COLUMN["duty"]])
+        self._h_latency.observe_many(latency[~np.isnan(latency)])
+        self._c_samples.inc(len(ints))
+        self._c_emergency.inc(
+            int(np.count_nonzero(floats[:, COLUMN["emergency_fraction"]] > 0))
+        )
+        self._c_stress.inc(
+            int(np.count_nonzero(floats[:, COLUMN["stress_fraction"]] > 0))
+        )
+        self._g_peak_temp.set_many(max_temp)
+        self._g_peak_power.set_many(floats[:, COLUMN["chip_power"]])
 
     # -- read side -----------------------------------------------------------
     def snapshot(self) -> dict:
@@ -295,8 +299,8 @@ def merge_telemetry(sink, source) -> None:
     Experiment drivers that need per-run trace isolation (e.g. to pull
     one policy's temperature series out cleanly) record into a local
     :class:`Telemetry` and fold it into the caller's shared sink
-    afterwards: retained trace records and events are re-emitted onto
-    the sink's recorder (subject to its own retention policy) and
+    afterwards: the retained record blocks and the events are appended
+    to the sink's recorder (subject to its own retention policy) and
     metrics merge under the registry's associative fold.  Span timings
     are per-process wall-clock and are deliberately not merged.
 
@@ -305,8 +309,8 @@ def merge_telemetry(sink, source) -> None:
     sink = ensure_telemetry(sink)
     if not sink.enabled or sink is source:
         return
-    for record in source.trace.records():
-        sink.trace.record(record)
+    for block in source.trace.blocks():
+        sink.trace.record_many(block)
     for event in source.trace.events:
         sink.trace.events.append(event)
     sink.metrics.merge_snapshot(source.metrics.snapshot())

@@ -22,31 +22,25 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
 from repro.errors import TelemetryError
-from repro.telemetry.trace import TraceEvent, TraceRecord, TraceRecorder
+from repro.telemetry.trace import (
+    COLUMN,
+    FLOAT_FIELDS,
+    TraceEvent,
+    TraceRecord,
+    TraceRecorder,
+)
 
 #: Version tag written into every trace header.
 TRACE_SCHEMA = "repro.trace/v1"
 
-#: TraceRecord float fields serialized with NaN -> null mapping.
-_FLOAT_FIELDS = (
-    "sensed",
-    "max_temp",
-    "chip_power",
-    "ipc",
-    "measurement",
-    "error",
-    "p_term",
-    "i_term",
-    "d_term",
-    "pre_saturation",
-    "post_saturation",
-    "duty",
-)
+#: TraceRecord float fields serialized with NaN -> null mapping (the
+#: emergency and stress fractions are never NaN).
+_FLOAT_FIELDS = FLOAT_FIELDS[: COLUMN["duty"] + 1]
 
 
 def _nan_to_none(value):
@@ -81,25 +75,14 @@ def record_from_dict(data: dict) -> TraceRecord:
         cycle=data["cycle"],
         benchmark=data.get("benchmark", ""),
         policy=data.get("policy", ""),
-        sensed=_none_to_nan(data.get("sensed")),
-        max_temp=_none_to_nan(data.get("max_temp")),
         block_temps=tuple(
             _none_to_nan(t) for t in data.get("block_temps", ())
         ),
-        chip_power=_none_to_nan(data.get("chip_power")),
-        ipc=_none_to_nan(data.get("ipc")),
-        measurement=_none_to_nan(data.get("measurement")),
-        error=_none_to_nan(data.get("error")),
-        p_term=_none_to_nan(data.get("p_term")),
-        i_term=_none_to_nan(data.get("i_term")),
-        d_term=_none_to_nan(data.get("d_term")),
-        pre_saturation=_none_to_nan(data.get("pre_saturation")),
-        post_saturation=_none_to_nan(data.get("post_saturation")),
-        duty=_none_to_nan(data.get("duty")),
         stall_cycles=data.get("stall_cycles", 0),
         failsafe_state=data.get("failsafe_state", ""),
         emergency_fraction=data.get("emergency_fraction", 0.0),
         stress_fraction=data.get("stress_fraction", 0.0),
+        **{name: _none_to_nan(data.get(name)) for name in _FLOAT_FIELDS},
     )
 
 
@@ -154,31 +137,15 @@ def write_trace_csv(
     """
     path = Path(path)
     records = recorder.records()
-    blocks = list(block_names) if block_names is not None else None
-    if blocks is None and records and records[0].block_temps:
-        blocks = [f"block{i}" for i in range(len(records[0].block_temps))]
-    blocks = blocks or []
+    # One shared sink can hold rows of different widths (single-core
+    # block temperatures beside per-core maxima): size the columns from
+    # the widest row, naming any past ``block_names`` by position, and
+    # pad narrower rows with NaN.
+    blocks = list(block_names) if block_names is not None else []
+    widest = max((len(record.block_temps) for record in records), default=0)
+    blocks += [f"block{i}" for i in range(len(blocks), widest)]
     scalar_fields = [
-        "index",
-        "cycle",
-        "benchmark",
-        "policy",
-        "sensed",
-        "max_temp",
-        "chip_power",
-        "ipc",
-        "measurement",
-        "error",
-        "p_term",
-        "i_term",
-        "d_term",
-        "pre_saturation",
-        "post_saturation",
-        "duty",
-        "stall_cycles",
-        "failsafe_state",
-        "emergency_fraction",
-        "stress_fraction",
+        f.name for f in fields(TraceRecord) if f.name != "block_temps"
     ]
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -186,9 +153,8 @@ def write_trace_csv(
         for record in records:
             row = [getattr(record, field) for field in scalar_fields]
             temps = list(record.block_temps)
-            if len(temps) < len(blocks):
-                temps += [math.nan] * (len(blocks) - len(temps))
-            writer.writerow(row + temps[: len(blocks)])
+            temps += [math.nan] * (len(blocks) - len(temps))
+            writer.writerow(row + temps)
     return len(records)
 
 

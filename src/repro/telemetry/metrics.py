@@ -29,6 +29,8 @@ import bisect
 import math
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from repro.errors import TelemetryError
 
 #: Default temperature bin edges [degC]: 1-K bins through the DTM
@@ -47,6 +49,23 @@ DUTY_EDGES: tuple[float, ...] = tuple(i / 8 for i in range(9))
 LATENCY_EDGES: tuple[float, ...] = tuple(
     10.0 ** (-6 + 0.5 * i) for i in range(11)
 )
+
+
+def _first_extreme(current: float, values: np.ndarray, largest: bool):
+    """``current`` folded with ``values`` by strict ``>`` (or ``<``).
+
+    That is ``max``/``min`` applied one value at a time: a value only
+    replaces a strictly smaller (larger) current one, so of equal values
+    (``0.0`` and ``-0.0``) the first one stays, NaN values are passed
+    over, and a NaN current value is never replaced.
+    """
+    finite = values[~np.isnan(values)]
+    if current != current or not len(finite):
+        return current
+    best = finite.max() if largest else finite.min()
+    if (best > current) if largest else (best < current):
+        return float(finite[np.flatnonzero(finite == best)[0]])
+    return current
 
 
 class Counter:
@@ -106,6 +125,17 @@ class Gauge:
         else:
             self.extreme = min(self.extreme, value)
 
+    def set_many(self, values: np.ndarray) -> None:
+        """``set`` each of ``values`` (a float64 array) in order."""
+        if not len(values):
+            return
+        extreme = self.extreme
+        if extreme is None:
+            extreme, values = float(values[0]), values[1:]
+        self.value = float(values[-1]) if len(values) else extreme
+        self.updates += len(values) + (self.extreme is None)
+        self.extreme = _first_extreme(extreme, values, self.prefer == "max")
+
     def snapshot(self) -> dict:
         """Plain-data view of this gauge."""
         return {
@@ -159,6 +189,33 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
+
+    def observe_many(self, values: np.ndarray) -> None:
+        """``observe`` each of ``values`` (a float64 array) in order.
+
+        The bins come from one ``searchsorted(side="right")``, the
+        ``bisect_right`` of :meth:`observe`.  ``sum`` is a ``cumsum``
+        seeded with the running sum, which adds in sample order as the
+        per-value ``+=`` does (``np.sum`` would add pairwise).
+        """
+        nan = np.isnan(values)
+        if nan.any():
+            self.nan_count += int(np.count_nonzero(nan))
+            values = values[~nan]
+        if not len(values):
+            return
+        bins = np.bincount(
+            np.searchsorted(self.edges, values, side="right"),
+            minlength=len(self.counts),
+        )
+        self.counts = [a + b for a, b in zip(self.counts, bins.tolist())]
+        self.count += len(values)
+        # Quietly, like float ``+=``: inf + -inf is NaN, overflow is inf.
+        with np.errstate(invalid="ignore", over="ignore"):
+            running = np.cumsum(np.concatenate(([self.sum], values)))
+        self.sum = float(running[-1])
+        self.min = _first_extreme(self.min, values, False)
+        self.max = _first_extreme(self.max, values, True)
 
     @property
     def mean(self) -> float:

@@ -12,23 +12,28 @@ of the periodic samples never loses them.
 Long runs cannot keep every sample.  :class:`TraceRecorder` offers two
 bounded retention modes:
 
-* ``"ring"`` -- keep the **last** ``capacity`` records (wraparound);
-  right for post-mortems ("what led up to the emergency?");
+* ``"ring"`` -- keep the **last** ``capacity`` records; right for
+  post-mortems ("what led up to the emergency?");
 * ``"decimate"`` -- keep the **whole run** at decreasing resolution:
-  when the buffer fills, every other retained record is dropped and
-  the keep-stride doubles, so the trace always spans the run with at
-  most ``capacity`` records.  Decimation is a pure function of the
-  emit sequence (no clocks, no randomness), so two identical runs
-  retain identical records -- a property test asserts this.
+  the emit ordinals that are multiples of a power-of-two stride, the
+  smallest one that fits the run in ``capacity`` records.
+
+Both are closed forms of the emit count (no clocks, no randomness), so
+two identical runs retain identical records -- a property test asserts
+this.  Retained rows are stored as :class:`TraceBlock` column chunks;
+:class:`TraceRecord` objects are built only when read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
-from repro.errors import TelemetryError
+import numpy as np
+
+from repro.errors import CodecError, TelemetryError
 
 #: Retention strategies understood by :class:`TraceRecorder`.
 TRACE_MODES = ("ring", "decimate")
@@ -85,27 +90,8 @@ class TraceRecord:
         """JSON-serializable view (schema documented in docs/observability.md)."""
         return {
             "type": "sample",
-            "index": self.index,
-            "cycle": self.cycle,
-            "benchmark": self.benchmark,
-            "policy": self.policy,
-            "sensed": self.sensed,
-            "max_temp": self.max_temp,
+            **vars(self),
             "block_temps": list(self.block_temps),
-            "chip_power": self.chip_power,
-            "ipc": self.ipc,
-            "measurement": self.measurement,
-            "error": self.error,
-            "p_term": self.p_term,
-            "i_term": self.i_term,
-            "d_term": self.d_term,
-            "pre_saturation": self.pre_saturation,
-            "post_saturation": self.post_saturation,
-            "duty": self.duty,
-            "stall_cycles": self.stall_cycles,
-            "failsafe_state": self.failsafe_state,
-            "emergency_fraction": self.emergency_fraction,
-            "stress_fraction": self.stress_fraction,
         }
 
 
@@ -173,8 +159,97 @@ class EventLog:
         self.dropped = 0
 
 
+def _fields_of(kind: str) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(TraceRecord) if f.type == kind)
+
+
+#: :class:`TraceRecord`'s float, int and string fields, each in the
+#: dataclass's field order: the column order of :class:`TraceBlock`'s
+#: ``floats`` (the block temperatures follow them), ``ints`` and ``text``.
+FLOAT_FIELDS = _fields_of("float")
+INT_FIELDS = _fields_of("int")
+TEXT_FIELDS = _fields_of("str")
+#: Column of each float field in :attr:`TraceBlock.floats`.
+COLUMN = {name: column for column, name in enumerate(FLOAT_FIELDS)}
+_float_row = operator.attrgetter(*FLOAT_FIELDS)
+
+
+#: Records :meth:`TraceRecorder.record` gathers before it forms a block.
+ROW_BATCH = 512
+
+
+def decimation_stride(emitted: int, capacity: int) -> int:
+    """The decimate stride after ``emitted`` emits: the smallest power
+    of two ``s`` with ``ceil(emitted / s) <= capacity``."""
+    return 1 << max(0, -(-emitted // capacity) - 1).bit_length()
+
+
+@dataclass(frozen=True, eq=False)
+class TraceBlock:
+    """Rows of trace records as columns.
+
+    ``floats`` is ``(rows, len(FLOAT_FIELDS) + blocks)`` float64 (the
+    saved-trace layout of :mod:`repro.sim.codec`), ``ints`` is
+    ``(rows, 3)`` int64 and ``text`` is ``(rows, 3)`` object.  Blocks
+    are never written after construction, so recorders share them.
+    """
+
+    floats: np.ndarray
+    ints: np.ndarray
+    text: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def take(self, rows) -> TraceBlock:
+        """The block of ``rows`` (a slice or an index array)."""
+        return TraceBlock(self.floats[rows], self.ints[rows], self.text[rows])
+
+    @staticmethod
+    def concatenate(blocks) -> TraceBlock:
+        """Equal-width blocks stacked in order."""
+        return TraceBlock(*(
+            np.concatenate(columns)
+            for columns in zip(*((b.floats, b.ints, b.text) for b in blocks))
+        ))
+
+    @staticmethod
+    def empty() -> TraceBlock:
+        """A zero-row block with no block temperatures."""
+        return TraceBlock(
+            np.empty((0, len(FLOAT_FIELDS))),
+            np.empty((0, len(INT_FIELDS)), dtype=np.int64),
+            np.empty((0, len(TEXT_FIELDS)), dtype=object),
+        )
+
+    def records(self) -> list[TraceRecord]:
+        """The rows as :class:`TraceRecord` objects."""
+        scalars = len(FLOAT_FIELDS)
+        # Positional (a third of the keyword cost): the float columns are
+        # TraceRecord's field order with the other fields taken out.
+        return [
+            TraceRecord(index, cycle, benchmark, policy, *row[:2],
+                        tuple(row[scalars:]), *row[2:12], stall, failsafe,
+                        *row[12:scalars])
+            for row, (index, cycle, stall), (benchmark, policy, failsafe)
+            in zip(self.floats.tolist(), self.ints.tolist(),
+                   self.text.tolist())
+        ]
+
+
 class TraceRecorder:
-    """Bounded retention of per-sample records plus an event stream."""
+    """Bounded retention of per-sample records plus an event stream.
+
+    Retained rows live as :class:`TraceBlock` column chunks, in emit
+    order.  Retention is a closed form of the emit count ``emitted``:
+    ``"ring"`` keeps the last ``capacity`` emit ordinals, and
+    ``"decimate"`` keeps the ordinals that are multiples of
+    :attr:`stride`, the smallest power of two ``s`` with
+    ``ceil(emitted / s) <= capacity``.  That is the set the classic
+    per-record rule (keep ordinals on the stride; when full, drop every
+    other retained record and double the stride) leaves, so a block of
+    ``n`` rows retains exactly what ``n`` :meth:`record` calls would.
+    """
 
     def __init__(
         self,
@@ -191,71 +266,86 @@ class TraceRecorder:
         self.capacity = capacity
         self.mode = mode
         self.events = EventLog(event_capacity)
-        self._records: list[TraceRecord] = []
-        #: Ring write head (``"ring"`` mode only).
-        self._head = 0
-        #: Current keep-stride over emit ordinals (``"decimate"`` only).
+        self._blocks: list[TraceBlock] = []
+        #: The stride the held blocks are decimated to (``"decimate"``).
         self._stride = 1
+        #: Rows :meth:`record` emitted that are not in a block yet.
+        self._rows: list[tuple] = []
         #: Total records ever emitted (pre-retention).
         self.emitted = 0
 
     # -- write side ----------------------------------------------------------
-    def _admit(self) -> int:
-        """Advance the emit sequence by one record; return its slot.
-
-        The slot is the position in the retained list the record takes
-        (``len`` appends), or -1 when retention drops it.  This is the
-        one retention rule: :meth:`record` and :meth:`record_many` both
-        step through it, and it decides before the record exists.
-        """
-        ordinal = self.emitted
-        self.emitted += 1
-        if self.mode == "ring":
-            if len(self._records) < self.capacity:
-                return len(self._records)
-            slot = self._head
-            self._head = (slot + 1) % self.capacity
-            return slot
-        # Decimation: keep emit ordinals divisible by the stride; on
-        # overflow, drop every other retained record and double the
-        # stride.  Both steps depend only on the emit sequence.
-        if ordinal % self._stride:
-            return -1
-        if len(self._records) >= self.capacity:
-            self._records = self._records[::2]
-            self._stride *= 2
-            if ordinal % self._stride:
-                return -1
-        return len(self._records)
-
-    def _place(self, slot: int, record) -> None:
-        if slot == len(self._records):
-            self._records.append(record)
-        else:
-            self._records[slot] = record
-
     def record(self, record: TraceRecord) -> None:
-        """Retain one per-sample record under the configured policy."""
-        slot = self._admit()
-        if slot >= 0:
-            self._place(slot, record)
+        """Retain one per-sample record under the configured policy.
 
-    def record_many(self, count: int, build) -> None:
-        """Emit ``count`` records exactly as ``count`` :meth:`record` calls.
-
-        ``build(i)`` makes the batch's ``i``-th record and is called
-        only for records retention keeps on arrival: in ``"decimate"``
-        mode the ordinals on the stride, in ``"ring"`` mode the last
-        ``capacity`` of the batch (every earlier one is overwritten
-        before the batch ends, so its slot holds a placeholder until
-        then).  ``emitted``, the stride and the ring head end where the
-        per-record calls leave them.
+        Every float field must hold a ``float`` (``np.float64``
+        included): an int or a string would come back as a float64, so
+        it is refused rather than silently changed.  Records gather into
+        one block per :data:`ROW_BATCH` (or per width, or per read):
+        retention is a closed form of the emit count, so deferring the
+        block keeps exactly the rows per-record retention would.
         """
-        first_built = count - self.capacity if self.mode == "ring" else 0
-        for i in range(count):
-            slot = self._admit()
-            if slot >= 0:
-                self._place(slot, build(i) if i >= first_built else None)
+        row = _float_row(record) + tuple(record.block_temps)
+        kinds = set(map(type, row))
+        odd = sorted(k.__name__ for k in kinds if not issubclass(k, float))
+        if odd:
+            raise CodecError(f"trace float fields must hold floats, got {odd}")
+        if self._rows and len(self._rows[-1][0]) != len(row):
+            self._flush_rows()
+        self._rows.append((
+            row,
+            [getattr(record, name) for name in INT_FIELDS],
+            [getattr(record, name) for name in TEXT_FIELDS],
+        ))
+        self.emitted += 1
+        if len(self._rows) >= ROW_BATCH:
+            self._flush_rows()
+
+    def _flush_rows(self) -> None:
+        """Retain the rows :meth:`record` gathered, as one block."""
+        rows, self._rows = self._rows, []
+        if not rows:
+            return
+        floats, ints, texts = zip(*rows)
+        text = np.empty((len(rows), len(TEXT_FIELDS)), dtype=object)
+        text[:] = texts
+        self.emitted -= len(rows)
+        self.record_many(TraceBlock(
+            np.array(floats), np.array(ints, dtype=np.int64), text
+        ))
+
+    def record_many(self, block: TraceBlock) -> None:
+        """Emit ``block``'s rows in order, as one :meth:`record` each."""
+        self._flush_rows()
+        first, count = self.emitted, len(block)
+        self.emitted += count
+        if self.mode == "ring":
+            self._append(block.take(np.arange(max(0, count - self.capacity),
+                                              count)))
+            excess = len(self) - self.capacity
+            while excess > 0:
+                head = self._blocks[0]
+                self._blocks[0] = head.take(slice(excess, None))
+                if not len(self._blocks[0]):
+                    del self._blocks[0]
+                excess -= len(head)
+            return
+        # Retained rows are the ordinals 0, s, 2s, ... of the old stride
+        # s, in order: position p holds ordinal p * s.
+        stride = decimation_stride(self.emitted, self.capacity)
+        if stride != self._stride:
+            step, position, kept = stride // self._stride, 0, []
+            for held in self._blocks:
+                rows = np.arange(-position % step, len(held), step)
+                position += len(held)
+                if len(rows):
+                    kept.append(held.take(rows))
+            self._blocks, self._stride = kept, stride
+        self._append(block.take(np.arange(-first % stride, count, stride)))
+
+    def _append(self, block: TraceBlock) -> None:
+        if len(block):
+            self._blocks.append(block)
 
     def event(
         self, kind: str, sample_index: int, reason: str = "", **data
@@ -269,21 +359,27 @@ class TraceRecorder:
     @property
     def stride(self) -> int:
         """Current decimation stride (1 = every sample retained)."""
-        return self._stride
+        if self.mode == "ring":
+            return 1
+        return decimation_stride(self.emitted, self.capacity)
+
+    def blocks(self) -> list[TraceBlock]:
+        """The retained rows as column blocks, in emit order."""
+        self._flush_rows()
+        return list(self._blocks)
 
     def records(self) -> list[TraceRecord]:
-        """Retained records in emit order (unrolls the ring)."""
-        if self.mode == "ring" and self._head:
-            return self._records[self._head:] + self._records[: self._head]
-        return list(self._records)
+        """Retained records in emit order, built from the blocks."""
+        return [record for block in self.blocks() for record in block.records()]
 
     def __len__(self) -> int:
-        return len(self._records)
+        self._flush_rows()
+        return sum(map(len, self._blocks))
 
     def clear(self) -> None:
         """Forget all records and events; retention state restarts."""
-        self._records.clear()
+        self._blocks = []
+        self._rows = []
         self.events.clear()
-        self._head = 0
         self._stride = 1
         self.emitted = 0

@@ -250,8 +250,9 @@ class TestManagerRegressions:
         policy = make_policy("pi", Floorplan.default(), DTMConfig())
         manager = DTMManager(policy, DTMConfig(), telemetry=telemetry)
         manager.on_sample(101.0)
-        assert telemetry._pending_control is not None
-        assert telemetry._pending_control["sample_index"] == 0
+        control = telemetry.take_control()
+        assert control is not None
+        assert control[0] == 0  # sample_index, the first keyword
 
 
 class TestSweepTelemetry:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import TelemetryError
 from repro.telemetry import EventLog, TraceEvent, TraceRecord, TraceRecorder
+from repro.telemetry.trace import TraceBlock
 
 
 def _record(index: int) -> TraceRecord:
@@ -13,7 +14,11 @@ def _record(index: int) -> TraceRecord:
 
 
 def _fill(recorder: TraceRecorder, count: int) -> None:
-    for index in range(count):
+    _fill_from(recorder, 0, count)
+
+
+def _fill_from(recorder: TraceRecorder, start: int, count: int) -> None:
+    for index in range(start, start + count):
         recorder.record(_record(index))
 
 
@@ -130,9 +135,16 @@ class TestValidation:
             EventLog(0)
 
 
+def _block(start: int, count: int) -> TraceBlock:
+    """Records ``start .. start + count - 1`` as one column block."""
+    scratch = TraceRecorder(capacity=max(2, count), mode="ring")
+    _fill_from(scratch, start, count)
+    blocks = scratch.blocks()
+    return TraceBlock.concatenate(blocks) if blocks else TraceBlock.empty()
+
+
 class TestRecordMany:
-    """``record_many`` is ``count`` calls of ``record`` that build only
-    the records retention keeps on arrival."""
+    """``record_many`` of an ``n``-row block is ``n`` calls of ``record``."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -145,57 +157,29 @@ class TestRecordMany:
         batched = TraceRecorder(capacity=capacity, mode=mode)
         start = 0
         for count in batches:
-            built = []
-
-            def build(i, start=start):
-                built.append(i)
-                return _record(start + i)
-
-            # The slot each record would take, from a per-record twin
-            # observed before the batch runs.
-            kept_on_arrival = []
-            for i in range(count):
-                before = single.emitted
-                single.record(_record(start + i))
-                assert single.emitted == before + 1
-                retained = single._records
-                if any(r is not None and r.index == start + i
-                       for r in retained):
-                    kept_on_arrival.append(i)
-            batched.record_many(count, build)
-            if mode == "ring":
-                assert built == [
-                    i for i in kept_on_arrival if i >= count - capacity
-                ]
-            else:
-                assert built == kept_on_arrival
+            _fill_from(single, start, count)
+            batched.record_many(_block(start, count))
             assert batched.emitted == single.emitted
             assert batched.stride == single.stride
-            assert batched._head == single._head
-            assert [r.index for r in batched.records()] == [
-                r.index for r in single.records()
-            ]
+            assert len(batched) == len(single)
+            assert repr(batched.records()) == repr(single.records())
             start += count
 
     @pytest.mark.parametrize("capacity", [2, 5, 8])
     def test_ring_builds_only_the_last_capacity(self, capacity):
         recorder = TraceRecorder(capacity=capacity, mode="ring")
         _fill(recorder, 3)
-        built = []
-        recorder.record_many(
-            20, lambda i: built.append(i) or _record(100 + i)
-        )
-        assert built == list(range(20 - capacity, 20))
+        recorder.record_many(_block(100, 20))
         assert [r.index for r in recorder.records()] == [
             100 + i for i in range(20 - capacity, 20)
         ]
+        assert sum(map(len, recorder.blocks())) == capacity
 
     def test_decimate_builds_only_ordinals_on_the_stride(self):
         recorder = TraceRecorder(capacity=8, mode="decimate")
         _fill(recorder, 40)
+        recorder.record_many(_block(40, 16))
         stride = recorder.stride
-        built = []
-        recorder.record_many(
-            16, lambda i: built.append(40 + i) or _record(40 + i)
-        )
-        assert built and all(ordinal % stride == 0 for ordinal in built)
+        kept = [r.index for r in recorder.records()]
+        assert kept == list(range(0, 56, stride))
+        assert len(kept) <= 8
