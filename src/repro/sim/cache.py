@@ -59,13 +59,18 @@ line in the writer's own layout (``{"type": "entry", "key": "<24 hex>",
 ...`` ending in the ``telemetry`` value) is indexed from that fixed
 prefix and suffix without being parsed; every other line -- header,
 touch, counters, hand-edited or foreign -- is parsed and checked as it
-is scanned.  A hit parses its own line once and validates the body
-there: the result must decode and the telemetry must pass
-:func:`~repro.sim.codec.check_saved_telemetry` (a structural check; the
-trace block itself is decoded once, by the fold).  So a corrupt line
-is counted when the scan meets it, or, for damage inside an entry's
-body, when a lookup first reads it; either way it is skipped (the lookup misses and the spec re-runs) and
-reclaimed by the next GC -- a cache that could abort the sweep it
+is scanned.  A hit parses its own line once (with
+:class:`~repro.sim.codec.SavedLineDecoder`, which slices the trace's
+base64 out instead of JSON-scanning it) and runs the one check of its
+body there (:func:`~repro.sim.codec.check_saved_outcome`): the
+result must decode and the telemetry must pass
+:func:`~repro.sim.codec.check_saved_telemetry`, a structural check that
+scans the trace block's base64 alphabet once and decodes none of it.
+The hit hands the checked payload on, and the fold decodes only the
+rows its sink keeps.  So a corrupt line is counted when the scan meets
+it, or, for damage inside an entry's body, when a lookup first reads
+it; either way it is skipped (the lookup misses and the spec re-runs)
+and reclaimed by the next GC -- a cache that could abort the sweep it
 accelerates would be worse than none.
 
 GC is deterministic LRU: ``touch`` lines appended at sweep end record
@@ -85,11 +90,11 @@ import re
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.errors import CacheError
+from repro.errors import CacheError, CodecError
 from repro.sim.checkpoint import AppendLog, spec_fingerprint
 from repro.sim.codec import (
-    check_saved_telemetry,
-    result_from_dict,
+    SavedLineDecoder,
+    check_saved_outcome,
     result_to_dict,
     telemetry_to_dict,
 )
@@ -144,9 +149,8 @@ def cache_metrics() -> MetricsRegistry:
 def _entry_body_error(entry: dict) -> str | None:
     """Why an entry's result or telemetry would not replay, or ``None``."""
     try:
-        result_from_dict(entry["result"])
-        check_saved_telemetry(entry.get("telemetry"))
-    except Exception as error:
+        check_saved_outcome(entry)
+    except CodecError as error:
         return f"{type(error).__name__}: {error}"
     return None
 
@@ -331,16 +335,23 @@ class ResultCache:
     def _read_entry(self, key: str) -> dict | None:
         """Parse and check ``key``'s indexed line; drop it if damaged.
 
-        A line that is not a well-formed entry for ``key``, whose
-        telemetry presence disagrees with the index, whose result does
-        not decode or whose telemetry the fold could not read counts
-        once as corrupt and leaves the index, so the lookup misses and
-        the spec re-runs and re-stores.
+        The line is parsed with
+        :class:`~repro.sim.codec.SavedLineDecoder`, and the entry comes
+        back as stored, plus the checked
+        :class:`~repro.sim.codec.SavedTelemetry` under ``saved``
+        (``None`` for a telemetry-less entry).  A line that is not a
+        well-formed entry for ``key``, whose telemetry presence
+        disagrees with the index, whose result does not decode or whose
+        telemetry the fold could not read counts once as corrupt and
+        leaves the index, so the lookup misses and the spec re-runs and
+        re-stores.
         """
         offset, length, has_telemetry = self._index[key]
         self._read_handle.seek(offset)
         try:
-            entry = json.loads(self._read_handle.read(length))
+            entry = json.loads(
+                self._read_handle.read(length), cls=SavedLineDecoder
+            )
         except ValueError:
             entry = None
         if (
@@ -348,9 +359,13 @@ class ResultCache:
             and entry.get("type") == "entry"
             and entry.get("key") == key
             and (entry.get("telemetry") is not None) == has_telemetry
-            and _entry_body_error(entry) is None
         ):
-            return entry
+            try:
+                entry["saved"] = check_saved_outcome(entry)
+            except CodecError:
+                pass
+            else:
+                return entry
         self._corrupt += 1
         del self._index[key]
         return None
@@ -362,7 +377,10 @@ class ResultCache:
 
     # -- lookups -------------------------------------------------------------
     def lookup(self, key: str, need_telemetry: bool = False) -> dict | None:
-        """The stored entry for ``key``, or ``None`` (a miss).
+        """The stored entry for ``key``, checked, or ``None`` (a miss).
+
+        The entry's ``saved`` is the checked
+        :class:`~repro.sim.codec.SavedTelemetry` its fold reads.
 
         ``need_telemetry=True`` treats an entry without a telemetry
         payload as a miss: replaying its result without its trace would

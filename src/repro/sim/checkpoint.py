@@ -23,6 +23,9 @@ restarted sweep re-runs only the incomplete ones:
   saved outcomes by fingerprint *multiset*, so reordering the spec list
   or interleaving several sweeps through one journal still resumes
   correctly, and duplicate specs each consume one saved outcome.
+* :func:`load_checkpoint` -- reads a journal for resume and checks
+  every outcome once, before any spec runs: a line that would not
+  replay is a :class:`CheckpointError` naming ``path:line``.
 * :func:`fold_saved_telemetry` -- re-emits a saved run's telemetry onto
   a live sink exactly like
   :func:`~repro.telemetry.core.merge_telemetry` does for a live
@@ -50,8 +53,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, CodecError
 from repro.sim.codec import (
+    check_saved_outcome,
     fold_saved_telemetry,
     history_from_dict,
     history_to_dict,
@@ -233,6 +237,11 @@ class CheckpointJournal:
 #: Block size of :func:`truncate_partial_tail`'s backward newline scan.
 _TAIL_BLOCK = 64 * 1024
 
+#: Read size of :meth:`AppendLog.lines`.  Saved outcome lines run to
+#: hundreds of KB, which a default 8 KB buffered ``readline`` fetches in
+#: dozens of reads each.
+_WALK_CHUNK = 1024 * 1024
+
 
 def truncate_partial_tail(path: Path) -> None:
     """Cut the torn tail (the bytes after the last newline) off a log.
@@ -314,17 +323,28 @@ class AppendLog:
     def lines(handle, start: int = 0):
         """``(offset, raw)`` for each complete line of a log opened ``"rb"``.
 
-        ``start`` must be a line boundary.  Binary iteration cuts at
-        ``\\n`` only, where ``bytes.splitlines`` would also cut at a
-        ``\\r`` inside a damaged line.
+        ``start`` must be a line boundary.  The log is read in
+        :data:`_WALK_CHUNK` pieces and cut at ``\\n`` only, where
+        ``bytes.splitlines`` would also cut at a ``\\r`` inside a
+        damaged line; a torn tail (no ``\\n``) is not yielded.
         """
         handle.seek(start)
         offset = start
-        for raw in handle:
-            if not raw.endswith(b"\n"):
-                return
-            yield offset, raw
-            offset += len(raw)
+        # The pieces read so far of a line that spans chunks.
+        head: list[bytes] = []
+        while chunk := handle.read(_WALK_CHUNK):
+            begin = 0
+            while end := chunk.find(b"\n", begin) + 1:
+                raw = chunk[begin:end]
+                if head:
+                    head.append(raw)
+                    raw = b"".join(head)
+                    head.clear()
+                yield offset, raw
+                offset += len(raw)
+                begin = end
+            if begin < len(chunk):
+                head.append(chunk[begin:])
 
     def replace(self, raw_lines) -> None:
         """Publish the header plus encoded ``raw_lines`` atomically.
@@ -353,14 +373,46 @@ class AppendLog:
             raise
 
 
+def _checked_outcome(data: dict, where: str) -> dict:
+    """One journaled outcome, checked for replay; raises naming ``where``.
+
+    The fingerprint must be a string and the attempt count a positive
+    int; the result must decode and the telemetry pass the one check
+    (:func:`~repro.sim.codec.check_saved_outcome`), whose checked
+    payload the entry gains as ``saved``.
+    """
+    fingerprint = data.get("fingerprint")
+    if not isinstance(fingerprint, str):
+        raise CheckpointError(
+            f"{where}: outcome has fingerprint {fingerprint!r}, not a string"
+        )
+    attempts = data.get("attempts", 1)
+    if type(attempts) is not int or attempts < 1:
+        raise CheckpointError(
+            f"{where}: outcome has attempt count {attempts!r}"
+        )
+    try:
+        data["saved"] = check_saved_outcome(data)
+    except CodecError as error:
+        raise CheckpointError(
+            f"{where}: saved outcome does not replay ({error})"
+        ) from error
+    return data
+
+
 def load_checkpoint(path: str | Path) -> dict[str, list[dict]]:
     """Saved outcomes of a journal, keyed by fingerprint (a multiset).
 
     Returns ``{fingerprint: [entry, ...]}`` in journal order; resume
-    pops one entry per matching spec.  A missing file is an empty
+    pops one entry per matching spec.  Every outcome is checked here,
+    once, before any spec runs: each entry comes back as journaled,
+    plus the checked :class:`~repro.sim.codec.SavedTelemetry` the fold
+    reads under ``saved``.  A missing file is an empty
     checkpoint.  The torn tail (crash mid-write) is discarded; a
-    complete line that does not parse, anywhere, or a schema mismatch
-    raises :class:`CheckpointError`.
+    complete line that does not parse, is not a header or an outcome,
+    or holds an outcome that would not replay, anywhere, or a schema
+    mismatch raises :class:`CheckpointError` naming the file (and the
+    line).
     """
     path = Path(path)
     if not path.exists():
@@ -373,12 +425,18 @@ def load_checkpoint(path: str | Path) -> dict[str, list[dict]]:
         stripped = line.strip()
         if not stripped:
             continue
+        where = f"{path}:{number}"
         try:
             data = json.loads(stripped)
         except ValueError as error:  # bad JSON or bad UTF-8
             raise CheckpointError(
-                f"{path}:{number}: corrupt journal line ({error})"
+                f"{where}: corrupt journal line ({error})"
             ) from error
+        if not isinstance(data, dict):
+            raise CheckpointError(
+                f"{where}: journal line is a {type(data).__name__}, "
+                f"not an object"
+            )
         kind = data.get("type")
         if kind == "header":
             schema = data.get("schema")
@@ -390,10 +448,11 @@ def load_checkpoint(path: str | Path) -> dict[str, list[dict]]:
         elif kind == "outcome":
             if not header_seen:
                 raise CheckpointError(f"{path}: outcome before header")
-            saved.setdefault(data["fingerprint"], []).append(data)
+            entry = _checked_outcome(data, where)
+            saved.setdefault(entry["fingerprint"], []).append(entry)
         else:
             raise CheckpointError(
-                f"{path}:{number}: unknown journal line type {kind!r}"
+                f"{where}: unknown journal line type {kind!r}"
             )
     if lines and not header_seen:
         raise CheckpointError(f"{path}: missing {SWEEP_SCHEMA} header")

@@ -41,6 +41,8 @@ import base64
 import binascii
 import dataclasses
 import enum
+import json
+import re
 
 import numpy as np
 
@@ -383,12 +385,100 @@ _BASE64_ALPHABET = (
 )
 
 
-def _block_shape(columns) -> tuple[int, int]:
-    """``(records, width)`` of a saved trace block, checked structurally.
+def _is_base64_of(data, size: int) -> bool:
+    """Whether ``data`` is padded base64 of exactly ``size`` bytes.
 
-    Checks the widths, every list's length and that the data is base64
-    of exactly ``records * width * 8`` bytes, without decoding it.
-    Raises :class:`~repro.errors.CodecError` on any mismatch.
+    The one scan of a saved block's characters: :meth:`SavedBlock.take`
+    later decodes only the rows a sink keeps, so the alphabet is checked
+    here, once per saved payload, not by the decoder.
+    """
+    padding = b"=" * (-size % 3)
+    return (
+        isinstance(data, str)
+        and len(data) == 4 * -(-size // 3)
+        and data.isascii()
+        and data.encode("ascii").translate(None, _BASE64_ALPHABET)
+        == padding
+        and data.endswith(padding.decode("ascii"))
+    )
+
+
+def _int_columns(columns) -> np.ndarray:
+    """``(rows, len(INT_FIELDS))`` int64 from the saved int lists."""
+    count = len(columns[0])
+    return np.array(columns, dtype=np.int64).T.reshape(count, len(columns))
+
+
+class SavedBlock:
+    """A checked saved trace block, decoded only where it is read.
+
+    It offers what :meth:`~repro.telemetry.trace.TraceRecorder.record_many`
+    uses of an incoming block, ``len()`` and :meth:`take`, so a sink's
+    closed-form ring/decimate retention decodes exactly the rows it
+    keeps.  The block holds the payload's own base64 string and JSON
+    lists; nothing decoded is kept.
+    """
+
+    __slots__ = ("_count", "_width", "_data", "_ints", "_text")
+
+    def __init__(self, count: int, width: int, data: str, ints, text) -> None:
+        self._count = count
+        self._width = width
+        self._data = data
+        self._ints = ints
+        self._text = text
+
+    def __len__(self) -> int:
+        return self._count
+
+    def take(self, rows) -> TraceBlock:
+        """The :class:`TraceBlock` of ``rows`` (a slice or an index array)."""
+        rows = np.arange(self._count)[rows]
+        picks = rows.tolist()
+
+        def pick(values: list) -> list:
+            return [values[row] for row in picks]
+
+        ints = _int_columns([pick(column) for column in self._ints])
+        # fromiter stores each value as one object; assigning a list
+        # would let numpy read a nested list as more rows.
+        text = np.empty((len(rows), len(TEXT_FIELDS)), dtype=object)
+        for position, column in enumerate(self._text):
+            text[:, position] = np.fromiter(
+                pick(column), dtype=object, count=len(rows)
+            )
+        return TraceBlock(self._floats(rows), ints, text)
+
+    def _floats(self, rows: np.ndarray) -> np.ndarray:
+        """Decode the float rows ``rows`` and only the characters they need.
+
+        Base64 maps 3 bytes to 4 characters, so a row of ``8 * width``
+        bytes starts on a character boundary when ``width % 3 == 0``;
+        otherwise every group of 3 rows does, and the groups that hold
+        ``rows`` are decoded whole.  Only the last group can be short
+        (and padded); it is decoded from its first character to the end.
+        """
+        width = self._width
+        per = 1 if width % 3 == 0 else 3
+        span = 32 * width * per // 3
+        groups, where = np.unique(rows // per, return_inverse=True)
+        data = self._data
+        encoded = "".join(
+            [data[start:start + span] for start in (groups * span).tolist()]
+        )
+        floats = np.frombuffer(
+            binascii.a2b_base64(encoded), dtype=_BLOCK_DTYPE
+        ).reshape(-1, width)
+        return floats[where * per + rows % per]
+
+
+def _saved_block(columns) -> SavedBlock:
+    """A saved trace block, checked structurally, as a :class:`SavedBlock`.
+
+    Checks the widths, every list's length, that the int lists convert
+    to int64 and that the data is base64 of exactly ``records * width *
+    8`` bytes, without decoding it.  Raises
+    :class:`~repro.errors.CodecError` on any mismatch.
     """
     if not isinstance(columns, dict):
         raise CodecError("saved trace records are not a column block")
@@ -420,47 +510,22 @@ def _block_shape(columns) -> tuple[int, int]:
             raise CodecError(
                 f"saved trace column {name!r} does not hold {count} values"
             )
-    data = floats.get("data")
-    size = count * width * 8
-    padding = b"=" * (-size % 3)
-    if not (
-        isinstance(data, str)
-        and len(data) == 4 * -(-size // 3)
-        and data.isascii()
-        and data.encode("ascii").translate(None, _BASE64_ALPHABET)
-        == padding
-        and data.endswith(padding.decode("ascii"))
-    ):
-        raise CodecError(
-            f"saved trace block data is not base64 of {size} bytes"
-        )
-    return count, width
-
-
-def _saved_block(columns, decode: bool = True) -> TraceBlock | None:
-    """A saved trace block, checked; ``decode=False`` skips the floats.
-
-    Raises :class:`~repro.errors.CodecError` on any damage the fold
-    would trip over.
-    """
-    count, width = _block_shape(columns)
+    ints = [columns[name] for name in INT_FIELDS]
     try:
-        ints = np.array(
-            [columns[name] for name in INT_FIELDS], dtype=np.int64
-        ).T.reshape(count, len(INT_FIELDS))
-        text = np.empty((count, len(TEXT_FIELDS)), dtype=object)
-        for column, name in enumerate(TEXT_FIELDS):
-            text[:, column] = columns[name]
+        _int_columns(ints)
     except (TypeError, ValueError, OverflowError) as error:
         raise CodecError(
             f"saved trace lists do not decode: {error}"
         ) from error
-    if not decode:
-        return None
-    floats = np.frombuffer(
-        binascii.a2b_base64(columns["floats"]["data"]), dtype=_BLOCK_DTYPE
-    ).reshape(count, width)
-    return TraceBlock(floats, ints, text)
+    data = floats.get("data")
+    if not _is_base64_of(data, count * width * 8):
+        raise CodecError(
+            f"saved trace block data is not base64 of {count * width * 8} "
+            f"bytes"
+        )
+    return SavedBlock(
+        count, width, data, ints, [columns[name] for name in TEXT_FIELDS]
+    )
 
 
 def telemetry_to_dict(local) -> dict | None:
@@ -498,50 +563,44 @@ def telemetry_to_dict(local) -> dict | None:
     }
 
 
-def fold_saved_telemetry(sink, payload: dict | None) -> None:
-    """Re-emit one saved run's telemetry onto a live sink.
+@dataclasses.dataclass(frozen=True, eq=False)
+class SavedTelemetry:
+    """One saved run's telemetry, checked once and ready to fold.
 
-    Mirrors :func:`~repro.telemetry.core.merge_telemetry` exactly:
-    records and events re-emit through the sink's own retention policy,
-    metrics fold under the registry's associative merge, meta updates.
-    The record block is decoded once and appended as one column block.
-    No-op when the sink is disabled or the payload is empty (the entry
-    came from a telemetry-less sweep).
-    Both the checkpoint resume path and the shard coordinator fold
-    through here, in spec order, which is what makes resumed and
-    distributed sweeps' retained traces bit-identical to an
-    uninterrupted local one.
+    Built only by :func:`check_saved_telemetry`.  ``payload`` is the
+    wire form, which the journal and the cache store verbatim and whose
+    events, metrics and meta the fold reads; ``block`` is its trace as a
+    row-lazy :class:`SavedBlock` (``None`` when the payload has no
+    records).
     """
-    sink = ensure_telemetry(sink)
-    if not sink.enabled or payload is None:
-        return
-    if payload.get("records") is not None:
-        sink.trace.record_many(_saved_block(payload["records"]))
-    for data in payload.get("events", ()):
-        sink.trace.events.append(event_from_dict(data))
-    sink.metrics.merge_snapshot(payload.get("metrics", {}))
-    if payload.get("meta"):
-        sink.meta.update(payload["meta"])
+
+    payload: dict
+    block: SavedBlock | None
 
 
-def check_saved_telemetry(payload) -> None:
-    """Raise :class:`~repro.errors.CodecError` unless the fold can read it.
+def check_saved_telemetry(payload) -> SavedTelemetry | None:
+    """The one check of a saved run's telemetry payload.
 
-    The record block is checked structurally (widths, list lengths, the
-    base64 length) without being decoded; events decode and metrics
-    merge into a scratch registry, touching no sink.  The shard
-    coordinator runs it on a worker's payload before journaling and
-    caching it, and a cache hit runs it before it counts, so a shape
-    the fold cannot read never reaches the end-of-sweep fold.
+    Returns the :class:`SavedTelemetry` the fold reads (``None`` for a
+    ``None`` payload, a telemetry-less run), or raises
+    :class:`~repro.errors.CodecError` for any shape the fold could not
+    read.  The record block is checked structurally (widths, list
+    lengths, the int lists, one scan of the base64 alphabet) without
+    being decoded; events decode and metrics merge into a scratch
+    registry, touching no sink.  Every reader of a saved payload runs
+    it once: a cache hit before it counts, journal resume when the
+    journal opens, and the shard coordinator on a worker's payload
+    before journaling and caching it.  So a shape the fold cannot read
+    never reaches the end-of-sweep fold, and the fold rescans nothing.
     """
     if payload is None:
-        return
+        return None
     if not isinstance(payload, dict):
         raise CodecError(
             f"saved telemetry is a {type(payload).__name__}, not a mapping"
         )
-    if payload.get("records") is not None:
-        _saved_block(payload["records"], decode=False)
+    records = payload.get("records")
+    block = None if records is None else _saved_block(records)
     try:
         for data in payload.get("events", ()):
             event_from_dict(data)
@@ -549,3 +608,92 @@ def check_saved_telemetry(payload) -> None:
         dict(payload.get("meta") or {})
     except Exception as error:
         raise CodecError(f"saved telemetry does not fold: {error!r}") from error
+    return SavedTelemetry(payload, block)
+
+
+def check_saved_outcome(entry: dict) -> SavedTelemetry | None:
+    """Check one saved outcome (a journal line or a cache entry).
+
+    Its ``result`` must decode and its ``telemetry`` must pass
+    :func:`check_saved_telemetry`, whose checked payload is returned.
+    Raises :class:`~repro.errors.CodecError` otherwise.
+    """
+    try:
+        result_from_dict(entry["result"])
+    except Exception as error:
+        raise CodecError(f"saved result does not decode: {error!r}") from error
+    return check_saved_telemetry(entry.get("telemetry"))
+
+
+#: The head of a saved trace block's float data in the writer's layout
+#: (``json.dumps`` of :func:`telemetry_to_dict`'s ``records``), up to the
+#: opening quote of the base64 string.
+_BLOCK_DATA = re.compile(
+    r'"floats": \{"dtype": "<f8", "shape": \[[0-9]+, [0-9]+\], "data": "'
+)
+
+
+class SavedLineDecoder(json.JSONDecoder):
+    """A JSON decoder for saved outcome lines that spares the trace's base64.
+
+    The JSON scanner copies a string character by character, and a trace
+    block's base64 is most of a saved line.  In the writer's layout that
+    string is sliced out of the line instead: the rest is parsed, and
+    the slice becomes ``telemetry.records.floats.data``.  A line in any
+    other shape, or whose slice holds an escape or a non-ASCII
+    character, takes the plain parse.  A value that passes
+    :func:`check_saved_outcome` equals the plain parse's: what the slice
+    can get wrong (raw control characters, which JSON forbids, or a
+    hand-made line whose first block head is not its trace's) leaves
+    trace data that the alphabet scan or the length check rejects.
+    Use it as ``json.loads(line, cls=SavedLineDecoder)``.
+    """
+
+    def decode(self, s, *args):
+        match = _BLOCK_DATA.search(s)
+        if match is not None:
+            start = match.end()
+            end = s.find('"', start)
+            data = s[start:end]
+            if end >= 0 and data.isascii() and "\\" not in data:
+                value = super().decode(s[:start] + s[end:], *args)
+                try:
+                    floats = value["telemetry"]["records"]["floats"]
+                    spliced = floats["data"] == ""
+                except (KeyError, TypeError):
+                    spliced = False
+                if spliced:
+                    floats["data"] = data
+                    return value
+        return super().decode(s, *args)
+
+
+def fold_saved_telemetry(sink, saved) -> None:
+    """Re-emit one saved run's telemetry onto a live sink.
+
+    ``saved`` is what :func:`check_saved_telemetry` returned; a raw
+    payload dict is checked first.  Mirrors
+    :func:`~repro.telemetry.core.merge_telemetry` exactly: records and
+    events re-emit through the sink's own retention policy, metrics fold
+    under the registry's associative merge, meta updates.  The record
+    block goes to the sink as one row-lazy block, so only the rows the
+    sink retains are decoded.  No-op when the sink is disabled or there
+    is no payload (the entry came from a telemetry-less sweep).
+    Checkpoint resume, cache replay and the shard coordinator all fold
+    through here, in spec order, which is what makes resumed, warm and
+    distributed sweeps' retained traces bit-identical to an
+    uninterrupted local one.
+    """
+    sink = ensure_telemetry(sink)
+    if not sink.enabled or saved is None:
+        return
+    if not isinstance(saved, SavedTelemetry):
+        saved = check_saved_telemetry(saved)
+    if saved.block is not None:
+        sink.trace.record_many(saved.block)
+    payload = saved.payload
+    for data in payload.get("events", ()):
+        sink.trace.events.append(event_from_dict(data))
+    sink.metrics.merge_snapshot(payload.get("metrics", {}))
+    if payload.get("meta"):
+        sink.meta.update(payload["meta"])

@@ -11,8 +11,10 @@ through too, so the determinism contract is the same one:
   (``repr``-lossless floats), so a distributed sweep's outcomes equal a
   local ``run_outcomes`` bit-for-bit.
 * **Telemetry** folded at the end, in spec order: a worker's wire
-  payload folds through :func:`~repro.sim.codec.fold_saved_telemetry`,
-  the identical path a checkpoint resume uses, so retained
+  payload is checked once on arrival
+  (:func:`~repro.sim.codec.check_saved_telemetry`) and folds through
+  :func:`~repro.sim.codec.fold_saved_telemetry`, the identical path a
+  checkpoint resume uses, so retained
   traces/events/metrics match the serial emit sequence exactly.
   Coordinator orchestration diagnostics (``shard.*`` events) are, like
   ``sweep.*``, excluded from parity.
@@ -366,15 +368,18 @@ class ShardCoordinator:
         ok = message.get("ok")
         if ok:
             # Decode (and thereby validate) before any state mutation.
-            payloads = (message.get("result"), message.get("telemetry"))
+            result_payload = message.get("result")
             try:
-                result = result_from_dict(payloads[0])
+                result = result_from_dict(result_payload)
             except Exception as error:
                 raise ShardError(
                     f"undecodable result for spec {index}: {error}"
                 ) from error
             try:
-                check_saved_telemetry(payloads[1])
+                payloads = (
+                    result_payload,
+                    check_saved_telemetry(message.get("telemetry")),
+                )
             except Exception as error:
                 raise ShardError(
                     f"malformed telemetry for spec {index}: {error!r}"

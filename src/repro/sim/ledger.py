@@ -21,6 +21,15 @@ is journaled.  The journal wins over the cache when both could replay.
 ``"shard"`` on a coordinator).  The ledger does no locking of its own:
 the coordinator calls it under its own lock.
 
+Every saved payload is checked once, where it enters the ledger: a
+cache hit in :meth:`~repro.sim.cache.ResultCache.lookup`, a journal
+entry in :func:`~repro.sim.checkpoint.load_checkpoint` (so a damaged
+journal raises :class:`~repro.errors.CheckpointError` before any spec
+runs) and a worker's payload in the coordinator's ``settle``.  The
+ledger holds the checked payloads
+(:class:`~repro.sim.codec.SavedTelemetry`), folds them without
+rescanning, and journals or caches their wire form verbatim.
+
 The codec steps keep their old lookup sites, where a profiler patches
 them (``benchmarks/e2e/tracer.py``): live results are encoded inside
 the journal's and the cache's own ``append_outcome`` / ``store``, and
@@ -37,6 +46,7 @@ from repro.sim.checkpoint import (
     load_checkpoint,
     spec_fingerprint,
 )
+from repro.sim.codec import SavedTelemetry
 from repro.sim.results import RunResult
 
 
@@ -114,8 +124,8 @@ class SweepLedger:
         self.outcomes: list[SpecOutcome | None] = [None] * n
         #: Run-local telemetry of live successes, by index.
         self.locals: list = [None] * n
-        #: Codec telemetry payloads of replayed and wire outcomes.
-        self._saved: list[dict | None] = [None] * n
+        #: Checked telemetry payloads of replayed and wire outcomes.
+        self._saved: list[SavedTelemetry | None] = [None] * n
         self._fingerprints: list[str | None] = [None] * n
         self._cache_keys: list[str | None] = [None] * n
         self._journal: CheckpointJournal | None = None
@@ -176,7 +186,7 @@ class SweepLedger:
                         self.cache_key(index),
                         spec,
                         entry["result"],
-                        entry.get("telemetry"),
+                        entry["telemetry"],
                         attempts=entry.get("attempts", 1),
                         fingerprint=self.fingerprint(index),
                     )
@@ -194,7 +204,7 @@ class SweepLedger:
                             spec,
                             entry.get("attempts", 1),
                             entry["result"],
-                            entry.get("telemetry"),
+                            entry["telemetry"],
                         )
                     continue
             todo.append(index)
@@ -232,7 +242,7 @@ class SweepLedger:
             attempts=entry.get("attempts", 1),
             **source,
         )
-        self._saved[index] = entry.get("telemetry")
+        self._saved[index] = entry["saved"]
 
     # -- settlement ----------------------------------------------------------
     def settle_success(
@@ -241,14 +251,16 @@ class SweepLedger:
         attempts: int,
         result: RunResult,
         local=None,
-        payloads: tuple[dict, dict | None] | None = None,
+        payloads: tuple[dict, SavedTelemetry | None] | None = None,
     ) -> None:
         """Settle one executed spec: outcome, then journal, then cache.
 
         A local run passes its run-local ``local`` telemetry (``None``
         when it recorded straight into the sink or telemetry is off);
-        a coordinator passes the worker's ``(result, telemetry)`` codec
-        ``payloads``, which are persisted verbatim.
+        a coordinator passes the worker's ``(result, telemetry)``
+        payloads: the result's codec dict and the telemetry as
+        :func:`~repro.sim.codec.check_saved_telemetry` returned it.
+        Both are persisted verbatim.
         """
         spec = self.specs[index]
         self.outcomes[index] = SpecOutcome(
@@ -270,8 +282,9 @@ class SweepLedger:
                     attempts=attempts,
                 )
             return
-        result_payload, telemetry_payload = payloads
-        self._saved[index] = telemetry_payload
+        result_payload, saved = payloads
+        self._saved[index] = saved
+        telemetry_payload = None if saved is None else saved.payload
         if self._journal is not None:
             self._journal.append_payload(
                 self.fingerprint(index),

@@ -15,12 +15,14 @@ import os
 import stat
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CheckpointError
+from repro.sim import checkpoint
 from repro.sim.cache import CACHE_SCHEMA, ResultCache, cache_key
 from repro.sim.checkpoint import (
     SWEEP_SCHEMA,
@@ -191,3 +193,16 @@ class TestLines:
                 for index, start in enumerate(ends, start=1):
                     assert list(AppendLog.lines(handle, start)) == \
                         expected[index:]
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_LOGS, chunk=st.integers(1, 16))
+    @example(raw=b"abc\ndef\n", chunk=4)
+    @example(raw=b"abc\nd", chunk=1)
+    def test_lines_spanning_read_chunks_come_back_whole(self, raw, chunk):
+        expected = _complete_lines(raw)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "log"
+            path.write_bytes(raw)
+            with mock.patch.object(checkpoint, "_WALK_CHUNK", chunk):
+                with path.open("rb") as handle:
+                    assert list(AppendLog.lines(handle)) == expected

@@ -267,6 +267,27 @@ class TestJournal:
         with pytest.raises(CheckpointError, match="surprise"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            {"type": "outcome"},
+            [1, 2],
+            "x",
+            {"type": "outcome", "fingerprint": ["ab"], "result": {}},
+        ],
+        ids=["no-fingerprint", "list-line", "string-line", "list-fingerprint"],
+    )
+    def test_malformed_line_raises_naming_the_line(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            json.dumps({"type": "header", "schema": SWEEP_SCHEMA})
+            + "\n"
+            + json.dumps(line)
+            + "\n"
+        )
+        with pytest.raises(CheckpointError, match=f"^{path}:2: "):
+            load_checkpoint(path)
+
     def test_fresh_open_replaces_existing_journal(self, tmp_path):
         path, spec, _ = self._outcome_entry(tmp_path, n=2)
         CheckpointJournal.open(path).close()

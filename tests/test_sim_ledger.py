@@ -11,6 +11,9 @@ and the folded sink (orchestration events aside).  Also pinned here:
 * the one replay rule -- a saved entry without telemetry does not
   replay into an enabled sink, from the journal or the cache, so a
   resumed sweep keeps an uninterrupted sweep's trace;
+* journal damage -- a resumed entry whose trace block or result would
+  not replay raises ``CheckpointError`` naming its line when the
+  journal opens, before any spec runs;
 * the fail-fast fold cut-off;
 * a shard worker's malformed request changes nothing: its lease
   requeues and the sweep completes.
@@ -18,12 +21,14 @@ and the folded sink (orchestration events aside).  Also pinned here:
 
 from __future__ import annotations
 
+import json
 import shutil
 import threading
 
 import pytest
 
 from repro.config import TelemetryConfig
+from repro.errors import CheckpointError
 from repro.sim.cache import ResultCache
 from repro.sim.codec import result_to_dict
 from repro.sim.distributed import ShardCoordinator
@@ -261,6 +266,49 @@ class TestTraceLessReplay:
             (False, True)
         ] * len(specs)
         assert_telemetry_identical(sink, self._uninterrupted(specs))
+
+
+# -- journal damage is caught when the journal opens --------------------------
+def _bang_the_block(entry: dict) -> None:
+    floats = entry["telemetry"]["records"]["floats"]
+    floats["data"] = "!" * len(floats["data"])
+
+
+class TestDamagedJournal:
+    """A resumed journal is checked line by line before any spec runs."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [_bang_the_block, lambda entry: entry.pop("result")],
+        ids=["trace-block-not-base64", "result-missing"],
+    )
+    @pytest.mark.parametrize("backend", ["serial", "cluster"])
+    def test_damaged_entry_raises_naming_its_line(
+        self, backend, damage, tmp_path
+    ):
+        specs = _specs()[:3]
+        journal = tmp_path / "sweep.jsonl"
+        run_outcomes(
+            specs[:2],
+            telemetry=_quiet(),
+            options=SweepOptions(checkpoint_path=journal),
+        )
+        lines = journal.read_text().splitlines(True)
+        entry = json.loads(lines[2])
+        damage(entry)
+        lines[2] = json.dumps(entry) + "\n"
+        journal.write_text("".join(lines))
+        damaged = journal.read_bytes()
+        sink = _quiet()
+        with pytest.raises(CheckpointError, match=f"^{journal}:3: "):
+            BACKENDS[backend](
+                specs,
+                sink,
+                options=SweepOptions(checkpoint_path=journal, resume=True),
+            )
+        # Nothing ran: no outcome was journaled, nothing reached the sink.
+        assert journal.read_bytes() == damaged
+        assert sink.trace.emitted == 0
 
 
 # -- the fail-fast fold cut-off -----------------------------------------------
