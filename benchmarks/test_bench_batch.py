@@ -28,6 +28,7 @@ import time
 
 from benchmarks._receipt import update_receipt as _update_receipt
 from repro.sim.batch import BatchEngine
+from repro.sim.parallel import WorkSpec
 from repro.sim.sweep import build_engine
 
 #: Required aggregate samples/sec multiple over sequential lanes.
@@ -47,7 +48,8 @@ REPEATS = 3
 def _build_lanes():
     """Eight compatible lanes: distinct seeds, one benchmark/policy."""
     return [
-        build_engine("gcc", "pid", seed=seed) for seed in range(LANES)
+        build_engine(WorkSpec("gcc", "pid", seed=seed))
+        for seed in range(LANES)
     ]
 
 

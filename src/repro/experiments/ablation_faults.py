@@ -23,7 +23,7 @@ from repro.config import FailsafeConfig
 from repro.experiments.common import benchmark_budget
 from repro.experiments.reporting import ExperimentResult, format_table, percent
 from repro.faults import FaultSchedule, FaultWindow
-from repro.sim.sweep import run_one
+from repro.sim.parallel import WorkSpec, run_specs
 
 #: The aggressive operating point of the Table 12 sweep: holding 0.1 K
 #: below emergency makes fault consequences visible within one window.
@@ -35,7 +35,7 @@ FAILSAFE = FailsafeConfig(failsafe_temperature=101.97, rearm_margin=0.1)
 
 
 def _schedules(seed: int) -> list[tuple[str, "FaultSchedule"]]:
-    """The fault scenarios, mildest first (fresh schedules per call)."""
+    """The fault scenarios, mildest first."""
     return [
         ("dropout 2%", FaultSchedule(seed, dropout_rate=0.02)),
         ("dropout 10%", FaultSchedule(seed, dropout_rate=0.10)),
@@ -63,49 +63,47 @@ def run(
 ) -> ExperimentResult:
     """Sweep fault type x policy x watchdog on one hot benchmark."""
     budget = benchmark_budget(benchmark, quick)
-    baseline = run_one(benchmark, "none", instructions=budget)
-    rows = []
+    # One row per case: (policy, fault label, schedule, watchdog), where
+    # watchdog None marks the policy's fault-free reference row.
+    cases = []
     for policy in policies:
-        clean = run_one(
-            benchmark, policy, instructions=budget, setpoint=SETPOINT
-        )
+        cases.append((policy, "none", None, None))
+        for label, schedule in _schedules(seed):
+            for watchdog in (False, True):
+                cases.append((policy, label, schedule, watchdog))
+    baseline, *results = run_specs(
+        [WorkSpec(benchmark, "none", instructions=budget)]
+        + [
+            WorkSpec(
+                benchmark,
+                policy,
+                instructions=budget,
+                setpoint=SETPOINT,
+                fault_schedule=schedule,
+                failsafe=FAILSAFE if watchdog else None,
+            )
+            for policy, _, schedule, watchdog in cases
+        ]
+    )
+    rows = []
+    for (policy, label, _, watchdog), result in zip(cases, results):
         rows.append(
             {
                 "policy": policy,
-                "fault": "none",
-                "watchdog": "-",
-                "pct_ipc": percent(clean.relative_ipc(baseline)),
-                "pct_emergency": percent(clean.emergency_fraction),
-                "max_temp_c": clean.max_temperature,
-                "guard_events": None,
+                "fault": label,
+                "watchdog": (
+                    "-" if watchdog is None else "on" if watchdog else "off"
+                ),
+                "pct_ipc": percent(result.relative_ipc(baseline)),
+                "pct_emergency": percent(result.emergency_fraction),
+                "max_temp_c": result.max_temperature,
+                "guard_events": (
+                    int(result.extra.get("failsafe_engagements", 0))
+                    if watchdog
+                    else None
+                ),
             }
         )
-        for label, _ in _schedules(seed):
-            for watchdog in (False, True):
-                schedule = dict(_schedules(seed))[label]
-                result = run_one(
-                    benchmark,
-                    policy,
-                    instructions=budget,
-                    setpoint=SETPOINT,
-                    fault_schedule=schedule,
-                    failsafe=FAILSAFE if watchdog else None,
-                )
-                rows.append(
-                    {
-                        "policy": policy,
-                        "fault": label,
-                        "watchdog": "on" if watchdog else "off",
-                        "pct_ipc": percent(result.relative_ipc(baseline)),
-                        "pct_emergency": percent(result.emergency_fraction),
-                        "max_temp_c": result.max_temperature,
-                        "guard_events": (
-                            int(result.extra.get("failsafe_engagements", 0))
-                            if watchdog
-                            else None
-                        ),
-                    }
-                )
     text = format_table(
         rows,
         columns=(

@@ -14,7 +14,7 @@ from dataclasses import replace
 from repro.config import DTMConfig
 from repro.experiments.common import benchmark_budget
 from repro.experiments.reporting import ExperimentResult, format_table, percent
-from repro.sim.sweep import run_one
+from repro.sim.parallel import WorkSpec, run_specs
 
 DEFAULT_BENCHMARKS = ("gcc", "mesa", "art")
 
@@ -25,15 +25,25 @@ def run(
     quick: bool = False,
 ) -> ExperimentResult:
     """Measure the interrupt overhead of the non-CT trigger mechanism."""
-    rows = []
+    specs = []
     for benchmark in benchmarks:
         budget = benchmark_budget(benchmark, quick)
-        baseline = run_one(benchmark, "none", instructions=budget)
-        for use_interrupts in (False, True):
-            config = replace(DTMConfig(), use_interrupts=use_interrupts)
-            result = run_one(
-                benchmark, policy, instructions=budget, dtm_config=config
+        specs.append(WorkSpec(benchmark, "none", instructions=budget))
+        specs.extend(
+            WorkSpec(
+                benchmark,
+                policy,
+                instructions=budget,
+                dtm_config=replace(DTMConfig(), use_interrupts=use_interrupts),
             )
+            for use_interrupts in (False, True)
+        )
+    results = iter(run_specs(specs))
+    rows = []
+    for benchmark in benchmarks:
+        baseline = next(results)
+        for use_interrupts in (False, True):
+            result = next(results)
             rows.append(
                 {
                     "benchmark": benchmark,

@@ -25,7 +25,7 @@ from repro.dtm.policies import make_policy
 from repro.experiments.common import benchmark_budget
 from repro.experiments.reporting import ExperimentResult, format_table, percent
 from repro.power.wattch import PowerModel
-from repro.sim.sweep import run_one
+from repro.sim.parallel import WorkSpec, run_specs
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.lumped import LumpedThermalModel
 from repro.workloads.profiles import get_profile
@@ -128,7 +128,7 @@ def run(
 ) -> ExperimentResult:
     """Compare toggling, throttling, and DVFS under the PID policy."""
     budget = benchmark_budget(benchmark, quick)
-    baseline = run_one(benchmark, "none", instructions=budget)
+    [baseline] = run_specs([WorkSpec(benchmark, "none", instructions=budget)])
     rows = []
     for mechanism in ("toggling", "throttling", "dvfs"):
         outcome = _run_mechanism(benchmark, mechanism, budget)

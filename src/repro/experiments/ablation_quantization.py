@@ -13,7 +13,7 @@ from dataclasses import replace
 from repro.config import DTMConfig
 from repro.experiments.common import benchmark_budget
 from repro.experiments.reporting import ExperimentResult, format_table, percent
-from repro.sim.sweep import run_one
+from repro.sim.parallel import WorkSpec, run_specs
 
 DEFAULT_LEVELS = (2, 3, 4, 8, 16, 64)
 
@@ -26,13 +26,20 @@ def run(
 ) -> ExperimentResult:
     """Sweep the actuator's duty-quantization level count."""
     budget = benchmark_budget(benchmark, quick)
-    baseline = run_one(benchmark, "none", instructions=budget)
+    baseline, *results = run_specs(
+        [WorkSpec(benchmark, "none", instructions=budget)]
+        + [
+            WorkSpec(
+                benchmark,
+                policy,
+                instructions=budget,
+                dtm_config=replace(DTMConfig(), toggle_levels=level_count),
+            )
+            for level_count in levels
+        ]
+    )
     rows = []
-    for level_count in levels:
-        config = replace(DTMConfig(), toggle_levels=level_count)
-        result = run_one(
-            benchmark, policy, instructions=budget, dtm_config=config
-        )
+    for level_count, result in zip(levels, results):
         rows.append(
             {
                 "levels": level_count,

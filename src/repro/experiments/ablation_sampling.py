@@ -15,7 +15,7 @@ from dataclasses import replace
 from repro.config import DTMConfig
 from repro.experiments.common import benchmark_budget
 from repro.experiments.reporting import ExperimentResult, format_table, percent
-from repro.sim.sweep import run_one
+from repro.sim.parallel import WorkSpec, run_specs
 
 DEFAULT_INTERVALS = (500, 1000, 2000, 4000, 8000, 16000, 32000)
 
@@ -28,15 +28,19 @@ def run(
 ) -> ExperimentResult:
     """Sweep the sampling interval for one CT policy."""
     budget = benchmark_budget(benchmark, quick)
+    results = iter(run_specs([
+        WorkSpec(
+            benchmark,
+            name,
+            instructions=budget,
+            dtm_config=replace(DTMConfig(), sampling_interval=interval),
+        )
+        for interval in intervals
+        for name in ("none", policy)
+    ]))
     rows = []
     for interval in intervals:
-        config = replace(DTMConfig(), sampling_interval=interval)
-        baseline = run_one(
-            benchmark, "none", instructions=budget, dtm_config=config
-        )
-        result = run_one(
-            benchmark, policy, instructions=budget, dtm_config=config
-        )
+        baseline, result = next(results), next(results)
         rows.append(
             {
                 "interval_cycles": interval,

@@ -13,27 +13,32 @@ from __future__ import annotations
 
 from repro.experiments.common import benchmark_budget
 from repro.experiments.reporting import ExperimentResult, format_table, percent
-from repro.sim.sweep import run_one
-from repro.thermal.sensors import IdealSensor, NoisySensor, QuantizedSensor
+from repro.sim.parallel import WorkSpec, run_specs
+from repro.thermal.sensors import SensorConfig
+
+#: (label, sensor model); ``None`` is the ideal sensor.
+CASES = (
+    ("ideal", None),
+    ("noise 0.05K", SensorConfig(noise_sigma=0.05, seed=1)),
+    ("noise 0.15K", SensorConfig(noise_sigma=0.15, seed=1)),
+    ("offset -0.2K", SensorConfig(offset=-0.2)),
+    ("offset +0.2K", SensorConfig(offset=0.2)),
+    ("quantized 0.25K", SensorConfig(step=0.25)),
+)
 
 
 def run(benchmark: str = "gcc", policy: str = "pid", quick: bool = False) -> ExperimentResult:
     """Sweep sensor imperfections under one CT policy."""
     budget = benchmark_budget(benchmark, quick)
-    baseline = run_one(benchmark, "none", instructions=budget)
-    cases = [
-        ("ideal", IdealSensor()),
-        ("noise 0.05K", NoisySensor(noise_sigma=0.05, seed=1)),
-        ("noise 0.15K", NoisySensor(noise_sigma=0.15, seed=1)),
-        ("offset -0.2K", NoisySensor(noise_sigma=0.0, offset=-0.2)),
-        ("offset +0.2K", NoisySensor(noise_sigma=0.0, offset=0.2)),
-        ("quantized 0.25K", QuantizedSensor(step=0.25)),
-    ]
+    baseline, *results = run_specs(
+        [WorkSpec(benchmark, "none", instructions=budget)]
+        + [
+            WorkSpec(benchmark, policy, instructions=budget, sensor=sensor)
+            for _, sensor in CASES
+        ]
+    )
     rows = []
-    for label, sensor in cases:
-        result = run_one(
-            benchmark, policy, instructions=budget, sensor=sensor
-        )
+    for (label, _), result in zip(CASES, results):
         rows.append(
             {
                 "sensor": label,

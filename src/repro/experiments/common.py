@@ -1,10 +1,11 @@
 """Shared infrastructure for experiment drivers.
 
-Characterization experiments (Tables 4-8) all consume the same
-unmanaged suite run, so it is computed once and cached per instruction
-budget.  Budgets are per-benchmark: at least two full passes over the
-profile's phase sequence (bursty profiles like ``art`` need a full
-period to show their duty cycle).
+Characterization experiments (Tables 4-10) all consume the same
+unmanaged suite run, one :func:`~repro.sim.parallel.run_specs` matrix,
+so it is computed once per process and cached per instruction budget.
+Budgets are per-benchmark: at least two full passes over the profile's
+phase sequence (bursty profiles like ``art`` need a full period to show
+their duty cycle).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.config import TelemetryConfig
-from repro.sim.fast import FastEngine
+from repro.sim.parallel import WorkSpec, run_specs
 from repro.sim.results import RunResult
 from repro.telemetry import Telemetry, TraceRecord, merge_telemetry
 from repro.workloads.profiles import BENCHMARKS, get_profile
@@ -39,21 +40,31 @@ def benchmark_budget(name: str, quick: bool = False) -> float:
 WARMUP_INSTRUCTIONS = 1_000_000
 
 
+def _suite_specs(
+    quick: bool, record_history: bool, seed: int
+) -> list[WorkSpec]:
+    """The unmanaged characterization matrix: one spec per benchmark."""
+    return [
+        WorkSpec(
+            name,
+            "none",
+            instructions=benchmark_budget(name, quick),
+            seed=seed,
+            record_history=record_history,
+            warmup_instructions=WARMUP_INSTRUCTIONS,
+        )
+        for name in BENCHMARKS
+    ]
+
+
 @lru_cache(maxsize=8)
 def characterize_suite(
     quick: bool = False, record_history: bool = False, seed: int = 0
 ) -> dict[str, RunResult]:
     """Unmanaged (no-DTM) runs of all 18 benchmarks, cached."""
-    results: dict[str, RunResult] = {}
-    for name in BENCHMARKS:
-        engine = FastEngine(
-            get_profile(name), seed=seed, record_history=record_history
-        )
-        results[name] = engine.run(
-            instructions=benchmark_budget(name, quick),
-            warmup_instructions=WARMUP_INSTRUCTIONS,
-        )
-    return results
+    return dict(
+        zip(BENCHMARKS, run_specs(_suite_specs(quick, record_history, seed)))
+    )
 
 
 def characterize_suite_traced(
@@ -61,14 +72,14 @@ def characterize_suite_traced(
 ) -> tuple[dict[str, RunResult], dict[str, list[TraceRecord]]]:
     """Unmanaged suite runs with per-benchmark DTM-sample traces.
 
-    Same budgets, warmup, and seeding as :func:`characterize_suite`
-    (telemetry is purely observational, so the :class:`RunResult`
-    values are bit-identical -- a test asserts this), but each run also
-    captures the shared trace schema; returns ``(results, traces)``
-    with ``traces[name]`` the retained
-    :class:`~repro.telemetry.trace.TraceRecord` list for ``name``.
+    The same specs as :func:`characterize_suite` (telemetry is purely
+    observational, so the :class:`RunResult` values are bit-identical
+    -- a test asserts this), but each run also captures the shared
+    trace schema; returns ``(results, traces)`` with ``traces[name]``
+    the retained :class:`~repro.telemetry.trace.TraceRecord` list for
+    ``name``.
 
-    Each benchmark records into a local
+    Each benchmark runs as its own one-spec sweep into a local
     :class:`~repro.telemetry.core.Telemetry`, which is then folded into
     the optional shared ``telemetry`` sink (records, events, metrics),
     keeping per-benchmark extraction unambiguous even when the sink is
@@ -77,13 +88,9 @@ def characterize_suite_traced(
     """
     results: dict[str, RunResult] = {}
     traces: dict[str, list[TraceRecord]] = {}
-    for name in BENCHMARKS:
+    for spec in _suite_specs(quick, False, seed):
         local = Telemetry(TelemetryConfig())
-        engine = FastEngine(get_profile(name), seed=seed, telemetry=local)
-        results[name] = engine.run(
-            instructions=benchmark_budget(name, quick),
-            warmup_instructions=WARMUP_INSTRUCTIONS,
-        )
-        traces[name] = local.trace.records()
+        [results[spec.benchmark]] = run_specs([spec], telemetry=local)
+        traces[spec.benchmark] = local.trace.records()
         merge_telemetry(telemetry, local)
     return results, traces

@@ -13,13 +13,44 @@ configuration from unsafe-in-the-tail back to emergency-free.
 
 from __future__ import annotations
 
-from repro.dtm.policies import HierarchicalPolicy, make_policy
 from repro.experiments.common import benchmark_budget
 from repro.experiments.reporting import ExperimentResult, format_table, percent
-from repro.sim.sweep import run_one
-from repro.thermal.sensors import NoisySensor
+from repro.sim.parallel import WorkSpec, run_specs
+from repro.thermal.sensors import SensorConfig
 
 DEFAULT_BENCHMARKS = ("gcc", "equake")
+
+#: The slightly low-reading sensor every managed run sees.
+SENSOR = SensorConfig(noise_sigma=0.03, offset=-0.1, seed=2)
+
+#: (label, PID setpoint, backup trigger or None).  The backup trigger
+#: is placed below the emergency threshold by more than the worst-case
+#: sensor error, so a low-reading sensor cannot hide a real crossing.
+CASES = (
+    ("pid@101.8", 101.8, None),
+    ("pid@101.9", 101.9, None),
+    ("hier(pid@101.9)", 101.9, 101.85),
+)
+
+
+def specs(benchmarks: tuple[str, ...], quick: bool) -> list[WorkSpec]:
+    """Per benchmark: the unmanaged baseline, then one spec per case."""
+    chosen = []
+    for benchmark in benchmarks:
+        budget = benchmark_budget(benchmark, quick)
+        chosen.append(WorkSpec(benchmark, "none", instructions=budget))
+        chosen.extend(
+            WorkSpec(
+                benchmark,
+                "pid",
+                instructions=budget,
+                setpoint=setpoint,
+                backup_trigger=trigger,
+                sensor=SENSOR,
+            )
+            for _, setpoint, trigger in CASES
+        )
+    return chosen
 
 
 def run(
@@ -29,35 +60,16 @@ def run(
     """Compare plain vs hierarchical PID at an aggressive setpoint.
 
     A slightly low-reading sensor (-0.1 K offset) stresses the guard
-    band, which is where the backup earns its keep.
+    band, which is where the backup earns its keep.  Every run builds
+    its own sensor from :data:`SENSOR`, so each row's noise stream is
+    independent of the runs before it.
     """
+    results = iter(run_specs(specs(benchmarks, quick)))
     rows = []
-    sensor = NoisySensor(noise_sigma=0.03, offset=-0.1, seed=2)
     for benchmark in benchmarks:
-        budget = benchmark_budget(benchmark, quick)
-        baseline = run_one(benchmark, "none", instructions=budget)
-        for label, build in (
-            ("pid@101.8", lambda: make_policy("pid", setpoint=101.8)),
-            ("pid@101.9", lambda: make_policy("pid", setpoint=101.9)),
-            (
-                "hier(pid@101.9)",
-                # The backup trigger is placed below the emergency
-                # threshold by more than the worst-case sensor error,
-                # so a low-reading sensor cannot hide a real crossing.
-                lambda: HierarchicalPolicy(
-                    make_policy("pid", setpoint=101.9), backup_trigger=101.85
-                ),
-            ),
-        ):
-            policy = build()
-            result = run_one(
-                benchmark,
-                "",  # name ignored: policy object supplied
-                instructions=budget,
-                policy=policy,
-                sensor=sensor,
-            )
-            backup_engagements = getattr(policy, "backup_engagements", 0)
+        baseline = next(results)
+        for label, _, _ in CASES:
+            result = next(results)
             rows.append(
                 {
                     "benchmark": benchmark,
@@ -65,7 +77,9 @@ def run(
                     "pct_ipc": percent(result.relative_ipc(baseline)),
                     "pct_emergency": percent(result.emergency_fraction),
                     "max_temp_c": result.max_temperature,
-                    "backup_engaged": backup_engagements,
+                    "backup_engaged": int(
+                        result.extra.get("backup_engagements", 0)
+                    ),
                 }
             )
     text = format_table(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.experiments.common import benchmark_budget
 from repro.experiments.reporting import ExperimentResult, format_table, percent
-from repro.sim.sweep import run_one
+from repro.sim.parallel import WorkSpec, run_specs
 
 DEFAULT_BENCHMARKS = ("gcc", "art", "eon", "gzip")
 
@@ -26,16 +26,23 @@ def run(
     quick: bool = False,
 ) -> ExperimentResult:
     """PID vs one-step MPC across benchmarks and setpoints."""
-    rows = []
+    specs = []
     for benchmark in benchmarks:
         budget = benchmark_budget(benchmark, quick)
-        baseline = run_one(benchmark, "none", instructions=budget)
+        specs.append(WorkSpec(benchmark, "none", instructions=budget))
+        specs.extend(
+            WorkSpec(benchmark, policy, instructions=budget, setpoint=setpoint)
+            for setpoint in setpoints
+            for policy in ("pid", "mpc")
+        )
+    results = iter(run_specs(specs))
+    rows = []
+    for benchmark in benchmarks:
+        baseline = next(results)
         for setpoint in setpoints:
             row: dict = {"benchmark": benchmark, "setpoint": setpoint}
             for policy in ("pid", "mpc"):
-                result = run_one(
-                    benchmark, policy, instructions=budget, setpoint=setpoint
-                )
+                result = next(results)
                 row[f"ipc_{policy}"] = percent(result.relative_ipc(baseline))
                 row[f"em_{policy}"] = percent(result.emergency_fraction)
                 row[f"max_{policy}"] = result.max_temperature

@@ -9,17 +9,19 @@ just below the emergency threshold.
 The per-sample series come from the shared trace schema
 (:class:`~repro.telemetry.trace.TraceRecord`): each policy runs with a
 local :class:`~repro.telemetry.core.Telemetry` whose recorder keeps
-every sample, and the chart reads ``max_temp`` / ``duty`` straight off
-the retained records.  Pass a shared ``telemetry`` sink (e.g. from
-``python -m repro.experiments --trace-out``) and the per-run traces,
-events, and metrics are folded into it.
+every sample (one :func:`~repro.sim.parallel.run_specs` call per
+policy, so the sweep settings and the result cache apply), and the
+chart reads ``max_temp`` / ``duty`` straight off the retained records.
+Pass a shared ``telemetry`` sink (e.g. from ``python -m
+repro.experiments --trace-out``) and the per-run traces, events, and
+metrics are folded into it.
 """
 
 from __future__ import annotations
 
 from repro.config import TelemetryConfig
 from repro.experiments.reporting import ExperimentResult, ascii_chart, format_table
-from repro.sim.sweep import run_one
+from repro.sim.parallel import WorkSpec, run_specs
 from repro.telemetry import Telemetry, merge_telemetry
 
 
@@ -39,8 +41,9 @@ def run(
         local = Telemetry(
             TelemetryConfig(trace_mode="ring", trace_capacity=65_536)
         )
-        result = run_one(
-            benchmark, policy, instructions=instructions, telemetry=local
+        [result] = run_specs(
+            [WorkSpec(benchmark, policy, instructions=instructions)],
+            telemetry=local,
         )
         records = local.trace.records()
         assert records, "telemetry-enabled run must retain samples"

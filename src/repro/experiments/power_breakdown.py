@@ -13,13 +13,11 @@ infrastructure implies:
 
 from __future__ import annotations
 
-from repro.dtm.policies import make_policy
 from repro.experiments.common import benchmark_budget
 from repro.experiments.reporting import ExperimentResult, format_table, percent
 from repro.power.metrics import energy_summary, power_breakdown
-from repro.sim.fast import FastEngine
+from repro.sim.parallel import WorkSpec, run_specs
 from repro.thermal.floorplan import Floorplan
-from repro.workloads.profiles import get_profile
 
 
 def run(
@@ -30,9 +28,13 @@ def run(
     """Power breakdown + per-policy energy metrics on one benchmark."""
     budget = benchmark_budget(benchmark, quick)
     floorplan = Floorplan.default()
-    profile = get_profile(benchmark)
-
-    baseline = FastEngine(profile, record_history=True).run(instructions=budget)
+    baseline, *managed = run_specs(
+        [WorkSpec(benchmark, "none", instructions=budget, record_history=True)]
+        + [
+            WorkSpec(benchmark, policy, instructions=budget)
+            for policy in policies
+        ]
+    )
     assert baseline.history is not None
     breakdown_rows = [
         {
@@ -46,11 +48,7 @@ def run(
         for entry in power_breakdown(baseline.history, floorplan)
     ]
 
-    runs = {"none": baseline}
-    for policy in policies:
-        runs[policy] = FastEngine(
-            profile, policy=make_policy(policy)
-        ).run(instructions=budget)
+    runs = {"none": baseline, **dict(zip(policies, managed))}
     energy_rows = [
         {
             "policy": entry.policy,

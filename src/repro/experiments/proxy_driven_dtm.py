@@ -29,7 +29,7 @@ from repro.experiments.reporting import ExperimentResult, format_table, percent
 from repro.experiments.table10_proxy_chipwide import CHIP_TRIGGER_POWER
 from repro.power.wattch import PowerModel
 from repro.sim.fast import DEFAULT_SUPPLY_EFFICIENCY
-from repro.sim.sweep import run_one
+from repro.sim.parallel import WorkSpec, run_specs
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.lumped import LumpedThermalModel
 from repro.workloads.profiles import get_profile
@@ -132,11 +132,17 @@ def run(
     quick: bool = False,
 ) -> ExperimentResult:
     """Temperature- vs power-proxy-triggered toggle1 across benchmarks."""
+    results = iter(run_specs([
+        WorkSpec(
+            benchmark, policy, instructions=benchmark_budget(benchmark, quick)
+        )
+        for benchmark in benchmarks
+        for policy in ("none", "toggle1")
+    ]))
     rows = []
     for benchmark in benchmarks:
         budget = benchmark_budget(benchmark, quick)
-        baseline = run_one(benchmark, "none", instructions=budget)
-        temp_toggle = run_one(benchmark, "toggle1", instructions=budget)
+        baseline, temp_toggle = next(results), next(results)
         row: dict = {
             "benchmark": benchmark,
             "base_em": percent(baseline.emergency_fraction),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.experiments.common import benchmark_budget
 from repro.experiments.reporting import ExperimentResult, format_table, percent
-from repro.sim.sweep import run_one
+from repro.sim.parallel import WorkSpec, run_specs
 from repro.thermal.floorplan import scaled_floorplan
 
 #: (area scale, power scale) pairs: smaller/denser, nominal, larger.
@@ -32,12 +32,15 @@ def run(
 ) -> ExperimentResult:
     """Re-run toggle1 vs PID under scaled floorplans."""
     budget = benchmark_budget(benchmark, quick)
+    floorplans = [scaled_floorplan(area, power) for area, power in scales]
+    results = iter(run_specs([
+        WorkSpec(benchmark, policy, instructions=budget, floorplan=floorplan)
+        for floorplan in floorplans
+        for policy in ("none", "toggle1", "pid")
+    ]))
     rows = []
-    for area_scale, power_scale in scales:
-        floorplan = scaled_floorplan(area_scale, power_scale)
-        baseline = run_one(
-            benchmark, "none", instructions=budget, floorplan=floorplan
-        )
+    for (area_scale, power_scale), floorplan in zip(scales, floorplans):
+        baseline = next(results)
         row: dict = {
             "area_scale": area_scale,
             "power_scale": power_scale,
@@ -47,9 +50,7 @@ def run(
             "base_em": percent(baseline.emergency_fraction),
         }
         for policy in ("toggle1", "pid"):
-            result = run_one(
-                benchmark, policy, instructions=budget, floorplan=floorplan
-            )
+            result = next(results)
             row[f"ipc_{policy}"] = percent(result.relative_ipc(baseline))
             row[f"em_{policy}"] = percent(result.emergency_fraction)
         row["ct_wins"] = "yes" if row["ipc_pid"] >= row["ipc_toggle1"] else "NO"

@@ -59,19 +59,6 @@ from repro.sim.parallel import (
     sweep_defaults,
 )
 
-# Deprecated forwarders onto the one SweepDefaults slot, importable
-# here for one more release; not part of __all__.
-from repro.sim.parallel import (  # noqa: F401
-    get_default_batch,
-    get_default_cluster,
-    get_default_jobs,
-    get_default_sweep_options,
-    set_default_batch,
-    set_default_cluster,
-    set_default_jobs,
-    set_default_sweep_options,
-)
-
 # Imported after parallel: the distributed layer builds on it.
 from repro.sim.distributed import (
     ClusterConfig,

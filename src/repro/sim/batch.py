@@ -89,7 +89,8 @@ def batch_compatibility_key(spec) -> str | None:
     Two specs may share a :class:`BatchEngine` iff they agree on the
     whole simulation *environment* -- floorplan, machine, thermal, and
     DTM configuration -- while benchmark, policy, seed, instruction
-    budget, faults, and failsafe are free to differ per lane.
+    budget, warmup, sensor, faults, and failsafe are free to differ per
+    lane.
     Multicore specs (``core_benchmarks``) never batch.
     """
     if getattr(spec, "core_benchmarks", ()):
@@ -132,34 +133,6 @@ def plan_batches(specs, batch: int) -> list[list[int]]:
     return groups
 
 
-def engine_for_spec(spec, telemetry=None) -> FastEngine:
-    """Build the (unrun) :class:`FastEngine` for one lane spec.
-
-    Delegates to :func:`repro.sim.sweep.build_engine` -- the exact
-    factory :func:`~repro.sim.sweep.run_one` uses -- so a batched lane
-    starts from an engine bit-identical to its serial counterpart.
-    """
-    if getattr(spec, "core_benchmarks", ()):
-        raise SimulationError(
-            f"multicore spec {spec.benchmark!r} cannot be lane-batched"
-        )
-    return build_engine(
-        spec.benchmark,
-        spec.policy,
-        floorplan=spec.floorplan,
-        machine=spec.machine,
-        thermal_config=spec.thermal_config,
-        dtm_config=spec.dtm_config,
-        seed=spec.seed,
-        record_history=spec.record_history,
-        anti_windup=spec.anti_windup,
-        setpoint=spec.setpoint,
-        fault_schedule=spec.fault_schedule,
-        failsafe=spec.failsafe,
-        telemetry=telemetry,
-    )
-
-
 @dataclass
 class LaneOutcome:
     """Terminal state of one lane: a result or the error that killed it."""
@@ -188,7 +161,7 @@ def run_spec_lanes(specs, telemetries=None) -> list[LaneOutcome]:
     for index, (spec, telemetry) in enumerate(zip(specs, telemetries)):
         try:
             budget = _validate_instructions(spec.instructions)
-            engine = engine_for_spec(spec, telemetry=telemetry)
+            engine = build_engine(spec, telemetry)
         except Exception as error:  # captured, not raised: lane-local
             outcomes[index].error = error
             continue
@@ -196,9 +169,11 @@ def run_spec_lanes(specs, telemetries=None) -> list[LaneOutcome]:
         lanes.append(index)
         budgets.append(budget)
     if engines:
-        for index, outcome in zip(
-            lanes, BatchEngine(engines).run_outcomes(instructions=budgets)
-        ):
+        warmups = [specs[index].warmup_instructions for index in lanes]
+        outcomes_run = BatchEngine(engines).run_outcomes(
+            instructions=budgets, warmup_instructions=warmups
+        )
+        for index, outcome in zip(lanes, outcomes_run):
             outcomes[index] = outcome
     return outcomes
 

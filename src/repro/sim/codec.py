@@ -84,6 +84,7 @@ def _registry() -> dict:
         from repro.faults import FaultSchedule, FaultWindow
         from repro.sim.parallel import WorkSpec
         from repro.thermal.floorplan import Block, Floorplan
+        from repro.thermal.sensors import SensorConfig
 
         _TYPES = {
             cls.__name__: cls
@@ -98,6 +99,7 @@ def _registry() -> dict:
                 FaultWindow,
                 Floorplan,
                 MachineConfig,
+                SensorConfig,
                 TelemetryConfig,
                 ThermalConfig,
                 WorkSpec,

@@ -1,10 +1,11 @@
 """The parallel sweep executor: fan (benchmark x policy x seed) matrices
 out over worker processes, tolerating worker crashes along the way.
 
-Every experiment driver funnels through :func:`repro.sim.sweep.run_suite`
-(or a hand-rolled loop over :func:`repro.sim.sweep.run_one`), and a full
-paper reproduction runs hundreds of independent simulations.  Each run
-is CPU-bound pure Python/NumPy with no shared mutable state, which makes
+The simulating experiment drivers build :class:`WorkSpec` lists and
+run them here (directly or through :func:`repro.sim.sweep.run_suite`;
+docs/performance.md lists the five that do not), and a full paper
+reproduction runs hundreds of independent simulations.  Each run is
+CPU-bound pure Python/NumPy with no shared mutable state, which makes
 the matrix embarrassingly parallel -- but only if the observability
 guarantees survive the fan-out.  This module provides:
 
@@ -84,7 +85,6 @@ import os
 import pickle
 import time
 import traceback as traceback_module
-import warnings
 from collections import deque
 from contextlib import contextmanager
 from concurrent.futures import (
@@ -94,7 +94,7 @@ from concurrent.futures import (
 from concurrent.futures import (
     TimeoutError as FuturesTimeoutError,
 )
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -118,10 +118,15 @@ from repro.sim.codec import fold_saved_telemetry as fold_saved_telemetry
 from repro.sim.codec import result_from_dict as result_from_dict
 from repro.sim.ledger import SpecOutcome, SweepLedger
 from repro.sim.results import RunResult
-from repro.sim.sweep import DEFAULT_INSTRUCTIONS, run_one
+from repro.sim.sweep import (
+    DEFAULT_INSTRUCTIONS,
+    _validate_instructions,
+    build_engine,
+)
 from repro.telemetry.core import Telemetry, ensure_telemetry
 from repro.telemetry.core import merge_telemetry as merge_telemetry
 from repro.thermal.floorplan import Floorplan
+from repro.thermal.sensors import SensorConfig
 
 #: Worker-local trace/event capacity: effectively "retain everything".
 #: Workers must not decimate or drop, because the parent re-emits their
@@ -421,64 +426,15 @@ def resolve_sweep(
     )
 
 
-def _deprecated(name: str, forward):
-    """A forwarder named ``name``: warn, then call ``forward``."""
-
-    def forwarder(*args, **kwargs):
-        warnings.warn(
-            f"{name} is deprecated; install a SweepDefaults with "
-            f"repro.sim.parallel.sweep_defaults() and read it with "
-            f"resolve_sweep()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return forward(*args, **kwargs)
-
-    forwarder.__name__ = forwarder.__qualname__ = name
-    forwarder.__doc__ = "Deprecated forwarder onto the SweepDefaults slot."
-    return forwarder
-
-
-def _set_default(field_name: str):
-    def forward(value) -> None:
-        _install(replace(_DEFAULTS, **{field_name: value}))
-
-    return forward
-
-
-# The old per-setting defaults API, kept importable for one release.
-set_default_jobs = _deprecated("set_default_jobs", _set_default("jobs"))
-get_default_jobs = _deprecated("get_default_jobs", lambda: _DEFAULTS.jobs)
-set_default_batch = _deprecated("set_default_batch", _set_default("batch"))
-get_default_batch = _deprecated("get_default_batch", lambda: _DEFAULTS.batch)
-set_default_sweep_options = _deprecated(
-    "set_default_sweep_options", _set_default("options")
-)
-get_default_sweep_options = _deprecated(
-    "get_default_sweep_options", lambda: _DEFAULTS.options
-)
-set_default_cluster = _deprecated(
-    "set_default_cluster", _set_default("cluster")
-)
-get_default_cluster = _deprecated(
-    "get_default_cluster", lambda: _DEFAULTS.cluster
-)
-set_default_cache = _deprecated("set_default_cache", _set_default("cache"))
-resolve_jobs = _deprecated(
-    "resolve_jobs",
-    lambda jobs, tasks: resolve_sweep(jobs, cache=False, tasks=tasks).jobs,
-)
-
-
 @dataclass(frozen=True)
 class WorkSpec:
     """One self-contained simulation: everything a worker needs, by value.
 
     Only names and frozen config dataclasses -- never live policy,
-    sensor, or engine objects -- so the spec pickles cheaply and the
-    worker rebuilds the run through the exact same
-    :func:`~repro.sim.sweep.run_one` factory path the serial sweep
-    uses.
+    sensor, or engine objects -- so the spec pickles cheaply, hashes
+    by content (:func:`~repro.sim.checkpoint.spec_fingerprint`), and
+    every run rebuilds its engine through the one factory,
+    :func:`~repro.sim.sweep.build_engine`, wherever it executes.
     """
 
     benchmark: str
@@ -494,6 +450,17 @@ class WorkSpec:
     setpoint: float | None = None
     fault_schedule: FaultSchedule | None = None
     failsafe: FailsafeConfig | None = None
+    #: The sensor model (``None``: the ideal sensor); each run builds
+    #: its own, so a seeded noise stream starts afresh per run.
+    sensor: SensorConfig | None = None
+    #: Wraps the named policy in a
+    #: :class:`~repro.dtm.policies.HierarchicalPolicy` whose emergency
+    #: backup engages at this temperature; the result's
+    #: ``extra["backup_engagements"]`` counts its engagements.
+    backup_trigger: float | None = None
+    #: Instructions run before measurement starts (see
+    #: :meth:`~repro.sim.fast.FastEngine.run`).
+    warmup_instructions: float = 0
     #: Non-empty marks a *multicore* spec: per-core benchmark names run
     #: on a :class:`~repro.multicore.engine.MulticoreEngine` (tiled
     #: floorplan, ``policy`` shared by every core, optional
@@ -569,6 +536,9 @@ def _execute_multicore(spec: WorkSpec, telemetry):
         ("setpoint", spec.setpoint, None),
         ("record_history", spec.record_history, False),
         ("anti_windup", spec.anti_windup, AntiWindup.CONDITIONAL),
+        ("sensor", spec.sensor, None),
+        ("backup_trigger", spec.backup_trigger, None),
+        ("warmup_instructions", spec.warmup_instructions, 0),
     ):
         if value != default:
             raise ConfigError(
@@ -592,21 +562,10 @@ def _execute(spec: WorkSpec, telemetry) -> RunResult:
     """Run one spec in-process against the given telemetry sink."""
     if spec.core_benchmarks:
         return _execute_multicore(spec, telemetry)
-    return run_one(
-        spec.benchmark,
-        spec.policy,
-        instructions=spec.instructions,
-        floorplan=spec.floorplan,
-        machine=spec.machine,
-        thermal_config=spec.thermal_config,
-        dtm_config=spec.dtm_config,
-        seed=spec.seed,
-        record_history=spec.record_history,
-        anti_windup=spec.anti_windup,
-        setpoint=spec.setpoint,
-        fault_schedule=spec.fault_schedule,
-        failsafe=spec.failsafe,
-        telemetry=telemetry,
+    instructions = _validate_instructions(spec.instructions)
+    return build_engine(spec, telemetry).run(
+        instructions=instructions,
+        warmup_instructions=spec.warmup_instructions,
     )
 
 

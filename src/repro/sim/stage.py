@@ -306,6 +306,9 @@ class SampleStage:
             extra["failsafe_rejected_samples"] = float(guard.rejected_samples)
             extra["failsafe_degraded_samples"] = float(guard.degraded_samples)
             extra["failsafe_forced_samples"] = float(guard.failsafe_samples)
+        backup = getattr(engine.policy, "backup_engagements", None)
+        if backup is not None:
+            extra["backup_engagements"] = float(backup)
         history = self._histories[slot]
         emergency = self.block_cycles[0, slot]
         stress = self.block_cycles[1, slot]

@@ -12,11 +12,10 @@ import math
 from typing import Iterable, Mapping
 
 from repro.config import DTMConfig, MachineConfig, ThermalConfig
-from repro.control.pid import AntiWindup
 from repro.dtm.mechanisms import FetchToggling
-from repro.dtm.policies import make_policy
+from repro.dtm.policies import HierarchicalPolicy, make_policy
 from repro.errors import SimulationError
-from repro.faults import FaultSchedule, FaultyActuator, FaultySensor
+from repro.faults import FaultyActuator, FaultySensor
 from repro.sim.fast import FastEngine
 from repro.sim.results import RunResult
 from repro.telemetry.core import ensure_telemetry
@@ -55,126 +54,84 @@ def _validate_instructions(instructions: float) -> float:
     return instructions
 
 
-def build_engine(
-    benchmark: str,
-    policy_name: str,
-    floorplan: Floorplan | None = None,
-    machine: MachineConfig | None = None,
-    thermal_config: ThermalConfig | None = None,
-    dtm_config: DTMConfig | None = None,
-    seed: int = 0,
-    record_history: bool = False,
-    anti_windup: AntiWindup = AntiWindup.CONDITIONAL,
-    setpoint: float | None = None,
-    sensor=None,
-    policy=None,
-    fault_schedule: FaultSchedule | None = None,
-    failsafe=None,
-    telemetry=None,
-) -> FastEngine:
-    """Build (but do not run) the engine :func:`run_one` would run.
+def build_engine(spec, telemetry=None) -> FastEngine:
+    """Build (but do not run) the engine for one single-core spec.
 
-    The single factory path behind both the serial sweep and the
+    ``spec`` is a :class:`~repro.sim.parallel.WorkSpec`.  The one
+    factory behind :func:`run_one`, the sweep executor and the
     lane-batched engine (:mod:`repro.sim.batch`): policy construction,
-    fault-injection wrapping, and engine assembly happen here once, so
-    a batched lane starts from an engine bit-identical to its serial
-    counterpart.
+    sensor and fault-injection wrapping, and engine assembly happen
+    here once, so a batched lane starts from an engine bit-identical to
+    its serial counterpart.  Every sensor and policy is built fresh
+    from the spec's values, so no state carries over between runs.
     """
-    floorplan = floorplan if floorplan is not None else Floorplan.default()
-    if policy is None:
-        policy = make_policy(
-            policy_name,
-            floorplan,
-            dtm_config,
-            anti_windup=anti_windup,
-            setpoint=setpoint,
+    if spec.core_benchmarks:
+        raise SimulationError(
+            f"multicore spec {spec.benchmark!r} has no single-core engine"
         )
+    floorplan = (
+        spec.floorplan if spec.floorplan is not None else Floorplan.default()
+    )
+    policy = make_policy(
+        spec.policy,
+        floorplan,
+        spec.dtm_config,
+        anti_windup=spec.anti_windup,
+        setpoint=spec.setpoint,
+    )
+    if spec.backup_trigger is not None:
+        policy = HierarchicalPolicy(policy, backup_trigger=spec.backup_trigger)
+    sensor = spec.sensor.build() if spec.sensor is not None else None
     actuator = None
-    if fault_schedule is not None:
+    schedule = spec.fault_schedule
+    if schedule is not None:
         sensor = FaultySensor(
             sensor if sensor is not None else IdealSensor(),
-            fault_schedule,
+            schedule,
             telemetry=telemetry,
         )
-        if (
-            fault_schedule.actuator_stuck_windows
-            or fault_schedule.actuator_ignore_windows
-        ):
-            config = dtm_config if dtm_config is not None else DTMConfig()
+        if schedule.actuator_stuck_windows or schedule.actuator_ignore_windows:
+            config = (
+                spec.dtm_config if spec.dtm_config is not None else DTMConfig()
+            )
             actuator = FaultyActuator(
                 FetchToggling(config.toggle_levels),
-                fault_schedule,
+                schedule,
                 telemetry=telemetry,
             )
-    engine = FastEngine(
-        get_profile(benchmark),
+    return FastEngine(
+        get_profile(spec.benchmark),
         policy=policy,
         floorplan=floorplan,
-        machine=machine,
-        thermal_config=thermal_config,
-        dtm_config=dtm_config,
-        seed=seed,
-        record_history=record_history,
+        machine=spec.machine,
+        thermal_config=spec.thermal_config,
+        dtm_config=spec.dtm_config,
+        seed=spec.seed,
+        record_history=spec.record_history,
         sensor=sensor,
-        failsafe=failsafe,
+        failsafe=spec.failsafe,
         actuator=actuator,
         telemetry=telemetry,
     )
-    return engine
 
 
 def run_one(
-    benchmark: str,
-    policy_name: str,
-    instructions: float = DEFAULT_INSTRUCTIONS,
-    floorplan: Floorplan | None = None,
-    machine: MachineConfig | None = None,
-    thermal_config: ThermalConfig | None = None,
-    dtm_config: DTMConfig | None = None,
-    seed: int = 0,
-    record_history: bool = False,
-    anti_windup: AntiWindup = AntiWindup.CONDITIONAL,
-    setpoint: float | None = None,
-    sensor=None,
-    policy=None,
-    fault_schedule: FaultSchedule | None = None,
-    failsafe=None,
-    telemetry=None,
+    benchmark: str, policy: str, *, telemetry=None, **fields
 ) -> RunResult:
-    """Run one benchmark under one named policy.
+    """Run one benchmark under one named policy, in this process.
 
-    Pass a prebuilt ``policy`` object to bypass the name-based factory
-    (used for custom policies such as the hierarchical extension).
-
-    ``fault_schedule`` wraps the sensor (default: an ideal one) in a
-    :class:`~repro.faults.sensor.FaultySensor` and, when the schedule
-    carries actuator windows, the actuator in a
-    :class:`~repro.faults.actuator.FaultyActuator`.  ``failsafe`` is a
-    :class:`~repro.config.FailsafeConfig` (or prebuilt guard) enabling
-    the failsafe DTM layer.  ``telemetry`` is a
+    ``fields`` are :class:`~repro.sim.parallel.WorkSpec` fields
+    (``instructions``, ``seed``, ``setpoint``, ``sensor``,
+    ``fault_schedule``, ``failsafe``, ...): the run is exactly the one
+    a sweep runs for that spec.  ``telemetry`` is a
     :class:`~repro.telemetry.core.Telemetry` observing the run
     (metrics, per-sample trace, span profile); fault injectors and the
     failsafe guard report their events onto its trace stream.
     """
-    instructions = _validate_instructions(instructions)
-    engine = build_engine(
-        benchmark,
-        policy_name,
-        floorplan=floorplan,
-        machine=machine,
-        thermal_config=thermal_config,
-        dtm_config=dtm_config,
-        seed=seed,
-        record_history=record_history,
-        anti_windup=anti_windup,
-        setpoint=setpoint,
-        sensor=sensor,
-        policy=policy,
-        fault_schedule=fault_schedule,
-        failsafe=failsafe,
-        telemetry=telemetry,
-    )
-    return engine.run(instructions=instructions)
+    # Imported here: parallel builds on this module.
+    from repro.sim.parallel import WorkSpec, _execute
+
+    return _execute(WorkSpec(benchmark, policy, **fields), telemetry)
 
 
 def run_suite(
@@ -245,7 +202,7 @@ def run_suite(
     bit-identically instead of executing, fresh runs write back.  See
     docs/performance.md, "Level 5".
     """
-    # Imported here: parallel builds on this module's run_one/defaults.
+    # Imported here: parallel builds on this module.
     from repro.sim.parallel import matrix_specs, run_specs
 
     telemetry = ensure_telemetry(telemetry)

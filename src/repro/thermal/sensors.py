@@ -14,12 +14,17 @@ of these models as its inner sensor, and the failsafe layer
 (:mod:`repro.dtm.failsafe`) treats whatever comes out as untrusted.
 Note that sensors may legitimately return ``NaN`` (a dropped reading);
 *consumers*, not sensors, decide how to handle implausible values.
+
+:class:`SensorConfig` is the by-value form a sweep spec carries: each
+run builds its own sensor from it, so a seeded noise stream never
+carries over from one run to the next.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.errors import ConfigError
@@ -71,3 +76,36 @@ class QuantizedSensor:
     def read(self, true_temperature: float) -> float:
         """Return the reading rounded to the nearest quantization step."""
         return self.step * math.floor(true_temperature / self.step + 0.5)
+
+
+@dataclass(frozen=True)
+class SensorConfig:
+    """A sensor model by value: Gaussian noise plus offset, or quantized.
+
+    :meth:`build` returns a fresh :class:`NoisySensor` (``noise_sigma``,
+    ``offset``, ``seed``) or, with ``step`` set, a
+    :class:`QuantizedSensor`; a quantized sensor takes no noise or
+    offset.
+    """
+
+    noise_sigma: float = 0.0
+    offset: float = 0.0
+    seed: int = 0
+    step: float | None = None
+
+    def __post_init__(self) -> None:
+        if not self.noise_sigma >= 0:
+            raise ConfigError("noise_sigma must be non-negative")
+        if self.step is not None:
+            if not self.step > 0:
+                raise ConfigError("quantization step must be positive")
+            if self.noise_sigma or self.offset:
+                raise ConfigError(
+                    "a quantized sensor takes no noise_sigma or offset"
+                )
+
+    def build(self) -> "NoisySensor | QuantizedSensor":
+        """A new sensor in its initial state."""
+        if self.step is not None:
+            return QuantizedSensor(self.step)
+        return NoisySensor(self.noise_sigma, self.offset, self.seed)

@@ -8,7 +8,7 @@ from repro.dtm.policies import HierarchicalPolicy, make_policy
 from repro.errors import ConfigError, ControllerError
 from repro.sim.sweep import run_one
 from repro.thermal.floorplan import Floorplan
-from repro.thermal.sensors import NoisySensor
+from repro.thermal.sensors import SensorConfig
 
 
 class TestMaxSafeSetpoint:
@@ -93,19 +93,17 @@ class TestHierarchicalPolicy:
     def test_end_to_end_contains_sensor_error(self):
         # Aggressive setpoint + low-reading sensor: plain PID enters
         # emergency; the hierarchical backup does not.
-        sensor = NoisySensor(noise_sigma=0.0, offset=-0.15)
+        sensor = SensorConfig(offset=-0.15)
         plain = run_one(
             "gcc", "pid", instructions=1_500_000, setpoint=101.9,
             sensor=sensor,
         )
         guarded = run_one(
-            "gcc", "",
-            instructions=1_500_000,
-            policy=HierarchicalPolicy(
-                make_policy("pid", setpoint=101.9), backup_trigger=101.8
-            ),
-            sensor=sensor,
+            "gcc", "pid", instructions=1_500_000, setpoint=101.9,
+            backup_trigger=101.8, sensor=sensor,
         )
+        assert guarded.policy == "hier(pid)"
+        assert guarded.extra["backup_engagements"] > 0
         assert plain.emergency_fraction > 0.0
         assert guarded.emergency_fraction < plain.emergency_fraction
         assert guarded.max_temperature < plain.max_temperature
@@ -117,7 +115,7 @@ class TestSensorIntegration:
         ideal = run_one("gcc", "pid", instructions=1_000_000)
         pessimistic = run_one(
             "gcc", "pid", instructions=1_000_000,
-            sensor=NoisySensor(noise_sigma=0.0, offset=0.3),
+            sensor=SensorConfig(offset=0.3),
         )
         assert pessimistic.relative_ipc(baseline) < ideal.relative_ipc(baseline)
         assert pessimistic.emergency_fraction == 0.0
@@ -125,6 +123,6 @@ class TestSensorIntegration:
     def test_low_reading_sensor_erodes_safety(self):
         optimistic = run_one(
             "gcc", "pid", instructions=2_000_000,
-            sensor=NoisySensor(noise_sigma=0.0, offset=-0.3),
+            sensor=SensorConfig(offset=-0.3),
         )
         assert optimistic.max_temperature > 102.0

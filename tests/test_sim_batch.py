@@ -29,7 +29,6 @@ from repro.faults import FaultSchedule
 from repro.sim.batch import (
     BatchEngine,
     batch_compatibility_key,
-    engine_for_spec,
     plan_batches,
     run_spec_lanes,
     validate_batch,
@@ -222,23 +221,22 @@ class TestPlanner:
             core_benchmarks=("gcc", "gzip"),
         )
         with pytest.raises(SimulationError):
-            engine_for_spec(multi)
+            build_engine(multi)
 
 
 class TestBatchEngineParity:
     def test_single_lane_matches_serial_engine(self):
-        serial = build_engine("gcc", "pid", seed=2).run(
+        serial = build_engine(WorkSpec("gcc", "pid", seed=2)).run(
             instructions=INSTRUCTIONS
         )
-        [batched] = BatchEngine([build_engine("gcc", "pid", seed=2)]).run(
-            instructions=INSTRUCTIONS
-        )
+        lane = build_engine(WorkSpec("gcc", "pid", seed=2))
+        [batched] = BatchEngine([lane]).run(instructions=INSTRUCTIONS)
         assert_results_equal(serial, batched)
 
     def test_mixed_lanes_bit_identical(self):
         specs = mixed_specs()
         serial = [
-            engine_for_spec(spec).run(instructions=spec.instructions)
+            build_engine(spec).run(instructions=spec.instructions)
             for spec in specs
         ]
         outcomes = run_spec_lanes(specs)
@@ -248,8 +246,8 @@ class TestBatchEngineParity:
             assert_histories_equal(a.history, o.result.history)
 
     def test_warmup_parity(self):
-        a = build_engine("gcc", "pid")
-        b = build_engine("gcc", "pid")
+        a = build_engine(WorkSpec("gcc", "pid"))
+        b = build_engine(WorkSpec("gcc", "pid"))
         warm_serial = a.run(
             instructions=INSTRUCTIONS, warmup_instructions=30_000
         )
@@ -269,7 +267,7 @@ class TestBatchEngineParity:
         assert isinstance(outcomes[1].error, SimulationError)
         assert outcomes[2].error is None and outcomes[2].result is not None
         # The surviving lanes match their solo runs exactly.
-        solo = engine_for_spec(specs[2]).run(instructions=60_000)
+        solo = build_engine(specs[2]).run(instructions=60_000)
         assert_results_equal(solo, outcomes[2].result)
 
     def test_run_raises_earliest_lane_error(self):
@@ -277,15 +275,15 @@ class TestBatchEngineParity:
             WorkSpec(benchmark="gcc", policy="none", instructions=60_000),
             WorkSpec(benchmark="gzip", policy="pid", instructions=-1),
         ]
-        engines = [engine_for_spec(specs[0])]
+        engines = [build_engine(specs[0])]
         batch = BatchEngine(engines)
         with pytest.raises(SimulationError):
             batch.run(instructions=[-1])
 
     def test_rejects_mismatched_environments(self):
-        a = build_engine("gcc", "pid")
+        a = build_engine(WorkSpec("gcc", "pid"))
         b = build_engine(
-            "gzip", "pid", dtm_config=DTMConfig(pid_setpoint=99.0)
+            WorkSpec("gzip", "pid", dtm_config=DTMConfig(pid_setpoint=99.0))
         )
         with pytest.raises(SimulationError):
             BatchEngine([a, b])

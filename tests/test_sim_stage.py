@@ -24,6 +24,7 @@ from repro.errors import SimulationError
 from repro.power.leakage import LeakageModel
 from repro.sim.batch import BatchEngine
 from repro.sim.fast import FastEngine
+from repro.sim.parallel import WorkSpec
 from repro.sim.reference import ReferenceFastEngine
 from repro.sim.stage import STAGE_ROWS
 from repro.sim.sweep import build_engine
@@ -164,8 +165,8 @@ class TestScalarKernelChunks:
 def _lane_engines(lanes, telemetry=True):
     return [
         build_engine(
-            benchmark, policy, seed=seed, record_history=history,
-            telemetry=Telemetry() if telemetry else None,
+            WorkSpec(benchmark, policy, seed=seed, record_history=history),
+            Telemetry() if telemetry else None,
         )
         for benchmark, policy, seed, history, _, _ in lanes
     ]

@@ -1,8 +1,7 @@
-"""The one sweep configuration: SweepDefaults, its slot, resolve_sweep,
-the deprecated forwarders and the shared CLI flag group."""
+"""The one sweep configuration: SweepDefaults, its slot, resolve_sweep
+and the shared CLI flag group."""
 
 import argparse
-from dataclasses import replace
 
 import pytest
 
@@ -12,7 +11,6 @@ from repro.__main__ import main as repro_main
 from repro.errors import ConfigError
 from repro.experiments.__main__ import build_parser as build_experiments_parser
 from repro.experiments.__main__ import main as experiments_main
-from repro.sim.distributed import ClusterConfig
 from repro.sim.parallel import (
     SweepDefaults,
     SweepOptions,
@@ -73,35 +71,22 @@ class TestSlot:
             SweepDefaults(cluster="127.0.0.1:9")
 
 
-OPTIONS = SweepOptions(strict=True)
-CLUSTER = ClusterConfig("127.0.0.1", 9, "t")
-INSTALLED = SweepDefaults(
-    jobs=3, batch=4, options=OPTIONS, cluster=CLUSTER, cache=False
+#: The per-setting defaults API that SweepDefaults replaced.
+DELETED = (
+    "set_default_jobs", "get_default_jobs",
+    "set_default_batch", "get_default_batch",
+    "set_default_sweep_options", "get_default_sweep_options",
+    "set_default_cluster", "get_default_cluster",
+    "set_default_cache", "resolve_jobs",
 )
-FORWARDERS = [
-    # (name, arguments, return value, fields it changes in the slot)
-    ("set_default_jobs", (5,), None, {"jobs": 5}),
-    ("set_default_batch", (2,), None, {"batch": 2}),
-    ("set_default_sweep_options", (None,), None, {"options": None}),
-    ("set_default_cluster", (None,), None, {"cluster": None}),
-    ("set_default_cache", (None,), None, {"cache": None}),
-    ("get_default_jobs", (), 3, {}),
-    ("get_default_batch", (), 4, {}),
-    ("get_default_sweep_options", (), OPTIONS, {}),
-    ("get_default_cluster", (), CLUSTER, {}),
-    ("resolve_jobs", (None, 2), 2, {}),
-]
 
 
-@pytest.mark.parametrize("name,args,returned,changes", FORWARDERS)
-def test_deprecated_forwarder_warns_and_forwards(name, args, returned,
-                                                 changes):
-    before = current_sweep_defaults()
-    with sweep_defaults(INSTALLED):
-        with pytest.warns(DeprecationWarning, match=name):
-            assert getattr(parallel, name)(*args) == returned
-        assert current_sweep_defaults() == replace(INSTALLED, **changes)
-    assert current_sweep_defaults() is before
+def test_per_setting_defaults_api_is_deleted():
+    import repro.sim
+
+    for name in DELETED:
+        assert not hasattr(parallel, name), name
+        assert not hasattr(repro.sim, name), name
 
 
 def test_get_default_cache_is_deleted():
