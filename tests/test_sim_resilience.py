@@ -26,6 +26,7 @@ import multiprocessing
 import os
 import signal
 import time
+from multiprocessing.connection import wait
 
 import pytest
 from hypothesis import given, settings
@@ -245,8 +246,11 @@ class TestTimeouts:
         )
         assert outcomes[0].error.kind == "timeout"
         for child in multiprocessing.active_children():
-            child.join(timeout=10)
-            assert not child.is_alive(), child
+            # The killed pool's manager thread joins its workers too.  If
+            # it reaps one first, waitpid here fails with ECHILD and
+            # is_alive() reads the dead worker as running; the sentinel
+            # is ready once the process has exited, whoever reaps it.
+            assert wait([child.sentinel], timeout=10), child
 
     def test_jobs1_with_timeout_runs_on_a_pool(self, inject_faults):
         # In-process execution cannot preempt a hung spec; the

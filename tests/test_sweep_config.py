@@ -2,6 +2,7 @@
 and the shared CLI flag group."""
 
 import argparse
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.__main__ import main as repro_main
 from repro.errors import ConfigError
 from repro.experiments.__main__ import build_parser as build_experiments_parser
 from repro.experiments.__main__ import main as experiments_main
+from repro.sim.distributed import ClusterConfig
 from repro.sim.parallel import (
     SweepDefaults,
     SweepOptions,
@@ -71,22 +73,62 @@ class TestSlot:
             SweepDefaults(cluster="127.0.0.1:9")
 
 
-#: The per-setting defaults API that SweepDefaults replaced.
-DELETED = (
-    "set_default_jobs", "get_default_jobs",
-    "set_default_batch", "get_default_batch",
-    "set_default_sweep_options", "get_default_sweep_options",
-    "set_default_cluster", "get_default_cluster",
-    "set_default_cache", "resolve_jobs",
+OPTIONS = SweepOptions(strict=True)
+CLUSTER = ClusterConfig("127.0.0.1", 9, "t")
+INSTALLED = SweepDefaults(
+    jobs=3, batch=4, options=OPTIONS, cluster=CLUSTER, cache=False
 )
+FORWARDERS = [
+    # (name, arguments, return value, fields it changes in the slot)
+    ("set_default_jobs", (5,), None, {"jobs": 5}),
+    ("set_default_batch", (2,), None, {"batch": 2}),
+    ("set_default_sweep_options", (None,), None, {"options": None}),
+    ("set_default_cluster", (None,), None, {"cluster": None}),
+    ("set_default_cache", (None,), None, {"cache": None}),
+    ("get_default_jobs", (), 3, {}),
+    ("get_default_batch", (), 4, {}),
+    ("get_default_sweep_options", (), OPTIONS, {}),
+    ("get_default_cluster", (), CLUSTER, {}),
+    ("resolve_jobs", (None, 2), 2, {}),
+]
 
 
-def test_per_setting_defaults_api_is_deleted():
+def _field(name: str) -> str:
+    """The SweepDefaults field the forwarder ``name`` read or wrote."""
+    if name == "resolve_jobs":
+        return "jobs"
+    field = name.split("_default_")[1]
+    return "options" if field == "sweep_options" else field
+
+
+@pytest.mark.parametrize("name,args,returned,changes", FORWARDERS)
+def test_deprecated_forwarder_warns_and_forwards(name, args, returned,
+                                                 changes, monkeypatch):
+    """Each deprecated forwarder is deleted from ``repro.sim.parallel``
+    and ``repro.sim``; what its warning named in its place (install a
+    SweepDefaults with sweep_defaults(), read it with resolve_sweep())
+    still returns what it returned and makes the change it made."""
     import repro.sim
 
-    for name in DELETED:
-        assert not hasattr(parallel, name), name
-        assert not hasattr(repro.sim, name), name
+    assert not hasattr(parallel, name)
+    assert not hasattr(repro.sim, name)
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    field = _field(name)
+    before = current_sweep_defaults()
+    with sweep_defaults(INSTALLED):
+        if name.startswith("set_"):
+            (value,) = args
+            installed = replace(current_sweep_defaults(), **{field: value})
+            assert installed == replace(INSTALLED, **changes)
+            with sweep_defaults(installed):
+                assert getattr(resolve_sweep(), field) == value
+        elif name == "resolve_jobs":
+            jobs, tasks = args
+            assert resolve_sweep(jobs, tasks=tasks).jobs == returned
+        else:
+            assert getattr(resolve_sweep(), field) == returned
+        assert current_sweep_defaults() is INSTALLED
+    assert current_sweep_defaults() is before
 
 
 def test_get_default_cache_is_deleted():
