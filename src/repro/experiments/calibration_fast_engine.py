@@ -5,7 +5,7 @@ The fast engine models toggling as a fetch-supply cap,
 the *actual* duty -> relative-IPC response of the cycle-level core
 (with warm caches and predictor) and compares it against the fast
 engine's prediction, reporting the per-duty error.  The shipped
-``DEFAULT_SUPPLY_EFFICIENCY`` was chosen from this measurement.
+``SUPPLY_EFFICIENCY`` was chosen from this measurement.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.config import MachineConfig
 from repro.dtm.mechanisms import FetchToggling
 from repro.experiments.reporting import ExperimentResult, format_table
-from repro.sim.fast import DEFAULT_SUPPLY_EFFICIENCY
+from repro.sim.fast import SUPPLY_EFFICIENCY
 from repro.uarch.pipeline import OutOfOrderCore
 from repro.workloads.generator import instruction_stream
 from repro.workloads.profiles import get_profile
@@ -72,7 +72,7 @@ def run(
         measured = _detailed_ipc(
             benchmark, duty, cycles_per_point, warmup_cycles=warmup_cycles
         )
-        supply = duty * machine.fetch_width * DEFAULT_SUPPLY_EFFICIENCY
+        supply = duty * machine.fetch_width * SUPPLY_EFFICIENCY
         predicted = min(base_ipc, supply)
         rows.append(
             {
@@ -96,7 +96,7 @@ def run(
     worst = max(abs(row["error"]) for row in rows)
     notes = (
         f"Workload {benchmark}; supply efficiency "
-        f"{DEFAULT_SUPPLY_EFFICIENCY:.2f}; worst relative-IPC error "
+        f"{SUPPLY_EFFICIENCY:.2f}; worst relative-IPC error "
         f"{worst:.3f}."
     )
     return ExperimentResult(

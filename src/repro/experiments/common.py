@@ -59,12 +59,14 @@ def _suite_specs(
 
 @lru_cache(maxsize=8)
 def characterize_suite(
-    quick: bool = False, record_history: bool = False, seed: int = 0
+    quick: bool = False, seed: int = 0
 ) -> dict[str, RunResult]:
-    """Unmanaged (no-DTM) runs of all 18 benchmarks, cached."""
-    return dict(
-        zip(BENCHMARKS, run_specs(_suite_specs(quick, record_history, seed)))
-    )
+    """Unmanaged (no-DTM) runs of all 18 benchmarks, cached.
+
+    Every run records its history (Tables 9-10 read it), so Tables
+    4-6 and 8-10 share one matrix.
+    """
+    return dict(zip(BENCHMARKS, run_specs(_suite_specs(quick, True, seed))))
 
 
 def characterize_suite_traced(
@@ -72,9 +74,9 @@ def characterize_suite_traced(
 ) -> tuple[dict[str, RunResult], dict[str, list[TraceRecord]]]:
     """Unmanaged suite runs with per-benchmark DTM-sample traces.
 
-    The same specs as :func:`characterize_suite` (telemetry is purely
-    observational, so the :class:`RunResult` values are bit-identical
-    -- a test asserts this), but each run also captures the shared
+    The specs of :func:`characterize_suite` without history (telemetry
+    is purely observational, so the :class:`RunResult` values match
+    apart from ``history``), but each run also captures the shared
     trace schema; returns ``(results, traces)`` with ``traces[name]``
     the retained :class:`~repro.telemetry.trace.TraceRecord` list for
     ``name``.

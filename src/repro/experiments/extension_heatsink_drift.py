@@ -30,7 +30,7 @@ from repro.experiments.reporting import (
     percent,
 )
 from repro.power.wattch import PowerModel
-from repro.sim.fast import DEFAULT_SUPPLY_EFFICIENCY
+from repro.sim.fast import SUPPLY_EFFICIENCY
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.lumped import LumpedThermalModel
 from repro.thermal.package import PackageModel
@@ -51,7 +51,7 @@ def _epoch(
     """Run `samples` controller intervals at the current heatsink temp."""
     names = thermal.floorplan.names
     sample = dtm_config.sampling_interval
-    supply = machine.fetch_width * DEFAULT_SUPPLY_EFFICIENCY
+    supply = machine.fetch_width * SUPPLY_EFFICIENCY
     committed = committed_start
     power_sum = 0.0
     duty_sum = 0.0

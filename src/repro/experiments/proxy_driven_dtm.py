@@ -28,7 +28,7 @@ from repro.experiments.common import benchmark_budget
 from repro.experiments.reporting import ExperimentResult, format_table, percent
 from repro.experiments.table10_proxy_chipwide import CHIP_TRIGGER_POWER
 from repro.power.wattch import PowerModel
-from repro.sim.fast import DEFAULT_SUPPLY_EFFICIENCY
+from repro.sim.fast import SUPPLY_EFFICIENCY
 from repro.sim.parallel import WorkSpec, run_specs
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.lumped import LumpedThermalModel
@@ -60,7 +60,7 @@ def _run_proxy_toggle(
     names = floorplan.names
     sample = dtm_config.sampling_interval
     sample_seconds = sample * machine.cycle_time
-    supply = machine.fetch_width * DEFAULT_SUPPLY_EFFICIENCY
+    supply = machine.fetch_width * SUPPLY_EFFICIENCY
     check_samples = max(1, dtm_config.policy_delay // sample)
 
     chip_proxy = BoxcarPowerProxy(PROXY_WINDOW, CHIP_TRIGGER_POWER)

@@ -31,7 +31,7 @@ def run(
     quick: bool = False, trigger_power: float = CHIP_TRIGGER_POWER
 ) -> ExperimentResult:
     """Regenerate Table 10 (chip-wide proxy disagreement rates)."""
-    results = characterize_suite(quick=quick, record_history=True)
+    results = characterize_suite(quick=quick)
     rows = []
     for name in BENCHMARKS:
         history = results[name].history

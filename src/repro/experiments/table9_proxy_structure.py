@@ -30,7 +30,7 @@ def run(quick: bool = False) -> ExperimentResult:
     thermal = ThermalConfig()
     dtm = DTMConfig()
     floorplan = Floorplan.default()
-    results = characterize_suite(quick=quick, record_history=True)
+    results = characterize_suite(quick=quick)
     rows = []
     for name in BENCHMARKS:
         history = results[name].history

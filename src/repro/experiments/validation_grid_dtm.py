@@ -26,7 +26,7 @@ from repro.experiments.reporting import (
     percent,
 )
 from repro.power.wattch import PowerModel
-from repro.sim.fast import DEFAULT_SUPPLY_EFFICIENCY
+from repro.sim.fast import SUPPLY_EFFICIENCY
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.grid import GridThermalModel
 from repro.workloads.profiles import get_profile
@@ -58,7 +58,7 @@ def _run_on_grid(
     names = floorplan.names
     sample = dtm_config.sampling_interval
     sample_seconds = sample * machine.cycle_time
-    supply = machine.fetch_width * DEFAULT_SUPPLY_EFFICIENCY
+    supply = machine.fetch_width * SUPPLY_EFFICIENCY
 
     committed = 0.0
     cycles = 0

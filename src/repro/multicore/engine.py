@@ -53,9 +53,8 @@ from repro.multicore.coordinator import ThermalBudgetCoordinator
 from repro.multicore.floorplan import MulticoreFloorplan
 from repro.multicore.results import CoreResult, MulticoreRunResult
 from repro.multicore.thermal import MulticoreThermalModel
-from repro.power.clock_gating import ClockGatingStyle
 from repro.power.wattch import PowerModel
-from repro.sim.fast import DEFAULT_SUPPLY_EFFICIENCY
+from repro.sim.fast import SUPPLY_EFFICIENCY
 from repro.telemetry.core import ensure_telemetry
 from repro.thermal.sensors import IdealSensor
 from repro.workloads.profiles import BenchmarkProfile, get_profile
@@ -74,16 +73,12 @@ class MulticoreEngine:
         thermal_config: ThermalConfig | None = None,
         dtm_config: DTMConfig | None = None,
         seed: int = 0,
-        gating: ClockGatingStyle = ClockGatingStyle.CC3,
-        supply_efficiency: float = DEFAULT_SUPPLY_EFFICIENCY,
         fault_schedules: Mapping[int, FaultSchedule] | None = None,
         failsafe: FailsafeConfig | None = None,
         telemetry=None,
     ) -> None:
         if not profiles:
             raise SimulationError("need at least one per-core profile")
-        if not 0.0 < supply_efficiency <= 1.0:
-            raise SimulationError("supply_efficiency must be in (0, 1]")
         self.profiles = tuple(
             get_profile(item) if isinstance(item, str) else item
             for item in profiles
@@ -105,7 +100,6 @@ class MulticoreEngine:
         )
         self.dtm_config = dtm_config if dtm_config is not None else DTMConfig()
         self.seed = seed
-        self.supply_efficiency = supply_efficiency
         self.telemetry = ensure_telemetry(telemetry)
 
         # -- per-core policies (shared name, per-core list, or objects).
@@ -182,7 +176,7 @@ class MulticoreEngine:
             )
             self.guards.append(guard)
 
-        self.power_model = PowerModel(core_floorplan, gating=gating)
+        self.power_model = PowerModel(core_floorplan)
         self.thermal = MulticoreThermalModel(
             self.floorplan,
             heatsink_temperature=self.thermal_config.heatsink_temperature,
@@ -224,7 +218,7 @@ class MulticoreEngine:
             max_cycles = int(40 * instructions / slowest)
         emergency_level = self.thermal_config.emergency_temperature
         stress_level = self.dtm_config.nonct_trigger
-        fetch_supply = self.machine.fetch_width * self.supply_efficiency
+        fetch_supply = self.machine.fetch_width * SUPPLY_EFFICIENCY
         coordinator = self.coordinator
 
         telemetry = self.telemetry
@@ -245,7 +239,7 @@ class MulticoreEngine:
                 block_names=list(self.floorplan.core_names),
                 sample_cycles=sample,
                 seed=self.seed,
-                supply_efficiency=self.supply_efficiency,
+                supply_efficiency=SUPPLY_EFFICIENCY,
             )
 
         rngs = [

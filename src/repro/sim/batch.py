@@ -61,9 +61,8 @@ from time import perf_counter
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
-from repro.power.clock_gating import ClockGatingStyle
 from repro.sim.checkpoint import _canonical
-from repro.sim.fast import FastEngine, build_phase_tables
+from repro.sim.fast import SUPPLY_EFFICIENCY, FastEngine, build_phase_tables
 from repro.sim.results import RunResult
 from repro.sim.stage import STAGE_ROWS, SampleStage
 from repro.sim.sweep import _validate_instructions, build_engine
@@ -182,10 +181,9 @@ class _Lane:
     """Per-lane scalar state: what the stacked kernel cannot broadcast."""
 
     __slots__ = (
-        "engine", "slot", "profile", "policy", "manager", "telemetry",
-        "recording", "time_samples", "on_sample", "rng",
-        "phase_total", "phase_ends", "phase_jitter", "single_phase",
-        "first_row", "max_cycles", "error",
+        "engine", "slot", "telemetry", "recording", "time_samples",
+        "on_sample", "rng", "phase_total", "phase_ends", "phase_jitter",
+        "single_phase", "first_row", "max_cycles", "error",
     )
 
 
@@ -236,14 +234,6 @@ class BatchEngine:
                 raise SimulationError(
                     f"lane {index}: sensor placement (monitored_blocks) "
                     f"cannot be lane-batched"
-                )
-            if engine.power_model.gating is not ClockGatingStyle.CC3:
-                raise SimulationError(
-                    f"lane {index}: only CC3 clock gating is lane-batched"
-                )
-            if engine.supply_efficiency != first.supply_efficiency:
-                raise SimulationError(
-                    f"lane {index}: supply_efficiency differs from lane 0"
                 )
             if index and repr(_canonical((
                 engine.floorplan, engine.machine,
@@ -309,7 +299,6 @@ class BatchEngine:
         jittered sample draws (``n`` activity draws, then one IPC draw
         at half the jitter), the ``n`` activities, and the IPC.
         """
-        sample = self.engines[0].dtm_config.sampling_interval
         names = self.engines[0].floorplan.names
         block_count = len(names)
         lanes: list[_Lane] = []
@@ -317,56 +306,18 @@ class BatchEngine:
         phase_rows: list[np.ndarray] = []
         for slot, engine in enumerate(self.engines):
             budget = instructions[slot]
-            if budget <= 0:
-                outcomes[slot].error = SimulationError(
-                    "instructions must be positive"
-                )
+            try:
+                start = engine._start(budget, max_cycles[slot])
+            except SimulationError as error:
+                outcomes[slot].error = error
                 continue
             lane = _Lane()
+            lane.max_cycles, lane.on_sample, lane.time_samples, lane.rng = start
             lane.engine = engine
             lane.slot = slot
-            lane.profile = engine.profile
-            lane.policy = engine.policy
-            lane.manager = engine.manager
             lane.error = None
-            lane_max = max_cycles[slot]
-            if lane_max is None:
-                lane_max = int(
-                    40 * budget / max(0.1, engine.profile.mean_ipc)
-                )
-            lane.max_cycles = lane_max
-
-            telemetry = engine.telemetry
-            lane.telemetry = telemetry
-            lane.recording = telemetry.enabled
-            lane.time_samples = False
-            on_sample = engine.manager.on_sample
-            if lane.recording:
-                telemetry.set_context(
-                    engine.profile.name, engine.policy.name
-                )
-                telemetry.meta.update(
-                    benchmark=engine.profile.name,
-                    policy=engine.policy.name,
-                    block_names=list(engine.floorplan.names),
-                    sample_cycles=sample,
-                    seed=engine.seed,
-                    supply_efficiency=engine.supply_efficiency,
-                )
-                lane.time_samples = telemetry.config.sample_latency
-                if telemetry.profiler.enabled:
-                    def on_sample(
-                        sensed,
-                        _base=engine.manager.on_sample,
-                        _span=telemetry.profiler.span,
-                    ):
-                        with _span("dtm.on_sample"):
-                            return _base(sensed)
-            lane.on_sample = on_sample
-
-            lane.rng = np.random.default_rng(
-                np.random.SeedSequence([engine.profile.seed, engine.seed])
-            )
+            lane.telemetry = engine.telemetry
+            lane.recording = engine.telemetry.enabled
             lane.phase_total = engine.profile.total_instructions
             (
                 lane.phase_ends, phase_activity, lane.phase_jitter, phase_ipc,
@@ -384,7 +335,7 @@ class BatchEngine:
             lanes.append(lane)
             # One value per bookkeeping row, _TOTAL to _WARMUP_SAMPLES.
             columns.append((
-                0.0, 0.0, 0, 0, budget, lane_max,
+                0.0, 0.0, 0, 0, budget, lane.max_cycles,
                 0.0, 0.0, 0.0, 0, float(warmup[slot]), 0,
             ))
         return lanes, columns, np.array(phase_rows)
@@ -396,14 +347,13 @@ class BatchEngine:
         emergency_level = first.thermal_config.emergency_temperature
         stress_level = first.dtm_config.nonct_trigger
         thresholds = (emergency_level, stress_level)
-        fetch_supply = first.machine.fetch_width * first.supply_efficiency
+        fetch_supply = first.machine.fetch_width * SUPPLY_EFFICIENCY
         thermal = first.thermal
         peaks = first.power_model.peaks_view
         idle = first.power_model.idle_fraction
         active_frac = 1.0 - idle
         unmonitored_peak = first.floorplan.unmonitored_peak_power
-        names = first.floorplan.names
-        block_count = len(names)
+        block_count = len(first.floorplan.names)
         count = len(self.engines)
 
         outcomes = [LaneOutcome() for _ in range(count)]
@@ -543,7 +493,7 @@ class BatchEngine:
                     leaving = _settle_masked(
                         live, acc, stage, step, start, end,
                         sample_committed, chip_power, stalls, duties_py,
-                        power_weights, sample, names,
+                        power_weights, sample,
                     )
                     warming = bool((acc[_WARMUP] > 0).any())
                 else:
@@ -607,7 +557,7 @@ def _row_views(acc: np.ndarray) -> tuple:
 
 def _settle_masked(
     live, acc, stage, step, start, end, sample_committed, chip_power,
-    stalls, duties_py, power_weights, sample, names,
+    stalls, duties_py, power_weights, sample,
 ) -> np.ndarray:
     """Bookkeeping of a step with a warming or non-finite lane.
 
@@ -639,37 +589,18 @@ def _settle_masked(
     )
     stuck = warming & (acc[_SPENT] >= acc[_MAX_CYCLES])
     for r in np.flatnonzero(~finite).tolist():
-        # Same diagnostics as the serial guard; the lane leaves and
-        # the others keep stepping.
-        lane = live[r]
-        row_finite = np.isfinite(end[r])
-        if not row_finite.all():
-            bad = names[int(np.argmin(row_finite))]
-        else:
-            bad = names[int(np.argmax(end[r]))]
-        lane.error = SimulationError(
-            f"non-finite simulation state in profile "
-            f"{lane.profile.name!r}",
-            sample_index=lane.manager.samples - 1,
-            block=bad,
-            duty=duties_py[r],
-            chip_power=float(chip_power[r]),
-            policy=lane.policy.name,
+        # The lane leaves with the serial kernel's error; the others
+        # keep stepping.
+        live[r].error = live[r].engine._non_finite(
+            end[r], float(chip_power[r]), duties_py[r]
         )
     for r in np.flatnonzero(stuck).tolist():
         lane = live[r]
-        lane.error = SimulationError(
-            f"warmup of profile {lane.profile.name!r} "
-            f"exceeded its cycle budget of "
-            f"{lane.max_cycles:,} cycles "
-            f"({int(acc[_WARMUP_SAMPLES, r]):,} samples consumed, "
-            f"{float(warm[r]):,.0f} warmup "
-            f"instructions still outstanding)",
-            sample_index=lane.manager.samples - 1,
-            warmup_cycles=int(acc[_WARMUP_SAMPLES, r]) * sample,
-            warmup_budget=lane.max_cycles,
-            duty=duties_py[r],
-            policy=lane.policy.name,
+        lane.error = lane.engine._warmup_overrun(
+            lane.max_cycles,
+            int(acc[_WARMUP_SAMPLES, r]),
+            float(warm[r]),
+            duties_py[r],
         )
     k = len(live)
     stage.measured[step, :k] = measuring

@@ -10,7 +10,7 @@ Per sample the engine:
    given the hottest block temperature at the sample boundary (exactly
    the paper's sensor/controller timing);
 3. converts duty to throughput: the front end can supply at most
-   ``duty * fetch_width * supply_efficiency`` instructions per cycle,
+   ``duty * fetch_width * SUPPLY_EFFICIENCY`` instructions per cycle,
    so the sample commits ``min(demand, supply)`` IPC -- low-ILP phases
    absorb mild toggling for free, which is the paper's observation
    that "the program's ILP characteristics [can] permit the DTM
@@ -24,7 +24,7 @@ Per sample the engine:
    sub-sample accuracy from the closed-form trajectory, once per
    chunk of :data:`~repro.sim.stage.STAGE_ROWS` samples.
 
-``supply_efficiency`` is calibrated against the detailed core
+:data:`SUPPLY_EFFICIENCY` is calibrated against the detailed core
 (experiment C1).
 """
 
@@ -40,7 +40,6 @@ from repro.config import DTMConfig, MachineConfig, ThermalConfig
 from repro.dtm.manager import DTMManager
 from repro.dtm.policies import NoDTMPolicy
 from repro.errors import SimulationError
-from repro.power.clock_gating import ClockGatingStyle
 from repro.power.wattch import PowerModel
 from repro.sim.results import RunResult
 from repro.sim.stage import LANE0, STAGE_ROWS, SampleStage
@@ -53,7 +52,7 @@ from repro.workloads.profiles import BenchmarkProfile
 #: toggling.  Calibrated against the detailed core (experiment C1):
 #: gated fetch cycles interact with branch-driven fetch-block breaks,
 #: so the sustained supply is ~0.8 * duty * fetch_width.
-DEFAULT_SUPPLY_EFFICIENCY = 0.80
+SUPPLY_EFFICIENCY = 0.80
 
 #: Version tag of the sample kernel's numerics.  The cross-sweep result
 #: cache (:mod:`repro.sim.cache`) folds this tag into every cache key,
@@ -101,7 +100,15 @@ def build_phase_tables(
 
 
 class FastEngine:
-    """Sample-granularity workload/power/thermal/DTM simulation."""
+    """Sample-granularity workload/power/thermal/DTM simulation.
+
+    Power is Wattch CC3 clock gating, and the front end sustains
+    :data:`SUPPLY_EFFICIENCY` of the toggled fetch bandwidth.
+    """
+
+    #: :data:`SUPPLY_EFFICIENCY`, for kernels that read it off the
+    #: engine (the pinned :mod:`repro.sim.reference` kernel).
+    supply_efficiency = SUPPLY_EFFICIENCY
 
     def __init__(
         self,
@@ -112,18 +119,14 @@ class FastEngine:
         thermal_config: ThermalConfig | None = None,
         dtm_config: DTMConfig | None = None,
         seed: int = 0,
-        gating: ClockGatingStyle = ClockGatingStyle.CC3,
         sensor=None,
         record_history: bool = False,
-        supply_efficiency: float = DEFAULT_SUPPLY_EFFICIENCY,
         leakage=None,
         monitored_blocks: tuple[str, ...] | None = None,
         failsafe=None,
         actuator=None,
         telemetry=None,
     ) -> None:
-        if not 0.0 < supply_efficiency <= 1.0:
-            raise SimulationError("supply_efficiency must be in (0, 1]")
         self.profile = profile
         self.floorplan = floorplan if floorplan is not None else Floorplan.default()
         self.machine = machine if machine is not None else MachineConfig()
@@ -146,7 +149,7 @@ class FastEngine:
             actuator=actuator,
             telemetry=telemetry,
         )
-        self.power_model = PowerModel(self.floorplan, gating=gating)
+        self.power_model = PowerModel(self.floorplan)
         self.thermal = LumpedThermalModel(
             self.floorplan,
             heatsink_temperature=self.thermal_config.heatsink_temperature,
@@ -156,7 +159,6 @@ class FastEngine:
             self.thermal.attach_profiler(self.telemetry.profiler)
         self.seed = seed
         self.record_history = record_history
-        self.supply_efficiency = supply_efficiency
         #: Optional :class:`~repro.power.leakage.LeakageModel`: adds
         #: temperature-dependent leakage (quasi-static per sample).
         self.leakage = leakage
@@ -190,6 +192,86 @@ class FastEngine:
         with self.telemetry.span("engine.run"):
             return self._run(instructions, max_cycles, warmup_instructions)
 
+    def _start(self, instructions: float, max_cycles: int | None) -> tuple:
+        """The per-run start-up both sample kernels share.
+
+        Returns ``(max_cycles, on_sample, time_samples, rng)``: the
+        cycle budget, the DTM sample hook (inside a ``dtm.on_sample``
+        span when profiling), whether to time each sample, and the
+        seeded jitter stream.  With telemetry on, it also sets the
+        telemetry context and run metadata.
+        """
+        if instructions <= 0:
+            raise SimulationError("instructions must be positive")
+        if max_cycles is None:
+            # Generous budget: even duty-0 policies eventually release.
+            max_cycles = int(40 * instructions / max(0.1, self.profile.mean_ipc))
+        telemetry = self.telemetry
+        on_sample = self.manager.on_sample
+        time_samples = False
+        if telemetry.enabled:
+            telemetry.set_context(self.profile.name, self.policy.name)
+            telemetry.meta.update(
+                benchmark=self.profile.name,
+                policy=self.policy.name,
+                block_names=list(self.floorplan.names),
+                sample_cycles=self.dtm_config.sampling_interval,
+                seed=self.seed,
+                supply_efficiency=SUPPLY_EFFICIENCY,
+            )
+            time_samples = telemetry.config.sample_latency
+            if telemetry.profiler.enabled:
+                def on_sample(
+                    sensed,
+                    _base=self.manager.on_sample,
+                    _span=telemetry.profiler.span,
+                ):
+                    with _span("dtm.on_sample"):
+                        return _base(sensed)
+        rng = np.random.default_rng(
+            np.random.SeedSequence([self.profile.seed, self.seed])
+        )
+        return max_cycles, on_sample, time_samples, rng
+
+    def _non_finite(
+        self, end: np.ndarray, chip_power: float, duty: float
+    ) -> SimulationError:
+        """The run error for a sample with a non-finite power or state.
+
+        It names the first non-finite block of ``end``, else the
+        hottest one, and carries the state needed to triage the run.
+        """
+        finite = np.isfinite(end)
+        bad = np.argmin(finite) if not finite.all() else np.argmax(end)
+        return SimulationError(
+            f"non-finite simulation state in profile {self.profile.name!r}",
+            sample_index=self.manager.samples - 1,
+            block=self.floorplan.names[int(bad)],
+            duty=duty,
+            chip_power=chip_power,
+            policy=self.policy.name,
+        )
+
+    def _warmup_overrun(
+        self,
+        max_cycles: int,
+        warmup_samples: int,
+        warmup_remaining: float,
+        duty: float,
+    ) -> SimulationError:
+        """The run error for a warmup that used up its cycle budget."""
+        return SimulationError(
+            f"warmup of profile {self.profile.name!r} "
+            f"exceeded its cycle budget of {max_cycles:,} cycles "
+            f"({warmup_samples:,} samples consumed, "
+            f"{warmup_remaining:,.0f} warmup instructions still outstanding)",
+            sample_index=self.manager.samples - 1,
+            warmup_cycles=warmup_samples * self.dtm_config.sampling_interval,
+            warmup_budget=max_cycles,
+            duty=duty,
+            policy=self.policy.name,
+        )
+
     def _run(
         self,
         instructions: float,
@@ -219,50 +301,23 @@ class FastEngine:
           samples and accumulates, records history and emits telemetry
           in sample order.
         """
-        if instructions <= 0:
-            raise SimulationError("instructions must be positive")
         sample = self.dtm_config.sampling_interval
         sample_seconds = sample * self.machine.cycle_time
-        if max_cycles is None:
-            # Generous budget: even duty-0 policies eventually release.
-            max_cycles = int(40 * instructions / max(0.1, self.profile.mean_ipc))
+        max_cycles, on_sample, time_samples, rng = self._start(
+            instructions, max_cycles
+        )
         emergency_level = self.thermal_config.emergency_temperature
         stress_level = self.dtm_config.nonct_trigger
         thresholds = (emergency_level, stress_level)
-        fetch_supply = self.machine.fetch_width * self.supply_efficiency
+        fetch_supply = self.machine.fetch_width * SUPPLY_EFFICIENCY
 
         # Telemetry is opt-in: ``recording`` is hoisted into a local so
         # the disabled path costs one boolean test per sample and the
         # simulation arithmetic is untouched (bit-identical results).
         telemetry = self.telemetry
         recording = telemetry.enabled
-        time_samples = False
         sample_start = 0.0
         latency = math.nan
-        on_sample = self.manager.on_sample
-        if recording:
-            telemetry.set_context(self.profile.name, self.policy.name)
-            telemetry.meta.update(
-                benchmark=self.profile.name,
-                policy=self.policy.name,
-                block_names=list(self.floorplan.names),
-                sample_cycles=sample,
-                seed=self.seed,
-                supply_efficiency=self.supply_efficiency,
-            )
-            time_samples = telemetry.config.sample_latency
-            if telemetry.profiler.enabled:
-                def on_sample(
-                    sensed,
-                    _base=self.manager.on_sample,
-                    _span=telemetry.profiler.span,
-                ):
-                    with _span("dtm.on_sample"):
-                        return _base(sensed)
-
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.profile.seed, self.seed])
-        )
         names = self.floorplan.names
         block_count = len(names)
 
@@ -284,10 +339,9 @@ class FastEngine:
         peaks = power_model.peaks_view
         leakage = self.leakage
         monitored = self._monitored
-        # CC3 (the default) is inlined; the clip in block_powers is a
+        # CC3 power is inlined; the clip in block_powers is a
         # value-level no-op here because activity and ratio are both in
         # [0, 1] by construction, so the inlined product is identical.
-        fused_cc3 = power_model.gating is ClockGatingStyle.CC3
         idle = power_model.idle_fraction
         active = 1.0 - idle
         unmonitored_peak = self.floorplan.unmonitored_peak_power
@@ -305,7 +359,6 @@ class FastEngine:
         # the main loop's, so a warmed-up run could simulate up to
         # twice the requested budget -- regression-tested).
         budget_remaining = max_cycles
-        warmup_cycles = 0
         warmup_samples = 0
 
         # -- the deferred threshold pass: this lane's stage columns.
@@ -356,16 +409,10 @@ class FastEngine:
                 ratio = effective_ipc / demand_ipc
 
                 utilization = activity * ratio
-                if fused_cc3:
-                    powers = peaks * (idle + active * utilization)
-                    unmonitored = unmonitored_peak * (
-                        idle + active * float(utilization.mean())
-                    )
-                else:
-                    powers = power_model.block_powers(utilization)
-                    unmonitored = power_model.unmonitored_power(
-                        float(utilization.mean())
-                    )
+                powers = peaks * (idle + active * utilization)
+                unmonitored = unmonitored_peak * (
+                    idle + active * float(utilization.mean())
+                )
                 if leakage is not None:
                     powers = powers + leakage.power(peaks, temps)
                 chip_power = float(powers.sum()) + unmonitored
@@ -384,20 +431,7 @@ class FastEngine:
                 # downstream metric.  The ``finally`` below flushes the
                 # samples staged so far before the error propagates.
                 if not np.isfinite(chip_power) or not np.all(np.isfinite(end)):
-                    bad = (
-                        names[int(np.argmin(np.isfinite(end)))]
-                        if not np.all(np.isfinite(end))
-                        else thermal.hottest_block
-                    )
-                    raise SimulationError(
-                        f"non-finite simulation state in profile "
-                        f"{self.profile.name!r}",
-                        sample_index=self.manager.samples - 1,
-                        block=bad,
-                        duty=duty,
-                        chip_power=chip_power,
-                        policy=self.policy.name,
-                    )
+                    raise self._non_finite(end, chip_power, duty)
 
                 sample_committed = effective_ipc * max(0, sample - stall)
                 total_committed += sample_committed
@@ -407,20 +441,10 @@ class FastEngine:
                     # still advance the samples-independent safety
                     # accounting, so a wedged warmup is diagnosable.
                     warmup_remaining -= sample_committed
-                    warmup_cycles += sample
                     warmup_samples += 1
                     if budget_remaining <= 0:
-                        raise SimulationError(
-                            f"warmup of profile {self.profile.name!r} "
-                            f"exceeded its cycle budget of {max_cycles:,} "
-                            f"cycles ({warmup_samples:,} samples consumed, "
-                            f"{warmup_remaining:,.0f} warmup instructions "
-                            f"still outstanding)",
-                            sample_index=self.manager.samples - 1,
-                            warmup_cycles=warmup_cycles,
-                            warmup_budget=max_cycles,
-                            duty=duty,
-                            policy=self.policy.name,
+                        raise self._warmup_overrun(
+                            max_cycles, warmup_samples, warmup_remaining, duty
                         )
                     continue
 

@@ -41,6 +41,10 @@ The three entry points that execute (:func:`run_specs`,
 :func:`run_outcomes` and :func:`execute_payloads`) drive one executor,
 ``_OutcomeRunner``, which owns the only worker pool: lane batching
 regroups its queue and fail-fast is a mode of it, not another loop.
+Every task it runs, on the pool or in-process, goes through one entry
+point, ``_run_task``: a lone spec runs on the scalar (or multicore)
+engine and a group of two or more on the lane kernel, decided by the
+task's size alone, and both return one settled payload per spec.
 Outcomes settle through a :class:`~repro.sim.ledger.SweepLedger`, the
 same one the shard coordinator uses: it pre-settles resumed specs and
 cache hits, journals and caches each success, charges failures, and
@@ -109,6 +113,7 @@ from repro.control.pid import AntiWindup
 from repro.errors import ConfigError, SweepError
 from repro.faults import FaultSchedule
 from repro.sim.batch import (
+    LaneOutcome,
     batch_compatibility_key,
     run_spec_lanes,
     validate_batch,
@@ -569,36 +574,6 @@ def _execute(spec: WorkSpec, telemetry) -> RunResult:
     )
 
 
-def _local_telemetry(
-    telemetry_config: TelemetryConfig | None,
-) -> Telemetry | None:
-    """A retain-everything run-local sink, or ``None`` with telemetry off."""
-    if telemetry_config is None:
-        return None
-    return Telemetry(telemetry_config)
-
-
-def _run_spec(
-    spec: WorkSpec, telemetry_config: TelemetryConfig | None
-) -> tuple[RunResult, Telemetry | None]:
-    """Worker entry point: run one spec with optional local telemetry.
-
-    Module-level (picklable by reference).  Returns the result plus the
-    worker's whole local :class:`Telemetry` -- plain dataclass/list
-    state, so it pickles -- for the parent to fold into the sink.
-    """
-    local = _local_telemetry(telemetry_config)
-    result = _execute(spec, local)
-    return result, local
-
-
-def _group_locals(
-    count: int, telemetry_config: TelemetryConfig | None
-) -> list[Telemetry | None]:
-    """Per-lane retain-everything sinks for one batched group."""
-    return [_local_telemetry(telemetry_config) for _ in range(count)]
-
-
 def _picklable(error: BaseException) -> BaseException | None:
     """``error`` if it survives a pickle round trip, else ``None``."""
     try:
@@ -608,33 +583,62 @@ def _picklable(error: BaseException) -> BaseException | None:
     return error
 
 
-def _run_group_payloads(
-    specs: Sequence[WorkSpec], telemetry_config: TelemetryConfig | None
+def _run_task(
+    specs: Sequence[WorkSpec],
+    telemetry_config: TelemetryConfig | None,
+    sink=None,
 ) -> list[tuple]:
-    """Worker entry point: run compatible specs as one batched kernel.
+    """Run one task: a lone spec, or a group of compatible specs as lanes.
 
-    Returns one payload per lane, in lane order: ``("ok", result,
-    local_telemetry)`` or ``("error", exc_type, message, traceback,
-    exception)``.  Lane failures are settled *here*: the exception
-    object rides along only when it survives pickling (else ``None``,
-    leaving the strings), so one lane's unpicklable exception cannot
-    poison the whole group's result transfer.
+    The pool's only submit target and the in-process runner's only
+    call (module-level, so it pickles by reference).  One spec runs
+    through :func:`_execute` -- single-core or multicore -- and more
+    than one through :func:`~repro.sim.batch.run_spec_lanes`.  Each
+    run records into its own retain-everything local
+    :class:`Telemetry` (``None`` with telemetry off) for the parent to
+    fold; a lone spec given ``sink`` records straight into it instead.
+
+    Returns one payload per spec, in spec order: ``("ok", result,
+    local)`` or ``("error", exc_type, message, traceback, exception)``.
+    Spec failures are settled here: the exception object rides along
+    only when it survives pickling (else ``None``, leaving the
+    strings), so one lane's unpicklable exception cannot poison the
+    whole task's result transfer.
     """
-    locals_ = _group_locals(len(specs), telemetry_config)
-    payloads: list[tuple] = []
-    for outcome, local in zip(run_spec_lanes(specs, locals_), locals_):
-        if outcome.error is None:
-            payloads.append(("ok", outcome.result, local))
-        else:
-            error = outcome.error
-            payloads.append((
-                "error",
-                type(error).__name__,
-                str(error),
-                "".join(traceback_module.format_exception(error)),
-                _picklable(error),
-            ))
-    return payloads
+    locals_ = [
+        None if telemetry_config is None or sink is not None
+        else Telemetry(telemetry_config)
+        for _ in specs
+    ]
+    if len(specs) == 1:
+        try:
+            result = _execute(
+                specs[0], sink if sink is not None else locals_[0]
+            )
+            outcomes = [LaneOutcome(result=result)]
+        except Exception as error:
+            outcomes = [LaneOutcome(error=error)]
+    else:
+        outcomes = run_spec_lanes(specs, locals_)
+    return [
+        ("ok", outcome.result, local)
+        if outcome.error is None
+        else (
+            "error",
+            type(outcome.error).__name__,
+            str(outcome.error),
+            "".join(traceback_module.format_exception(outcome.error)),
+            _picklable(outcome.error),
+        )
+        for outcome, local in zip(outcomes, locals_)
+    ]
+
+
+class _RemoteTraceback(Exception):
+    """A worker's traceback text, chained under its rebuilt exception."""
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 def execute_payloads(
@@ -945,6 +949,10 @@ class _OutcomeRunner:
             return True
         if self.fail_fast:
             self.failed_at = index
+            if error is not None and error.__traceback__ is None:
+                # It crossed a process boundary, whose pickle drops the
+                # frames: chain the worker's traceback text instead.
+                raise error from _RemoteTraceback(traceback)
             if error is not None:
                 raise error
             spec = self.specs[index]
@@ -956,11 +964,21 @@ class _OutcomeRunner:
             )
         return False
 
-    def _register_error(
-        self, index: int, attempt: int, error: BaseException
-    ) -> bool:
-        """Charge one attempt that raised ``error``; True if it retries."""
-        return self._register_failure(
+    def _task_raised(self, lanes: list, error: BaseException) -> list:
+        """Blame a task that raised as a whole; return the lanes to re-run.
+
+        Spec failures come back as payloads (see :func:`_run_task`), so
+        a raise here is infrastructure: pickling, lane compatibility.
+        A one-spec task is charged like any spec error.  A group's
+        raise is no one lane's fault, so its lanes re-run uncharged as
+        batching-exempt singletons and blame lands on their next
+        attempt.
+        """
+        if len(lanes) > 1:
+            self._no_batch.update(i for i, _ in lanes)
+            return lanes
+        index, attempt = lanes[0]
+        if self._register_failure(
             index,
             attempt,
             "error",
@@ -968,7 +986,9 @@ class _OutcomeRunner:
             str(error),
             "".join(traceback_module.format_exception(error)),
             error,
-        )
+        ):
+            return [(index, attempt + 1)]
+        return []
 
     # -- execution -----------------------------------------------------------
     def run(self) -> list[SpecOutcome]:
@@ -1009,19 +1029,12 @@ class _OutcomeRunner:
             lanes.append(queue.popleft())
         return lanes
 
-    def _settle_task(self, lanes: list, payload, retries) -> None:
-        """Apply one finished pool task: a solo run or a lane group.
+    def _settle_task(self, lanes: list, payloads, retries) -> None:
+        """Apply one finished task's payloads (see :func:`_run_task`).
 
-        A solo payload is ``(result, local)``; a group's is one settled
-        lane payload per lane (see :func:`_run_group_payloads`).  Lanes
-        whose failure should retry are appended to ``retries``.
+        Lanes whose failure should retry are appended to ``retries``.
         """
-        if len(lanes) == 1:
-            index, attempt = lanes[0]
-            result, local = payload
-            self.ledger.settle_success(index, attempt + 1, result, local)
-            return
-        for (index, attempt), item in zip(lanes, payload):
+        for (index, attempt), item in zip(lanes, payloads):
             if item[0] == "ok":
                 _, result, local = item
                 self.ledger.settle_success(index, attempt + 1, result, local)
@@ -1034,40 +1047,19 @@ class _OutcomeRunner:
 
     def _run_serial(self, queue: deque) -> None:
         """In-process execution: isolation + retries, no preemption."""
+        sink = self.sink if self._share_sink else None
         while queue:
             lanes = self._next_group(queue)
-            if len(lanes) > 1:
-                locals_ = _group_locals(len(lanes), self.config)
-                outcomes = run_spec_lanes(
-                    [self.specs[i] for i, _ in lanes], locals_
-                )
-                for (index, attempt), outcome, local in zip(
-                    lanes, outcomes, locals_
-                ):
-                    if outcome.error is None:
-                        self.ledger.settle_success(
-                            index, attempt + 1, outcome.result, local
-                        )
-                    elif self._register_error(index, attempt, outcome.error):
-                        queue.append((index, attempt + 1))
-                continue
-            index, attempt = lanes[0]
-            local = None if self._share_sink else _local_telemetry(self.config)
-            try:
-                result = _execute(
-                    self.specs[index], self.sink if self._share_sink else local
-                )
-            except Exception as error:
-                if self._register_error(index, attempt, error):
-                    queue.append((index, attempt + 1))
-            else:
-                self.ledger.settle_success(index, attempt + 1, result, local)
+            payloads = _run_task(
+                [self.specs[i] for i, _ in lanes], self.config, sink
+            )
+            self._settle_task(lanes, payloads, queue)
 
     def _harvest_in_flight(self, in_flight: deque) -> list[tuple[int, int]]:
         """After a pool death: settle finished futures, list the lost.
 
         Futures that completed before the pool died still hold their
-        results (or their spec's own exception, handled normally);
+        payloads (or the task's own exception, blamed as usual);
         everything else -- running or queued -- was lost with the
         workers and must re-run.
         """
@@ -1082,19 +1074,8 @@ class _OutcomeRunner:
                 self._settle_task(lanes, future.result(), survivors)
             elif isinstance(error, BrokenExecutor):
                 survivors.extend(lanes)
-            elif len(lanes) == 1:
-                # The spec raised normally just before the pool died:
-                # attributable, so charge it like any worker error.
-                index, attempt = lanes[0]
-                if self._register_error(index, attempt, error):
-                    survivors.append((index, attempt + 1))
             else:
-                # A batched group raised at group level (not one
-                # lane's captured failure): unattributable, so the
-                # lanes requeue uncharged as batching-exempt
-                # singletons and blame lands on the next attempt.
-                self._no_batch.update(i for i, _ in lanes)
-                survivors.extend(lanes)
+                survivors.extend(self._task_raised(lanes, error))
         return survivors
 
     def _handle_timeout(self, index: int, attempt: int) -> bool:
@@ -1151,16 +1132,9 @@ class _OutcomeRunner:
         in_flight: deque = deque()
 
         def submit(lanes: list, is_solo: bool) -> None:
-            if len(lanes) == 1:
-                future = pool.submit(
-                    _run_spec, self.specs[lanes[0][0]], self.config
-                )
-            else:
-                future = pool.submit(
-                    _run_group_payloads,
-                    [self.specs[i] for i, _ in lanes],
-                    self.config,
-                )
+            future = pool.submit(
+                _run_task, [self.specs[i] for i, _ in lanes], self.config
+            )
             # The wall clock is per *lane*: a B-lane group legitimately
             # takes ~B times one spec's time on its single worker.
             deadline = (
@@ -1305,19 +1279,10 @@ class _OutcomeRunner:
                         if unattributed_deaths > options.max_pool_rebuilds:
                             break
                 except Exception as error:
-                    # The spec raised inside the worker; the pool is
-                    # fine.  The remote traceback rides along as the
-                    # exception's __cause__.
-                    if len(lanes) > 1:
-                        # Group workers settle per-lane failures into
-                        # payloads, so a group-level raise is
-                        # infrastructure (pickling, lane compat), not
-                        # one lane's fault: requeue uncharged as
-                        # batching-exempt singletons.
-                        self._no_batch.update(i for i, _ in lanes)
-                        queue.extendleft(reversed(lanes))
-                    elif self._register_error(index, attempt, error):
-                        queue.append((index, attempt + 1))
+                    # The task raised as a whole; the pool is fine.
+                    queue.extendleft(
+                        reversed(self._task_raised(lanes, error))
+                    )
                 else:
                     self._settle_task(lanes, payload, queue)
         except BaseException:

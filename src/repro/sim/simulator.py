@@ -20,7 +20,6 @@ from repro.config import DTMConfig, MachineConfig, ThermalConfig
 from repro.dtm.manager import DTMManager
 from repro.dtm.policies import NoDTMPolicy
 from repro.errors import SimulationError
-from repro.power.clock_gating import ClockGatingStyle
 from repro.power.wattch import PowerModel
 from repro.sim.results import RunResult
 from repro.thermal.floorplan import Floorplan
@@ -42,7 +41,6 @@ class DetailedSimulator:
         thermal_config: ThermalConfig | None = None,
         dtm_config: DTMConfig | None = None,
         seed: int = 0,
-        gating: ClockGatingStyle = ClockGatingStyle.CC3,
     ) -> None:
         self.profile = profile
         self.machine = machine if machine is not None else MachineConfig()
@@ -53,7 +51,7 @@ class DetailedSimulator:
         self.dtm_config = dtm_config if dtm_config is not None else DTMConfig()
         self.policy = policy if policy is not None else NoDTMPolicy()
         self.manager = DTMManager(self.policy, self.dtm_config)
-        self.power_model = PowerModel(self.floorplan, gating=gating)
+        self.power_model = PowerModel(self.floorplan)
         self.thermal = LumpedThermalModel(
             self.floorplan,
             heatsink_temperature=self.thermal_config.heatsink_temperature,

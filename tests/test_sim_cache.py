@@ -50,7 +50,7 @@ from repro.sim.parallel import (
     RetryPolicy,
     SweepOptions,
     SweepDefaults,
-    _run_spec,
+    _run_task,
     matrix_specs,
     resolve_sweep,
     run_outcomes,
@@ -103,8 +103,8 @@ def assert_telemetry_identical(warm: Telemetry, cold: Telemetry):
 
 def _completed(spec, telemetry=True):
     """One executed spec: ``(key, result, worker-local telemetry)``."""
-    result, local = _run_spec(
-        spec, TelemetryConfig(sample_latency=False, profile=False)
+    [(_, result, local)] = _run_task(
+        [spec], TelemetryConfig(sample_latency=False, profile=False)
         if telemetry
         else None,
     )

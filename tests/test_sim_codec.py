@@ -26,7 +26,7 @@ from repro.sim.codec import (
     fold_saved_telemetry,
     telemetry_to_dict,
 )
-from repro.sim.parallel import _run_spec, matrix_specs
+from repro.sim.parallel import _run_task, matrix_specs
 from repro.telemetry.core import Telemetry, merge_telemetry
 from repro.telemetry.trace import TraceRecord
 
@@ -323,8 +323,8 @@ class TestCheck:
 
 def _run_local(policy: str) -> Telemetry:
     [spec] = matrix_specs(["gcc"], [policy], instructions=150_000)
-    _, local = _run_spec(
-        spec, TelemetryConfig(sample_latency=False, profile=False)
+    [(_, _, local)] = _run_task(
+        [spec], TelemetryConfig(sample_latency=False, profile=False)
     )
     return local
 

@@ -115,6 +115,25 @@ class TestFailFastParity:
                 for outcome, reference in zip(replay, _reference_results()):
                     assert_results_equal(outcome.result, reference)
 
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_pooled_failure_keeps_the_worker_traceback(self, batch):
+        """A failure raised from a worker, by a lone spec or by one lane
+        of a group, is the spec's own exception with the worker's
+        traceback text as its ``__cause__``."""
+        specs = _specs()[:2]
+        specs[1] = WorkSpec(
+            benchmark=specs[1].benchmark,
+            policy=specs[1].policy,
+            instructions=BAD_INSTRUCTIONS,
+        )
+        expected = _expected_failure()
+        with pytest.raises(type(expected)) as excinfo:
+            run_specs(specs, jobs=2, batch=batch, cache=False)
+        assert str(excinfo.value) == str(expected)
+        cause = str(excinfo.value.__cause__)
+        assert "Traceback (most recent call last)" in cause
+        assert "in _validate_instructions" in cause
+
 
 class TestSinkSharing:
     @pytest.mark.parametrize("mode", ["plain", "batch", "cache"])

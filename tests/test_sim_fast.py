@@ -37,10 +37,6 @@ class TestBasicRuns:
         with pytest.raises(SimulationError):
             FastEngine(get_profile("gcc")).run(instructions=0)
 
-    def test_rejects_bad_supply_efficiency(self):
-        with pytest.raises(SimulationError):
-            FastEngine(get_profile("gcc"), supply_efficiency=0.0)
-
 
 class TestThermalBehaviour:
     def test_hot_benchmark_heats_up(self):

@@ -22,6 +22,7 @@ from repro.dtm.manager import DTMManager
 from repro.dtm.policies import make_policy
 from repro.errors import ConfigError, FailsafeEngaged
 from repro.faults import FaultSchedule, FaultWindow
+from repro.sim.parallel import matrix_specs, run_specs
 from repro.sim.sweep import run_one, run_suite
 from repro.telemetry import (
     NULL_TELEMETRY,
@@ -338,6 +339,33 @@ class TestExportRoundTrip:
         write_metrics_json(telemetry.snapshot(), path)
         data = json.loads(path.read_text())
         assert data["metrics"]["engine.samples"]["value"] > 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_metrics_json_reproduces_but_for_the_latency_histogram(
+        self, tmp_path, jobs
+    ):
+        """``engine.sample_latency_seconds`` is host wall-clock time;
+        every other exported metric is a function of the specs."""
+        exported = []
+        for attempt in range(2):
+            telemetry = Telemetry(
+                TelemetryConfig(sample_latency=True, profile=False)
+            )
+            run_specs(
+                matrix_specs(["gcc", "gzip"], ["pid"], instructions=100_000),
+                jobs=jobs,
+                telemetry=telemetry,
+                cache=False,
+            )
+            path = tmp_path / f"metrics-{attempt}.json"
+            write_metrics_json(telemetry.snapshot(), path)
+            exported.append(json.loads(path.read_text()))
+        latencies = [
+            data["metrics"].pop("engine.sample_latency_seconds")
+            for data in exported
+        ]
+        assert latencies[0]["count"] == latencies[1]["count"] > 0
+        assert exported[0] == exported[1]
 
 
 class TestConfig:

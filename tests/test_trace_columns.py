@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import TelemetryConfig
-from repro.sim.parallel import _run_spec, matrix_specs
+from repro.sim.parallel import _run_task, matrix_specs
 from repro.telemetry import (
     DUTY_EDGES,
     TEMPERATURE_EDGES,
@@ -331,8 +331,8 @@ class TestPickling:
 
     def test_lane_local_round_trips(self):
         [spec] = matrix_specs(["gcc"], ["pid"], instructions=150_000)
-        _, local = _run_spec(
-            spec, TelemetryConfig(sample_latency=False, profile=False)
+        [(_, _, local)] = _run_task(
+            [spec], TelemetryConfig(sample_latency=False, profile=False)
         )
         copy = pickle.loads(pickle.dumps(local))
         assert repr(copy.trace.records()) == repr(local.trace.records())
