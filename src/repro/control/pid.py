@@ -38,6 +38,12 @@ class AntiWindup(enum.Enum):
     CLAMP = "clamp"
 
 
+#: The members :meth:`PIDController.update` tests, bound once: an enum
+#: member lookup costs more than the test itself.
+_CLAMP = AntiWindup.CLAMP
+_CONDITIONAL = AntiWindup.CONDITIONAL
+
+
 class PIDController:
     """A sampled PID controller producing a saturated scalar output."""
 
@@ -124,6 +130,8 @@ class PIDController:
     def update(self, measurement: float) -> float:
         """Advance one sample period and return the saturated output."""
         error = self.setpoint - measurement
+        low, high = self.output_limits
+        anti_windup = self.anti_windup
 
         proportional = self.kp * error
         derivative = self._derivative_term(error, measurement)
@@ -131,15 +139,13 @@ class PIDController:
         candidate_integral = self._integral + self.ki * error * self.sample_time
         if self.integral_non_negative:
             candidate_integral = max(0.0, candidate_integral)
-        if self.anti_windup is AntiWindup.CLAMP:
-            low, high = self.output_limits
+        if anti_windup is _CLAMP:
             candidate_integral = min(max(candidate_integral, low), high)
 
         unsaturated = self.bias + proportional + candidate_integral + derivative
-        low, high = self.output_limits
         output = min(max(unsaturated, low), high)
 
-        if self.anti_windup is AntiWindup.CONDITIONAL:
+        if anti_windup is _CONDITIONAL:
             saturated_high = unsaturated > high and error > 0
             saturated_low = unsaturated < low and error < 0
             if not (saturated_high or saturated_low):

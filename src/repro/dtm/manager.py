@@ -93,59 +93,59 @@ class DTMManager:
         """
         return tuple(self.failsafe.events) if self.failsafe is not None else ()
 
-    def _apply_output(self, output: float) -> int:
-        """Drive the actuator; returns interrupt stall cycles (if any)."""
-        previous_duty = self.actuator.duty
-        new_duty = self.actuator.set_output(output)
-        if new_duty != previous_duty and (
-            (new_duty < 1.0) != (previous_duty < 1.0)
-        ):
-            return self.interrupts.on_transition()
-        return 0
-
     def on_sample(self, max_temperature: float) -> tuple[float, int]:
         """Process one sampling instant.
 
         ``max_temperature`` is the hottest monitored block's true
         temperature; the sensor model (if any) perturbs it.  Returns
-        ``(duty, stall_cycles)`` where ``stall_cycles`` is interrupt
-        overhead to charge against execution.
+        ``(duty, stall_cycles)``: the duty in force -- what the
+        actuator's ``set_output`` returned, when this sample drove it
+        -- and the interrupt overhead to charge against execution.  A
+        drive that crosses the engaged/disengaged boundary (duty 1.0)
+        costs one interrupt.  Both sample kernels call this once per
+        sample, so the drive and the sample counters are inline.
         """
         measurement = (
             self._sensor.read(max_temperature)
             if self._sensor is not None
             else max_temperature
         )
+        actuator = self.actuator
+        index = self._sample_index
+        duty = previous = actuator.duty
         stall = 0
+        forced = False
         if self.failsafe is not None:
-            decision = self.failsafe.gate(measurement, self._sample_index)
+            decision = self.failsafe.gate(measurement, index)
             if decision.forced_duty is not None:
                 # Watchdog / degraded mode: the guard owns the duty.
                 # Keep the policy's state machine ticking on the last
                 # good reading (when one exists) so integrators do not
                 # restart cold at re-arm, but discard its command.
+                forced = True
                 if (
                     decision.measurement is not None
-                    and self._sample_index % self.policy.check_interval_samples
-                    == 0
+                    and index % self.policy.check_interval_samples == 0
                 ):
                     self._raw_output = self.policy.decide(decision.measurement)
-                stall = self._apply_output(decision.forced_duty)
-                if self._telemetry.enabled:
-                    self._note_control(decision.measurement, stall)
-                self._finish_sample()
-                return self.actuator.duty, stall
+                duty = actuator.set_output(decision.forced_duty)
             measurement = decision.measurement
         if (
-            measurement is not None
-            and self._sample_index % self.policy.check_interval_samples == 0
+            not forced
+            and measurement is not None
+            and index % self.policy.check_interval_samples == 0
         ):
             self._raw_output = self.policy.decide(measurement)
-            stall = self._apply_output(self._raw_output)
+            duty = actuator.set_output(self._raw_output)
+        if duty != previous and (duty < 1.0) != (previous < 1.0):
+            stall = self.interrupts.on_transition()
         if self._telemetry.enabled:
             self._note_control(measurement, stall)
-        self._finish_sample()
-        return self.actuator.duty, stall
+        self._sample_index = index + 1
+        self.samples += 1
+        if duty < 1.0:
+            self.engaged_samples += 1
+        return duty, stall
 
     def _note_control(self, measurement: float | None, stall: int) -> None:
         """Stage the controller half of this sample's trace record."""
@@ -177,12 +177,6 @@ class DTMManager:
                 stall_cycles=stall,
                 failsafe_state=state,
             )
-
-    def _finish_sample(self) -> None:
-        self._sample_index += 1
-        self.samples += 1
-        if self.actuator.duty < 1.0:
-            self.engaged_samples += 1
 
     def reset(self) -> None:
         """Restore the manager, policy, and actuator to initial state."""

@@ -46,9 +46,13 @@ class FetchToggling:
         return round(clamped * steps) / steps
 
     def set_output(self, output: float) -> float:
-        """Apply (quantized) controller output; returns the duty used."""
-        self._duty = self.quantize(output)
-        return self._duty
+        """Apply (quantized) controller output; returns the duty used.
+
+        :meth:`quantize`, inline: this runs once per DTM sample.
+        """
+        steps = self.levels - 1
+        self._duty = duty = round(min(1.0, max(0.0, output)) * steps) / steps
+        return duty
 
     def allows(self, cycle: int) -> bool:
         """True if instruction fetch may proceed this cycle."""

@@ -7,22 +7,27 @@ that independence with a structure-of-arrays kernel: B lanes share one
 stacked thermal state ``(B, n_blocks)``, and each sampling interval
 advances every live lane through
 
-* one stacked jitter/activity/demand evaluation,
-* one vectorized supply/power evaluation,
+* one Python pass over the lanes for the inherently scalar work -- the
+  phase bisect, the seeded RNG draws, the
+  :class:`~repro.dtm.manager.DTMManager` control decision -- and for
+  every per-lane scalar: demand, supply, throughput ratio, committed
+  instructions and the lane's run bookkeeping stay Python floats,
+  computed with the scalar kernel's own expressions;
+* one stacked jitter/activity/power evaluation, the unmonitored area
+  as one more power column;
 * one stacked :meth:`~repro.thermal.lumped.LumpedThermalModel.
-  advance_batch` exponential update,
-* a few vector ops of stacked per-lane bookkeeping,
+  advance_batch` exponential update;
 * one row copy per staged array into the shared
-  :class:`~repro.sim.stage.SampleStage`, whose post-pass evaluates the
-  emergency/stress fractions of every lane once per chunk of
+  :class:`~repro.sim.stage.SampleStage`, which owns every total no
+  controller reads (threshold fractions, temperatures, chip power,
+  energy, stall cycles) and folds them once per chunk of
   :data:`~repro.sim.stage.STAGE_ROWS` steps, as the scalar kernel's
   does.
 
-Only the inherently scalar per-lane work -- the phase bisect, the
-seeded RNG draws, and the :class:`~repro.dtm.manager.DTMManager`
-control decision -- stays in a Python loop, so the per-sample numpy
-dispatch overhead (the serial kernel's dominant cost at 7-block
-problem sizes) is amortized over the whole batch.
+So a step costs a fixed number of stacked numpy calls plus the Python
+work of its live lanes: the per-call numpy dispatch overhead (the
+serial kernel's dominant cost at 7-block problem sizes) is amortized
+over the batch, and a lane's own scalars never pay it.
 
 Bit-identity, not approximate equivalence, is the contract: every
 vectorized expression is the same elementwise arithmetic the serial
@@ -31,16 +36,19 @@ over the leading lane axis, and the axis-1 reductions (``max``,
 ``sum``, ``mean``) run the same sequential inner loop numpy uses for
 the serial kernel's 1-D arrays.  ``tests/test_sim_batch.py`` asserts
 results, histories, traces, and metrics equal to per-lane serial runs,
-including ragged lane lengths, injected faults, and failsafe
-engagement.
+including ragged lane lengths, warmup, cycle budgets, interrupt stalls,
+injected faults, and failsafe engagement.
 
 Divergence between lanes is handled with masks, not synchronization:
-a step in which a lane warms up or dies on a non-finite state updates
-the bookkeeping through ``where=`` masks, and a lane that finishes or
-dies leaves -- the stage flushes, the lane's outcome is assembled, and
-the live columns are compacted -- while the remaining lanes keep
-stepping.  Outcomes come back in spec order regardless of completion
-order.
+a step in which a lane warms up or dies on a non-finite state masks
+that lane's cells out of the stage's totals, and a lane that finishes
+or dies leaves -- the stage flushes, the lane's outcome is assembled,
+and the live columns are compacted -- while the remaining lanes keep
+stepping.  Every lane starts at step 0 and every step of a live lane
+costs one sample of cycles, so a lane's cycles and samples follow from
+the step count; the cycle budget check is one compare against the
+earliest live lane's deadline.  Outcomes come back in spec order
+regardless of completion order.
 
 The planner (:func:`plan_batches`) groups *compatible* specs -- same
 floorplan / machine / thermal / DTM configuration, differing
@@ -178,24 +186,23 @@ def run_spec_lanes(specs, telemetries=None) -> list[LaneOutcome]:
 
 
 class _Lane:
-    """Per-lane scalar state: what the stacked kernel cannot broadcast."""
+    """Per-lane scalar state: what the stacked kernel cannot broadcast.
+
+    The lane's run bookkeeping is Python floats and ints, updated by the
+    per-lane loop with the scalar kernel's own expressions:
+    ``position`` (committed instructions, warmup included: the phase
+    position), ``committed`` (measured instructions), ``warmup``
+    (warmup instructions outstanding) and ``warmup_samples``.
+    ``deadline`` is the step count at which the cycle budget runs out.
+    """
 
     __slots__ = (
         "engine", "slot", "telemetry", "recording", "time_samples",
         "on_sample", "rng", "phase_total", "phase_ends", "phase_jitter",
-        "single_phase", "first_row", "max_cycles", "error",
+        "phase_ipc", "single_phase", "first_row", "max_cycles", "deadline",
+        "instructions", "position", "committed", "warmup", "warmup_samples",
+        "error",
     )
-
-
-#: Rows of the stacked per-lane bookkeeping (one column per live lane).
-#: Rows that a step updates with one operation sit next to each other.
-(
-    _TOTAL, _COMMITTED,          # += instructions committed this sample
-    _SPENT, _SAMPLES,            # += (sample cycles, 1)
-    _INSTRUCTIONS, _MAX_CYCLES,  # where _COMMITTED / _SPENT stop a lane
-    _POWER_SUM, _ENERGY,         # += chip power x (1, sample seconds)
-    _POWER_MAX, _STALLS, _WARMUP, _WARMUP_SAMPLES,
-) = range(12)
 
 
 class BatchEngine:
@@ -291,18 +298,18 @@ class BatchEngine:
         return self._run(instructions, max_cycles, warmup_instructions)
 
     def _start_lanes(self, instructions, max_cycles, warmup, outcomes):
-        """Per-lane scalar state, bookkeeping columns and phase table.
+        """Per-lane scalar state and the stacked phase table.
 
         The phase table stacks every lane's phases, lane after lane
         (the lane's phase ``i`` is row ``first_row + i``).  A row holds
-        the jitter scale of each of the ``n + 1`` standard normals a
-        jittered sample draws (``n`` activity draws, then one IPC draw
-        at half the jitter), the ``n`` activities, and the IPC.
+        the jitter scale of each of the ``n`` activity draws, then the
+        ``n`` activities.
         """
-        names = self.engines[0].floorplan.names
+        first = self.engines[0]
+        names = first.floorplan.names
         block_count = len(names)
+        sample = first.dtm_config.sampling_interval
         lanes: list[_Lane] = []
-        columns: list[tuple] = []
         phase_rows: list[np.ndarray] = []
         for slot, engine in enumerate(self.engines):
             budget = instructions[slot]
@@ -312,33 +319,35 @@ class BatchEngine:
                 outcomes[slot].error = error
                 continue
             lane = _Lane()
-            lane.max_cycles, lane.on_sample, lane.time_samples, lane.rng = start
+            (
+                lane.max_cycles, lane.on_sample, lane.time_samples, lane.rng,
+            ) = start
+            # Every step of a live lane spends ``sample`` cycles, and
+            # the scalar kernel stops once they reach ``max_cycles``.
+            lane.deadline = -(-lane.max_cycles // sample)
             lane.engine = engine
             lane.slot = slot
             lane.error = None
             lane.telemetry = engine.telemetry
             lane.recording = engine.telemetry.enabled
+            lane.instructions = budget
+            lane.position = 0.0
+            lane.committed = 0.0
+            lane.warmup = float(warmup[slot])
+            lane.warmup_samples = 0
             lane.phase_total = engine.profile.total_instructions
             (
-                lane.phase_ends, phase_activity, lane.phase_jitter, phase_ipc,
+                lane.phase_ends, phase_activity, lane.phase_jitter,
+                lane.phase_ipc,
             ) = build_phase_tables(engine.profile, names)
             lane.single_phase = len(lane.phase_ends) == 1
             lane.first_row = len(phase_rows)
             phase_rows.extend(
-                np.concatenate((
-                    [jitter] * block_count, [0.5 * jitter], activity, [ipc]
-                ))
-                for jitter, activity, ipc in zip(
-                    lane.phase_jitter, phase_activity, phase_ipc
-                )
+                np.concatenate(([jitter] * block_count, activity))
+                for jitter, activity in zip(lane.phase_jitter, phase_activity)
             )
             lanes.append(lane)
-            # One value per bookkeeping row, _TOTAL to _WARMUP_SAMPLES.
-            columns.append((
-                0.0, 0.0, 0, 0, budget, lane.max_cycles,
-                0.0, 0.0, 0.0, 0, float(warmup[slot]), 0,
-            ))
-        return lanes, columns, np.array(phase_rows)
+        return lanes, np.array(phase_rows)
 
     def _run(self, instructions, max_cycles, warmup) -> list[LaneOutcome]:
         first = self.engines[0]
@@ -349,137 +358,173 @@ class BatchEngine:
         thresholds = (emergency_level, stress_level)
         fetch_supply = first.machine.fetch_width * SUPPLY_EFFICIENCY
         thermal = first.thermal
-        peaks = first.power_model.peaks_view
+        # The unmonitored area is one more column of the stacked power
+        # expression: its utilization is the blocks' mean.
+        peaks = np.append(
+            first.power_model.peaks_view,
+            first.floorplan.unmonitored_peak_power,
+        )
         idle = first.power_model.idle_fraction
         active_frac = 1.0 - idle
-        unmonitored_peak = first.floorplan.unmonitored_peak_power
         block_count = len(first.floorplan.names)
         count = len(self.engines)
 
         outcomes = [LaneOutcome() for _ in range(count)]
-        live, columns, phase_table = self._start_lanes(
+        live, phase_table = self._start_lanes(
             instructions, max_cycles, warmup, outcomes
         )
-        if not live:
-            return outcomes
-
-        # Stacked per-lane bookkeeping: row ``_X`` of ``acc`` holds
-        # field X of every live lane, so a sample updates all lanes with
-        # a few contiguous vector ops.  Integer fields (cycles, counts,
-        # stalls) are exact in float64.  Columns are compacted when
-        # lanes leave, never per step.
-        acc = np.array(columns, dtype=float).T.copy()
-        clock_step = np.array([[sample], [1.0]])
-        power_weights = np.array([[1.0], [sample_seconds]])
-        slots = np.fromiter((lane.slot for lane in live), dtype=np.intp)
-        state = np.array(
-            [lane.engine.thermal.temperatures_view for lane in live]
-        )
-        warming = bool((acc[_WARMUP] > 0).any())
-        timing = any(lane.time_samples for lane in live)
-
         # The deferred threshold pass: lanes' rows are staged per step
         # and flushed per chunk, and whenever lanes leave.
         stage = SampleStage(
             thermal, self.engines, sample, sample_seconds, thresholds
         )
+        # A lane whose budget allows no step measures nothing.
+        for lane in [lane for lane in live if lane.deadline <= 0]:
+            live.remove(lane)
+            outcomes[lane.slot] = _finish(stage, lane, 0)
+        if not live:
+            return outcomes
+
+        slots = np.fromiter((lane.slot for lane in live), dtype=np.intp)
+        state = np.array(
+            [lane.engine.thermal.temperatures_view for lane in live]
+        )
+        timing = any(lane.time_samples for lane in live)
         s_start, s_steady, s_end = stage.start, stage.steady, stage.end
+        s_chip, s_stalls = stage.chip, stage.stalls
         keep_rows = stage.keep_rows
         history_rows = stage.powers is not None
 
         # Per-step lane values from the scalar loop (index r holds live
         # lane r this sample).  Row r of ``noise`` takes live lane r's
-        # jitter draws; a non-jittered lane leaves stale draws there.
-        draws = block_count + 1
-        noise = np.zeros((count, draws))
+        # jitter draws (the activity draws, then the IPC draw); a
+        # non-jittered lane leaves stale draws there, which its zero
+        # jitter scale cancels.  ``utilization`` has one more column
+        # than there are blocks: the unmonitored area's.
+        noise = np.zeros((count, block_count + 1))
         noise_rows = list(noise)
-        phase_rows: list[int] = [0] * count
-        duties_py: list = [0.0] * count
-        stalls_py: list = [0] * count
+        ratios = np.empty(count)
+        utilization_rows = np.empty((count, block_count + 1))
+        phase_rows: list[int] = [-1] * count
+        duties: list = [0.0] * count
         controls: list = [None] * count
 
-        step = 0
-        progress, clock, power, reached, limits, power_max, stall_sum = (
-            _row_views(acc)
-        )
+        steps = 0  # steps every live lane has taken: all start together
+        step = 0  # the stage row of this step
+        next_deadline = min(lane.deadline for lane in live)
+        k = 0
         try:
             while live:
-                k = len(live)
+                if k != len(live):
+                    # Views of the per-step buffers for k live lanes:
+                    # rebuilt only when lanes leave.
+                    k = len(live)
+                    lane_noise = noise[:k, :block_count]
+                    lane_ratios = ratios[:k, None]
+                    utilization = utilization_rows[:k]
+                    block_utilization = utilization[:, :block_count]
+                    mean_utilization = utilization[:, block_count]
+                    del phase_rows[k:]
+                    regather = True
                 iter_start = perf_counter() if timing else 0.0
                 start = state
-                sensed = start.max(axis=1)
+                sensed = np.maximum.reduce(start, axis=1)
                 sensed_py = sensed.tolist()
-                positions = acc[_TOTAL].tolist()
+                stall_row = s_stalls[step]
+                if keep_rows:
+                    committed_row = stage.committed[step]
+                warming: list[int] = []
+                leaving: list[int] = []
                 for r, lane in enumerate(live):
-                    # Scalar per-lane work: phase lookup, seeded jitter
-                    # draws (per-lane RNG stream, the serial kernel's
-                    # draw order), and the DTM control decision.
+                    # The scalar kernel's per-sample arithmetic, lane by
+                    # lane, on Python floats: phase lookup, seeded
+                    # jitter draws (per-lane RNG stream, the scalar
+                    # draw order), the DTM decision, and the demand,
+                    # supply and commit of this sample.
+                    position = lane.position
                     if lane.single_phase:
                         index = 0
                     else:
                         index = bisect_right(
-                            lane.phase_ends,
-                            int(positions[r]) % lane.phase_total,
+                            lane.phase_ends, int(position) % lane.phase_total
                         )
-                    phase_rows[r] = lane.first_row + index
-                    if lane.phase_jitter[index]:
-                        lane.rng.standard_normal(out=noise_rows[r])
-                    duty_r, stall_r = lane.on_sample(sensed_py[r])
-                    duties_py[r] = duty_r
-                    stalls_py[r] = stall_r
+                    row = lane.first_row + index
+                    if row != phase_rows[r]:
+                        phase_rows[r] = row
+                        regather = True
+                    demand = lane.phase_ipc[index]
+                    jitter = lane.phase_jitter[index]
+                    if jitter:
+                        draws = noise_rows[r]
+                        lane.rng.standard_normal(out=draws)
+                        # ``normal(0, s)`` is ``0 + s * z``, and the
+                        # ``0 +`` cannot show after ``+ 1.0``.
+                        z = draws.item(block_count)
+                        demand *= z * (0.5 * jitter) + 1.0
+                    if demand < 0.05:
+                        demand = 0.05
+                    duty, stall = lane.on_sample(sensed_py[r])
+                    supply = duty * fetch_supply
+                    effective = supply if supply < demand else demand
+                    committed = effective * (
+                        sample - stall if stall < sample else 0
+                    )
+                    ratios[r] = effective / demand
+                    stall_row[r] = stall
+                    duties[r] = duty
+                    lane.position = position + committed
+                    if lane.warmup > 0:
+                        lane.warmup -= committed
+                        lane.warmup_samples += 1
+                        warming.append(r)
+                    else:
+                        lane.committed += committed
+                        if lane.committed >= lane.instructions:
+                            leaving.append(r)
                     if lane.recording:
                         controls[r] = lane.telemetry.take_control()
+                        committed_row[r] = committed
 
-                # The jittered phase draws, stacked.  ``normal(0, s)``
-                # is ``0 + s * z`` on the same standard normals ``z``,
-                # and the ``0 +`` cannot show after ``1.0 +``.  A
+                # The stacked pass: the scalar kernel's elementwise
+                # arithmetic, broadcast over the lane axis.  A
                 # non-jittered row has scale 0, so its factor is
-                # exactly 1.0 whatever stale (finite) draws its noise
-                # row holds.  The stacked clip leaves those rows'
-                # values alone because prebuilt phase activity lies in
-                # [0, 1] (build_phase_tables checks it).  ``maximum``
-                # is the serial ``max(0.05, demand)`` for the finite
-                # demand a phase IPC in (0, 6] gives.
-                phase = phase_table[phase_rows[:k]]
-                factor = noise[:k] * phase[:, :draws]
-                factor += 1.0
-                activity = phase[:, draws:-1] * factor[:, :block_count]
-                np.clip(activity, 0.0, 1.0, out=activity)
-                demand = phase[:, -1] * factor[:, block_count]
-                np.maximum(demand, 0.05, out=demand)
-                duty, stalls = np.array(
-                    (duties_py[:k], stalls_py[:k]), dtype=float
+                # exactly 1.0 and the clip leaves its prebuilt
+                # activity (in [0, 1], build_phase_tables checks it)
+                # alone.  ``add.reduce / n`` is what ``mean``
+                # computes, minus its Python wrapper.
+                if regather:
+                    phase = phase_table[phase_rows]
+                    scale = phase[:, :block_count]
+                    phase_activity = phase[:, block_count:]
+                    regather = False
+                activity = lane_noise * scale
+                activity += 1.0
+                activity *= phase_activity
+                np.maximum(activity, 0.0, out=activity)
+                np.minimum(activity, 1.0, out=activity)
+                np.multiply(activity, lane_ratios, out=block_utilization)
+                np.add.reduce(
+                    block_utilization, axis=1, out=mean_utilization
                 )
-
-                # One vectorized pass over all live lanes: identical
-                # elementwise arithmetic to the serial kernel,
-                # broadcast over the lane axis.  ``add.reduce / n`` is
-                # what ``mean`` computes, minus its Python wrapper.
-                supply = duty * fetch_supply
-                effective = np.minimum(demand, supply)
-                ratio = effective / demand
-                utilization = activity * ratio[:, None]
-                powers = peaks * (idle + active_frac * utilization)
-                unmonitored = unmonitored_peak * (
-                    idle
-                    + active_frac
-                    * (np.add.reduce(utilization, axis=1) / block_count)
-                )
-                chip_power = powers.sum(axis=1) + unmonitored
+                mean_utilization /= block_count
+                all_powers = utilization * active_frac
+                all_powers += idle
+                all_powers *= peaks
+                powers = all_powers[:, :block_count]
+                chip_power = np.add.reduce(powers, axis=1)
+                chip_power += all_powers[:, block_count]
                 end, steady = thermal.advance_batch(start, powers, sample)
-                sample_committed = effective * np.maximum(0, sample - stalls)
 
                 s_start[step, :k] = start
                 s_steady[step, :k] = steady
                 s_end[step, :k] = end
+                s_chip[step, :k] = chip_power
                 if keep_rows:
                     stage.sensed[step, :k] = sensed
-                    stage.chip[step, :k] = chip_power
-                    stage.committed[step, :k] = sample_committed
                     if history_rows:
                         stage.powers[step, :k] = powers
                     stage.extras.append((
-                        duties_py[:k],
+                        duties[:k],
                         controls[:k],
                         perf_counter() - iter_start if timing else math.nan,
                     ))
@@ -488,50 +533,47 @@ class BatchEngine:
                 # for the common step; the exact per-lane mask (and the
                 # rare overflowing sum) takes the masked path.
                 if warming or not math.isfinite(
-                    chip_power.sum() + end.sum()
+                    np.add.reduce(chip_power)
+                    + np.add.reduce(end, axis=None)
                 ):
-                    leaving = _settle_masked(
-                        live, acc, stage, step, start, end,
-                        sample_committed, chip_power, stalls, duties_py,
-                        power_weights, sample,
+                    leaving += _settle_masked(
+                        live, stage, step, start, end, chip_power,
+                        duties, warming,
                     )
-                    warming = bool((acc[_WARMUP] > 0).any())
-                else:
-                    progress += sample_committed
-                    clock += clock_step
-                    power += chip_power * power_weights
-                    np.maximum(power_max, chip_power, out=power_max)
-                    stall_sum += stalls
-                    leaving = reached >= limits
-                    leaving = leaving.any(axis=0) if leaving.any() else None
+                steps += 1
                 step += 1
+                if steps >= next_deadline:
+                    for r, lane in enumerate(live):
+                        if lane.deadline <= steps:
+                            if r in warming and lane.error is None:
+                                lane.error = lane.engine._warmup_overrun(
+                                    lane.max_cycles,
+                                    lane.warmup_samples,
+                                    lane.warmup,
+                                    duties[r],
+                                )
+                            leaving.append(r)
 
-                if leaving is not None and leaving.any():
+                if leaving:
                     # Flush before compacting: the staged columns are
                     # the live lanes of this chunk.
                     staged, step = step, 0
                     stage.flush(staged, slots)
-                    for r in np.flatnonzero(leaving).tolist():
+                    gone = set(leaving)
+                    for r in gone:
                         lane = live[r]
                         outcomes[lane.slot] = (
                             LaneOutcome(error=lane.error)
                             if lane.error is not None
-                            else _finish(stage, lane, acc[:, r])
+                            else _finish(stage, lane, steps)
                         )
-                    keep = ~leaving
-                    live = [
-                        lane for lane, kept in zip(live, keep.tolist())
-                        if kept
-                    ]
-                    slots = slots[keep]
-                    acc = acc[:, keep]
-                    (
-                        progress, clock, power, reached, limits,
-                        power_max, stall_sum,
-                    ) = _row_views(acc)
-                    state = end[keep]
-                    warming = warming and bool((acc[_WARMUP] > 0).any())
-                    timing = any(lane.time_samples for lane in live)
+                    kept = [r for r in range(k) if r not in gone]
+                    live = [live[r] for r in kept]
+                    slots = slots[kept]
+                    state = end[kept]
+                    if live:
+                        next_deadline = min(lane.deadline for lane in live)
+                        timing = any(lane.time_samples for lane in live)
                 else:
                     state = end
                     if step == STAGE_ROWS:
@@ -542,91 +584,44 @@ class BatchEngine:
         return outcomes
 
 
-def _row_views(acc: np.ndarray) -> tuple:
-    """The views of ``acc`` the common step updates in place."""
-    return (
-        acc[_TOTAL:_COMMITTED + 1],
-        acc[_SPENT:_SAMPLES + 1],
-        acc[_POWER_SUM:_ENERGY + 1],
-        acc[_COMMITTED:_SPENT + 1],
-        acc[_INSTRUCTIONS:_MAX_CYCLES + 1],
-        acc[_POWER_MAX],
-        acc[_STALLS],
-    )
-
-
 def _settle_masked(
-    live, acc, stage, step, start, end, sample_committed, chip_power,
-    stalls, duties_py, power_weights, sample,
-) -> np.ndarray:
-    """Bookkeeping of a step with a warming or non-finite lane.
+    live, stage, step, start, end, chip_power, duties, warming,
+) -> list[int]:
+    """Mask a step with a warming or non-finite lane out of the stage.
 
-    A warming lane advances only its phase position, cycle budget and
-    warmup counters; a non-finite lane advances nothing and gets the
-    serial kernel's error.  Both are masked out of the threshold pass.
-    Returns the mask of lanes that leave.
+    A warming lane's step is excluded from every total; a non-finite
+    lane's also gets the scalar kernel's error and finite stand-in
+    temperature rows for the threshold pass.  Returns the non-finite
+    rows, which leave.
     """
-    finite = np.isfinite(chip_power) & np.isfinite(end).all(axis=1)
-    warm = acc[_WARMUP]
-    warming = finite & (warm > 0)
-    measuring = finite & ~warming
-    np.add(acc[_TOTAL], sample_committed, out=acc[_TOTAL], where=finite)
-    np.add(acc[_SPENT], sample, out=acc[_SPENT], where=finite)
-    np.subtract(warm, sample_committed, out=warm, where=warming)
-    np.add(
-        acc[_WARMUP_SAMPLES], 1, out=acc[_WARMUP_SAMPLES], where=warming
+    k = len(live)
+    finite = np.isfinite(chip_power) & np.logical_and.reduce(
+        np.isfinite(end), axis=1
     )
-    for row, increment in (
-        (_COMMITTED, sample_committed),
-        (_SAMPLES, 1),
-        (_STALLS, stalls),
-    ):
-        np.add(acc[row], increment, out=acc[row], where=measuring)
-    power = acc[_POWER_SUM:_ENERGY + 1]
-    np.add(power, chip_power * power_weights, out=power, where=measuring)
-    np.maximum(
-        acc[_POWER_MAX], chip_power, out=acc[_POWER_MAX], where=measuring
-    )
-    stuck = warming & (acc[_SPENT] >= acc[_MAX_CYCLES])
-    for r in np.flatnonzero(~finite).tolist():
+    measured = finite.copy()
+    measured[warming] = False
+    stage.measured[step, :k] = measured
+    stage.masked = True
+    bad = np.flatnonzero(~finite)
+    stage.steady[step, bad] = start[bad]
+    stage.end[step, bad] = start[bad]
+    for r in bad.tolist():
         # The lane leaves with the serial kernel's error; the others
         # keep stepping.
         live[r].error = live[r].engine._non_finite(
-            end[r], float(chip_power[r]), duties_py[r]
+            end[r], float(chip_power[r]), duties[r]
         )
-    for r in np.flatnonzero(stuck).tolist():
-        lane = live[r]
-        lane.error = lane.engine._warmup_overrun(
-            lane.max_cycles,
-            int(acc[_WARMUP_SAMPLES, r]),
-            float(warm[r]),
-            duties_py[r],
-        )
-    k = len(live)
-    stage.measured[step, :k] = measuring
-    stage.masked = True
-    # The threshold pass still evaluates masked cells: give the
-    # non-finite ones finite rows.
-    bad = ~finite
-    stage.steady[step, :k][bad] = start[bad]
-    stage.end[step, :k][bad] = start[bad]
-    reached = acc[_COMMITTED:_SPENT + 1] >= acc[_INSTRUCTIONS:_MAX_CYCLES + 1]
-    return ~finite | stuck | (measuring & reached.any(axis=0))
+    return bad.tolist()
 
 
-def _finish(stage: SampleStage, lane: _Lane, column: np.ndarray) -> LaneOutcome:
-    """One leaving lane's outcome from its bookkeeping column."""
-    values = column.tolist()
+def _finish(stage: SampleStage, lane: _Lane, steps: int) -> LaneOutcome:
+    """One leaving lane's outcome after ``steps`` steps."""
     try:
         result = stage.result(
             lane.slot,
             lane.engine,
-            samples=int(values[_SAMPLES]),
-            instructions=values[_COMMITTED],
-            power_sum=values[_POWER_SUM],
-            power_max=values[_POWER_MAX],
-            energy_joules=values[_ENERGY],
-            interrupt_stalls=int(values[_STALLS]),
+            samples=steps - lane.warmup_samples,
+            instructions=lane.committed,
             max_cycles=lane.max_cycles,
         )
     except SimulationError as error:

@@ -18,11 +18,13 @@ Per sample the engine:
 4. scales structure activity by the achieved throughput ratio, turns
    it into per-block power (Wattch CC3), and advances the lumped RC
    model with the *exact* exponential update;
-5. stages the sample's ``(start, steady, end)`` temperature rows for
-   the emergency/stress accounting, which the
-   :class:`~repro.sim.stage.SampleStage` post-pass computes with
-   sub-sample accuracy from the closed-form trajectory, once per
-   chunk of :data:`~repro.sim.stage.STAGE_ROWS` samples.
+5. stages the sample's ``(start, steady, end)`` temperature rows, chip
+   power and stall cycles for the
+   :class:`~repro.sim.stage.SampleStage` post-pass, which computes the
+   emergency/stress accounting with sub-sample accuracy from the
+   closed-form trajectory and folds the power, energy and stall
+   totals, once per chunk of :data:`~repro.sim.stage.STAGE_ROWS`
+   samples.
 
 :data:`SUPPLY_EFFICIENCY` is calibrated against the detailed core
 (experiment C1).
@@ -299,7 +301,9 @@ class FastEngine:
           one broadcast :meth:`~repro.thermal.lumped.LumpedThermalModel.
           fractions_above` call per :data:`~repro.sim.stage.STAGE_ROWS`
           samples and accumulates, records history and emits telemetry
-          in sample order.
+          in sample order; the chip power, energy and stall totals are
+          folded there too, from the staged chip power and stall
+          rows.
         """
         sample = self.dtm_config.sampling_interval
         sample_seconds = sample * self.machine.cycle_time
@@ -348,10 +352,6 @@ class FastEngine:
 
         committed = 0.0
         warmup_remaining = float(warmup_instructions)
-        power_sum = 0.0
-        power_max = 0.0
-        energy_joules = 0.0
-        interrupt_stalls = 0
         samples = 0
         total_committed = 0.0  # includes warmup; drives phase position
         # One shared budget for warmup + measurement (the original
@@ -366,10 +366,11 @@ class FastEngine:
         rows_start = stage.start[:, 0]
         rows_steady = stage.steady[:, 0]
         rows_end = stage.end[:, 0]
+        rows_chip = stage.chip[:, 0]
+        rows_stalls = stage.stalls[:, 0]
         keep_rows = stage.keep_rows
         if keep_rows:
             rows_sensed = stage.sensed[:, 0]
-            rows_chip = stage.chip[:, 0]
             rows_committed = stage.committed[:, 0]
             rows_powers = None if stage.powers is None else stage.powers[:, 0]
             extras = stage.extras
@@ -449,17 +450,14 @@ class FastEngine:
                     continue
 
                 committed += sample_committed
-                power_sum += chip_power
-                power_max = max(power_max, chip_power)
-                energy_joules += chip_power * sample_seconds
-                interrupt_stalls += stall
                 samples += 1
                 rows_start[staged] = temps
                 rows_steady[staged] = steady
                 rows_end[staged] = end
+                rows_chip[staged] = chip_power
+                rows_stalls[staged] = stall
                 if keep_rows:
                     rows_sensed[staged] = sensed
-                    rows_chip[staged] = chip_power
                     rows_committed[staged] = sample_committed
                     if rows_powers is not None:
                         rows_powers[staged] = powers
@@ -482,9 +480,5 @@ class FastEngine:
             self,
             samples=samples,
             instructions=committed,
-            power_sum=power_sum,
-            power_max=power_max,
-            energy_joules=energy_joules,
-            interrupt_stalls=interrupt_stalls,
             max_cycles=max_cycles,
         )

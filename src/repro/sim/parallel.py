@@ -1050,9 +1050,14 @@ class _OutcomeRunner:
         sink = self.sink if self._share_sink else None
         while queue:
             lanes = self._next_group(queue)
-            payloads = _run_task(
-                [self.specs[i] for i, _ in lanes], self.config, sink
-            )
+            try:
+                payloads = _run_task(
+                    [self.specs[i] for i, _ in lanes], self.config, sink
+                )
+            except Exception as error:
+                # The task raised as a whole: blamed as on the pool.
+                queue.extendleft(reversed(self._task_raised(lanes, error)))
+                continue
             self._settle_task(lanes, payloads, queue)
 
     def _harvest_in_flight(self, in_flight: deque) -> list[tuple[int, int]]:

@@ -13,17 +13,22 @@ the stage's :meth:`~SampleStage.flush` post-pass then
 * evaluates every threshold fraction of the chunk in one broadcast
   ``fractions_above`` call;
 * adds the chunk into the emergency/stress cycle counts, the per-block
-  fraction totals and the per-block temperature sums with ``np.cumsum``
-  along the sample axis, the running total as row 0.  ``cumsum`` adds
-  in sample order, exactly as the per-sample ``+=`` it replaces;
-  ``np.sum`` would add pairwise and change the bits.  Temperature peaks
-  take a ``max``, which is exact in any order;
+  fraction totals, the per-block temperature sums and the chip power,
+  energy and interrupt-stall totals with ``np.cumsum`` along the sample
+  axis, the running total as row 0.  ``cumsum`` adds in sample order,
+  exactly as the per-sample ``+=`` it replaces; ``np.sum`` would add
+  pairwise and change the bits.  Temperature and power peaks take a
+  ``max``, which is exact in any order;
 * fills the history rows;
 * hands each lane's telemetry sink the lane's rows of the chunk as one
   column block (:meth:`~repro.telemetry.core.Telemetry.record_block`),
   in sample order, with the controller halves each sample took from
   :meth:`~repro.telemetry.core.Telemetry.take_control` transposed once
   per chunk.
+
+No controller reads any of these totals either, so the stage owns
+them: the kernels keep only what steers a run (its committed
+instructions, warmup and cycle budget).
 
 A kernel flushes when the chunk is full, when a lane leaves the lane
 kernel, and when its run ends or raises (the non-finite
@@ -106,20 +111,23 @@ class SampleStage:
     ``engines`` are the kernel's engines, one lane (column slot) each;
     they share ``thermal``'s floorplan.  Per step a kernel writes the
     rows of its live lanes into columns ``[:k]`` of row ``s`` of
-    :attr:`start`, :attr:`steady` and :attr:`end`, and -- only when
-    :attr:`keep_rows` (some lane records telemetry or history) -- of
-    :attr:`sensed`, :attr:`chip`, :attr:`committed` and
+    :attr:`start`, :attr:`steady`, :attr:`end`, :attr:`chip` (chip
+    power) and :attr:`stalls` (interrupt stall cycles), and -- only
+    when :attr:`keep_rows` (some lane records telemetry or history) --
+    of :attr:`sensed`, :attr:`committed` (recording lanes only) and
     :attr:`powers` (history only), appending
     ``(duties, controls, latency_seconds)`` to :attr:`extras`.  A lane
     kernel step in which a live lane did not measure (warmup, or a
     non-finite state) clears that lane's :attr:`measured` cell, fills
-    its rows with finite values, and sets :attr:`masked`.
+    its temperature rows with finite values, and sets :attr:`masked`.
 
     :meth:`flush` then receives ``slots``, the engine index of every
     column in order.  Totals are per slot: :attr:`peak_cycles`
     ``(thresholds, lanes)``, :attr:`block_cycles`
     ``(thresholds, lanes, blocks)``, :attr:`temp_sum` and
-    :attr:`temp_max` ``(lanes, blocks)``.
+    :attr:`temp_max` ``(lanes, blocks)``, :attr:`chip_sums` ``(3,
+    lanes)`` (chip power, energy in joules, stall cycles) and
+    :attr:`chip_max` ``(lanes,)``.
     """
 
     def __init__(
@@ -141,6 +149,10 @@ class SampleStage:
         self.block_cycles = np.zeros((len(thresholds), lanes, blocks))
         self.temp_sum = np.zeros((lanes, blocks))
         self.temp_max = np.full((lanes, blocks), -np.inf)
+        self.chip = np.empty((STAGE_ROWS, lanes))
+        self.stalls = np.empty((STAGE_ROWS, lanes))
+        self.chip_sums = np.zeros((3, lanes))
+        self.chip_max = np.zeros(lanes)
 
         self._recorders = [
             engine.telemetry if engine.telemetry.enabled else None
@@ -157,7 +169,6 @@ class SampleStage:
         ) or any(history is not None for history in self._histories)
         if self.keep_rows:
             self.sensed = np.empty((STAGE_ROWS, lanes))
-            self.chip = np.empty((STAGE_ROWS, lanes))
             self.committed = np.empty((STAGE_ROWS, lanes))
             self.extras: list[tuple] = []
         self.powers = (
@@ -175,6 +186,8 @@ class SampleStage:
         start = self.start[:steps, :lanes]
         steady = self.steady[:steps, :lanes]
         end = self.end[:steps, :lanes]
+        chip = self.chip[:steps, :lanes]
+        stalls = self.stalls[:steps, :lanes]
         # (thresholds, steps, lanes, blocks): one broadcast pass.
         fractions = self._thermal.fractions_above(
             start, steady, self._seconds, self._thresholds
@@ -193,6 +206,10 @@ class SampleStage:
             peak_cycles = np.where(mask, peak_cycles, 0.0)
             end_sum = np.where(cells, end, 0.0)
             end_max = np.where(cells, end, -np.inf)
+            # Chip power is positive and its peak starts at 0.0, so a
+            # masked 0.0 cell cannot raise the peak either.
+            chip = np.where(mask, chip, 0.0)
+            stalls = np.where(mask, stalls, 0.0)
         else:
             end_sum = end_max = end
         self.peak_cycles[:, slots] = _running_sum(
@@ -206,6 +223,14 @@ class SampleStage:
         )
         self.temp_max[slots] = np.maximum(
             self.temp_max[slots], end_max.max(axis=0)
+        )
+        self.chip_sums[:, slots] = _running_sum(
+            self.chip_sums[:, slots],
+            np.stack((chip, chip * self._seconds, stalls)),
+            axis=1,
+        )
+        self.chip_max[slots] = np.maximum(
+            self.chip_max[slots], chip.max(axis=0)
         )
         if self.keep_rows:
             self._emit(steps, slots.tolist(), fractions, peaks, mask)
@@ -281,10 +306,6 @@ class SampleStage:
         *,
         samples: int,
         instructions: float,
-        power_sum: float,
-        power_max: float,
-        energy_joules: float,
-        interrupt_stalls: int,
         max_cycles: int,
     ) -> RunResult:
         """One lane's :class:`RunResult` from its flushed totals.
@@ -314,6 +335,7 @@ class SampleStage:
         stress = self.block_cycles[1, slot]
         temp_sum = self.temp_sum[slot]
         temp_max = self.temp_max[slot]
+        power_sum, energy_joules, stalls = self.chip_sums[:, slot].tolist()
         return RunResult(
             benchmark=engine.profile.name,
             policy=engine.policy.name,
@@ -337,11 +359,11 @@ class SampleStage:
                 name: float(temp_max[i]) for i, name in enumerate(names)
             },
             mean_chip_power=power_sum / samples,
-            max_chip_power=power_max,
+            max_chip_power=float(self.chip_max[slot]),
             energy_joules=energy_joules,
             engaged_fraction=engine.manager.engaged_fraction,
             interrupt_events=engine.manager.interrupts.events,
-            interrupt_stall_cycles=interrupt_stalls,
+            interrupt_stall_cycles=int(stalls),
             history=(
                 None
                 if history is None

@@ -47,6 +47,26 @@ class TestInterruptAccounting:
         assert stall_engage == config.interrupt_cost
         assert stall_steady == 0
 
+    def test_only_crossing_full_duty_interrupts(self):
+        """Moving between engaged duty levels is no transition: only a
+        drive across duty 1.0, either way, costs an interrupt."""
+
+        class Scripted:
+            name = "scripted"
+            check_interval_samples = 1
+            is_interrupt_driven = True
+            outputs = iter([1.0, 0.5, 0.25, 0.25, 1.0, 0.0])
+
+            def decide(self, measurement):
+                return next(self.outputs)
+
+        config = DTMConfig(use_interrupts=True)
+        manager = DTMManager(Scripted(), config)
+        stalls = [manager.on_sample(100.0)[1] for _ in range(6)]
+        cost = config.interrupt_cost
+        assert stalls == [0, cost, 0, 0, cost, cost]
+        assert manager.interrupts.events == 3
+
     def test_ct_policies_never_pay_interrupts(self):
         config = DTMConfig(use_interrupts=True)
         manager = DTMManager(make_policy("pid", dtm_config=config), config)

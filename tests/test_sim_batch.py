@@ -256,6 +256,66 @@ class TestBatchEngineParity:
         )
         assert_results_equal(warm_serial, warm_batched)
 
+    def test_cycle_budgets_and_warmup_parity(self):
+        """Per-lane cycle budgets and warmups: gcc and equake warm up,
+        then change phase mid-measurement at different steps; gcc's one
+        interrupt falls in its warmup, so its stall cycles must stay
+        out of its totals; equake and gzip stop on their budgets
+        mid-measurement (gzip's is not a whole number of samples);
+        parser's warmup overruns its budget; art's budget of 0 cycles
+        allows no sample at all.  Every outcome equals the scalar
+        run's."""
+        interrupts = DTMConfig(
+            use_interrupts=True, nonct_trigger=100.1, policy_delay=2000
+        )
+        lanes = [
+            # (benchmark, policy, instructions, max_cycles, warmup)
+            ("gcc", "toggle2", 100_000, None, 250_000),
+            ("equake", "pi", 200_000, 260_000, 300_000),
+            ("parser", "toggle1", 100_000, 50_000, 1e9),
+            ("gzip", "none", 60_000, 20_500, 0),
+            ("art", "none", 60_000, 0, 0),
+        ]
+        specs = [
+            WorkSpec(benchmark, policy, dtm_config=interrupts)
+            for benchmark, policy, *_ in lanes
+        ]
+        scalar = [build_engine(spec) for spec in specs]
+        expected = []
+        for engine, (*_, instructions, max_cycles, warmup) in zip(
+            scalar, lanes
+        ):
+            try:
+                expected.append(engine.run(
+                    instructions=instructions,
+                    max_cycles=max_cycles,
+                    warmup_instructions=warmup,
+                ))
+            except SimulationError as error:
+                expected.append(error)
+        outcomes = BatchEngine(
+            [build_engine(spec) for spec in specs]
+        ).run_outcomes(
+            instructions=[lane[2] for lane in lanes],
+            max_cycles=[lane[3] for lane in lanes],
+            warmup_instructions=[lane[4] for lane in lanes],
+        )
+        gcc, equake, parser, gzip, art = expected
+        assert scalar[0].manager.interrupts.stall_cycles > 0
+        assert gcc.interrupt_stall_cycles == 0
+        assert equake.instructions < 200_000 and equake.cycles < 260_000
+        assert gzip.instructions < 60_000 and gzip.cycles == 21_000
+        assert "exceeded its cycle budget" in str(parser)
+        assert "produced no samples" in str(art)
+        for outcome, want in zip(outcomes, expected):
+            if isinstance(want, SimulationError):
+                assert outcome.result is None
+                assert type(outcome.error) is type(want)
+                assert str(outcome.error) == str(want)
+            else:
+                assert outcome.error is None
+                assert_results_equal(want, outcome.result)
+
     def test_lane_error_is_isolated_in_outcomes(self):
         specs = [
             WorkSpec(benchmark="gcc", policy="none", instructions=60_000),
@@ -584,11 +644,22 @@ class TestBatchProperty:
         ragged=st.booleans(),
         faulty=st.booleans(),
         failsafe=st.booleans(),
+        interrupts=st.booleans(),
     )
     @settings(max_examples=8, deadline=None)
     def test_batched_is_bit_identical_to_serial(
-        self, benchmarks, policies, seeds, batch, ragged, faulty, failsafe
+        self, benchmarks, policies, seeds, batch, ragged, faulty, failsafe,
+        interrupts,
     ):
+        dtm_config = None
+        if interrupts:
+            # Interrupt-driven toggling with a trigger these short runs
+            # cross and a two-sample re-check: non-zero stall totals.
+            dtm_config = DTMConfig(
+                use_interrupts=True, nonct_trigger=100.1, policy_delay=2000
+            )
+            if "toggle1" not in policies:
+                policies = [*policies, "toggle1"]
         specs = matrix_specs(
             benchmarks,
             policies,
@@ -596,6 +667,7 @@ class TestBatchProperty:
             instructions=INSTRUCTIONS,
             record_history=True,
             failsafe=FailsafeConfig() if failsafe else None,
+            dtm_config=dtm_config,
         )
         if ragged:
             # Ragged budgets: lanes complete at different samples.
@@ -621,6 +693,8 @@ class TestBatchProperty:
         batched = run_specs(
             specs, jobs=1, batch=batch, telemetry=t_batched
         )
+        if interrupts:
+            assert any(result.interrupt_stall_cycles for result in serial)
         for a, b in zip(serial, batched):
             assert_results_equal(a, b)
             assert_histories_equal(a.history, b.history)

@@ -12,7 +12,9 @@ pin what each entry point keeps of its own contract on that executor:
   straight into the caller's sink (per-run ``engine.run`` spans
   included); batched and cached sweeps fold run-local telemetry;
 * a crashing spec is one ``"crash"`` payload of ``execute_payloads``
-  and never takes the calling shard worker down.
+  and never takes the calling shard worker down;
+* a lane group that raises as a whole is blamed the same way in
+  process and on a pool: its lanes re-run uncharged as singletons.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from hypothesis import strategies as st
 
 import repro.sim.parallel as parallel_module
 from repro.errors import SweepError
+from repro.sim.batch import BatchEngine
 from repro.sim.parallel import (
+    SweepOptions,
     WorkSpec,
     execute_payloads,
     matrix_specs,
@@ -202,3 +206,31 @@ class TestCrashAttribution:
             run_specs([_spec("__flaky__", tag=(marker, 1))], jobs=2)
         with open(marker) as handle:
             assert handle.read() == "1"
+
+
+def _group_raises(self, *args, **kwargs):
+    raise RuntimeError("lane group failed as a whole")
+
+
+@requires_fork
+class TestGroupRaise:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_group_that_raises_requeues_its_lanes_as_singletons(
+        self, jobs
+    ):
+        """A lane group that raises as a whole (not one lane's failure)
+        is no spec's fault: in process as on a pool, its lanes re-run
+        uncharged as singletons and complete."""
+        specs = matrix_specs(
+            ["gcc"], ["pid", "none"], instructions=INSTRUCTIONS
+        )
+        reference = run_outcomes(specs, jobs=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BatchEngine, "_run", _group_raises)
+            outcomes = run_outcomes(
+                specs, jobs=jobs, batch=2, options=SweepOptions()
+            )
+        for outcome, expected in zip(outcomes, reference):
+            assert outcome.error is None
+            assert outcome.attempts == 1
+            assert_results_equal(outcome.result, expected.result)
