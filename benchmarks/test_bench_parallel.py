@@ -2,12 +2,14 @@
 
 Two guarded claims (see docs/performance.md):
 
-1. **Fused kernel**: the optimized :class:`repro.sim.fast.FastEngine`
-   sample loop must sustain at least ``KERNEL_FLOOR`` (1.3x) the
-   samples/sec of the pinned pre-fusion kernel
-   (:class:`repro.sim.reference.ReferenceFastEngine`).  The baseline is
-   frozen source, so the comparison cannot drift with unrelated
-   commits.  Target (recorded, not asserted): >= 1.5x.
+1. **Fused kernel**: a :class:`repro.sim.fast.FastEngine` run (a
+   one-lane run of the lane kernel, :mod:`repro.sim.batch`) must
+   sustain at least ``KERNEL_FLOOR`` (1.3x) the samples/sec of the
+   pinned pre-fusion kernel
+   (:class:`tests.reference_kernel.ReferenceFastEngine`, a test
+   fixture).  The baseline is frozen source, so the comparison cannot
+   drift with unrelated commits.  Target (recorded, not asserted):
+   >= 1.5x.
 2. **Parallel executor**: fanning a 4-benchmark x 3-policy matrix over
    worker processes must beat the serial loop by at least
    ``EXECUTOR_FLOOR`` (2.0x).  Skipped on machines with fewer than 4
@@ -38,9 +40,9 @@ from benchmarks._receipt import update_receipt as _update_receipt
 from repro.dtm.policies import make_policy
 from repro.sim.fast import FastEngine
 from repro.sim.parallel import matrix_specs, run_specs
-from repro.sim.reference import ReferenceFastEngine
 from repro.thermal.floorplan import Floorplan
 from repro.workloads.profiles import get_profile
+from tests.reference_kernel import ReferenceFastEngine
 
 #: Required fused-kernel samples/sec multiple over the pinned reference.
 KERNEL_FLOOR = 1.3

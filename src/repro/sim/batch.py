@@ -1,62 +1,64 @@
-"""Lane-batched simulation: one vectorized kernel, many sweeps at once.
+"""The sample kernel: one vectorized loop for one run or many.
 
-The paper's evaluation is sweep-shaped: every table is a grid of
-*independent* (benchmark x policy x seed) runs over one shared
-floorplan and sampling configuration.  :class:`BatchEngine` exploits
-that independence with a structure-of-arrays kernel: B lanes share one
-stacked thermal state ``(B, n_blocks)``, and each sampling interval
-advances every live lane through
+:class:`BatchEngine` is the only single-core sample loop.  A lone run
+(:meth:`~repro.sim.fast.FastEngine.run`) is a one-lane batch; a sweep
+group of compatible specs is a B-lane batch.  The paper's evaluation
+is sweep-shaped: every table is a grid of *independent* (benchmark x
+policy x seed) runs over one shared floorplan and sampling
+configuration.  B lanes share one stacked thermal state
+``(B, n_blocks)``, and each sampling interval advances every live lane
+through
 
 * one Python pass over the lanes for the inherently scalar work -- the
   phase bisect, the seeded RNG draws, the
   :class:`~repro.dtm.manager.DTMManager` control decision -- and for
   every per-lane scalar: demand, supply, throughput ratio, committed
-  instructions and the lane's run bookkeeping stay Python floats,
-  computed with the scalar kernel's own expressions;
+  instructions and the lane's run bookkeeping stay Python floats;
 * one stacked jitter/activity/power evaluation, the unmonitored area
-  as one more power column;
+  as one more power column, plus each leaky lane's leakage row;
 * one stacked :meth:`~repro.thermal.lumped.LumpedThermalModel.
   advance_batch` exponential update;
 * one row copy per staged array into the shared
   :class:`~repro.sim.stage.SampleStage`, which owns every total no
   controller reads (threshold fractions, temperatures, chip power,
   energy, stall cycles) and folds them once per chunk of
-  :data:`~repro.sim.stage.STAGE_ROWS` steps, as the scalar kernel's
-  does.
+  :data:`~repro.sim.stage.STAGE_ROWS` steps.
 
 So a step costs a fixed number of stacked numpy calls plus the Python
 work of its live lanes: the per-call numpy dispatch overhead (the
-serial kernel's dominant cost at 7-block problem sizes) is amortized
-over the batch, and a lane's own scalars never pay it.
+dominant cost at 7-block problem sizes) is amortized over the batch,
+and a lane's own scalars never pay it.
 
 Bit-identity, not approximate equivalence, is the contract: every
-vectorized expression is the same elementwise arithmetic the serial
-:class:`~repro.sim.fast.FastEngine` kernel evaluates, merely broadcast
-over the leading lane axis, and the axis-1 reductions (``max``,
-``sum``, ``mean``) run the same sequential inner loop numpy uses for
-the serial kernel's 1-D arrays.  ``tests/test_sim_batch.py`` asserts
-results, histories, traces, and metrics equal to per-lane serial runs,
-including ragged lane lengths, warmup, cycle budgets, interrupt stalls,
-injected faults, and failsafe engagement.
+vectorized expression is the same elementwise arithmetic a per-sample
+loop over one lane evaluates, merely broadcast over the leading lane
+axis, and the axis-1 reductions (``max``, ``sum``, ``mean``) run the
+same sequential inner loop numpy uses for 1-D arrays.  The tests hold
+each lane to the pinned per-sample reference kernel
+(``tests/reference_kernel.py``), or, where that frozen kernel keeps its
+old budget rule, to goldens of the deleted scalar kernel: results,
+histories, traces and metrics, including ragged lane lengths, warmup,
+cycle budgets, interrupt stalls, injected faults, failsafe engagement,
+leakage and sensor placement.
 
 Divergence between lanes is handled with masks, not synchronization:
 a step in which a lane warms up or dies on a non-finite state masks
 that lane's cells out of the stage's totals, and a lane that finishes
 or dies leaves -- the stage flushes, the lane's outcome is assembled,
-and the live columns are compacted -- while the remaining lanes keep
-stepping.  Every lane starts at step 0 and every step of a live lane
-costs one sample of cycles, so a lane's cycles and samples follow from
-the step count; the cycle budget check is one compare against the
-earliest live lane's deadline.  Outcomes come back in spec order
-regardless of completion order.
+its end state goes back to its engine's thermal model, and the live
+columns are compacted -- while the remaining lanes keep stepping.
+Every lane starts at step 0 and every step of a live lane costs one
+sample of cycles, so a lane's cycles and samples follow from the step
+count; the cycle budget check is one compare against the earliest live
+lane's deadline.  Outcomes come back in spec order regardless of
+completion order.
 
 The planner (:func:`plan_batches`) groups *compatible* specs -- same
 floorplan / machine / thermal / DTM configuration, differing
 benchmark, policy, or seed -- into lanes; incompatible or multicore
-specs fall back to singleton groups that run through the ordinary
-serial path.  :mod:`repro.sim.parallel` composes these groups inside
-each pool worker, so ``jobs`` (processes) multiplies with ``batch``
-(lanes per kernel).
+specs fall back to singleton groups.  :mod:`repro.sim.parallel`
+composes these groups inside each pool worker, so ``jobs``
+(processes) multiplies with ``batch`` (lanes per kernel).
 """
 
 from __future__ import annotations
@@ -70,10 +72,43 @@ import numpy as np
 
 from repro.errors import ConfigError, SimulationError
 from repro.sim.checkpoint import _canonical
-from repro.sim.fast import SUPPLY_EFFICIENCY, FastEngine, build_phase_tables
+from repro.sim.fast import SUPPLY_EFFICIENCY, FastEngine
 from repro.sim.results import RunResult
 from repro.sim.stage import STAGE_ROWS, SampleStage
 from repro.sim.sweep import _validate_instructions, build_engine
+from repro.workloads.profiles import BenchmarkProfile
+
+
+def build_phase_tables(
+    profile: BenchmarkProfile, names: tuple[str, ...]
+) -> tuple[list[int], list[np.ndarray], list[float], list[float]]:
+    """Prebuilt per-phase lookup tables for one lane.
+
+    Returns ``(phase_ends, phase_activity, phase_jitter, phase_ipc)``:
+    cumulative instruction boundaries (so the phase at a
+    committed-instruction position is one ``bisect``), read-only
+    activity arrays, and scalar jitter/IPC per phase.  Activity must
+    lie in [0, 1]: the kernel clips every row, jittered or not, and the
+    clip must leave the others' values alone.
+    """
+    phase_ends: list[int] = []
+    running = 0
+    phase_activity: list[np.ndarray] = []
+    phase_jitter: list[float] = []
+    phase_ipc: list[float] = []
+    for phase in profile.phases:
+        running += phase.instructions
+        phase_ends.append(running)
+        base = np.array(phase.activity_vector(names), dtype=float)
+        if not np.all((base >= 0.0) & (base <= 1.0)):
+            raise SimulationError(
+                f"{profile.name}: phase {phase.name!r} activity outside [0, 1]"
+            )
+        base.flags.writeable = False
+        phase_activity.append(base)
+        phase_jitter.append(phase.jitter)
+        phase_ipc.append(phase.ipc)
+    return phase_ends, phase_activity, phase_jitter, phase_ipc
 
 
 def validate_batch(batch, *, allow_none: bool = False) -> None:
@@ -189,11 +224,13 @@ class _Lane:
     """Per-lane scalar state: what the stacked kernel cannot broadcast.
 
     The lane's run bookkeeping is Python floats and ints, updated by the
-    per-lane loop with the scalar kernel's own expressions:
-    ``position`` (committed instructions, warmup included: the phase
-    position), ``committed`` (measured instructions), ``warmup``
-    (warmup instructions outstanding) and ``warmup_samples``.
+    per-lane loop: ``position`` (committed instructions, warmup
+    included: the phase position), ``committed`` (measured
+    instructions), ``warmup`` (warmup instructions outstanding) and
+    ``warmup_samples``.
     ``deadline`` is the step count at which the cycle budget runs out.
+    ``leakage`` and ``monitored`` are the engine's leakage model and
+    sensed block indices, or ``None``.
     """
 
     __slots__ = (
@@ -201,56 +238,40 @@ class _Lane:
         "on_sample", "rng", "phase_total", "phase_ends", "phase_jitter",
         "phase_ipc", "single_phase", "first_row", "max_cycles", "deadline",
         "instructions", "position", "committed", "warmup", "warmup_samples",
-        "error",
+        "error", "leakage", "monitored",
     )
 
 
 class BatchEngine:
     """Run B independent :class:`FastEngine` simulations in lock-step.
 
-    ``engines`` are *unrun* engines (see
-    :func:`~repro.sim.sweep.build_engine`); every engine must share the
-    same floorplan, machine, thermal, and DTM configuration -- the
-    compatibility :func:`plan_batches` guarantees for grouped specs --
-    while benchmark profiles, policies, seeds, sensors, fault
-    schedules, and failsafe guards are free to differ per lane.
+    ``engines`` must share the same floorplan, machine, thermal, and
+    DTM configuration -- the compatibility :func:`plan_batches`
+    guarantees for grouped specs -- while benchmark profiles, policies,
+    seeds, sensors, sensor placement, leakage, fault schedules, and
+    failsafe guards are free to differ per lane.  Each lane starts from
+    its engine's thermal state and leaves its end state there.
 
-    Results are bit-identical to running each engine's ``run()``
-    serially.  Two deliberate observability exceptions, both shared
-    with the PR-4 parallel executor's worker model: profiler *spans*
-    are not reproduced lane-per-lane (the stacked thermal call cannot
-    attribute its time to one lane), and per-sample ``latency_seconds``
-    measures the batched step, not an isolated serial step.
+    Each lane's result is bit-identical to a one-lane run of its
+    engine.  Two deliberate observability exceptions: profiler *spans*
+    are not reproduced lane-per-lane (the stacked thermal call records
+    its ``thermal.advance`` span in lane 0's profiler), and per-sample
+    ``latency_seconds`` measures the batched step.
     """
 
     def __init__(self, engines) -> None:
         engines = list(engines)
         if not engines:
             raise SimulationError("BatchEngine needs at least one lane")
-        first = engines[0]
-        key = repr(_canonical((
-            first.floorplan, first.machine,
-            first.thermal_config, first.dtm_config,
-        )))
-        for index, engine in enumerate(engines):
-            if engine.leakage is not None:
-                raise SimulationError(
-                    f"lane {index}: leakage models cannot be lane-batched"
-                )
-            if engine._monitored is not None:
-                raise SimulationError(
-                    f"lane {index}: sensor placement (monitored_blocks) "
-                    f"cannot be lane-batched"
-                )
-            if index and repr(_canonical((
-                engine.floorplan, engine.machine,
-                engine.thermal_config, engine.dtm_config,
-            ))) != key:
-                raise SimulationError(
-                    f"lane {index}: incompatible simulation environment "
-                    f"(floorplan/machine/thermal/DTM configuration must "
-                    f"match lane 0)"
-                )
+        if len(engines) > 1:
+            key = _environment(engines[0])
+            for index, engine in enumerate(engines[1:], 1):
+                if _environment(engine) != key:
+                    raise SimulationError(
+                        f"lane {index}: incompatible simulation environment "
+                        f"(floorplan/machine/thermal/DTM configuration must "
+                        f"match lane 0)"
+                    )
         self.engines = engines
 
     def __len__(self) -> int:
@@ -323,7 +344,7 @@ class BatchEngine:
                 lane.max_cycles, lane.on_sample, lane.time_samples, lane.rng,
             ) = start
             # Every step of a live lane spends ``sample`` cycles, and
-            # the scalar kernel stops once they reach ``max_cycles``.
+            # the lane stops once they reach ``max_cycles``.
             lane.deadline = -(-lane.max_cycles // sample)
             lane.engine = engine
             lane.slot = slot
@@ -335,6 +356,8 @@ class BatchEngine:
             lane.committed = 0.0
             lane.warmup = float(warmup[slot])
             lane.warmup_samples = 0
+            lane.leakage = engine.leakage
+            lane.monitored = engine._monitored
             lane.phase_total = engine.profile.total_instructions
             (
                 lane.phase_ends, phase_activity, lane.phase_jitter,
@@ -360,9 +383,9 @@ class BatchEngine:
         thermal = first.thermal
         # The unmonitored area is one more column of the stacked power
         # expression: its utilization is the blocks' mean.
+        block_peaks = first.power_model.peaks_view
         peaks = np.append(
-            first.power_model.peaks_view,
-            first.floorplan.unmonitored_peak_power,
+            block_peaks, first.floorplan.unmonitored_peak_power
         )
         idle = first.power_model.idle_fraction
         active_frac = 1.0 - idle
@@ -395,7 +418,7 @@ class BatchEngine:
         keep_rows = stage.keep_rows
         history_rows = stage.powers is not None
 
-        # Per-step lane values from the scalar loop (index r holds live
+        # Per-step lane values from the per-lane loop (index r holds live
         # lane r this sample).  Row r of ``noise`` takes live lane r's
         # jitter draws (the activity draws, then the IPC draw); a
         # non-jittered lane leaves stale draws there, which its zero
@@ -426,9 +449,19 @@ class BatchEngine:
                     mean_utilization = utilization[:, block_count]
                     del phase_rows[k:]
                     regather = True
+                    leaky = [
+                        (r, lane.leakage) for r, lane in enumerate(live)
+                        if lane.leakage is not None
+                    ]
+                    placed = [
+                        (r, lane.monitored) for r, lane in enumerate(live)
+                        if lane.monitored is not None
+                    ]
                 iter_start = perf_counter() if timing else 0.0
                 start = state
                 sensed = np.maximum.reduce(start, axis=1)
+                for r, monitored in placed:
+                    sensed[r] = start[r, monitored].max()
                 sensed_py = sensed.tolist()
                 stall_row = s_stalls[step]
                 if keep_rows:
@@ -436,11 +469,10 @@ class BatchEngine:
                 warming: list[int] = []
                 leaving: list[int] = []
                 for r, lane in enumerate(live):
-                    # The scalar kernel's per-sample arithmetic, lane by
-                    # lane, on Python floats: phase lookup, seeded
-                    # jitter draws (per-lane RNG stream, the scalar
-                    # draw order), the DTM decision, and the demand,
-                    # supply and commit of this sample.
+                    # The per-sample arithmetic, lane by lane, on Python
+                    # floats: phase lookup, seeded jitter draws
+                    # (per-lane RNG stream), the DTM decision, and the
+                    # demand, supply and commit of this sample.
                     position = lane.position
                     if lane.single_phase:
                         index = 0
@@ -485,8 +517,8 @@ class BatchEngine:
                         controls[r] = lane.telemetry.take_control()
                         committed_row[r] = committed
 
-                # The stacked pass: the scalar kernel's elementwise
-                # arithmetic, broadcast over the lane axis.  A
+                # The stacked pass: one lane's elementwise arithmetic,
+                # broadcast over the lane axis.  A
                 # non-jittered row has scale 0, so its factor is
                 # exactly 1.0 and the clip leaves its prebuilt
                 # activity (in [0, 1], build_phase_tables checks it)
@@ -511,6 +543,9 @@ class BatchEngine:
                 all_powers += idle
                 all_powers *= peaks
                 powers = all_powers[:, :block_count]
+                for r, leakage in leaky:
+                    # Quasi-static leakage at the sample's start state.
+                    powers[r] += leakage.power(block_peaks, start[r])
                 chip_power = np.add.reduce(powers, axis=1)
                 chip_power += all_powers[:, block_count]
                 end, steady = thermal.advance_batch(start, powers, sample)
@@ -537,8 +572,7 @@ class BatchEngine:
                     + np.add.reduce(end, axis=None)
                 ):
                     leaving += _settle_masked(
-                        live, stage, step, start, end, chip_power,
-                        duties, warming,
+                        live, stage, step, end, chip_power, duties, warming,
                     )
                 steps += 1
                 step += 1
@@ -562,6 +596,7 @@ class BatchEngine:
                     gone = set(leaving)
                     for r in gone:
                         lane = live[r]
+                        lane.engine.thermal.set_temperatures(end[r])
                         outcomes[lane.slot] = (
                             LaneOutcome(error=lane.error)
                             if lane.error is not None
@@ -585,12 +620,12 @@ class BatchEngine:
 
 
 def _settle_masked(
-    live, stage, step, start, end, chip_power, duties, warming,
+    live, stage, step, end, chip_power, duties, warming,
 ) -> list[int]:
     """Mask a step with a warming or non-finite lane out of the stage.
 
     A warming lane's step is excluded from every total; a non-finite
-    lane's also gets the scalar kernel's error and finite stand-in
+    lane's also gets the run's non-finite error and finite stand-in
     temperature rows for the threshold pass.  Returns the non-finite
     rows, which leave.
     """
@@ -603,10 +638,11 @@ def _settle_masked(
     stage.measured[step, :k] = measured
     stage.masked = True
     bad = np.flatnonzero(~finite)
-    stage.steady[step, bad] = start[bad]
-    stage.end[step, bad] = start[bad]
+    # Finite stand-ins (the start state itself may not be finite).
+    for rows in (stage.start, stage.steady, stage.end):
+        rows[step, bad] = 0.0
     for r in bad.tolist():
-        # The lane leaves with the serial kernel's error; the others
+        # The lane leaves with its non-finite error; the others
         # keep stepping.
         live[r].error = live[r].engine._non_finite(
             end[r], float(chip_power[r]), duties[r]
@@ -627,6 +663,14 @@ def _finish(stage: SampleStage, lane: _Lane, steps: int) -> LaneOutcome:
     except SimulationError as error:
         return LaneOutcome(error=error)
     return LaneOutcome(result=result)
+
+
+def _environment(engine) -> str:
+    """The canonical simulation environment lanes must share."""
+    return repr(_canonical((
+        engine.floorplan, engine.machine,
+        engine.thermal_config, engine.dtm_config,
+    )))
 
 
 def _per_lane(value, count: int, name: str) -> list:

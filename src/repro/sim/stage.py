@@ -1,11 +1,11 @@
-"""Deferred threshold accounting shared by the scalar and lane kernels.
+"""Deferred threshold accounting of the sample kernel.
 
 The paper counts emergency and stress time with sub-sample accuracy
 from the closed-form RC trajectory
 (:meth:`~repro.thermal.lumped.LumpedThermalModel.fractions_above`).  No
 controller reads those fractions: they feed only the run's
-accumulators, its history rows and its telemetry records.  So neither
-sample kernel evaluates them per sample.  Each measured sample copies
+accumulators, its history rows and its telemetry records.  So the
+kernel does not evaluate them per sample.  Each measured sample copies
 its ``(start, steady, end)`` block rows into a :class:`SampleStage` --
 fixed :data:`STAGE_ROWS`-row buffers with one column per lane -- and
 the stage's :meth:`~SampleStage.flush` post-pass then
@@ -27,13 +27,13 @@ the stage's :meth:`~SampleStage.flush` post-pass then
   per chunk.
 
 No controller reads any of these totals either, so the stage owns
-them: the kernels keep only what steers a run (its committed
+them: the kernel keeps only what steers a run (its committed
 instructions, warmup and cycle budget).
 
-A kernel flushes when the chunk is full, when a lane leaves the lane
-kernel, and when its run ends or raises (the non-finite
-``SimulationError`` included), so a run's records and results are
-bit-identical to the per-sample loop's.
+The kernel flushes when the chunk is full, when a lane leaves, and
+when its run ends or raises (the non-finite ``SimulationError``
+included), so a run's records and results are bit-identical to a
+per-sample loop's.
 """
 
 from __future__ import annotations
@@ -44,14 +44,10 @@ from repro.errors import SimulationError
 from repro.sim.results import History, RunResult
 from repro.telemetry.core import NO_CONTROL
 
-#: Samples (lane-kernel steps) staged per threshold pass.  A module
+#: Samples (kernel steps) staged per threshold pass.  A module
 #: constant, not a knob: results do not depend on it, and 512 rows keep
-#: a lane-kernel chunk under a megabyte.
+#: a chunk under a megabyte.
 STAGE_ROWS = 512
-
-#: Column index array of the scalar kernel's single lane.
-LANE0 = np.zeros(1, dtype=np.intp)
-
 
 def _running_sum(total: np.ndarray, rows: np.ndarray, axis: int) -> np.ndarray:
     """``total`` plus every slice of ``rows`` along ``axis``, in order."""
@@ -109,15 +105,15 @@ class SampleStage:
     """Staged measured samples of one or more lanes, and their totals.
 
     ``engines`` are the kernel's engines, one lane (column slot) each;
-    they share ``thermal``'s floorplan.  Per step a kernel writes the
+    they share ``thermal``'s floorplan.  Per step the kernel writes the
     rows of its live lanes into columns ``[:k]`` of row ``s`` of
     :attr:`start`, :attr:`steady`, :attr:`end`, :attr:`chip` (chip
     power) and :attr:`stalls` (interrupt stall cycles), and -- only
     when :attr:`keep_rows` (some lane records telemetry or history) --
     of :attr:`sensed`, :attr:`committed` (recording lanes only) and
     :attr:`powers` (history only), appending
-    ``(duties, controls, latency_seconds)`` to :attr:`extras`.  A lane
-    kernel step in which a live lane did not measure (warmup, or a
+    ``(duties, controls, latency_seconds)`` to :attr:`extras`.  A
+    step in which a live lane did not measure (warmup, or a
     non-finite state) clears that lane's :attr:`measured` cell, fills
     its temperature rows with finite values, and sets :attr:`masked`.
 

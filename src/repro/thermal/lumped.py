@@ -154,6 +154,22 @@ class LumpedThermalModel:
         """Return every block to the initial temperature."""
         self._temps.fill(self._initial)
 
+    def set_temperatures(self, temperatures: np.ndarray) -> None:
+        """Rebind the state to a copy of ``temperatures`` [degC].
+
+        The lane-batched kernel (:mod:`repro.sim.batch`) owns a run's
+        stacked state and hands each leaving lane's end state back
+        here, so a second run of the same engine starts where the
+        first ended.
+        """
+        temperatures = np.array(temperatures, dtype=float)
+        if temperatures.shape != self._temps.shape:
+            raise ThermalModelError(
+                f"expected {self._temps.shape[0]} block temperatures, "
+                f"got {temperatures.shape}"
+            )
+        self._temps = temperatures
+
     # -- updates -------------------------------------------------------------
     def step_cycle(self, powers: np.ndarray) -> np.ndarray:
         """One clock cycle of forward Euler (the paper's Equation 5).
@@ -292,8 +308,18 @@ class LumpedThermalModel:
 
         Pure: unlike :meth:`advance_from`, the model's own temperature
         state is **not** touched -- the caller (the lane-batched engine
-        of :mod:`repro.sim.batch`) owns the stacked state.
+        of :mod:`repro.sim.batch`) owns the stacked state.  With a
+        profiler attached, the call is a ``thermal.advance`` span, as
+        :meth:`advance_from` is.
         """
+        if self._profiler is not None:
+            with self._profiler.span("thermal.advance"):
+                return self._advance_batch(start, powers, cycles)
+        return self._advance_batch(start, powers, cycles)
+
+    def _advance_batch(
+        self, start: np.ndarray, powers: np.ndarray, cycles: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         if cycles <= 0:
             raise ThermalModelError("cycles must be positive")
         start = np.asarray(start, dtype=float)
@@ -392,7 +418,7 @@ class LumpedThermalModel:
         # whole pass in an ``np.errstate`` context (measurably costly
         # per sample).  Every lane that *is* consumed evaluates the
         # exact same expression as before -- bit-identity is asserted
-        # by a property test against the scalar kernel's history.
+        # against the pinned reference kernel's per-threshold passes.
         denominator = steady - thr
         ratio = (steady - start) / np.where(
             denominator != 0.0, denominator, 1.0

@@ -1,8 +1,10 @@
 """The pinned, unfused fast-engine kernel (bit-identity reference).
 
-:class:`ReferenceFastEngine` preserves the original per-sample body of
-:meth:`repro.sim.fast.FastEngine._run` exactly as it stood before the
-fused-kernel optimization:
+A test fixture, not part of the shipped package.
+:class:`ReferenceFastEngine` preserves the original per-sample loop of
+:class:`repro.sim.fast.FastEngine` exactly as it stood before the
+fused-kernel optimization (the shipped engine now runs every run on the
+lane kernel of :mod:`repro.sim.batch`):
 
 * a fresh ``np.array(phase.activity_vector(...))`` tuple rebuild per
   sample;
@@ -18,12 +20,13 @@ fused-kernel optimization:
 
 It exists for two reasons:
 
-1. **bit-identity tests** (``tests/test_sim_reference.py``) assert that
-   the fused kernel produces *exactly* the same :class:`RunResult` for
-   the same seeds -- every optimization in the fused path must be a
-   pure strength reduction, not a numerical change;
+1. **bit-identity tests** (``tests/test_sim_reference.py``,
+   ``tests/test_sim_stage.py``, ``tests/test_sim_batch.py``) assert
+   that the lane kernel produces *exactly* the same :class:`RunResult`,
+   history and telemetry for the same seeds -- every optimization in it
+   must be a pure strength reduction, not a numerical change;
 2. **the kernel benchmark** (``benchmarks/test_bench_parallel.py``)
-   measures the fused engine's samples/sec against this pinned
+   measures the shipped engine's samples/sec against this pinned
    implementation, so the speedup claim is anchored to a fixed
    baseline rather than to whatever the previous commit happened to
    contain.
@@ -32,30 +35,76 @@ One deliberate behavioural difference is documented and tested: the
 reference engine carries the pre-fix cycle-budget bug where warmup
 consumed its own ``max_cycles`` allowance *in addition to* the
 measurement budget, so a warmed-up run could simulate up to twice
-``max_cycles``.  The fused engine charges warmup and measurement
+``max_cycles``.  The shipped engine charges warmup and measurement
 against a single shared budget (see the regression test).  Runs whose
-budgets are never exhausted -- every comparison in the bit-identity
-tests and benchmark -- are unaffected.
+budgets are never exhausted are unaffected.  The runs that exhaust a
+shared budget compare against :func:`scalar_golden` instead: outcomes
+of the scalar kernel this module was pinned from, captured at commit
+a553d8f before that kernel was deleted
+(``tests/scalar_kernel_goldens.json``).
 
-Do not "improve" this module; it is intentionally frozen.
+:func:`build_reference` builds the reference engine of a
+:class:`~repro.sim.parallel.WorkSpec`.
+
+Do not "improve" the kernel; it is intentionally frozen.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.fast import FastEngine
+from repro.sim.codec import result_from_dict
+from repro.sim.fast import SUPPLY_EFFICIENCY, FastEngine
 from repro.sim.results import History, RunResult
+from repro.sim.sweep import build_engine
+
+#: The scalar kernel's outcomes by case name: ``{"result": <result
+#: dict>, "samples": <DTM samples, warmup included>}`` or ``{"message":
+#: ..., "diagnostics": {...}}`` for a run that raised.
+SCALAR_GOLDENS = json.loads(
+    (Path(__file__).with_name("scalar_kernel_goldens.json")).read_text()
+)
+
+
+def scalar_golden(name: str) -> RunResult | SimulationError:
+    """The scalar kernel's result, or the error it raised, for a case."""
+    golden = SCALAR_GOLDENS[name]
+    if "result" in golden:
+        return result_from_dict(golden["result"])
+    return SimulationError(golden["message"], **golden["diagnostics"])
+
+
+def build_reference(spec, telemetry=None) -> ReferenceFastEngine:
+    """The reference engine of a spec: :func:`build_engine`'s engine,
+    run by the pinned kernel."""
+    engine = build_engine(spec, telemetry)
+    engine.__class__ = ReferenceFastEngine
+    return engine
 
 
 class ReferenceFastEngine(FastEngine):
     """`FastEngine` with the original (unfused) per-sample kernel."""
 
-    def _run(
+    supply_efficiency = SUPPLY_EFFICIENCY
+
+    def run(
+        self,
+        instructions: float = 2_000_000,
+        max_cycles: int | None = None,
+        warmup_instructions: float = 0,
+    ) -> RunResult:
+        with self.telemetry.span("engine.run"):
+            return self._reference_run(
+                instructions, max_cycles, warmup_instructions
+            )
+
+    def _reference_run(
         self,
         instructions: float,
         max_cycles: int | None,

@@ -1,11 +1,17 @@
 """The lane-batched simulation subsystem (:mod:`repro.sim.batch`).
 
-The headline guarantee -- ``batch=B`` is bit-identical to B sequential
-fast-engine runs -- is asserted three ways: directly on a
+The headline guarantee -- each lane of ``batch=B`` is bit-identical to
+its own run on the pinned per-sample reference kernel
+(``tests/reference_kernel.py``) -- is asserted directly on a
 :class:`BatchEngine` over mixed lanes (policies, seeds, faults,
-failsafe, ragged budgets, history on/off), through the executor
-(``run_specs``/``run_suite``/orchestrator, serial and pooled), and as
-a hypothesis property over random matrices and B in {1, 2, 4, 8}.
+failsafe, ragged budgets, history on/off) and as a hypothesis property
+over random matrices and B in {1, 2, 4, 8}.  Runs that exhaust a
+shared warmup-plus-measurement cycle budget, which the reference
+budgets differently, are held to goldens of the deleted scalar kernel.
+Through the executor (``run_specs``/``run_suite``/orchestrator, serial
+and pooled) ``batch=B`` must equal ``batch=1``.
+
+A static guard keeps the lane kernel the only single-core sample loop.
 
 Cross-backend checkpoint parity: a journal written by a serial sweep
 resumes under ``batch=B`` (and vice versa) with results bit-identical
@@ -15,7 +21,10 @@ same canonical spec fingerprints.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +60,9 @@ from repro.sim.parallel import (
     run_specs,
     sweep_defaults,
 )
+from repro.sim.fast import FastEngine
 from repro.sim.sweep import build_engine, run_suite
+from tests.reference_kernel import build_reference, scalar_golden
 from tests.test_sim_parallel import (
     INSTRUCTIONS,
     assert_metrics_match,
@@ -226,7 +237,7 @@ class TestPlanner:
 
 class TestBatchEngineParity:
     def test_single_lane_matches_serial_engine(self):
-        serial = build_engine(WorkSpec("gcc", "pid", seed=2)).run(
+        serial = build_reference(WorkSpec("gcc", "pid", seed=2)).run(
             instructions=INSTRUCTIONS
         )
         lane = build_engine(WorkSpec("gcc", "pid", seed=2))
@@ -236,7 +247,7 @@ class TestBatchEngineParity:
     def test_mixed_lanes_bit_identical(self):
         specs = mixed_specs()
         serial = [
-            build_engine(spec).run(instructions=spec.instructions)
+            build_reference(spec).run(instructions=spec.instructions)
             for spec in specs
         ]
         outcomes = run_spec_lanes(specs)
@@ -246,7 +257,7 @@ class TestBatchEngineParity:
             assert_histories_equal(a.history, o.result.history)
 
     def test_warmup_parity(self):
-        a = build_engine(WorkSpec("gcc", "pid"))
+        a = build_reference(WorkSpec("gcc", "pid"))
         b = build_engine(WorkSpec("gcc", "pid"))
         warm_serial = a.run(
             instructions=INSTRUCTIONS, warmup_instructions=30_000
@@ -263,8 +274,10 @@ class TestBatchEngineParity:
         out of its totals; equake and gzip stop on their budgets
         mid-measurement (gzip's is not a whole number of samples);
         parser's warmup overruns its budget; art's budget of 0 cycles
-        allows no sample at all.  Every outcome equals the scalar
-        run's."""
+        allows no sample at all.  Every outcome equals the reference
+        run's, except where the shared warmup-plus-measurement budget
+        runs out (equake, parser): the reference gives warmup a budget
+        of its own, so those equal the scalar kernel's goldens."""
         interrupts = DTMConfig(
             use_interrupts=True, nonct_trigger=100.1, policy_delay=2000
         )
@@ -280,11 +293,14 @@ class TestBatchEngineParity:
             WorkSpec(benchmark, policy, dtm_config=interrupts)
             for benchmark, policy, *_ in lanes
         ]
-        scalar = [build_engine(spec) for spec in specs]
+        scalar = [build_reference(spec) for spec in specs]
         expected = []
-        for engine, (*_, instructions, max_cycles, warmup) in zip(
+        for engine, (benchmark, _, instructions, max_cycles, warmup) in zip(
             scalar, lanes
         ):
+            if benchmark in ("equake", "parser"):
+                expected.append(scalar_golden(f"cycle_budgets/{benchmark}"))
+                continue
             try:
                 expected.append(engine.run(
                     instructions=instructions,
@@ -312,6 +328,9 @@ class TestBatchEngineParity:
                 assert outcome.result is None
                 assert type(outcome.error) is type(want)
                 assert str(outcome.error) == str(want)
+                assert repr(outcome.error.diagnostics) == repr(
+                    want.diagnostics
+                )
             else:
                 assert outcome.error is None
                 assert_results_equal(want, outcome.result)
@@ -327,7 +346,7 @@ class TestBatchEngineParity:
         assert isinstance(outcomes[1].error, SimulationError)
         assert outcomes[2].error is None and outcomes[2].result is not None
         # The surviving lanes match their solo runs exactly.
-        solo = build_engine(specs[2]).run(instructions=60_000)
+        solo = build_reference(specs[2]).run(instructions=60_000)
         assert_results_equal(solo, outcomes[2].result)
 
     def test_run_raises_earliest_lane_error(self):
@@ -687,8 +706,18 @@ class TestBatchProperty:
                 )
                 for i, spec in enumerate(specs)
             ]
+        # The oracle: the same sweep, every spec on the reference kernel.
+        built = []
+
+        def reference(spec, telemetry=None):
+            built.append(spec)
+            return build_reference(spec, telemetry)
+
         t_serial = quiet_telemetry()
-        serial = run_specs(specs, jobs=1, telemetry=t_serial)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel_module, "build_engine", reference)
+            serial = run_specs(specs, jobs=1, telemetry=t_serial)
+        assert built == specs
         t_batched = quiet_telemetry()
         batched = run_specs(
             specs, jobs=1, batch=batch, telemetry=t_batched
@@ -706,3 +735,31 @@ class TestBatchProperty:
         assert_metrics_match(
             t_serial.metrics.snapshot(), t_batched.metrics.snapshot()
         )
+
+
+SIM_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro" / "sim"
+
+
+class TestOneSampleKernel:
+    """The lane kernel is the only single-core sample loop."""
+
+    def test_fast_engine_has_no_loop_of_its_own(self):
+        assert "_run" not in vars(FastEngine)
+        assert not hasattr(FastEngine, "_run")
+
+    def test_reference_kernel_is_not_shipped(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.sim.reference")
+
+    def test_only_the_lane_kernel_advances_the_thermal_model(self):
+        callers = set()
+        for path in SIM_PACKAGE.rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("advance_batch", "advance_from")
+                ):
+                    callers.add(path.relative_to(SIM_PACKAGE).as_posix())
+        assert callers == {"batch.py"}

@@ -208,7 +208,13 @@ class TestCrashAttribution:
             assert handle.read() == "1"
 
 
+_LANE_KERNEL = BatchEngine._run
+
+
 def _group_raises(self, *args, **kwargs):
+    """A lane group raises as a whole; a lone run (one lane) still runs."""
+    if len(self.engines) == 1:
+        return _LANE_KERNEL(self, *args, **kwargs)
     raise RuntimeError("lane group failed as a whole")
 
 

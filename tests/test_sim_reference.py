@@ -1,19 +1,21 @@
-"""Bit-identity guard: the fused fast-engine kernel vs the pinned reference.
+"""Bit-identity guard: the sample kernel vs the pinned reference.
 
-Every optimization in :meth:`repro.sim.fast.FastEngine._run` (prebuilt
-phase activity arrays, no-copy state views, the fused
-``advance_from`` thermal call, the single dual-threshold
+:meth:`repro.sim.fast.FastEngine.run` is a one-lane
+:class:`~repro.sim.batch.BatchEngine`.  Every optimization in that
+kernel (prebuilt phase tables, no-copy state views, the stacked
+``advance_batch`` thermal call, the deferred dual-threshold
 ``fractions_above`` pass, preallocated history buffers) must be a pure
 strength reduction.  These tests assert *exact* float equality -- not
-approximate closeness -- between the fused engine and
-:class:`repro.sim.reference.ReferenceFastEngine`, which pins the
+approximate closeness -- between the engine and
+:class:`tests.reference_kernel.ReferenceFastEngine`, which pins the
 original per-sample body verbatim.
 
 The one intentional difference is also locked down here: the reference
 carries the pre-fix cycle-budget bug (warmup consumed its own
 ``max_cycles`` allowance on top of the measurement budget), while the
-fused engine charges warmup and measurement against a single shared
-budget.
+engine charges warmup and measurement against a single shared budget.
+Runs that exhaust that shared budget are held to goldens of the
+deleted scalar kernel instead.
 """
 
 from __future__ import annotations
@@ -24,12 +26,22 @@ import pytest
 from repro.dtm.policies import make_policy
 from repro.errors import SimulationError
 from repro.power.leakage import LeakageModel
+from repro.sim.batch import BatchEngine
 from repro.sim.fast import FastEngine
-from repro.sim.reference import ReferenceFastEngine
 from repro.telemetry.core import Telemetry
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.lumped import LumpedThermalModel
-from repro.workloads.profiles import get_profile
+from repro.workloads.phases import Phase, uniform_activity
+from repro.workloads.profiles import (
+    BenchmarkProfile,
+    ThermalCategory,
+    get_profile,
+)
+from tests.reference_kernel import (
+    SCALAR_GOLDENS,
+    ReferenceFastEngine,
+    scalar_golden,
+)
 
 SCALAR_FIELDS = (
     "benchmark",
@@ -66,7 +78,9 @@ HISTORY_FIELDS = (
 def build(cls, benchmark, policy, seed=0, **kwargs):
     floorplan = kwargs.pop("floorplan", None) or Floorplan.default()
     return cls(
-        get_profile(benchmark),
+        benchmark
+        if isinstance(benchmark, BenchmarkProfile)
+        else get_profile(benchmark),
         policy=make_policy(policy, floorplan),
         floorplan=floorplan,
         seed=seed,
@@ -161,6 +175,11 @@ class TestCycleBudgetFix:
         total_cycles = engine.manager.samples * sample  # includes warmup
         assert total_cycles <= budget
         assert result.cycles < total_cycles  # warmup actually happened
+        # The reference keeps its own budget rule: the scalar kernel's
+        # golden is the oracle.
+        golden = "budget_covers_warmup_plus_measurement"
+        assert engine.manager.samples == SCALAR_GOLDENS[golden]["samples"]
+        assert_identical(result, scalar_golden(golden))
 
     def test_reference_overruns_budget_by_warmup(self):
         """The pinned reference keeps the old double-budget behaviour."""
@@ -175,12 +194,15 @@ class TestCycleBudgetFix:
 
     def test_budget_exhausted_during_warmup_raises(self):
         engine = build(FastEngine, "gcc", "none", seed=0)
-        with pytest.raises(SimulationError, match="warmup"):
+        with pytest.raises(SimulationError, match="warmup") as info:
             engine.run(
                 instructions=10**12,
                 max_cycles=10_000,
                 warmup_instructions=10**12,
             )
+        golden = scalar_golden("budget_exhausted_during_warmup")
+        assert str(info.value) == str(golden)
+        assert repr(info.value.diagnostics) == repr(golden.diagnostics)
 
     def test_unlimited_runs_unaffected(self):
         """Runs that never exhaust their budget are bit-identical."""
@@ -190,6 +212,85 @@ class TestCycleBudgetFix:
             fused.run(300_000, warmup_instructions=60_000),
             reference.run(300_000, warmup_instructions=60_000),
         )
+
+
+#: Demand IPC is floored at this value before the throughput model.
+DEMAND_FLOOR = 0.05
+
+#: Synthetic profiles whose demand IPC falls below the floor: a phase
+#: whose IPC is itself below it, and a low-IPC phase whose jitter
+#: (demand draws ``ipc * (1 + 0.25 z)``) crosses it on about one sample
+#: in eight, between two ordinary phases.
+FLOOR_PROFILES = {
+    "stalled": BenchmarkProfile(
+        "stalled",
+        ThermalCategory.LOW,
+        (Phase("stall", 40_000, 0.02, uniform_activity(0.3), jitter=0.05),),
+        seed=5,
+    ),
+    "jittery": BenchmarkProfile(
+        "jittery",
+        ThermalCategory.LOW,
+        (
+            Phase("busy", 20_000, 1.2, uniform_activity(0.6), jitter=0.05),
+            Phase("starved", 20_000, 0.07, uniform_activity(0.2), jitter=0.5),
+        ),
+        seed=6,
+    ),
+}
+
+
+class TestDemandFloor:
+    """The 0.05 demand floor binds, and binds as in the reference."""
+
+    @pytest.mark.parametrize("name", sorted(FLOOR_PROFILES))
+    def test_floored_demand_matches_reference(self, name):
+        profile = FLOOR_PROFILES[name]
+        runs = []
+        for cls in (FastEngine, ReferenceFastEngine):
+            engine = build(
+                cls, profile, "none", seed=2, record_history=True,
+                telemetry=Telemetry(),
+            )
+            runs.append((engine.run(150_000), engine.telemetry))
+        (lane, lane_sink), (reference, reference_sink) = runs
+        assert_identical(lane, reference)
+        assert lane_sink.trace.emitted == reference_sink.trace.emitted
+        # Without DTM the supply never binds and nothing stalls, so a
+        # sample's IPC is its demand: the floor is the least of them.
+        ipcs = [record.ipc for record in lane_sink.trace.records()]
+        assert [
+            record.ipc for record in reference_sink.trace.records()
+        ] == ipcs
+        assert min(ipcs) == DEMAND_FLOOR
+        floored = ipcs.count(DEMAND_FLOOR)
+        assert floored >= len(ipcs) // 20
+        if name == "jittery":
+            assert floored < len(ipcs)  # only some draws fall below
+
+
+class TestEngineReuse:
+    """A second run continues from the first run's end state."""
+
+    def test_consecutive_runs_match_a_reused_reference(self):
+        engine = build(FastEngine, "gcc", "pid", seed=1)
+        reference = build(ReferenceFastEngine, "gcc", "pid", seed=1)
+        for _ in range(2):
+            assert_identical(engine.run(300_000), reference.run(300_000))
+        assert np.array_equal(
+            engine.thermal.temperatures, reference.thermal.temperatures
+        )
+
+    def test_consecutive_one_lane_batches_match_a_reused_reference(self):
+        engine = build(FastEngine, "gcc", "pid", seed=1)
+        reference = build(ReferenceFastEngine, "gcc", "pid", seed=1)
+        first = reference.run(300_000)
+        second = reference.run(300_000)
+        [lane] = BatchEngine([engine]).run(instructions=300_000)
+        assert_identical(lane, first)
+        [lane] = BatchEngine([engine]).run(instructions=300_000)
+        assert_identical(lane, second)
+        assert second.mean_chip_power != first.mean_chip_power
 
 
 class TestReadOnlyViews:

@@ -1,14 +1,15 @@
 """Chunk-boundary parity of the deferred threshold pass.
 
-Both sample kernels stage each measured sample and evaluate the
+The sample kernel stages each measured sample and evaluates the
 emergency/stress fractions once per :data:`~repro.sim.stage.STAGE_ROWS`
 rows (:mod:`repro.sim.stage`).  The gate suites' runs are a few hundred
 samples long, so they never leave the first chunk.  These runs cross
 several chunks, end exactly on a chunk boundary, turn non-finite in
-the middle of one, and run ragged lanes; each is compared field by
-field with the pinned per-sample reference or with serial runs:
-results, histories, every retained trace record, the event stream and
-the metrics snapshot (minus the wall-clock latency histogram).
+the middle of one, and run ragged and mixed lanes; each lane is
+compared field by field with its run on the pinned per-sample
+reference (``tests/reference_kernel.py``): results, histories, every
+retained trace record, the event stream and the metrics snapshot
+(minus the wall-clock latency histogram).
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from repro.power.leakage import LeakageModel
 from repro.sim.batch import BatchEngine
 from repro.sim.fast import FastEngine
 from repro.sim.parallel import WorkSpec
-from repro.sim.reference import ReferenceFastEngine
 from repro.sim.stage import STAGE_ROWS
 from repro.sim.sweep import build_engine
 from repro.telemetry.core import Telemetry
 from repro.thermal.floorplan import Floorplan
 from repro.workloads.profiles import get_profile
+from tests.reference_kernel import ReferenceFastEngine, build_reference
 
 LATENCY = "engine.sample_latency_seconds"
 SAMPLE = 1000  # DTMConfig().sampling_interval
@@ -104,6 +105,8 @@ class _PoisonedLeakage:
 
 
 class TestScalarKernelChunks:
+    """Lone runs (a one-lane batch) against the reference."""
+
     def test_three_chunks_with_every_option(self):
         kwargs = dict(
             seed=5,
@@ -162,9 +165,9 @@ class TestScalarKernelChunks:
         assert_telemetry_equal(*sinks)
 
 
-def _lane_engines(lanes, telemetry=True):
+def _lane_engines(lanes, telemetry=True, build=build_engine):
     return [
-        build_engine(
+        build(
             WorkSpec(benchmark, policy, seed=seed, record_history=history),
             Telemetry() if telemetry else None,
         )
@@ -191,7 +194,7 @@ class TestLaneKernelChunks:
             instructions=[lane[4] for lane in LANES],
             warmup_instructions=[lane[5] for lane in LANES],
         )
-        serial = _lane_engines(LANES)
+        serial = _lane_engines(LANES, build=build_reference)
         for lane, outcome, batched, engine in zip(
             LANES, outcomes, engines, serial
         ):
@@ -203,34 +206,38 @@ class TestLaneKernelChunks:
 
     def test_lane_turning_non_finite_mid_chunk(self):
         """Lane 0 (the longest, so always row 0) blows up at sample
-        ``at``; the other lanes run on to their serial results."""
+        ``at``; the other lanes run on to their reference results."""
         at = 2 * STAGE_ROWS + 77
 
-        def poison(advance, batched):
-            calls = [0]
-
-            def poisoned(start, powers, cycles):
-                end, steady = advance(start, powers, cycles)
-                calls[0] += 1
-                if calls[0] == at:
-                    end = end.copy()
-                    end[0 if batched else slice(None)] = math.nan
-                return end, steady
-
-            return poisoned
-
         engines = _lane_engines(LANES)
-        engines[0].thermal.advance_batch = poison(
-            engines[0].thermal.advance_batch, batched=True
-        )
+        advance_batch = engines[0].thermal.advance_batch
+        batch_calls = [0]
+
+        def poisoned_batch(start, powers, cycles):
+            end, steady = advance_batch(start, powers, cycles)
+            batch_calls[0] += 1
+            if batch_calls[0] == at:
+                end = end.copy()
+                end[0] = math.nan
+            return end, steady
+
+        engines[0].thermal.advance_batch = poisoned_batch
         outcomes = BatchEngine(engines).run_outcomes(
             instructions=[lane[4] for lane in LANES],
             warmup_instructions=[lane[5] for lane in LANES],
         )
-        serial = _lane_engines(LANES)
-        serial[0].thermal.advance_from = poison(
-            serial[0].thermal.advance_from, batched=False
-        )
+        serial = _lane_engines(LANES, build=build_reference)
+        advance = serial[0].thermal.advance
+        calls = [0]
+
+        def poisoned(powers, cycles):
+            end = advance(powers, cycles)
+            calls[0] += 1
+            if calls[0] == at:
+                end[:] = math.nan
+            return end
+
+        serial[0].thermal.advance = poisoned
         with pytest.raises(SimulationError, match="non-finite") as info:
             serial[0].run(LANES[0][4], warmup_instructions=LANES[0][5])
         error = outcomes[0].error
@@ -246,6 +253,56 @@ class TestLaneKernelChunks:
             assert_results_equal(outcome.result, expected)
             assert_telemetry_equal(batched.telemetry, engine.telemetry)
 
+    def test_leaky_placed_poisoned_and_plain_lanes(self):
+        """One batch mixes a leaky lane, a lane sensing two blocks, a
+        lane whose leakage turns non-finite mid-chunk, and a plain
+        lane; each equals its own reference run, the poisoned one up to
+        its error."""
+        at = STAGE_ROWS + 200
+
+        def engines(cls):
+            lanes = (
+                ("gcc", dict(leakage=LeakageModel(), record_history=True)),
+                ("art", dict(monitored_blocks=("regfile", "int_exec"))),
+                ("gcc", dict(leakage=_PoisonedLeakage(at))),
+                ("gzip", dict(record_history=True)),
+            )
+            return [
+                _build(
+                    cls, benchmark, "pid", seed=seed, telemetry=Telemetry(),
+                    **kwargs,
+                )
+                for seed, (benchmark, kwargs) in enumerate(lanes)
+            ]
+
+        batched = engines(FastEngine)
+        budgets = [1_500_000, 1_200_000, 5_000_000, 1_000_000]
+        outcomes = BatchEngine(batched).run_outcomes(instructions=budgets)
+        reference = engines(ReferenceFastEngine)
+        for index, (outcome, engine, budget) in enumerate(
+            zip(outcomes, reference, budgets)
+        ):
+            if index == 2:
+                with pytest.raises(SimulationError) as info:
+                    engine.run(budget)
+                assert "non-finite" in str(info.value)
+                assert outcome.result is None
+                assert str(outcome.error) == str(info.value)
+                assert repr(outcome.error.diagnostics) == repr(
+                    info.value.diagnostics
+                )
+                assert batched[index].telemetry.trace.emitted == at - 1
+            else:
+                assert outcome.error is None
+                assert_results_equal(outcome.result, engine.run(budget))
+            assert_telemetry_equal(batched[index].telemetry, engine.telemetry)
+            assert np.array_equal(
+                batched[index].thermal.temperatures,
+                engine.thermal.temperatures,
+                equal_nan=True,
+            )
+        assert _measured(outcomes[0].result) > at
+
     def test_lanes_without_sinks_match_serial_runs(self):
         engines = _lane_engines(LANES, telemetry=False)
         results = BatchEngine(engines).run(
@@ -253,7 +310,9 @@ class TestLaneKernelChunks:
             warmup_instructions=[lane[5] for lane in LANES],
         )
         for lane, result, engine in zip(
-            LANES, results, _lane_engines(LANES, telemetry=False)
+            LANES,
+            results,
+            _lane_engines(LANES, telemetry=False, build=build_reference),
         ):
             assert_results_equal(
                 result, engine.run(lane[4], warmup_instructions=lane[5])
