@@ -293,10 +293,10 @@ class TestBatchEngineParity:
             WorkSpec(benchmark, policy, dtm_config=interrupts)
             for benchmark, policy, *_ in lanes
         ]
-        scalar = [build_reference(spec) for spec in specs]
+        references = [build_reference(spec) for spec in specs]
         expected = []
         for engine, (benchmark, _, instructions, max_cycles, warmup) in zip(
-            scalar, lanes
+            references, lanes
         ):
             if benchmark in ("equake", "parser"):
                 expected.append(scalar_golden(f"cycle_budgets/{benchmark}"))
@@ -317,7 +317,7 @@ class TestBatchEngineParity:
             warmup_instructions=[lane[4] for lane in lanes],
         )
         gcc, equake, parser, gzip, art = expected
-        assert scalar[0].manager.interrupts.stall_cycles > 0
+        assert references[0].manager.interrupts.stall_cycles > 0
         assert gcc.interrupt_stall_cycles == 0
         assert equake.instructions < 200_000 and equake.cycles < 260_000
         assert gzip.instructions < 60_000 and gzip.cycles == 21_000
@@ -737,7 +737,7 @@ class TestBatchProperty:
         )
 
 
-SIM_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro" / "sim"
+SIM_PACKAGE = Path(parallel_module.__file__).resolve().parent
 
 
 class TestOneSampleKernel:
