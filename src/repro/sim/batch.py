@@ -10,24 +10,36 @@ configuration.  B lanes share one stacked thermal state
 through
 
 * one Python pass over the lanes for the inherently scalar work -- the
-  phase bisect, the seeded RNG draws, the
+  phase bisect, the lane's next jitter draw, the
   :class:`~repro.dtm.manager.DTMManager` control decision -- and for
   every per-lane scalar: demand, supply, throughput ratio, committed
   instructions and the lane's run bookkeeping stay Python floats;
-* one stacked jitter/activity/power evaluation, the unmonitored area
-  as one more power column, plus each leaky lane's leakage row;
+* one stacked utilization/power evaluation on the step's prebuilt
+  activity rows, the unmonitored area as one more power column, plus
+  each leaky lane's leakage row;
 * one stacked :meth:`~repro.thermal.lumped.LumpedThermalModel.
-  advance_batch` exponential update;
-* one row copy per staged array into the shared
-  :class:`~repro.sim.stage.SampleStage`, which owns every total no
-  controller reads (threshold fractions, temperatures, chip power,
-  energy, stall cycles) and folds them once per chunk of
-  :data:`~repro.sim.stage.STAGE_ROWS` steps.
+  advance_batch` exponential update.
+
+The stacked calls write straight into the shared
+:class:`~repro.sim.stage.SampleStage` rows (``advance_batch`` its end
+and steady state, the chip-power sum its chip column); only the start
+state is copied in.  The stage owns every total no controller reads
+(threshold fractions, temperatures, chip power, energy, stall cycles)
+and folds them once per chunk of :data:`~repro.sim.stage.STAGE_ROWS`
+steps.  A lane's jittered activity does not need the controller, so it
+is built ahead too: at a chunk's first step and whenever its phase
+changes, a lane draws the rest of the chunk's jitter in one
+``standard_normal`` call and builds its activity rows for those steps
+in one vectorized pass (:meth:`_Lane.build_activity`); the step reads
+the rows and takes each sample's IPC draw from a Python list.
 
 So a step costs a fixed number of stacked numpy calls plus the Python
 work of its live lanes: the per-call numpy dispatch overhead (the
 dominant cost at 7-block problem sizes) is amortized over the batch,
-and a lane's own scalars never pay it.
+and a lane's own scalars never pay it.  The stacked pass's constant
+operands are tiled to the full lane shape once per run, so those calls
+take numpy's same-shape fast path instead of broadcasting a row or a
+Python scalar.
 
 Bit-identity, not approximate equivalence, is the contract: every
 vectorized expression is the same elementwise arithmetic a per-sample
@@ -235,11 +247,50 @@ class _Lane:
 
     __slots__ = (
         "engine", "slot", "telemetry", "recording", "time_samples",
-        "on_sample", "rng", "phase_total", "phase_ends", "phase_jitter",
-        "phase_ipc", "single_phase", "first_row", "max_cycles", "deadline",
-        "instructions", "position", "committed", "warmup", "warmup_samples",
-        "error", "leakage", "monitored",
+        "on_sample", "rng", "phase_total", "phase_ends", "phase_activity",
+        "phase_jitter", "phase_ipc", "single_phase", "built", "draws",
+        "ipc_draws", "cursor", "max_cycles", "deadline", "instructions",
+        "position", "committed", "warmup", "warmup_samples", "error",
+        "end_state", "leakage", "monitored",
     )
+
+    def build_activity(self, index: int, rows: np.ndarray) -> None:
+        """Fill ``rows`` with phase ``index``'s activity, one row a step.
+
+        ``rows`` are the lane's activity rows from this step to the end
+        of the chunk, built as if the phase held that long; the kernel
+        builds them again when the phase changes.  A jittered row is
+        ``clip((z * jitter + 1) * activity, 0, 1)`` on the row's draws,
+        the same elementwise arithmetic as a per-sample draw.  The
+        lane's ``Generator`` feeds nothing but these draws, so one
+        ``standard_normal`` block call yields the stream that one call
+        per sample would: each row holds the ``n`` activity draws, then
+        the IPC draw, kept as the Python list ``ipc_draws``.  Draws a
+        build does not consume stay in the buffer, from ``cursor`` on,
+        for the next build.  A non-jittered row is the prebuilt
+        activity itself and takes no draws.
+        """
+        self.built = index
+        base = self.phase_activity[index]
+        jitter = self.phase_jitter[index]
+        if not jitter:
+            rows[...] = base
+            return
+        count, block_count = rows.shape
+        cursor = self.cursor
+        spare = len(self.ipc_draws) - cursor
+        if spare < count:
+            fresh = self.rng.standard_normal((count - spare, block_count + 1))
+            self.draws = np.concatenate((self.draws[cursor:], fresh))
+            self.ipc_draws = self.draws[:, block_count].tolist()
+            self.cursor = cursor = 0
+        np.multiply(
+            self.draws[cursor:cursor + count, :block_count], jitter, out=rows
+        )
+        rows += 1.0
+        rows *= base
+        np.maximum(rows, 0.0, out=rows)
+        np.minimum(rows, 1.0, out=rows)
 
 
 class BatchEngine:
@@ -319,19 +370,12 @@ class BatchEngine:
         return self._run(instructions, max_cycles, warmup_instructions)
 
     def _start_lanes(self, instructions, max_cycles, warmup, outcomes):
-        """Per-lane scalar state and the stacked phase table.
-
-        The phase table stacks every lane's phases, lane after lane
-        (the lane's phase ``i`` is row ``first_row + i``).  A row holds
-        the jitter scale of each of the ``n`` activity draws, then the
-        ``n`` activities.
-        """
+        """Per-lane scalar state, phase tables and jitter draw buffer."""
         first = self.engines[0]
         names = first.floorplan.names
-        block_count = len(names)
         sample = first.dtm_config.sampling_interval
+        no_draws = np.empty((0, len(names) + 1))
         lanes: list[_Lane] = []
-        phase_rows: list[np.ndarray] = []
         for slot, engine in enumerate(self.engines):
             budget = instructions[slot]
             try:
@@ -349,6 +393,7 @@ class BatchEngine:
             lane.engine = engine
             lane.slot = slot
             lane.error = None
+            lane.end_state = None
             lane.telemetry = engine.telemetry
             lane.recording = engine.telemetry.enabled
             lane.instructions = budget
@@ -360,17 +405,16 @@ class BatchEngine:
             lane.monitored = engine._monitored
             lane.phase_total = engine.profile.total_instructions
             (
-                lane.phase_ends, phase_activity, lane.phase_jitter,
+                lane.phase_ends, lane.phase_activity, lane.phase_jitter,
                 lane.phase_ipc,
             ) = build_phase_tables(engine.profile, names)
             lane.single_phase = len(lane.phase_ends) == 1
-            lane.first_row = len(phase_rows)
-            phase_rows.extend(
-                np.concatenate(([jitter] * block_count, activity))
-                for jitter, activity in zip(lane.phase_jitter, phase_activity)
-            )
+            lane.built = -1
+            lane.draws = no_draws
+            lane.ipc_draws = []
+            lane.cursor = 0
             lanes.append(lane)
-        return lanes, np.array(phase_rows)
+        return lanes
 
     def _run(self, instructions, max_cycles, warmup) -> list[LaneOutcome]:
         first = self.engines[0]
@@ -381,21 +425,13 @@ class BatchEngine:
         thresholds = (emergency_level, stress_level)
         fetch_supply = first.machine.fetch_width * SUPPLY_EFFICIENCY
         thermal = first.thermal
-        # The unmonitored area is one more column of the stacked power
-        # expression: its utilization is the blocks' mean.
         block_peaks = first.power_model.peaks_view
-        peaks = np.append(
-            block_peaks, first.floorplan.unmonitored_peak_power
-        )
         idle = first.power_model.idle_fraction
-        active_frac = 1.0 - idle
         block_count = len(first.floorplan.names)
         count = len(self.engines)
 
         outcomes = [LaneOutcome() for _ in range(count)]
-        live, phase_table = self._start_lanes(
-            instructions, max_cycles, warmup, outcomes
-        )
+        live = self._start_lanes(instructions, max_cycles, warmup, outcomes)
         # The deferred threshold pass: lanes' rows are staged per step
         # and flushed per chunk, and whenever lanes leave.
         stage = SampleStage(
@@ -418,17 +454,24 @@ class BatchEngine:
         keep_rows = stage.keep_rows
         history_rows = stage.powers is not None
 
-        # Per-step lane values from the per-lane loop (index r holds live
-        # lane r this sample).  Row r of ``noise`` takes live lane r's
-        # jitter draws (the activity draws, then the IPC draw); a
-        # non-jittered lane leaves stale draws there, which its zero
-        # jitter scale cancels.  ``utilization`` has one more column
-        # than there are blocks: the unmonitored area's.
-        noise = np.zeros((count, block_count + 1))
-        noise_rows = list(noise)
+        # Column r of ``activity`` holds live lane r's activity rows for
+        # the chunk (_Lane.build_activity).  The power pass runs on
+        # ``utilization``/``power`` rows of ``n + 1`` columns, the last
+        # the unmonitored area's (its utilization is the blocks' mean),
+        # against constants tiled to the full shape: dividing the block
+        # columns by 1.0 and the sum column by ``n`` is one full-shape
+        # call, and ``x / 1.0`` is ``x``.
+        activity = np.empty((STAGE_ROWS, count, block_count))
         ratios = np.empty(count)
         utilization_rows = np.empty((count, block_count + 1))
-        phase_rows: list[int] = [-1] * count
+        power_rows = np.empty((count, block_count + 1))
+        constants = np.array((
+            [1.0] * block_count + [float(block_count)],
+            [1.0 - idle] * (block_count + 1),
+            [idle] * (block_count + 1),
+            np.append(block_peaks, first.floorplan.unmonitored_peak_power),
+        ))
+        tiles = np.repeat(constants[:, None], count, axis=1)
         duties: list = [0.0] * count
         controls: list = [None] * count
 
@@ -442,13 +485,14 @@ class BatchEngine:
                     # Views of the per-step buffers for k live lanes:
                     # rebuilt only when lanes leave.
                     k = len(live)
-                    lane_noise = noise[:k, :block_count]
                     lane_ratios = ratios[:k, None]
                     utilization = utilization_rows[:k]
                     block_utilization = utilization[:, :block_count]
                     mean_utilization = utilization[:, block_count]
-                    del phase_rows[k:]
-                    regather = True
+                    divisor, active_frac, idle_frac, peaks = tiles[:, :k]
+                    power = power_rows[:k]
+                    powers = power[:, :block_count]
+                    unmonitored = power[:, block_count]
                     leaky = [
                         (r, lane.leakage) for r, lane in enumerate(live)
                         if lane.leakage is not None
@@ -459,7 +503,10 @@ class BatchEngine:
                     ]
                 iter_start = perf_counter() if timing else 0.0
                 start = state
-                sensed = np.maximum.reduce(start, axis=1)
+                sensed = np.maximum.reduce(
+                    start, axis=1,
+                    out=stage.sensed[step, :k] if keep_rows else None,
+                )
                 for r, monitored in placed:
                     sensed[r] = start[r, monitored].max()
                 sensed_py = sensed.tolist()
@@ -470,9 +517,9 @@ class BatchEngine:
                 leaving: list[int] = []
                 for r, lane in enumerate(live):
                     # The per-sample arithmetic, lane by lane, on Python
-                    # floats: phase lookup, seeded jitter draws
-                    # (per-lane RNG stream), the DTM decision, and the
-                    # demand, supply and commit of this sample.
+                    # floats: phase lookup, the lane's next jitter draw,
+                    # the DTM decision, and the demand, supply and
+                    # commit of this sample.
                     position = lane.position
                     if lane.single_phase:
                         index = 0
@@ -480,18 +527,15 @@ class BatchEngine:
                         index = bisect_right(
                             lane.phase_ends, int(position) % lane.phase_total
                         )
-                    row = lane.first_row + index
-                    if row != phase_rows[r]:
-                        phase_rows[r] = row
-                        regather = True
+                    if index != lane.built:
+                        lane.build_activity(index, activity[step:, r])
                     demand = lane.phase_ipc[index]
                     jitter = lane.phase_jitter[index]
                     if jitter:
-                        draws = noise_rows[r]
-                        lane.rng.standard_normal(out=draws)
                         # ``normal(0, s)`` is ``0 + s * z``, and the
                         # ``0 +`` cannot show after ``+ 1.0``.
-                        z = draws.item(block_count)
+                        z = lane.ipc_draws[lane.cursor]
+                        lane.cursor += 1
                         demand *= z * (0.5 * jitter) + 1.0
                     if demand < 0.05:
                         demand = 0.05
@@ -518,44 +562,32 @@ class BatchEngine:
                         committed_row[r] = committed
 
                 # The stacked pass: one lane's elementwise arithmetic,
-                # broadcast over the lane axis.  A
-                # non-jittered row has scale 0, so its factor is
-                # exactly 1.0 and the clip leaves its prebuilt
-                # activity (in [0, 1], build_phase_tables checks it)
-                # alone.  ``add.reduce / n`` is what ``mean``
+                # broadcast over the lane axis, written straight into
+                # the stage's rows.  ``add.reduce / n`` is what ``mean``
                 # computes, minus its Python wrapper.
-                if regather:
-                    phase = phase_table[phase_rows]
-                    scale = phase[:, :block_count]
-                    phase_activity = phase[:, block_count:]
-                    regather = False
-                activity = lane_noise * scale
-                activity += 1.0
-                activity *= phase_activity
-                np.maximum(activity, 0.0, out=activity)
-                np.minimum(activity, 1.0, out=activity)
-                np.multiply(activity, lane_ratios, out=block_utilization)
+                np.multiply(
+                    activity[step, :k], lane_ratios, out=block_utilization
+                )
                 np.add.reduce(
                     block_utilization, axis=1, out=mean_utilization
                 )
-                mean_utilization /= block_count
-                all_powers = utilization * active_frac
-                all_powers += idle
-                all_powers *= peaks
-                powers = all_powers[:, :block_count]
+                np.divide(utilization, divisor, out=utilization)
+                np.multiply(utilization, active_frac, out=power)
+                np.add(power, idle_frac, out=power)
+                np.multiply(power, peaks, out=power)
                 for r, leakage in leaky:
                     # Quasi-static leakage at the sample's start state.
                     powers[r] += leakage.power(block_peaks, start[r])
-                chip_power = np.add.reduce(powers, axis=1)
-                chip_power += all_powers[:, block_count]
-                end, steady = thermal.advance_batch(start, powers, sample)
-
+                chip_power = np.add.reduce(
+                    powers, axis=1, out=s_chip[step, :k]
+                )
+                chip_power += unmonitored
+                end, steady = thermal.advance_batch(
+                    start, powers, sample,
+                    out=(s_end[step, :k], s_steady[step, :k]),
+                )
                 s_start[step, :k] = start
-                s_steady[step, :k] = steady
-                s_end[step, :k] = end
-                s_chip[step, :k] = chip_power
                 if keep_rows:
-                    stage.sensed[step, :k] = sensed
                     if history_rows:
                         stage.powers[step, :k] = powers
                     stage.extras.append((
@@ -565,11 +597,11 @@ class BatchEngine:
                     ))
 
                 # A sum is finite only if every term is: one cheap test
-                # for the common step; the exact per-lane mask (and the
-                # rare overflowing sum) takes the masked path.
+                # for the common step, on Python floats; the exact
+                # per-lane mask (and the rare overflowing sum) takes the
+                # masked path.
                 if warming or not math.isfinite(
-                    np.add.reduce(chip_power)
-                    + np.add.reduce(end, axis=None)
+                    sum(chip_power.tolist()) + sum(end.ravel().tolist())
                 ):
                     leaving += _settle_masked(
                         live, stage, step, end, chip_power, duties, warming,
@@ -596,7 +628,10 @@ class BatchEngine:
                     gone = set(leaving)
                     for r in gone:
                         lane = live[r]
-                        lane.engine.thermal.set_temperatures(end[r])
+                        lane.engine.thermal.set_temperatures(
+                            end[r] if lane.end_state is None
+                            else lane.end_state
+                        )
                         outcomes[lane.slot] = (
                             LaneOutcome(error=lane.error)
                             if lane.error is not None
@@ -614,6 +649,10 @@ class BatchEngine:
                     if step == STAGE_ROWS:
                         step = 0
                         stage.flush(STAGE_ROWS, slots)
+                if not step:
+                    # A new chunk: every lane builds its activity rows.
+                    for lane in live:
+                        lane.built = -1
         finally:
             stage.flush(step, slots)
         return outcomes
@@ -626,7 +665,10 @@ def _settle_masked(
 
     A warming lane's step is excluded from every total; a non-finite
     lane's also gets the run's non-finite error and finite stand-in
-    temperature rows for the threshold pass.  Returns the non-finite
+    temperature rows for the threshold pass.  ``end`` and
+    ``chip_power`` are the stage's own rows, so a non-finite lane's
+    error diagnostics and end state (what its engine gets back) are
+    taken before the stand-ins overwrite them.  Returns the non-finite
     rows, which leave.
     """
     k = len(live)
@@ -637,17 +679,19 @@ def _settle_masked(
     measured[warming] = False
     stage.measured[step, :k] = measured
     stage.masked = True
-    bad = np.flatnonzero(~finite)
+    bad = np.flatnonzero(~finite).tolist()
+    for r in bad:
+        # The lane leaves with its non-finite error; the others
+        # keep stepping.
+        lane = live[r]
+        lane.error = lane.engine._non_finite(
+            end[r], float(chip_power[r]), duties[r]
+        )
+        lane.end_state = end[r].copy()
     # Finite stand-ins (the start state itself may not be finite).
     for rows in (stage.start, stage.steady, stage.end):
         rows[step, bad] = 0.0
-    for r in bad.tolist():
-        # The lane leaves with its non-finite error; the others
-        # keep stepping.
-        live[r].error = live[r].engine._non_finite(
-            end[r], float(chip_power[r]), duties[r]
-        )
-    return bad.tolist()
+    return bad
 
 
 def _finish(stage: SampleStage, lane: _Lane, steps: int) -> LaneOutcome:

@@ -57,9 +57,11 @@ it wrote rather than re-reading it.
 Opening a store is one streamed pass over line boundaries.  An entry
 line in the writer's own layout (``{"type": "entry", "key": "<24 hex>",
 ...`` ending in the ``telemetry`` value) is indexed from that fixed
-prefix and suffix without being parsed; every other line -- header,
-touch, counters, hand-edited or foreign -- is parsed and checked as it
-is scanned.  A hit parses its own line once (with
+prefix and suffix without being parsed, and a touch line in the
+writer's layout (``{"type": "touch", "key": "<24 hex>"}``), which the
+scan has no use for, is skipped unparsed; every other line -- header,
+counters, hand-edited or foreign -- is parsed and checked as it is
+scanned.  A hit parses its own line once (with
 :class:`~repro.sim.codec.SavedLineDecoder`, which slices the trace's
 base64 out instead of JSON-scanning it) and runs the one check of its
 body there (:func:`~repro.sim.codec.check_saved_outcome`): the
@@ -134,6 +136,12 @@ _COUNTERS = ("hits", "misses", "evictions")
 #: the 24-hex-digit key always come first.  The scan indexes a line
 #: that starts this way and ends ``}\n`` without parsing it.
 _WRITER_ENTRY = re.compile(rb'\{"type": "entry", "key": "([0-9a-f]{24})",')
+
+#: A whole touch line as :meth:`ResultCache.flush` writes it.  The
+#: index scan has no use for touch lines (GC and ``verify`` read them
+#: in passes of their own), so it skips one of these without parsing
+#: it; a warm sweep appends one per hit.
+_WRITER_TOUCH = re.compile(rb'\{"type": "touch", "key": "[0-9a-f]{24}"\}\n')
 
 #: How such a line ends when it carries no telemetry payload
 #: (``telemetry`` is the writer's last key; a nested payload would end
@@ -297,6 +305,8 @@ class ResultCache:
                 len(raw),
                 not raw.endswith(_NO_TELEMETRY_END),
             )
+            return
+        if _WRITER_TOUCH.fullmatch(raw) is not None:
             return
         try:
             data = json.loads(raw)

@@ -5,10 +5,11 @@ from the closed-form RC trajectory
 (:meth:`~repro.thermal.lumped.LumpedThermalModel.fractions_above`).  No
 controller reads those fractions: they feed only the run's
 accumulators, its history rows and its telemetry records.  So the
-kernel does not evaluate them per sample.  Each measured sample copies
-its ``(start, steady, end)`` block rows into a :class:`SampleStage` --
-fixed :data:`STAGE_ROWS`-row buffers with one column per lane -- and
-the stage's :meth:`~SampleStage.flush` post-pass then
+kernel does not evaluate them per sample.  Each sample's ``(start,
+steady, end)`` block rows go into a :class:`SampleStage` -- fixed
+:data:`STAGE_ROWS`-row buffers with one column per lane, which the
+kernel's stacked thermal update writes its steady and end state into
+directly -- and the stage's :meth:`~SampleStage.flush` post-pass then
 
 * evaluates every threshold fraction of the chunk in one broadcast
   ``fractions_above`` call;

@@ -87,6 +87,9 @@ class LumpedThermalModel:
         #: instances of the same (tau, cycle_time) parameters.
         self._decay_cache: dict[int, np.ndarray] = {}
         self._decay_key = (self._tau.tobytes(), self.cycle_time)
+        #: Constants tiled per (lane count, interval) for the stacked
+        #: update's write-through form (see ``_lane_constants``).
+        self._lane_tiles: dict[tuple[int, int], tuple] = {}
         #: Optional span profiler (:mod:`repro.telemetry`); ``None``
         #: keeps the update paths free of instrumentation overhead.
         self._profiler = None
@@ -294,7 +297,11 @@ class LumpedThermalModel:
         return self._temps, steady
 
     def advance_batch(
-        self, start: np.ndarray, powers: np.ndarray, cycles: int
+        self,
+        start: np.ndarray,
+        powers: np.ndarray,
+        cycles: int,
+        out: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Stacked exact update for B independent lanes: ``(end, steady)``.
 
@@ -306,6 +313,12 @@ class LumpedThermalModel:
         lane axis, so row ``b`` of the result is bit-identical to a
         single-lane ``advance_from(start[b], powers[b], cycles)``.
 
+        ``out``, an ``(end, steady)`` pair of ``(B, n_blocks)`` arrays,
+        receives the result in place (the lane kernel passes its stage
+        rows) and is returned; neither may overlap ``start`` or
+        ``powers``.  The in-place ufuncs evaluate the same expression,
+        so the result is bit-identical to the allocating form.
+
         Pure: unlike :meth:`advance_from`, the model's own temperature
         state is **not** touched -- the caller (the lane-batched engine
         of :mod:`repro.sim.batch`) owns the stacked state.  With a
@@ -314,11 +327,11 @@ class LumpedThermalModel:
         """
         if self._profiler is not None:
             with self._profiler.span("thermal.advance"):
-                return self._advance_batch(start, powers, cycles)
-        return self._advance_batch(start, powers, cycles)
+                return self._advance_batch(start, powers, cycles, out)
+        return self._advance_batch(start, powers, cycles, out)
 
     def _advance_batch(
-        self, start: np.ndarray, powers: np.ndarray, cycles: int
+        self, start: np.ndarray, powers: np.ndarray, cycles: int, out
     ) -> tuple[np.ndarray, np.ndarray]:
         if cycles <= 0:
             raise ThermalModelError("cycles must be positive")
@@ -329,9 +342,40 @@ class LumpedThermalModel:
                 f"expected {self._temps.shape[0]} block powers per lane, "
                 f"got {powers.shape}"
             )
-        steady = self.heatsink_temperature + powers * self._resistance
-        end = steady + (start - steady) * self._decay(cycles)
+        if out is None:
+            steady = self.heatsink_temperature + powers * self._resistance
+            end = steady + (start - steady) * self._decay(cycles)
+            return end, steady
+        end, steady = out
+        sink, resistance, decay = self._lane_constants(len(powers), cycles)
+        np.multiply(powers, resistance, out=steady)
+        np.add(sink, steady, out=steady)
+        np.subtract(start, steady, out=end)
+        np.multiply(end, decay, out=end)
+        np.add(steady, end, out=end)
         return end, steady
+
+    def _lane_constants(self, lanes: int, cycles: int) -> tuple:
+        """``(T_sink, R, exp(-h / tau))`` tiled to ``(lanes, n_blocks)``.
+
+        Same-shape operands take numpy's fast elementwise path, where a
+        broadcast row or a Python scalar costs a setup per call; the
+        values, and so the results, are the same.
+        """
+        key = (lanes, cycles)
+        tiles = self._lane_tiles.get(key)
+        if tiles is None:
+            shape = (lanes, len(self._tau))
+            tiles = tuple(
+                np.broadcast_to(value, shape).copy()
+                for value in (
+                    self.heatsink_temperature,
+                    self._resistance,
+                    self._decay(cycles),
+                )
+            )
+            self._lane_tiles[key] = tiles
+        return tiles
 
     # -- analysis helpers ------------------------------------------------------
     def steady_state(self, powers: np.ndarray) -> np.ndarray:

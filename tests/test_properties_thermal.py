@@ -88,6 +88,42 @@ class TestLumpedModelProperties:
         assert np.all(frac[both_below] == 0.0)
 
 
+class TestAdvanceBatchWriteThrough:
+    @given(
+        data=st.data(),
+        lanes=st.integers(1, 8),
+        cycles=st.integers(1, 100_000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_write_through_equals_allocating_form(self, data, lanes, cycles):
+        """``advance_batch(..., out=)`` writes the allocating form's
+        bits, non-finite values included, for any lane count; the
+        powers are a strided view and the outputs rows of a wider
+        stage, as the lane kernel passes them."""
+        blocks = len(FLOORPLAN.names)
+
+        def matrix(columns):
+            values = data.draw(st.lists(
+                st.floats(width=64),
+                min_size=lanes * columns,
+                max_size=lanes * columns,
+            ))
+            return np.array(values).reshape(lanes, columns)
+
+        start = matrix(blocks)
+        powers = matrix(blocks + 1)[:, :blocks]
+        model = LumpedThermalModel(FLOORPLAN, 100.0)
+        stage = np.full((2, 8, blocks), -1.0)
+        out = (stage[0, :lanes], stage[1, :lanes])
+        with np.errstate(all="ignore"):
+            end, steady = model.advance_batch(start, powers, cycles)
+            written = model.advance_batch(start, powers, cycles, out=out)
+        assert written[0] is out[0] and written[1] is out[1]
+        assert out[0].tobytes() == end.tobytes()
+        assert out[1].tobytes() == steady.tobytes()
+        assert np.all(stage[:, lanes:] == -1.0)
+
+
 class TestNetworkProperties:
     @given(
         powers=st.lists(st.floats(0.0, 30.0), min_size=3, max_size=3),

@@ -24,6 +24,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +32,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.batch as batch_module
 import repro.sim.parallel as parallel_module
 from repro.config import DTMConfig, FailsafeConfig
+from repro.dtm.policies import make_policy
 from repro.errors import ConfigError, SimulationError
 from repro.faults import FaultSchedule
 from repro.sim.batch import (
@@ -61,8 +64,16 @@ from repro.sim.parallel import (
     sweep_defaults,
 )
 from repro.sim.fast import FastEngine
+from repro.sim.stage import STAGE_ROWS
 from repro.sim.sweep import build_engine, run_suite
-from tests.reference_kernel import build_reference, scalar_golden
+from repro.thermal.floorplan import Floorplan
+from repro.workloads.phases import Phase, uniform_activity
+from repro.workloads.profiles import BenchmarkProfile, ThermalCategory
+from tests.reference_kernel import (
+    ReferenceFastEngine,
+    build_reference,
+    scalar_golden,
+)
 from tests.test_sim_parallel import (
     INSTRUCTIONS,
     assert_metrics_match,
@@ -370,6 +381,114 @@ class TestBatchEngineParity:
     def test_rejects_empty_batch(self):
         with pytest.raises(SimulationError):
             BatchEngine([])
+
+
+#: Short phases that alternate between jittered and ``jitter=0``, each
+#: some 15-60 samples long: a lane changes phase several times within a
+#: chunk and across the chunk boundary, goes from one jittered phase
+#: straight into another (warm -> burst), and re-enters a jittered
+#: phase with draws left over from a build it abandoned.  The hot and
+#: burst jitter is large enough for the clip to bind.
+ALTERNATING = BenchmarkProfile(
+    "alternating",
+    ThermalCategory.HIGH,
+    (
+        Phase("hot", 37_000, 1.8, uniform_activity(0.9, regfile=1.0),
+              jitter=0.3),
+        Phase("calm", 23_000, 1.1, uniform_activity(0.4), jitter=0.0),
+        Phase("warm", 51_000, 1.4, uniform_activity(0.7), jitter=0.05),
+        Phase("burst", 29_000, 2.0, uniform_activity(0.95, fp_exec=0.5),
+              jitter=0.2),
+        Phase("idle", 61_000, 0.6, uniform_activity(0.2), jitter=0.0),
+    ),
+    seed=11,
+)
+
+#: (policy, seed, instructions): ragged budgets, so lanes leave (and
+#: the others start a new chunk) at different steps.
+ALTERNATING_LANES = (
+    ("pid", 0, 1_600_000),
+    ("toggle1", 1, 900_000),
+    ("none", 2, 1_250_000),
+    ("pi", 3, 600_000),
+)
+
+SAMPLE = DTMConfig().sampling_interval
+
+
+def _alternating(cls, policy, seed):
+    floorplan = Floorplan.default()
+    return cls(
+        ALTERNATING,
+        policy=make_policy(policy, floorplan),
+        floorplan=floorplan,
+        seed=seed,
+        record_history=True,
+    )
+
+
+class _CountingGenerator:
+    """A ``Generator`` that counts the calls made on it."""
+
+    def __init__(self, rng) -> None:
+        self._rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestChunkActivity:
+    """A lane draws its jitter and builds its activity rows once per
+    chunk and phase change; the rows equal per-sample draws."""
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_alternating_jitter_matches_reference(self, width):
+        lanes = ALTERNATING_LANES[:width]
+        engines = [
+            _alternating(FastEngine, policy, seed) for policy, seed, _ in lanes
+        ]
+        results = BatchEngine(engines).run(
+            instructions=[budget for *_, budget in lanes]
+        )
+        for (policy, seed, budget), result in zip(lanes, results):
+            expected = _alternating(ReferenceFastEngine, policy, seed).run(
+                budget
+            )
+            assert_results_equal(result, expected)
+            assert_histories_equal(result.history, expected.history)
+        assert results[0].cycles > 2 * STAGE_ROWS * SAMPLE
+
+    def test_draws_once_per_chunk_or_phase_change(self, monkeypatch):
+        generators: list[_CountingGenerator] = []
+        phases: list[int] = []
+        start = FastEngine._start
+
+        def counting_start(self, instructions, max_cycles):
+            *head, rng = start(self, instructions, max_cycles)
+            generators.append(_CountingGenerator(rng))
+            return (*head, generators[-1])
+
+        def recording_bisect(ends, position):
+            phases.append(bisect_right(ends, position))
+            return phases[-1]
+
+        monkeypatch.setattr(FastEngine, "_start", counting_start)
+        monkeypatch.setattr(batch_module, "bisect_right", recording_bisect)
+        result = _alternating(FastEngine, "pid", 0).run(1_600_000)
+        samples = result.cycles // SAMPLE
+        assert len(phases) == samples
+        changes = sum(a != b for a, b in zip(phases, phases[1:]))
+        chunks = -(-samples // STAGE_ROWS)
+        [rng] = generators
+        assert 0 < rng.calls <= chunks + changes + 1
+        assert chunks + changes + 1 < samples // 4
 
 
 class TestExecutorBatch:

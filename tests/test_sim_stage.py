@@ -213,11 +213,12 @@ class TestLaneKernelChunks:
         advance_batch = engines[0].thermal.advance_batch
         batch_calls = [0]
 
-        def poisoned_batch(start, powers, cycles):
-            end, steady = advance_batch(start, powers, cycles)
+        def poisoned_batch(start, powers, cycles, out=None):
+            # ``end`` is the kernel's stage row: the poison lands where
+            # a genuinely non-finite update would.
+            end, steady = advance_batch(start, powers, cycles, out)
             batch_calls[0] += 1
             if batch_calls[0] == at:
-                end = end.copy()
                 end[0] = math.nan
             return end, steady
 
