@@ -41,17 +41,34 @@ operands are tiled to the full lane shape once per run, so those calls
 take numpy's same-shape fast path instead of broadcasting a row or a
 Python scalar.
 
+A step with one live lane -- every step of a lone run, and the steps
+a ragged group's last lane runs alone -- takes the stacked pass's
+one-row form instead: the same arithmetic on Python floats
+(:func:`_row_power`, then
+:meth:`~repro.thermal.lumped.LumpedThermalModel.advance_row`), with
+the lane's state a list, assigned into the same stage rows.  At these
+sizes a numpy call costs about a microsecond of dispatch whatever its
+length, so at one lane the stacked pass's calls cost more than its
+arithmetic and amortize over nothing.  The form is chosen where the
+views for k live lanes are rebuilt, which happens only when lanes
+leave; a leaving lane flushes the stage, so a chunk has one form.
+
 Bit-identity, not approximate equivalence, is the contract: every
 vectorized expression is the same elementwise arithmetic a per-sample
 loop over one lane evaluates, merely broadcast over the leading lane
 axis, and the axis-1 reductions (``max``, ``sum``, ``mean``) run the
-same sequential inner loop numpy uses for 1-D arrays.  The tests hold
-each lane to the pinned per-sample reference kernel
-(``tests/reference_kernel.py``), or, where that frozen kernel keeps its
-old budget rule, to goldens of the deleted scalar kernel: results,
-histories, traces and metrics, including ragged lane lengths, warmup,
-cycle budgets, interrupt stalls, injected faults, failsafe engagement,
-leakage and sensor placement.
+same sequential inner loop numpy uses for 1-D arrays.  The one-row
+form keeps every operand order, and Python floats are IEEE doubles;
+its sums follow numpy's reduction (:func:`_row_sum`), never the
+built-in ``sum``, and its sensed maximum defers to numpy's wherever
+``max()`` could differ (a NaN in the run's start state, or a maximum
+of zero, whose sign numpy picks).  The tests hold each lane to the
+pinned per-sample reference kernel (``tests/reference_kernel.py``),
+or, where that frozen kernel keeps its old budget rule, to goldens of
+the deleted scalar kernel: results, histories, traces and metrics,
+including ragged lane lengths, warmup, cycle budgets, interrupt
+stalls, injected faults, failsafe engagement, leakage and sensor
+placement.
 
 Divergence between lanes is handled with masks, not synchronization:
 a step in which a lane warms up or dies on a non-finite state masks
@@ -308,6 +325,11 @@ class BatchEngine:
     are not reproduced lane-per-lane (the stacked thermal call records
     its ``thermal.advance`` span in lane 0's profiler), and per-sample
     ``latency_seconds`` measures the batched step.
+
+    A step with a single live lane runs on Python floats (see the
+    module docstring): its thermal call is
+    :meth:`~repro.thermal.lumped.LumpedThermalModel.advance_row`, in
+    the same ``thermal.advance`` span, not ``advance_batch``.
     """
 
     def __init__(self, engines) -> None:
@@ -472,6 +494,14 @@ class BatchEngine:
             np.append(block_peaks, first.floorplan.unmonitored_peak_power),
         ))
         tiles = np.repeat(constants[:, None], count, axis=1)
+        # The same constants as Python floats, for the one-row step.
+        row_constants = (
+            constants[1, 0].item(),
+            constants[2, 0].item(),
+            constants[3, :block_count].tolist(),
+            constants[0, block_count].item(),
+            constants[3, block_count].item(),
+        )
         duties: list = [0.0] * count
         controls: list = [None] * count
 
@@ -482,17 +512,10 @@ class BatchEngine:
         try:
             while live:
                 if k != len(live):
-                    # Views of the per-step buffers for k live lanes:
-                    # rebuilt only when lanes leave.
+                    # The step's form and its views for k live lanes,
+                    # chosen only when lanes leave.  A leaving lane
+                    # flushes the stage, so a chunk has a single k.
                     k = len(live)
-                    lane_ratios = ratios[:k, None]
-                    utilization = utilization_rows[:k]
-                    block_utilization = utilization[:, :block_count]
-                    mean_utilization = utilization[:, block_count]
-                    divisor, active_frac, idle_frac, peaks = tiles[:, :k]
-                    power = power_rows[:k]
-                    powers = power[:, :block_count]
-                    unmonitored = power[:, block_count]
                     leaky = [
                         (r, lane.leakage) for r, lane in enumerate(live)
                         if lane.leakage is not None
@@ -501,15 +524,58 @@ class BatchEngine:
                         (r, lane.monitored) for r, lane in enumerate(live)
                         if lane.monitored is not None
                     ]
+                    one_row = k == 1
+                    if one_row:
+                        # One live lane: the state is a list of Python
+                        # floats, and the step skips the stacked pass.
+                        state = state[0].tolist()
+                        leakage = live[0].leakage
+                        sensors = (
+                            None if live[0].monitored is None
+                            else live[0].monitored.tolist()
+                        )
+                        # numpy's maximum propagates a NaN that max()
+                        # may skip.  Every row a step ends on passes
+                        # the finiteness test, so only the run's start
+                        # state can hold one.
+                        exact_max = any(temp != temp for temp in state)
+                    else:
+                        lane_ratios = ratios[:k, None]
+                        utilization = utilization_rows[:k]
+                        block_utilization = utilization[:, :block_count]
+                        mean_utilization = utilization[:, block_count]
+                        divisor, active_frac, idle_frac, peaks = tiles[:, :k]
+                        power = power_rows[:k]
+                        powers = power[:, :block_count]
+                        unmonitored = power[:, block_count]
                 iter_start = perf_counter() if timing else 0.0
                 start = state
-                sensed = np.maximum.reduce(
-                    start, axis=1,
-                    out=stage.sensed[step, :k] if keep_rows else None,
-                )
-                for r, monitored in placed:
-                    sensed[r] = start[r, monitored].max()
-                sensed_py = sensed.tolist()
+                if one_row:
+                    s_start[step, 0] = start
+                    sensed = (
+                        max(start) if sensors is None
+                        else max([start[i] for i in sensors])
+                    )
+                    if exact_max or not sensed:
+                        # numpy's own maximum, for its NaN propagation
+                        # and its sign of a zero maximum (+0.0 tied with
+                        # -0.0), on the staged start row.
+                        row = s_start[step, 0]
+                        if sensors is not None:
+                            row = row[sensors]
+                        sensed = row.max().item()
+                        exact_max = False
+                    if keep_rows:
+                        stage.sensed[step, 0] = sensed
+                    sensed_py = [sensed]
+                else:
+                    sensed = np.maximum.reduce(
+                        start, axis=1,
+                        out=stage.sensed[step, :k] if keep_rows else None,
+                    )
+                    for r, monitored in placed:
+                        sensed[r] = start[r, monitored].max()
+                    sensed_py = sensed.tolist()
                 stall_row = s_stalls[step]
                 if keep_rows:
                     committed_row = stage.committed[step]
@@ -561,32 +627,61 @@ class BatchEngine:
                         controls[r] = lane.telemetry.take_control()
                         committed_row[r] = committed
 
-                # The stacked pass: one lane's elementwise arithmetic,
-                # broadcast over the lane axis, written straight into
-                # the stage's rows.  ``add.reduce / n`` is what ``mean``
-                # computes, minus its Python wrapper.
-                np.multiply(
-                    activity[step, :k], lane_ratios, out=block_utilization
-                )
-                np.add.reduce(
-                    block_utilization, axis=1, out=mean_utilization
-                )
-                np.divide(utilization, divisor, out=utilization)
-                np.multiply(utilization, active_frac, out=power)
-                np.add(power, idle_frac, out=power)
-                np.multiply(power, peaks, out=power)
-                for r, leakage in leaky:
-                    # Quasi-static leakage at the sample's start state.
-                    powers[r] += leakage.power(block_peaks, start[r])
-                chip_power = np.add.reduce(
-                    powers, axis=1, out=s_chip[step, :k]
-                )
-                chip_power += unmonitored
-                end, steady = thermal.advance_batch(
-                    start, powers, sample,
-                    out=(s_end[step, :k], s_steady[step, :k]),
-                )
-                s_start[step, :k] = start
+                if one_row:
+                    # The stacked pass's arithmetic on one row of Python
+                    # floats, written into the stage's rows.
+                    powers, chip_power = _row_power(
+                        activity[step, 0].tolist(),
+                        ratios.item(0),
+                        row_constants,
+                        None if leakage is None else leakage.power(
+                            block_peaks, s_start[step, 0]
+                        ).tolist(),
+                    )
+                    end, steady = thermal.advance_row(start, powers, sample)
+                    s_chip[step, 0] = chip_power
+                    s_steady[step, 0] = steady
+                    s_end[step, 0] = end
+                    # Tested as the stacked pass tests its sums below;
+                    # the value is not kept.
+                    finite = math.isfinite(sum(end, chip_power))
+                else:
+                    # The stacked pass: one lane's elementwise
+                    # arithmetic, broadcast over the lane axis, written
+                    # straight into the stage's rows.  ``add.reduce /
+                    # n`` is what ``mean`` computes, minus its Python
+                    # wrapper.
+                    np.multiply(
+                        activity[step, :k], lane_ratios,
+                        out=block_utilization,
+                    )
+                    np.add.reduce(
+                        block_utilization, axis=1, out=mean_utilization
+                    )
+                    np.divide(utilization, divisor, out=utilization)
+                    np.multiply(utilization, active_frac, out=power)
+                    np.add(power, idle_frac, out=power)
+                    np.multiply(power, peaks, out=power)
+                    for r, lane_leakage in leaky:
+                        # Quasi-static leakage at the sample's start
+                        # state.
+                        powers[r] += lane_leakage.power(block_peaks, start[r])
+                    chip_power = np.add.reduce(
+                        powers, axis=1, out=s_chip[step, :k]
+                    )
+                    chip_power += unmonitored
+                    end, steady = thermal.advance_batch(
+                        start, powers, sample,
+                        out=(s_end[step, :k], s_steady[step, :k]),
+                    )
+                    s_start[step, :k] = start
+                    # A sum is finite only if every term is: one cheap
+                    # test for the common step, on Python floats; the
+                    # exact per-lane mask (and the rare overflowing sum)
+                    # takes the masked path.
+                    finite = math.isfinite(
+                        sum(chip_power.tolist()) + sum(end.ravel().tolist())
+                    )
                 if keep_rows:
                     if history_rows:
                         stage.powers[step, :k] = powers
@@ -596,15 +691,10 @@ class BatchEngine:
                         perf_counter() - iter_start if timing else math.nan,
                     ))
 
-                # A sum is finite only if every term is: one cheap test
-                # for the common step, on Python floats; the exact
-                # per-lane mask (and the rare overflowing sum) takes the
-                # masked path.
-                if warming or not math.isfinite(
-                    sum(chip_power.tolist()) + sum(end.ravel().tolist())
-                ):
+                if warming or not finite:
                     leaving += _settle_masked(
-                        live, stage, step, end, chip_power, duties, warming,
+                        live, stage, step, s_end[step, :k], s_chip[step, :k],
+                        duties, warming,
                     )
                 steps += 1
                 step += 1
@@ -625,6 +715,9 @@ class BatchEngine:
                     # the live lanes of this chunk.
                     staged, step = step, 0
                     stage.flush(staged, slots)
+                    # The step's end rows as staged (a list above at
+                    # k = 1).
+                    end = s_end[staged - 1, :k]
                     gone = set(leaving)
                     for r in gone:
                         lane = live[r]
@@ -692,6 +785,71 @@ def _settle_masked(
     for rows in (stage.start, stage.steady, stage.end):
         rows[step, bad] = 0.0
     return bad
+
+
+def _row_power(activity, ratio, constants, leakage) -> tuple[list, float]:
+    """One lane's power row and chip power, on Python floats.
+
+    The stacked pass's arithmetic for one row, operand for operand:
+    utilization ``activity * ratio``; each block's power ``(u * (1 -
+    idle) + idle) * peak``, plus ``leakage`` (a row, or ``None``) after
+    it; the unmonitored area's the same on the blocks' mean
+    utilization; the chip power the blocks' sum plus the unmonitored
+    power.  ``constants`` are ``(1 - idle, idle, block peaks, block
+    count, unmonitored peak)`` as Python floats.  Returns ``(powers,
+    chip_power)``, bit-identical to the stacked pass's row.
+    """
+    active, idle, peaks, count, unmonitored_peak = constants
+    utilization = [value * ratio for value in activity]
+    powers = [(u * active + idle) * peak for u, peak in zip(utilization, peaks)]
+    if leakage is not None:
+        powers = [power + leak for power, leak in zip(powers, leakage)]
+    unmonitored = (
+        _row_sum(utilization) / count * active + idle
+    ) * unmonitored_peak
+    return powers, _row_sum(powers) + unmonitored
+
+
+def _row_sum(values: list) -> float:
+    """``np.add.reduce`` of one row, on Python floats.
+
+    numpy adds the row's pairwise sum to +0.0.  Under eight terms the
+    pairwise sum runs left to right, so the whole is a left-to-right
+    sum from +0.0 (a row of -0.0 sums to +0.0).  The built-in ``sum``
+    is no substitute: from Python 3.12 it compensates its rounding.
+    """
+    if len(values) < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    return 0.0 + _pairwise_sum(values)
+
+
+def _pairwise_sum(values: list) -> float:
+    """numpy's pairwise sum of eight or more float64 values.
+
+    Up to 128 terms, eight interleaved running sums, combined as a
+    tree, then the terms past the last multiple of eight left to right;
+    beyond that, the halves (split at a multiple of eight), each summed
+    alike.
+    """
+    count = len(values)
+    if count > 128:
+        half = count // 2
+        half -= half % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    sums = values[:8]
+    stop = count - count % 8
+    for first in range(8, stop, 8):
+        for lane in range(8):
+            sums[lane] += values[first + lane]
+    total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + (
+        (sums[4] + sums[5]) + (sums[6] + sums[7])
+    )
+    for value in values[stop:]:
+        total += value
+    return total
 
 
 def _finish(stage: SampleStage, lane: _Lane, steps: int) -> LaneOutcome:

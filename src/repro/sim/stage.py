@@ -8,8 +8,9 @@ accumulators, its history rows and its telemetry records.  So the
 kernel does not evaluate them per sample.  Each sample's ``(start,
 steady, end)`` block rows go into a :class:`SampleStage` -- fixed
 :data:`STAGE_ROWS`-row buffers with one column per lane, which the
-kernel's stacked thermal update writes its steady and end state into
-directly -- and the stage's :meth:`~SampleStage.flush` post-pass then
+kernel's thermal update writes its steady and end state into directly
+(the stacked update in place; a one-lane step assigns its Python-float
+rows) -- and the stage's :meth:`~SampleStage.flush` post-pass then
 
 * evaluates every threshold fraction of the chunk in one broadcast
   ``fractions_above`` call;

@@ -90,6 +90,9 @@ class LumpedThermalModel:
         #: Constants tiled per (lane count, interval) for the stacked
         #: update's write-through form (see ``_lane_constants``).
         self._lane_tiles: dict[tuple[int, int], tuple] = {}
+        #: ``(R, exp(-h / tau))`` as Python lists per interval, for the
+        #: one-row update (see ``advance_row``).
+        self._row_lists: dict[int, tuple[list, list]] = {}
         #: Optional span profiler (:mod:`repro.telemetry`); ``None``
         #: keeps the update paths free of instrumentation overhead.
         self._profiler = None
@@ -311,7 +314,10 @@ class LumpedThermalModel:
         :meth:`advance_from` evaluates (``T_sink + P * R`` and the
         cached exponential decay), merely broadcast over the leading
         lane axis, so row ``b`` of the result is bit-identical to a
-        single-lane ``advance_from(start[b], powers[b], cycles)``.
+        single-lane ``advance_from(start[b], powers[b], cycles)``, but
+        for the sign bit of a NaN where two NaN operands meet: IEEE 754
+        leaves open which one the result carries, and numpy's vector
+        and tail loops choose differently.
 
         ``out``, an ``(end, steady)`` pair of ``(B, n_blocks)`` arrays,
         receives the result in place (the lane kernel passes its stage
@@ -376,6 +382,54 @@ class LumpedThermalModel:
             )
             self._lane_tiles[key] = tiles
         return tiles
+
+    def advance_row(
+        self, start: list, powers: list, cycles: int
+    ) -> tuple[list, list]:
+        """One lane's exact update on Python floats: ``(end, steady)``.
+
+        The lane kernel's step when one lane is live.  ``start`` and
+        ``powers`` are lists of ``n_blocks`` floats; so are the
+        returned ``end`` and ``steady``.  Each element is the
+        expression :meth:`advance_batch` evaluates, with the same
+        operands in the same order (``T_sink + P * R``, then ``steady
+        + (start - steady) * decay``), and Python floats are IEEE
+        doubles, so the result is bit-identical to a row of
+        :meth:`advance_batch` -- signed zeros, subnormals and
+        infinities included; a NaN is a NaN, though its sign bit, like
+        that of numpy's own rows, depends on the loop that made it --
+        without numpy's per-call dispatch on ``n_blocks``-element rows.
+
+        Pure, like :meth:`advance_batch`; with a profiler attached, the
+        call is a ``thermal.advance`` span.
+        """
+        if self._profiler is not None:
+            with self._profiler.span("thermal.advance"):
+                return self._advance_row(start, powers, cycles)
+        return self._advance_row(start, powers, cycles)
+
+    def _advance_row(
+        self, start: list, powers: list, cycles: int
+    ) -> tuple[list, list]:
+        lists = self._row_lists.get(cycles)
+        if lists is None:
+            if cycles <= 0:
+                raise ThermalModelError("cycles must be positive")
+            lists = self._resistance.tolist(), self._decay(cycles).tolist()
+            self._row_lists[cycles] = lists
+        resistance, decay = lists
+        if len(powers) != len(resistance) or len(start) != len(resistance):
+            raise ThermalModelError(
+                f"expected {len(resistance)} block temperatures and "
+                f"powers, got {len(start)} and {len(powers)}"
+            )
+        sink = self.heatsink_temperature
+        steady = [sink + power * r for power, r in zip(powers, resistance)]
+        end = [
+            level + (temp - level) * d
+            for level, temp, d in zip(steady, start, decay)
+        ]
+        return end, steady
 
     # -- analysis helpers ------------------------------------------------------
     def steady_state(self, powers: np.ndarray) -> np.ndarray:

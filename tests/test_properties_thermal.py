@@ -1,10 +1,13 @@
 """Property-based tests (hypothesis) for the thermal models."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ThermalModelError
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.lumped import LumpedThermalModel
 from repro.thermal.rc_network import ThermalRCNetwork
@@ -122,6 +125,86 @@ class TestAdvanceBatchWriteThrough:
         assert out[0].tobytes() == end.tobytes()
         assert out[1].tobytes() == steady.tobytes()
         assert np.all(stage[:, lanes:] == -1.0)
+
+
+#: Values a float row can hold that plain arithmetic treats specially.
+SPECIAL_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16,
+    1.0, 1e308, -1e308, math.inf, -math.inf, math.nan, -math.nan,
+)
+
+special_or_any_float = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS), st.floats(width=64)
+)
+
+
+def assert_same_floats(got, want):
+    """The same bits, except that a NaN need only be a NaN.
+
+    When two NaN operands meet, IEEE 754 leaves open which one the
+    result carries, and numpy's vector and tail loops choose
+    differently: a row of a multi-lane ``advance_batch`` call can
+    differ from the same row's one-lane call in a NaN's sign bit.
+    """
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestAdvanceRow:
+    @given(
+        data=st.data(),
+        lanes=st.integers(1, 4),
+        cycles=st.integers(1, 100_000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_row_update_equals_a_row_of_advance_batch(
+        self, data, lanes, cycles
+    ):
+        """``advance_row`` on Python floats gives the bits of a row of
+        the stacked write-through update, one lane (the step it
+        replaces) or several: signed zeros, subnormals and infinities
+        included."""
+        blocks = len(FLOORPLAN.names)
+        rows = st.lists(special_or_any_float, min_size=blocks, max_size=blocks)
+        start = np.array([data.draw(rows) for _ in range(lanes)])
+        powers = np.array([data.draw(rows) for _ in range(lanes)])
+        model = LumpedThermalModel(FLOORPLAN, 100.0)
+        stage = np.empty((2, 8, blocks))
+        with np.errstate(all="ignore"):
+            model.advance_batch(
+                start, powers, cycles, out=(stage[0, :lanes], stage[1, :lanes])
+            )
+            for lane in range(lanes):
+                row_end, row_steady = model.advance_row(
+                    start[lane].tolist(), powers[lane].tolist(), cycles
+                )
+                assert_same_floats(row_end, stage[0, lane])
+                assert_same_floats(row_steady, stage[1, lane])
+
+    def test_one_row_update_is_a_thermal_advance_span(self):
+        from repro.telemetry.profiler import Profiler
+
+        model = LumpedThermalModel(FLOORPLAN, 100.0)
+        profiler = Profiler()
+        model.attach_profiler(profiler)
+        blocks = len(FLOORPLAN.names)
+        model.advance_row([100.0] * blocks, [1.0] * blocks, 1000)
+        assert profiler.stats("thermal.advance").count == 1
+        # Pure: the model's own state does not move.
+        assert np.all(model.temperatures == 100.0)
+
+    def test_one_row_update_rejects_bad_rows(self):
+        model = LumpedThermalModel(FLOORPLAN, 100.0)
+        blocks = len(FLOORPLAN.names)
+        with pytest.raises(ThermalModelError):
+            model.advance_row([100.0] * blocks, [1.0] * blocks, 0)
+        with pytest.raises(ThermalModelError):
+            model.advance_row([100.0] * blocks, [1.0] * (blocks - 1), 10)
+        with pytest.raises(ThermalModelError):
+            model.advance_row([100.0] * (blocks + 1), [1.0] * blocks, 10)
 
 
 class TestNetworkProperties:
