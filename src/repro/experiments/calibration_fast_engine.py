@@ -69,7 +69,8 @@ def run(
     )
     rows = []
     for duty in duties:
-        measured = _detailed_ipc(
+        # The detailed core is deterministic: full duty is base_ipc.
+        measured = base_ipc if duty == 1.0 else _detailed_ipc(
             benchmark, duty, cycles_per_point, warmup_cycles=warmup_cycles
         )
         supply = duty * machine.fetch_width * SUPPLY_EFFICIENCY

@@ -23,6 +23,13 @@ the same elementwise float64 operations as
 *bit-identical* to N independent single-core models (asserted by unit
 and hypothesis tests) while running the update as one numpy call
 (>= 3x faster than the N-model loop at N=16, asserted by a benchmark).
+
+A multicore run does not step this model's own state: the sample
+kernel owns the chip's stacked state and calls :meth:`advance_lanes`,
+the same update on the rows it passes, then hands the end state back
+(:meth:`set_temperatures`).  Threshold accounting is the single-core
+kernel's, :meth:`~repro.thermal.lumped.LumpedThermalModel.
+fractions_above`, in the kernel's sample stage.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import numpy as np
 from repro import units
 from repro.errors import ThermalModelError
 from repro.multicore.floorplan import MulticoreFloorplan
+from repro.thermal.lumped import LumpedThermalModel
 
 
 class MulticoreThermalModel:
@@ -83,6 +91,11 @@ class MulticoreThermalModel:
         self._temps = np.full(
             (floorplan.n_cores, floorplan.n_blocks), start, dtype=float
         )
+        #: One core's single-core model: the exact update of
+        #: :meth:`advance_lanes`.
+        self._core_model = LumpedThermalModel(
+            core, self.heatsink_temperature, cycle_time=self.cycle_time
+        )
 
     # -- state ---------------------------------------------------------------
     @property
@@ -129,6 +142,20 @@ class MulticoreThermalModel:
         """Return every block of every core to the initial temperature."""
         self._temps.fill(self._initial)
 
+    def set_temperatures(self, temperatures: np.ndarray) -> None:
+        """Rebind the state to a copy of ``temperatures`` [degC].
+
+        A multicore run hands its end state back here, so a second run
+        starts where the first ended.
+        """
+        temperatures = np.array(temperatures, dtype=float)
+        if temperatures.shape != self._temps.shape:
+            raise ThermalModelError(
+                f"expected temperatures of shape {self._temps.shape}, "
+                f"got {temperatures.shape}"
+            )
+        self._temps = temperatures
+
     # -- lateral exchange ----------------------------------------------------
     def core_mean_temperatures(self) -> np.ndarray:
         """Capacitance-weighted core temperatures [degC], ``(n_cores,)``."""
@@ -136,11 +163,15 @@ class MulticoreThermalModel:
 
     def lateral_core_powers(self) -> np.ndarray:
         """Net lateral heat into each core [W] at the current state."""
-        core_temps = self._temps @ self._share
+        return self._lateral(self._temps)
+
+    def _lateral(self, temps: np.ndarray) -> np.ndarray:
+        """Net lateral heat into each core [W] at state ``temps``."""
+        core_temps = temps @ self._share
         return self._coupling @ core_temps - self._coupling_total * core_temps
 
-    def _effective_powers(self, powers: np.ndarray) -> np.ndarray:
-        """Validate shape; fold the quasi-static lateral term in.
+    def _effective_powers(self, powers, temps: np.ndarray) -> np.ndarray:
+        """Validate shape; fold the quasi-static lateral term at ``temps`` in.
 
         Returns ``powers`` itself (not a copy) when there is no
         coupling, so the zero-coupling arithmetic is untouched.
@@ -153,9 +184,26 @@ class MulticoreThermalModel:
             )
         if not self._has_coupling:
             return powers
-        return powers + np.outer(self.lateral_core_powers(), self._share)
+        return powers + np.outer(self._lateral(temps), self._share)
 
     # -- updates -------------------------------------------------------------
+    def advance_lanes(
+        self, start: np.ndarray, powers: np.ndarray, cycles: int, out=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact update of the state ``start``: ``(end, steady)``.
+
+        The lane kernel's coupled plant step (:mod:`repro.sim.batch`),
+        which owns the chip's state: this model's own is not touched.
+        The quasi-static lateral term at ``start`` is folded into the
+        ``(n_cores, n_blocks)`` powers, then the rows take the
+        single-core exact update,
+        :meth:`~repro.thermal.lumped.LumpedThermalModel.advance_batch`
+        with its cached decay (into ``out``, if given).  At zero
+        coupling each row is bit-identical to an independent lane.
+        """
+        powers = self._effective_powers(powers, start)
+        return self._core_model.advance_batch(start, powers, cycles, out=out)
+
     def step_cycle(self, powers: np.ndarray) -> np.ndarray:
         """One clock cycle of forward Euler across all cores.
 
@@ -170,7 +218,7 @@ class MulticoreThermalModel:
                 f"{self._euler_limit:g} s; use advance() for long "
                 f"constant-power intervals"
             )
-        powers = self._effective_powers(powers)
+        powers = self._effective_powers(powers, self._temps)
         leak = (self._temps - self.heatsink_temperature) / self._resistance
         self._temps = self._temps + (self.cycle_time / self._capacitance) * (
             powers - leak
@@ -185,44 +233,20 @@ class MulticoreThermalModel:
         state uses the closed-form exponential, one stacked numpy
         expression for all cores.
         """
-        if cycles <= 0:
-            raise ThermalModelError("cycles must be positive")
-        powers = self._effective_powers(powers)
-        steady = self.heatsink_temperature + powers * self._resistance
-        decay = np.exp(-(cycles * self.cycle_time) / self._tau)
-        self._temps = steady + (self._temps - steady) * decay
+        self._temps, _ = self.advance_lanes(self._temps, powers, cycles)
         return self._temps.copy()
-
-    def sample_update(
-        self, powers: np.ndarray, cycles: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Advance one sampling interval; return ``(start, steady, end)``.
-
-        The engine needs the interval's start temperatures and the
-        steady target the interval headed toward for the closed-form
-        emergency accounting (:meth:`fraction_above`); computing the
-        effective powers once here keeps the three views consistent.
-        """
-        if cycles <= 0:
-            raise ThermalModelError("cycles must be positive")
-        start = self._temps.copy()
-        powers = self._effective_powers(powers)
-        steady = self.heatsink_temperature + powers * self._resistance
-        decay = np.exp(-(cycles * self.cycle_time) / self._tau)
-        self._temps = steady + (start - steady) * decay
-        return start, steady, self._temps.copy()
 
     # -- analysis helpers ----------------------------------------------------
     def steady_state(self, powers: np.ndarray) -> np.ndarray:
         """Quasi-static steady target for the *current* lateral flows.
 
         This is the target the next constant-power interval relaxes
-        toward (the quantity :meth:`fraction_above` needs), not the
-        true coupled equilibrium -- see :meth:`equilibrium` for that.
+        toward, not the true coupled equilibrium -- see
+        :meth:`equilibrium` for that.
         At zero coupling the two coincide with the single-core formula
         ``T_sink + P * R`` exactly.
         """
-        powers = self._effective_powers(powers)
+        powers = self._effective_powers(powers, self._temps)
         return self.heatsink_temperature + powers * self._resistance
 
     def equilibrium(self, powers: np.ndarray) -> np.ndarray:
@@ -240,73 +264,14 @@ class MulticoreThermalModel:
                 f"expected powers of shape {self._temps.shape}, "
                 f"got {powers.shape}"
             )
-        n_cores, n_blocks = self._temps.shape
-        size = n_cores * n_blocks
-        system = np.zeros((size, size), dtype=float)
-        rhs = np.zeros(size, dtype=float)
-
-        def flat(core: int, block: int) -> int:
-            return core * n_blocks + block
-
-        for core in range(n_cores):
-            for block in range(n_blocks):
-                row = flat(core, block)
-                # Vertical leak to the heatsink.
-                g_vertical = 1.0 / self._resistance[block]
-                system[row, row] -= g_vertical
-                rhs[row] -= (
-                    powers[core, block]
-                    + g_vertical * self.heatsink_temperature
-                )
-                # Lateral exchange: this block receives share_b of the
-                # core-to-core flow driven by weighted mean temps.
-                for other in range(n_cores):
-                    g_pair = self._coupling[core, other]
-                    if g_pair == 0.0:
-                        continue
-                    for source in range(n_blocks):
-                        weight = (
-                            self._share[block] * g_pair * self._share[source]
-                        )
-                        system[row, flat(other, source)] += weight
-                        system[row, flat(core, source)] -= weight
-        solution = np.linalg.solve(system, rhs)
-        return solution.reshape(n_cores, n_blocks)
-
-    def fraction_above(
-        self,
-        start: np.ndarray,
-        steady: np.ndarray,
-        duration_seconds: float,
-        threshold: float,
-    ) -> np.ndarray:
-        """Per-core, per-block fraction of an interval above ``threshold``.
-
-        The stacked form of
-        :meth:`~repro.thermal.lumped.LumpedThermalModel.fraction_above`:
-        each block moves exponentially and monotonically from ``start``
-        toward ``steady``, so the crossing time (if any) is
-        ``t* = tau * ln((steady - start) / (steady - threshold))``.
-        Shapes are ``(n_cores, n_blocks)``; ``tau`` broadcasts over the
-        core axis.
-        """
-        start = np.asarray(start, dtype=float)
-        steady = np.asarray(steady, dtype=float)
-        if duration_seconds <= 0:
-            return (start > threshold).astype(float)
-        tau = self._tau
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (steady - start) / (steady - threshold)
-            cross = tau * np.log(np.where(ratio > 0, ratio, 1.0))
-        cross = np.clip(np.nan_to_num(cross, nan=0.0), 0.0, duration_seconds)
-        rising = steady > start
-        start_above = start > threshold
-        steady_above = steady > threshold
-        steady_below = steady < threshold
-        fraction = np.zeros_like(start)
-        crosses_up = rising & ~start_above & steady_above
-        fraction[crosses_up] = 1.0 - cross[crosses_up] / duration_seconds
-        crosses_down = ~rising & start_above & steady_below
-        fraction[crosses_down] = cross[crosses_down] / duration_seconds
-        fraction[start_above & ~steady_below] = 1.0
-        return fraction
+        # Block (c, b) leaks G_b = 1/R_b to the sink, and takes share_b of
+        # the flow between core c and each neighbor, driven by their
+        # capacitance-weighted mean temperatures.
+        vertical = 1.0 / self._resistance
+        exchange = self._coupling - np.diag(self._coupling_total)
+        system = np.kron(
+            exchange, np.outer(self._share, self._share)
+        ) - np.diag(np.tile(vertical, self.n_cores))
+        rhs = -(powers + vertical * self.heatsink_temperature)
+        solution = np.linalg.solve(system, rhs.ravel())
+        return solution.reshape(self._temps.shape)

@@ -1,13 +1,15 @@
 """The sample kernel: one vectorized loop for one run or many.
 
-:class:`BatchEngine` is the only single-core sample loop.  A lone run
+:class:`BatchEngine` is the engines' only sample loop.  A lone run
 (:meth:`~repro.sim.fast.FastEngine.run`) is a one-lane batch; a sweep
-group of compatible specs is a B-lane batch.  The paper's evaluation
-is sweep-shaped: every table is a grid of *independent* (benchmark x
-policy x seed) runs over one shared floorplan and sampling
-configuration.  B lanes share one stacked thermal state
-``(B, n_blocks)``, and each sampling interval advances every live lane
-through
+group of compatible specs is a B-lane batch; a multicore chip
+(:meth:`~repro.multicore.engine.MulticoreEngine.run`) is a *coupled
+lane group*, one lane per core (see :class:`BatchEngine`).  The
+paper's evaluation is sweep-shaped: every table is a grid of
+*independent* (benchmark x policy x seed) runs over one shared
+floorplan and sampling configuration.  B lanes share one stacked
+thermal state ``(B, n_blocks)``, and each sampling interval advances
+every live lane through
 
 * one Python pass over the lanes for the inherently scalar work -- the
   phase bisect, the lane's next jitter draw, the
@@ -330,9 +332,19 @@ class BatchEngine:
     module docstring): its thermal call is
     :meth:`~repro.thermal.lumped.LumpedThermalModel.advance_row`, in
     the same ``thermal.advance`` span, not ``advance_batch``.
+
+    ``group``, when given, makes the lanes one *coupled lane group*,
+    the cores of one chip: a
+    :class:`~repro.multicore.engine.MulticoreEngine` passes itself and
+    supplies the hooks.  The stacked pass (always taken) then steps
+    ``group.thermal.advance_lanes``, a coordinated group's
+    ``arbitrate`` makes every lane's decision before the per-lane
+    pass, the lanes leave together (a non-finite state fails the whole
+    run), and :meth:`run` returns a one-element list: the group's
+    result.
     """
 
-    def __init__(self, engines) -> None:
+    def __init__(self, engines, group=None) -> None:
         engines = list(engines)
         if not engines:
             raise SimulationError("BatchEngine needs at least one lane")
@@ -346,6 +358,7 @@ class BatchEngine:
                         f"match lane 0)"
                     )
         self.engines = engines
+        self.group = group
 
     def __len__(self) -> int:
         return len(self.engines)
@@ -418,6 +431,11 @@ class BatchEngine:
             lane.end_state = None
             lane.telemetry = engine.telemetry
             lane.recording = engine.telemetry.enabled
+            if self.group is not None:
+                # A core's jitter stream and DTM decision are the
+                # chip's, and its commits feed the chip's trace rows.
+                lane.rng, lane.on_sample = self.group.lane(slot)
+                lane.recording = self.group.telemetry.enabled
             lane.instructions = budget
             lane.position = 0.0
             lane.committed = 0.0
@@ -440,6 +458,7 @@ class BatchEngine:
 
     def _run(self, instructions, max_cycles, warmup) -> list[LaneOutcome]:
         first = self.engines[0]
+        group = self.group
         sample = first.dtm_config.sampling_interval
         sample_seconds = sample * first.machine.cycle_time
         emergency_level = first.thermal_config.emergency_temperature
@@ -451,13 +470,19 @@ class BatchEngine:
         idle = first.power_model.idle_fraction
         block_count = len(first.floorplan.names)
         count = len(self.engines)
+        # The stacked pass's plant step and a decision hook.  A coupled
+        # group has its own, and its lanes leave only all together.
+        advance, arbitrate, quorum = (
+            (thermal.advance_batch, None, 1) if group is None
+            else (group.thermal.advance_lanes, group.arbitrate, count)
+        )
 
         outcomes = [LaneOutcome() for _ in range(count)]
         live = self._start_lanes(instructions, max_cycles, warmup, outcomes)
         # The deferred threshold pass: lanes' rows are staged per step
         # and flushed per chunk, and whenever lanes leave.
         stage = SampleStage(
-            thermal, self.engines, sample, sample_seconds, thresholds
+            thermal, self.engines, sample, sample_seconds, thresholds, group
         )
         # A lane whose budget allows no step measures nothing.
         for lane in [lane for lane in live if lane.deadline <= 0]:
@@ -524,7 +549,8 @@ class BatchEngine:
                         (r, lane.monitored) for r, lane in enumerate(live)
                         if lane.monitored is not None
                     ]
-                    one_row = k == 1
+                    # A group's plant step is stacked, even for one core.
+                    one_row = k == 1 and group is None
                     if one_row:
                         # One live lane: the state is a list of Python
                         # floats, and the step skips the stacked pass.
@@ -576,6 +602,11 @@ class BatchEngine:
                     for r, monitored in placed:
                         sensed[r] = start[r, monitored].max()
                     sensed_py = sensed.tolist()
+                    if arbitrate is not None:
+                        # A coordinated group decides first: every
+                        # core's DTM decision, then the coordinator's
+                        # grant, which the lane's on_sample returns.
+                        arbitrate(sensed_py, sensed, steps)
                 stall_row = s_stalls[step]
                 if keep_rows:
                     committed_row = stage.committed[step]
@@ -670,7 +701,7 @@ class BatchEngine:
                         powers, axis=1, out=s_chip[step, :k]
                     )
                     chip_power += unmonitored
-                    end, steady = thermal.advance_batch(
+                    end, steady = advance(
                         start, powers, sample,
                         out=(s_end[step, :k], s_steady[step, :k]),
                     )
@@ -692,10 +723,16 @@ class BatchEngine:
                     ))
 
                 if warming or not finite:
-                    leaving += _settle_masked(
-                        live, stage, step, s_end[step, :k], s_chip[step, :k],
-                        duties, warming,
-                    )
+                    if group is not None:
+                        # A non-finite core fails the whole chip.
+                        group.check_finite(
+                            s_end[step, :k], s_chip[step, :k], duties, steps
+                        )
+                    else:
+                        leaving += _settle_masked(
+                            live, stage, step, s_end[step, :k],
+                            s_chip[step, :k], duties, warming,
+                        )
                 steps += 1
                 step += 1
                 if steps >= next_deadline:
@@ -710,7 +747,7 @@ class BatchEngine:
                                 )
                             leaving.append(r)
 
-                if leaving:
+                if leaving and len(leaving) >= quorum:
                     # Flush before compacting: the staged columns are
                     # the live lanes of this chunk.
                     staged, step = step, 0
@@ -730,6 +767,10 @@ class BatchEngine:
                             if lane.error is not None
                             else _finish(stage, lane, steps)
                         )
+                    if group is not None:
+                        # The group left as one: the chip's result.
+                        result = group.finish(stage, steps, outcomes, end)
+                        return [LaneOutcome(result=result)]
                     kept = [r for r in range(k) if r not in gone]
                     live = [live[r] for r in kept]
                     slots = slots[kept]

@@ -26,7 +26,8 @@ rows) -- and the stage's :meth:`~SampleStage.flush` post-pass then
   column block (:meth:`~repro.telemetry.core.Telemetry.record_block`),
   in sample order, with the controller halves each sample took from
   :meth:`~repro.telemetry.core.Telemetry.take_control` transposed once
-  per chunk.
+  per chunk; a coupled lane group (one multicore chip) reduces across
+  lanes and hands the chip's sink one row per sample instead.
 
 No controller reads any of these totals either, so the stage owns
 them: the kernel keeps only what steers a run (its committed
@@ -126,10 +127,18 @@ class SampleStage:
     :attr:`temp_max` ``(lanes, blocks)``, :attr:`chip_sums` ``(3,
     lanes)`` (chip power, energy in joules, stall cycles) and
     :attr:`chip_max` ``(lanes,)``.
+
+    ``group`` is a coupled lane group (see
+    :class:`~repro.sim.batch.BatchEngine`), whose :attr:`chip` cells
+    are core powers.  Its flush reduces each step across lanes into
+    :attr:`group_sums` (chip power, energy, then each threshold's
+    cycles, a maximum over lanes) and :attr:`group_max`, and adds each
+    lane's hottest end temperature into :attr:`hottest_sum`.
     """
 
     def __init__(
-        self, thermal, engines, sample: int, sample_seconds: float, thresholds
+        self, thermal, engines, sample: int, sample_seconds: float,
+        thresholds, group=None,
     ) -> None:
         lanes = len(engines)
         blocks = len(thermal.names)
@@ -162,9 +171,20 @@ class SampleStage:
         ]
         #: Measured samples emitted per slot (the next record's index).
         self._emitted = [0] * lanes
-        self.keep_rows = any(
-            recorder is not None for recorder in self._recorders
-        ) or any(history is not None for history in self._histories)
+        self._emitted_chip = 0
+        self._group = group
+        self._chip_sink = None
+        if group is not None:
+            self.group_sums = np.zeros(2 + len(thresholds))
+            self.group_max = 0.0
+            self.hottest_sum = np.zeros(lanes)
+            if group.telemetry.enabled:
+                self._chip_sink = group.telemetry
+        self.keep_rows = (
+            any(recorder is not None for recorder in self._recorders)
+            or any(history is not None for history in self._histories)
+            or self._chip_sink is not None
+        )
         if self.keep_rows:
             self.sensed = np.empty((STAGE_ROWS, lanes))
             self.committed = np.empty((STAGE_ROWS, lanes))
@@ -230,12 +250,56 @@ class SampleStage:
         self.chip_max[slots] = np.maximum(
             self.chip_max[slots], chip.max(axis=0)
         )
+        if self._group is not None:
+            # A group never masks: a non-finite core fails the run.
+            totals = np.add.reduce(chip, axis=1)
+            hottest = end.max(axis=2)
+            self.group_sums = _running_sum(
+                self.group_sums,
+                np.concatenate((
+                    [totals, totals * self._seconds],
+                    peaks.max(axis=2) * sample,
+                )),
+                axis=1,
+            )
+            self.group_max = max(self.group_max, float(totals.max()))
+            self.hottest_sum[slots] = _running_sum(
+                self.hottest_sum[slots], hottest, axis=0
+            )
+            if self._chip_sink is not None:
+                self._emit_chip(steps, lanes, peaks, totals, hottest)
         if self.keep_rows:
             self._emit(steps, slots.tolist(), fractions, peaks, mask)
             self.extras.clear()
         if mask is not None:
             mask[:] = True
             self.masked = False
+
+    def _emit_chip(self, steps, lanes, peaks, totals, hottest) -> None:
+        """Hand the group's sink one chip row per step, as one block.
+
+        Its block temperatures are the lanes' hottest blocks, its IPC
+        and duty the lanes' sum and mean, its other columns the maxima
+        over lanes; no controller stages a chip-level half (NaN).
+        """
+        first = self._emitted_chip
+        self._emitted_chip = first + steps
+        index = np.arange(first, first + steps)
+        floats = np.column_stack((
+            self.sensed[:steps, :lanes].max(axis=1),
+            hottest.max(axis=1),
+            totals,
+            np.add.reduce(self.committed[:steps, :lanes], axis=1)
+            / self._sample,
+            np.full((steps, 7), np.nan),
+            np.array([extra[0] for extra in self.extras]).mean(axis=1),
+            peaks[0].max(axis=1),
+            peaks[1].max(axis=1),
+            hottest,
+        ))
+        ints = np.column_stack((index, (index + 1) * self._sample, 0 * index))
+        nan = np.full(steps, np.nan)
+        self._chip_sink.record_block(floats, ints, [""] * steps, nan)
 
     def _emit(self, steps, slots, fractions, peaks, mask) -> None:
         """Fill each lane's history rows and hand its sink one block."""

@@ -272,10 +272,6 @@ class NullTelemetry:
         """Nothing is ever staged."""
         return None
 
-    def record_sample(self, *args, **kwargs):
-        """Ignored; returns ``None``."""
-        return None
-
     def snapshot(self) -> dict:
         """A fixed empty snapshot."""
         return {"metrics": {}, "spans": {}, "trace": {}}

@@ -143,6 +143,16 @@ class TestWorkSpecFields:
         with pytest.raises(ConfigError):
             run_specs([spec], jobs=1, cache=False)
 
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_single_core_spec_rejects_coordinator(self, batch):
+        spec = WorkSpec(
+            "gcc", "pid", instructions=INSTRUCTIONS,
+            coordinator="no-such-strategy",
+        )
+        plain = WorkSpec("gzip", "pid", instructions=INSTRUCTIONS)
+        with pytest.raises(ConfigError, match="coordinator"):
+            run_specs([plain, spec], jobs=1, batch=batch, cache=False)
+
 
 def test_hierarchical_rows_do_not_depend_on_run_order():
     # Each run builds its own sensor, so a row equals its spec run

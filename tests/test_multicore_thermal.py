@@ -129,14 +129,19 @@ class TestLateralCoupling:
         expected = model._temps @ shares
         assert np.allclose(model.core_mean_temperatures(), expected)
 
-    def test_sample_update_views_consistent(self):
-        model = make_model(2)
-        powers = np.full(model.shape, 5.0)
-        before = model.temperatures
-        start, steady, end = model.sample_update(powers, 1000)
-        assert np.array_equal(start, before)
-        assert np.array_equal(end, model.temperatures)
-        # end lies between start and steady elementwise.
+    def test_advance_lanes_matches_advance(self):
+        model = make_model(4)
+        rng = np.random.default_rng(5)
+        model.advance(rng.uniform(0.0, 12.0, size=model.shape), 200_000)
+        powers = rng.uniform(0.0, 12.0, size=model.shape)
+        start = model.temperatures
+        out = (np.empty(model.shape), np.empty(model.shape))
+        end, steady = model.advance_lanes(start, powers, 1000, out)
+        assert end is out[0] and steady is out[1]
+        # The lane step leaves the model's own state alone ...
+        assert np.array_equal(model.temperatures, start)
+        # ... and takes advance()'s coupled update, bit for bit.
+        assert np.array_equal(end, model.advance(powers, 1000))
         low = np.minimum(start, steady) - 1e-9
         high = np.maximum(start, steady) + 1e-9
         assert np.all(end >= low) and np.all(end <= high)
@@ -182,25 +187,3 @@ class TestEquilibrium:
         for _ in range(2000):
             model.advance(powers, 100_000)
         assert np.abs(model.temperatures - target).max() < 0.01
-
-
-class TestFractionAbove:
-    def test_bounds_and_endpoint_consistency(self):
-        model = make_model(3)
-        rng = np.random.default_rng(11)
-        powers = rng.uniform(0.0, 12.0, size=model.shape)
-        start, steady, end = model.sample_update(powers, 1000)
-        duration = 1000 / 1.5e9
-        frac = model.fraction_above(start, steady, duration, 100.5)
-        assert np.all(frac >= 0.0) and np.all(frac <= 1.0)
-        both_above = (start > 100.5) & (end > 100.5)
-        both_below = (start <= 100.5) & (end <= 100.5)
-        assert np.all(frac[both_above] == 1.0)
-        assert np.all(frac[both_below] == 0.0)
-
-    def test_zero_duration_uses_start(self):
-        model = make_model(2)
-        start = np.full(model.shape, 103.0)
-        steady = np.full(model.shape, 100.0)
-        frac = model.fraction_above(start, steady, 0.0, 102.0)
-        assert np.all(frac == 1.0)
