@@ -24,8 +24,9 @@ every live lane through
 
 The stacked calls write straight into the shared
 :class:`~repro.sim.stage.SampleStage` rows (``advance_batch`` its end
-and steady state, the chip-power sum its chip column); only the start
-state is copied in.  The stage owns every total no controller reads
+and steady state, the chip-power sum its chip column).  A step starts
+on the stage row the step before it ended on, so no state is copied
+in.  The stage owns every total no controller reads
 (threshold fractions, temperatures, chip power, energy, stall cycles)
 and folds them once per chunk of :data:`~repro.sim.stage.STAGE_ROWS`
 steps.  A lane's jittered activity does not need the controller, so it
@@ -43,17 +44,28 @@ operands are tiled to the full lane shape once per run, so those calls
 take numpy's same-shape fast path instead of broadcasting a row or a
 Python scalar.
 
-A step with one live lane -- every step of a lone run, and the steps
-a ragged group's last lane runs alone -- takes the stacked pass's
-one-row form instead: the same arithmetic on Python floats
-(:func:`_row_power`, then
-:meth:`~repro.thermal.lumped.LumpedThermalModel.advance_row`), with
-the lane's state a list, assigned into the same stage rows.  At these
-sizes a numpy call costs about a microsecond of dispatch whatever its
-length, so at one lane the stacked pass's calls cost more than its
-arithmetic and amortize over nothing.  The form is chosen where the
-views for k live lanes are rebuilt, which happens only when lanes
-leave; a leaving lane flushes the stage, so a chunk has one form.
+The step takes one of three forms, each owning its sensing, its
+power pass and its plant call:
+
+* the stacked form (:class:`_Stacked`), for two or more independent
+  lanes, as above;
+* the one-row form (:class:`_OneRow`), for one live lane -- every step
+  of a lone run, and the steps a ragged group's last lane runs alone:
+  the same arithmetic on Python floats (:func:`_row_power`, then
+  :meth:`~repro.thermal.lumped.LumpedThermalModel.advance_row`), with
+  the lane's state a list, assigned into the same stage rows.  At
+  these sizes a numpy call costs about a microsecond of dispatch
+  whatever its length, so at one lane the stacked pass's calls cost
+  more than its arithmetic and amortize over nothing;
+* the coupled group's form (:class:`_Group`), the stacked pass over a
+  chip's cores with the group's hooks (see :class:`BatchEngine`).
+
+The form is chosen where the views for k live lanes are rebuilt,
+which happens only when lanes leave; a leaving lane flushes the stage,
+so a chunk has one form.  The kernel's per-step loop is the lane pass,
+the cycle-deadline check and the leave/flush hand-off.  A form looks its plant step up on the model
+when it is built, inside a ``thermal.advance`` span when lane 0's
+profiler is on.
 
 Bit-identity, not approximate equivalence, is the contract: every
 vectorized expression is the same elementwise arithmetic a per-sample
@@ -324,24 +336,25 @@ class BatchEngine:
 
     Each lane's result is bit-identical to a one-lane run of its
     engine.  Two deliberate observability exceptions: profiler *spans*
-    are not reproduced lane-per-lane (the stacked thermal call records
-    its ``thermal.advance`` span in lane 0's profiler), and per-sample
+    are not reproduced lane-per-lane (each step's plant call records
+    one ``thermal.advance`` span in lane 0's profiler), and per-sample
     ``latency_seconds`` measures the batched step.
 
     A step with a single live lane runs on Python floats (see the
     module docstring): its thermal call is
-    :meth:`~repro.thermal.lumped.LumpedThermalModel.advance_row`, in
-    the same ``thermal.advance`` span, not ``advance_batch``.
+    :meth:`~repro.thermal.lumped.LumpedThermalModel.advance_row`, not
+    ``advance_batch``.
 
     ``group``, when given, makes the lanes one *coupled lane group*,
     the cores of one chip: a
     :class:`~repro.multicore.engine.MulticoreEngine` passes itself and
-    supplies the hooks.  The stacked pass (always taken) then steps
+    supplies the hooks of the group's step form (:class:`_Group`).  The
+    stacked pass (always taken) then steps
     ``group.thermal.advance_lanes``, a coordinated group's
     ``arbitrate`` makes every lane's decision before the per-lane
     pass, the lanes leave together (a non-finite state fails the whole
     run), and :meth:`run` returns a one-element list: the group's
-    result.
+    result.  A chip's cores record no profiler spans.
     """
 
     def __init__(self, engines, group=None) -> None:
@@ -458,32 +471,14 @@ class BatchEngine:
 
     def _run(self, instructions, max_cycles, warmup) -> list[LaneOutcome]:
         first = self.engines[0]
-        group = self.group
         sample = first.dtm_config.sampling_interval
-        sample_seconds = sample * first.machine.cycle_time
-        emergency_level = first.thermal_config.emergency_temperature
-        stress_level = first.dtm_config.nonct_trigger
-        thresholds = (emergency_level, stress_level)
         fetch_supply = first.machine.fetch_width * SUPPLY_EFFICIENCY
-        thermal = first.thermal
-        block_peaks = first.power_model.peaks_view
-        idle = first.power_model.idle_fraction
-        block_count = len(first.floorplan.names)
         count = len(self.engines)
-        # The stacked pass's plant step and a decision hook.  A coupled
-        # group has its own, and its lanes leave only all together.
-        advance, arbitrate, quorum = (
-            (thermal.advance_batch, None, 1) if group is None
-            else (group.thermal.advance_lanes, group.arbitrate, count)
-        )
-
         outcomes = [LaneOutcome() for _ in range(count)]
         live = self._start_lanes(instructions, max_cycles, warmup, outcomes)
         # The deferred threshold pass: lanes' rows are staged per step
         # and flushed per chunk, and whenever lanes leave.
-        stage = SampleStage(
-            thermal, self.engines, sample, sample_seconds, thresholds, group
-        )
+        stage = SampleStage(self.engines, self.group)
         # A lane whose budget allows no step measures nothing.
         for lane in [lane for lane in live if lane.deadline <= 0]:
             live.remove(lane)
@@ -492,41 +487,17 @@ class BatchEngine:
             return outcomes
 
         slots = np.fromiter((lane.slot for lane in live), dtype=np.intp)
-        state = np.array(
-            [lane.engine.thermal.temperatures_view for lane in live]
-        )
+        # The lanes' start states are the first chunk's row 0.
+        stage.rows[0, :len(live)] = [
+            lane.engine.thermal.temperatures_view for lane in live
+        ]
         timing = any(lane.time_samples for lane in live)
-        s_start, s_steady, s_end = stage.start, stage.steady, stage.end
-        s_chip, s_stalls = stage.chip, stage.stalls
-        keep_rows = stage.keep_rows
-        history_rows = stage.powers is not None
-
+        stalls, keep_rows = stage.stalls, stage.keep_rows
         # Column r of ``activity`` holds live lane r's activity rows for
-        # the chunk (_Lane.build_activity).  The power pass runs on
-        # ``utilization``/``power`` rows of ``n + 1`` columns, the last
-        # the unmonitored area's (its utilization is the blocks' mean),
-        # against constants tiled to the full shape: dividing the block
-        # columns by 1.0 and the sum column by ``n`` is one full-shape
-        # call, and ``x / 1.0`` is ``x``.
-        activity = np.empty((STAGE_ROWS, count, block_count))
+        # the chunk (_Lane.build_activity), and ``ratios[r]`` its
+        # throughput ratio of the step.
+        activity = np.empty((STAGE_ROWS, count, len(first.floorplan.names)))
         ratios = np.empty(count)
-        utilization_rows = np.empty((count, block_count + 1))
-        power_rows = np.empty((count, block_count + 1))
-        constants = np.array((
-            [1.0] * block_count + [float(block_count)],
-            [1.0 - idle] * (block_count + 1),
-            [idle] * (block_count + 1),
-            np.append(block_peaks, first.floorplan.unmonitored_peak_power),
-        ))
-        tiles = np.repeat(constants[:, None], count, axis=1)
-        # The same constants as Python floats, for the one-row step.
-        row_constants = (
-            constants[1, 0].item(),
-            constants[2, 0].item(),
-            constants[3, :block_count].tolist(),
-            constants[0, block_count].item(),
-            constants[3, block_count].item(),
-        )
         duties: list = [0.0] * count
         controls: list = [None] * count
 
@@ -537,77 +508,14 @@ class BatchEngine:
         try:
             while live:
                 if k != len(live):
-                    # The step's form and its views for k live lanes,
-                    # chosen only when lanes leave.  A leaving lane
-                    # flushes the stage, so a chunk has a single k.
+                    # The step's form for k live lanes, chosen only when
+                    # lanes leave.  A leaving lane flushes the stage, so
+                    # a chunk has one form.
                     k = len(live)
-                    leaky = [
-                        (r, lane.leakage) for r, lane in enumerate(live)
-                        if lane.leakage is not None
-                    ]
-                    placed = [
-                        (r, lane.monitored) for r, lane in enumerate(live)
-                        if lane.monitored is not None
-                    ]
-                    # A group's plant step is stacked, even for one core.
-                    one_row = k == 1 and group is None
-                    if one_row:
-                        # One live lane: the state is a list of Python
-                        # floats, and the step skips the stacked pass.
-                        state = state[0].tolist()
-                        leakage = live[0].leakage
-                        sensors = (
-                            None if live[0].monitored is None
-                            else live[0].monitored.tolist()
-                        )
-                        # numpy's maximum propagates a NaN that max()
-                        # may skip.  Every row a step ends on passes
-                        # the finiteness test, so only the run's start
-                        # state can hold one.
-                        exact_max = any(temp != temp for temp in state)
-                    else:
-                        lane_ratios = ratios[:k, None]
-                        utilization = utilization_rows[:k]
-                        block_utilization = utilization[:, :block_count]
-                        mean_utilization = utilization[:, block_count]
-                        divisor, active_frac, idle_frac, peaks = tiles[:, :k]
-                        power = power_rows[:k]
-                        powers = power[:, :block_count]
-                        unmonitored = power[:, block_count]
+                    form = self._form(live, stage, activity, ratios)
                 iter_start = perf_counter() if timing else 0.0
-                start = state
-                if one_row:
-                    s_start[step, 0] = start
-                    sensed = (
-                        max(start) if sensors is None
-                        else max([start[i] for i in sensors])
-                    )
-                    if exact_max or not sensed:
-                        # numpy's own maximum, for its NaN propagation
-                        # and its sign of a zero maximum (+0.0 tied with
-                        # -0.0), on the staged start row.
-                        row = s_start[step, 0]
-                        if sensors is not None:
-                            row = row[sensors]
-                        sensed = row.max().item()
-                        exact_max = False
-                    if keep_rows:
-                        stage.sensed[step, 0] = sensed
-                    sensed_py = [sensed]
-                else:
-                    sensed = np.maximum.reduce(
-                        start, axis=1,
-                        out=stage.sensed[step, :k] if keep_rows else None,
-                    )
-                    for r, monitored in placed:
-                        sensed[r] = start[r, monitored].max()
-                    sensed_py = sensed.tolist()
-                    if arbitrate is not None:
-                        # A coordinated group decides first: every
-                        # core's DTM decision, then the coordinator's
-                        # grant, which the lane's on_sample returns.
-                        arbitrate(sensed_py, sensed, steps)
-                stall_row = s_stalls[step]
+                sensed = form.sense(step, steps)
+                stall_row = stalls[step]
                 if keep_rows:
                     committed_row = stage.committed[step]
                 warming: list[int] = []
@@ -636,7 +544,7 @@ class BatchEngine:
                         demand *= z * (0.5 * jitter) + 1.0
                     if demand < 0.05:
                         demand = 0.05
-                    duty, stall = lane.on_sample(sensed_py[r])
+                    duty, stall = lane.on_sample(sensed[r])
                     supply = duty * fetch_supply
                     effective = supply if supply < demand else demand
                     committed = effective * (
@@ -658,81 +566,15 @@ class BatchEngine:
                         controls[r] = lane.telemetry.take_control()
                         committed_row[r] = committed
 
-                if one_row:
-                    # The stacked pass's arithmetic on one row of Python
-                    # floats, written into the stage's rows.
-                    powers, chip_power = _row_power(
-                        activity[step, 0].tolist(),
-                        ratios.item(0),
-                        row_constants,
-                        None if leakage is None else leakage.power(
-                            block_peaks, s_start[step, 0]
-                        ).tolist(),
-                    )
-                    end, steady = thermal.advance_row(start, powers, sample)
-                    s_chip[step, 0] = chip_power
-                    s_steady[step, 0] = steady
-                    s_end[step, 0] = end
-                    # Tested as the stacked pass tests its sums below;
-                    # the value is not kept.
-                    finite = math.isfinite(sum(end, chip_power))
-                else:
-                    # The stacked pass: one lane's elementwise
-                    # arithmetic, broadcast over the lane axis, written
-                    # straight into the stage's rows.  ``add.reduce /
-                    # n`` is what ``mean`` computes, minus its Python
-                    # wrapper.
-                    np.multiply(
-                        activity[step, :k], lane_ratios,
-                        out=block_utilization,
-                    )
-                    np.add.reduce(
-                        block_utilization, axis=1, out=mean_utilization
-                    )
-                    np.divide(utilization, divisor, out=utilization)
-                    np.multiply(utilization, active_frac, out=power)
-                    np.add(power, idle_frac, out=power)
-                    np.multiply(power, peaks, out=power)
-                    for r, lane_leakage in leaky:
-                        # Quasi-static leakage at the sample's start
-                        # state.
-                        powers[r] += lane_leakage.power(block_peaks, start[r])
-                    chip_power = np.add.reduce(
-                        powers, axis=1, out=s_chip[step, :k]
-                    )
-                    chip_power += unmonitored
-                    end, steady = advance(
-                        start, powers, sample,
-                        out=(s_end[step, :k], s_steady[step, :k]),
-                    )
-                    s_start[step, :k] = start
-                    # A sum is finite only if every term is: one cheap
-                    # test for the common step, on Python floats; the
-                    # exact per-lane mask (and the rare overflowing sum)
-                    # takes the masked path.
-                    finite = math.isfinite(
-                        sum(chip_power.tolist()) + sum(end.ravel().tolist())
-                    )
+                finite = form.advance(step)
                 if keep_rows:
-                    if history_rows:
-                        stage.powers[step, :k] = powers
                     stage.extras.append((
                         duties[:k],
                         controls[:k],
                         perf_counter() - iter_start if timing else math.nan,
                     ))
-
                 if warming or not finite:
-                    if group is not None:
-                        # A non-finite core fails the whole chip.
-                        group.check_finite(
-                            s_end[step, :k], s_chip[step, :k], duties, steps
-                        )
-                    else:
-                        leaving += _settle_masked(
-                            live, stage, step, s_end[step, :k],
-                            s_chip[step, :k], duties, warming,
-                        )
+                    leaving += form.settle(live, step, steps, duties, warming)
                 steps += 1
                 step += 1
                 if steps >= next_deadline:
@@ -747,14 +589,12 @@ class BatchEngine:
                                 )
                             leaving.append(r)
 
-                if leaving and len(leaving) >= quorum:
+                if leaving and len(leaving) >= form.quorum:
                     # Flush before compacting: the staged columns are
                     # the live lanes of this chunk.
                     staged, step = step, 0
                     stage.flush(staged, slots)
-                    # The step's end rows as staged (a list above at
-                    # k = 1).
-                    end = s_end[staged - 1, :k]
+                    end = stage.end[staged - 1, :k]
                     gone = set(leaving)
                     for r in gone:
                         lane = live[r]
@@ -767,65 +607,350 @@ class BatchEngine:
                             if lane.error is not None
                             else _finish(stage, lane, steps)
                         )
-                    if group is not None:
-                        # The group left as one: the chip's result.
-                        result = group.finish(stage, steps, outcomes, end)
-                        return [LaneOutcome(result=result)]
                     kept = [r for r in range(k) if r not in gone]
                     live = [live[r] for r in kept]
                     slots = slots[kept]
-                    state = end[kept]
+                    # The kept lanes' end rows start the next chunk.
+                    stage.rows[0, :len(kept)] = end[kept]
                     if live:
                         next_deadline = min(lane.deadline for lane in live)
                         timing = any(lane.time_samples for lane in live)
-                else:
-                    state = end
-                    if step == STAGE_ROWS:
-                        step = 0
-                        stage.flush(STAGE_ROWS, slots)
+                elif step == STAGE_ROWS:
+                    step = 0
+                    stage.flush(STAGE_ROWS, slots)
                 if not step:
                     # A new chunk: every lane builds its activity rows.
                     for lane in live:
                         lane.built = -1
         finally:
             stage.flush(step, slots)
+        return form.finish(stage, steps, outcomes, end)
+
+    def _form(self, live, stage, activity, ratios) -> _Form:
+        """The step form for the ``live`` lanes, built when they change.
+
+        A coupled group steps stacked even for one core; otherwise one
+        live lane takes the one-row form and more the stacked one.  The
+        form looks its plant step up on the model here, inside a
+        ``thermal.advance`` span when lane 0's profiler is on.
+        """
+        first = self.engines[0]
+        telemetry = first.telemetry
+        profiler = (
+            telemetry.profiler
+            if telemetry.enabled and telemetry.profiler.enabled
+            else None
+        )
+        args = (first, live, stage, activity, ratios, profiler)
+        if self.group is not None:
+            return _Group(self.group, *args)
+        return _OneRow(*args) if len(live) == 1 else _Stacked(*args)
+
+
+def _spanned(plant, profiler):
+    """``plant``, inside a ``thermal.advance`` span of ``profiler``.
+
+    ``profiler`` ``None`` returns ``plant`` itself: an unprofiled step
+    pays for no span.
+    """
+    if profiler is None:
+        return plant
+
+    def advance(*args, **kwargs):
+        with profiler.span("thermal.advance"):
+            return plant(*args, **kwargs)
+
+    return advance
+
+
+def _power_constants(first) -> np.ndarray:
+    """The power pass's constant rows, over ``n + 1`` columns.
+
+    The divisor (1.0 per block and ``n`` for the last column, the
+    unmonitored area's, whose utilization is the blocks' sum), the
+    active and idle fractions of CC3 power, and the peak powers.
+    """
+    block_count = len(first.floorplan.names)
+    idle = first.power_model.idle_fraction
+    return np.array((
+        [1.0] * block_count + [float(block_count)],
+        [1.0 - idle] * (block_count + 1),
+        [idle] * (block_count + 1),
+        np.append(
+            first.power_model.peaks_view,
+            first.floorplan.unmonitored_peak_power,
+        ),
+    ))
+
+
+class _Form:
+    """One form of the kernel's step for ``k`` live lanes.
+
+    A form owns the step's sensing (:meth:`sense`, the sensed maxima as
+    Python floats), its power pass and plant call (:meth:`advance`,
+    into the stage's rows; returns whether the step's sums are
+    finite), the masked path (:meth:`settle`), how many leaving lanes
+    end a chunk (:attr:`quorum`) and the run's outcomes once every lane
+    has left (:meth:`finish`).  Step ``s`` starts on stage row
+    ``rows[s]`` and ends on ``end[s]``.
+    """
+
+    #: Any leaving lane flushes the chunk and leaves alone.
+    quorum = 1
+
+    def __init__(self, first, live, stage, activity, ratios) -> None:
+        self.k = len(live)
+        self.stage = stage
+        self.activity = activity
+        self.ratios = ratios
+        self.sample = first.dtm_config.sampling_interval
+        self.peaks = first.power_model.peaks_view
+        self.keep_rows = stage.keep_rows
+        self.history = stage.powers is not None
+
+    def settle(self, live, step, steps, duties, warming) -> list[int]:
+        """Mask a step with a warming or non-finite lane out of the stage.
+
+        A warming lane's step is excluded from every total; a non-finite
+        lane's also gets the run's non-finite error and finite stand-in
+        temperature cells for the threshold pass.  The error
+        diagnostics and the lane's end state (what its engine gets
+        back) are taken from the stage's rows before the stand-ins
+        overwrite them.  Returns the non-finite rows, which leave.
+        """
+        stage = self.stage
+        end = stage.end[step, :self.k]
+        chip_power = stage.chip[step, :self.k]
+        finite = np.isfinite(chip_power) & np.logical_and.reduce(
+            np.isfinite(end), axis=1
+        )
+        measured = finite.copy()
+        measured[warming] = False
+        stage.measured[step, :self.k] = measured
+        stage.masked = True
+        bad = np.flatnonzero(~finite).tolist()
+        for r in bad:
+            # The lane leaves with its non-finite error; the others
+            # keep stepping.
+            lane = live[r]
+            lane.error = lane.engine._non_finite(
+                end[r], float(chip_power[r]), duties[r]
+            )
+            lane.end_state = end[r].copy()
+        if bad:
+            # The start row is the previous step's end row, which the
+            # flush still counts: only its non-finite cells get a
+            # stand-in, and only a run's first row can hold one.
+            start = stage.rows[step, bad]
+            stage.rows[step, bad] = np.where(np.isfinite(start), start, 0.0)
+            stage.steady[step, bad] = 0.0
+            end[bad] = 0.0
+        return bad
+
+    def finish(self, stage, steps, outcomes, end) -> list[LaneOutcome]:
+        """The run's outcomes, once every lane has left on ``end``."""
         return outcomes
 
 
-def _settle_masked(
-    live, stage, step, end, chip_power, duties, warming,
-) -> list[int]:
-    """Mask a step with a warming or non-finite lane out of the stage.
+class _OneRow(_Form):
+    """The step of one live lane, on Python floats.
 
-    A warming lane's step is excluded from every total; a non-finite
-    lane's also gets the run's non-finite error and finite stand-in
-    temperature rows for the threshold pass.  ``end`` and
-    ``chip_power`` are the stage's own rows, so a non-finite lane's
-    error diagnostics and end state (what its engine gets back) are
-    taken before the stand-ins overwrite them.  Returns the non-finite
-    rows, which leave.
+    The stacked pass's arithmetic on one row (:func:`_row_power`, then
+    :meth:`~repro.thermal.lumped.LumpedThermalModel.advance_row`), with
+    the lane's state a list, assigned into the stage's rows.
     """
-    k = len(live)
-    finite = np.isfinite(chip_power) & np.logical_and.reduce(
-        np.isfinite(end), axis=1
-    )
-    measured = finite.copy()
-    measured[warming] = False
-    stage.measured[step, :k] = measured
-    stage.masked = True
-    bad = np.flatnonzero(~finite).tolist()
-    for r in bad:
-        # The lane leaves with its non-finite error; the others
-        # keep stepping.
-        lane = live[r]
-        lane.error = lane.engine._non_finite(
-            end[r], float(chip_power[r]), duties[r]
+
+    def __init__(self, first, live, stage, activity, ratios, profiler):
+        super().__init__(first, live, stage, activity, ratios)
+        lane = live[0]
+        self.state = stage.rows[0, 0].tolist()
+        self.leakage = lane.leakage
+        self.sensors = (
+            None if lane.monitored is None else lane.monitored.tolist()
         )
-        lane.end_state = end[r].copy()
-    # Finite stand-ins (the start state itself may not be finite).
-    for rows in (stage.start, stage.steady, stage.end):
-        rows[step, bad] = 0.0
-    return bad
+        # numpy's maximum propagates a NaN that max() may skip.  Every
+        # row a step ends on passes the finiteness test, so only the
+        # run's start state can hold one.
+        self.exact_max = any(temp != temp for temp in self.state)
+        constants = _power_constants(first)
+        block_count = len(self.state)
+        self.constants = (
+            constants[1, 0].item(),
+            constants[2, 0].item(),
+            constants[3, :block_count].tolist(),
+            constants[0, block_count].item(),
+            constants[3, block_count].item(),
+        )
+        self.advance_row = _spanned(first.thermal.advance_row, profiler)
+
+    def sense(self, step, steps) -> list:
+        start = self.state
+        sensors = self.sensors
+        sensed = (
+            max(start) if sensors is None
+            else max([start[i] for i in sensors])
+        )
+        if self.exact_max or not sensed:
+            # numpy's own maximum, for its NaN propagation and its sign
+            # of a zero maximum (+0.0 tied with -0.0), on the staged
+            # start row.
+            row = self.stage.rows[step, 0]
+            if sensors is not None:
+                row = row[sensors]
+            sensed = row.max().item()
+            self.exact_max = False
+        if self.keep_rows:
+            self.stage.sensed[step, 0] = sensed
+        return [sensed]
+
+    def advance(self, step) -> bool:
+        stage = self.stage
+        leakage = self.leakage
+        powers, chip_power = _row_power(
+            self.activity[step, 0].tolist(),
+            self.ratios.item(0),
+            self.constants,
+            None if leakage is None else leakage.power(
+                self.peaks, stage.rows[step, 0]
+            ).tolist(),
+        )
+        end, steady = self.advance_row(self.state, powers, self.sample)
+        stage.chip[step, 0] = chip_power
+        stage.steady[step, 0] = steady
+        stage.end[step, 0] = end
+        if self.history:
+            stage.powers[step, 0] = powers
+        self.state = end
+        # Tested as the stacked pass tests its sums; the value is not
+        # kept.
+        return math.isfinite(sum(end, chip_power))
+
+
+class _Stacked(_Form):
+    """The stacked step of two or more independent lanes.
+
+    One lane's elementwise arithmetic, broadcast over the lane axis and
+    written straight into the stage's rows.  The power pass runs on
+    ``utilization``/``power`` rows of ``n + 1`` columns, the last the
+    unmonitored area's, against constants tiled to the full shape
+    (:func:`_power_constants`): dividing the block columns by 1.0 and
+    the sum column by ``n`` is one full-shape call, and ``x / 1.0`` is
+    ``x``.  ``add.reduce / n`` is what ``mean`` computes, minus its
+    Python wrapper.
+    """
+
+    def __init__(self, first, live, stage, activity, ratios, profiler):
+        super().__init__(first, live, stage, activity, ratios)
+        k = self.k
+        block_count = len(first.floorplan.names)
+        self.lane_ratios = ratios[:k, None]
+        self.utilization = np.empty((k, block_count + 1))
+        self.block_utilization = self.utilization[:, :block_count]
+        self.mean_utilization = self.utilization[:, block_count]
+        self.power = np.empty((k, block_count + 1))
+        self.powers = self.power[:, :block_count]
+        self.unmonitored = self.power[:, block_count]
+        (
+            self.divisor, self.active_frac, self.idle_frac, self.peak_tiles,
+        ) = np.repeat(_power_constants(first)[:, None], k, axis=1)
+        self.leaky = [
+            (r, lane.leakage) for r, lane in enumerate(live)
+            if lane.leakage is not None
+        ]
+        self.placed = [
+            (r, lane.monitored) for r, lane in enumerate(live)
+            if lane.monitored is not None
+        ]
+        self.advance_lanes = _spanned(first.thermal.advance_batch, profiler)
+
+    def sensed(self, step) -> np.ndarray:
+        """Each lane's sensed maximum, staged when rows are kept."""
+        start = self.stage.rows[step, :self.k]
+        sensed = np.maximum.reduce(
+            start, axis=1,
+            out=self.stage.sensed[step, :self.k] if self.keep_rows else None,
+        )
+        for r, monitored in self.placed:
+            sensed[r] = start[r, monitored].max()
+        return sensed
+
+    def sense(self, step, steps) -> list:
+        return self.sensed(step).tolist()
+
+    def advance(self, step) -> bool:
+        k = self.k
+        stage = self.stage
+        start = stage.rows[step, :k]
+        utilization = self.utilization
+        power = self.power
+        powers = self.powers
+        np.multiply(
+            self.activity[step, :k], self.lane_ratios,
+            out=self.block_utilization,
+        )
+        np.add.reduce(
+            self.block_utilization, axis=1, out=self.mean_utilization
+        )
+        np.divide(utilization, self.divisor, out=utilization)
+        np.multiply(utilization, self.active_frac, out=power)
+        np.add(power, self.idle_frac, out=power)
+        np.multiply(power, self.peak_tiles, out=power)
+        for r, lane_leakage in self.leaky:
+            # Quasi-static leakage at the sample's start state.
+            powers[r] += lane_leakage.power(self.peaks, start[r])
+        chip_power = np.add.reduce(powers, axis=1, out=stage.chip[step, :k])
+        chip_power += self.unmonitored
+        end, _ = self.advance_lanes(
+            start, powers, self.sample,
+            out=(stage.end[step, :k], stage.steady[step, :k]),
+        )
+        if self.history:
+            stage.powers[step, :k] = powers
+        # A sum is finite only if every term is: one cheap test for the
+        # common step, on Python floats; the exact per-lane mask (and
+        # the rare overflowing sum) takes the masked path.
+        return math.isfinite(
+            sum(chip_power.tolist()) + sum(end.ravel().tolist())
+        )
+
+
+class _Group(_Stacked):
+    """The stacked step of a coupled lane group, one chip's cores.
+
+    Its plant step is the chip's coupled update,
+    ``group.thermal.advance_lanes``; a coordinated group's
+    ``arbitrate`` makes every core's decision before the lane pass; the
+    lanes leave only all together; a non-finite core fails the whole
+    run (``group.check_finite``); and the run's one outcome is the
+    chip's result (``group.finish``).
+    """
+
+    def __init__(self, group, first, live, stage, activity, ratios, profiler):
+        super().__init__(first, live, stage, activity, ratios, profiler)
+        self.group = group
+        self.quorum = self.k
+        self.advance_lanes = _spanned(group.thermal.advance_lanes, profiler)
+
+    def sense(self, step, steps) -> list:
+        sensed = self.sensed(step)
+        sensed_py = sensed.tolist()
+        if self.group.arbitrate is not None:
+            # Every core's DTM decision, then the coordinator's grant,
+            # which the lane's on_sample returns.
+            self.group.arbitrate(sensed_py, sensed, steps)
+        return sensed_py
+
+    def settle(self, live, step, steps, duties, warming) -> list[int]:
+        self.group.check_finite(
+            self.stage.end[step, :self.k],
+            self.stage.chip[step, :self.k],
+            duties,
+            steps,
+        )
+        return []
+
+    def finish(self, stage, steps, outcomes, end) -> list[LaneOutcome]:
+        return [LaneOutcome(result=self.group.finish(stage, steps, outcomes, end))]
 
 
 def _row_power(activity, ratio, constants, leakage) -> tuple[list, float]:

@@ -122,8 +122,6 @@ class FastEngine:
             heatsink_temperature=self.thermal_config.heatsink_temperature,
             cycle_time=self.machine.cycle_time,
         )
-        if self.telemetry.enabled and self.telemetry.profiler.enabled:
-            self.thermal.attach_profiler(self.telemetry.profiler)
         self.seed = seed
         self.record_history = record_history
         #: Optional :class:`~repro.power.leakage.LeakageModel`: adds

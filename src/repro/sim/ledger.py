@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import SweepError
+from repro.errors import ConfigError, SweepError
 from repro.sim.checkpoint import (
     CheckpointJournal,
     load_checkpoint,
@@ -90,6 +90,15 @@ class SpecOutcome:
     def ok(self) -> bool:
         """Whether the spec produced a result."""
         return self.error is None
+
+
+def _checks_pass(spec) -> bool:
+    """Whether ``spec`` passes its by-value checks."""
+    try:
+        spec.check()
+    except ConfigError:
+        return False
+    return True
 
 
 def _take_entry(entries: list[dict] | None, need_telemetry: bool):
@@ -157,7 +166,11 @@ class SweepLedger:
 
         Opens the journal (fresh, or appending on resume).  Each spec
         takes the first journal entry it can replay, else a cache hit
-        it can replay, else it runs.  Emits ``{family}.resume`` and
+        it can replay, else it runs.  A spec that fails its by-value
+        checks (:meth:`~repro.sim.parallel.WorkSpec.check`) replays
+        from neither: an entry saved under its key, by a build that did
+        not check, would hide the error, so the spec runs and fails as
+        it would with no saved entry.  Emits ``{family}.resume`` and
         ``cache.hit`` when either source answered anything.
         """
         options = self.options
@@ -173,6 +186,9 @@ class SweepLedger:
         need_telemetry = self.sink.enabled
         todo: list[int] = []
         for index, spec in enumerate(self.specs):
+            if not _checks_pass(spec):
+                todo.append(index)
+                continue
             entry = (
                 _take_entry(saved.get(self.fingerprint(index)), need_telemetry)
                 if saved

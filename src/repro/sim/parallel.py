@@ -483,6 +483,39 @@ class WorkSpec:
         """The canonical (benchmark, policy, seed) matrix coordinate."""
         return (self.benchmark, self.policy, self.seed)
 
+    def check(self) -> None:
+        """Reject fields this kind of spec does not use: :class:`ConfigError`.
+
+        A single-core spec takes no ``coordinator`` (it arbitrates
+        between cores), and a multicore spec none of the single-core
+        fields.  These are the spec's by-value checks: the executor
+        makes them before it builds an engine, and a spec that fails
+        them never replays from a cache or a journal (see
+        :meth:`~repro.sim.ledger.SweepLedger.open`), so it fails as it
+        would with neither.
+        """
+        if not self.core_benchmarks:
+            if self.coordinator is not None:
+                raise ConfigError(
+                    f"single-core specs do not support coordinator="
+                    f"{self.coordinator!r}; set core_benchmarks"
+                )
+            return
+        for name, value, default in (
+            ("floorplan", self.floorplan, None),
+            ("fault_schedule", self.fault_schedule, None),
+            ("setpoint", self.setpoint, None),
+            ("record_history", self.record_history, False),
+            ("anti_windup", self.anti_windup, AntiWindup.CONDITIONAL),
+            ("sensor", self.sensor, None),
+            ("backup_trigger", self.backup_trigger, None),
+            ("warmup_instructions", self.warmup_instructions, 0),
+        ):
+            if value != default:
+                raise ConfigError(
+                    f"multicore specs do not support {name}={value!r}"
+                )
+
 
 def matrix_specs(
     benchmarks: Iterable[str],
@@ -535,20 +568,7 @@ def _execute_multicore(spec: WorkSpec, telemetry):
     # Function-level import: repro.multicore builds on repro.sim.
     from repro.multicore.engine import MulticoreEngine
 
-    for name, value, default in (
-        ("floorplan", spec.floorplan, None),
-        ("fault_schedule", spec.fault_schedule, None),
-        ("setpoint", spec.setpoint, None),
-        ("record_history", spec.record_history, False),
-        ("anti_windup", spec.anti_windup, AntiWindup.CONDITIONAL),
-        ("sensor", spec.sensor, None),
-        ("backup_trigger", spec.backup_trigger, None),
-        ("warmup_instructions", spec.warmup_instructions, 0),
-    ):
-        if value != default:
-            raise ConfigError(
-                f"multicore specs do not support {name}={value!r}"
-            )
+    spec.check()
     engine = MulticoreEngine(
         list(spec.core_benchmarks),
         policy=spec.policy,

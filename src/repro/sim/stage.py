@@ -7,10 +7,13 @@ controller reads those fractions: they feed only the run's
 accumulators, its history rows and its telemetry records.  So the
 kernel does not evaluate them per sample.  Each sample's ``(start,
 steady, end)`` block rows go into a :class:`SampleStage` -- fixed
-:data:`STAGE_ROWS`-row buffers with one column per lane, which the
-kernel's thermal update writes its steady and end state into directly
-(the stacked update in place; a one-lane step assigns its Python-float
-rows) -- and the stage's :meth:`~SampleStage.flush` post-pass then
+buffers of :data:`STAGE_ROWS` steps with one column per lane.  A
+run's states share one buffer of ``STAGE_ROWS + 1`` rows: step ``s``
+starts on row ``s`` and ends on row ``s + 1``, so no start state is
+ever copied in.  The kernel's thermal update writes its steady and end
+state there directly (the stacked update in place; a one-lane step
+assigns its Python-float rows), and the stage's
+:meth:`~SampleStage.flush` post-pass then
 
 * evaluates every threshold fraction of the chunk in one broadcast
   ``fractions_above`` call;
@@ -27,7 +30,9 @@ rows) -- and the stage's :meth:`~SampleStage.flush` post-pass then
   in sample order, with the controller halves each sample took from
   :meth:`~repro.telemetry.core.Telemetry.take_control` transposed once
   per chunk; a coupled lane group (one multicore chip) reduces across
-  lanes and hands the chip's sink one row per sample instead.
+  lanes and hands the chip's sink one row per sample instead;
+* carries the chunk's last end row to row 0, the next chunk's first
+  start row: one copy per chunk.
 
 No controller reads any of these totals either, so the stage owns
 them: the kernel keeps only what steers a run (its committed
@@ -107,18 +112,25 @@ class _HistoryRows:
 class SampleStage:
     """Staged measured samples of one or more lanes, and their totals.
 
-    ``engines`` are the kernel's engines, one lane (column slot) each;
-    they share ``thermal``'s floorplan.  Per step the kernel writes the
+    ``engines`` are the kernel's engines, one lane (column slot) each,
+    which share lane 0's simulation environment: its thermal model's
+    floorplan, its sampling interval, and its emergency and stress
+    thresholds (the emergency temperature and the non-control-theoretic
+    trigger), in that order.  Step ``s`` of a chunk starts
+    on row ``s`` of :attr:`rows` (row 0 holds the run's start states,
+    then each flush's carried end row) and ends on row ``s`` of
+    :attr:`end`, the view ``rows[1:]``.  Per step the kernel writes the
     rows of its live lanes into columns ``[:k]`` of row ``s`` of
-    :attr:`start`, :attr:`steady`, :attr:`end`, :attr:`chip` (chip
-    power) and :attr:`stalls` (interrupt stall cycles), and -- only
-    when :attr:`keep_rows` (some lane records telemetry or history) --
-    of :attr:`sensed`, :attr:`committed` (recording lanes only) and
+    :attr:`end`, :attr:`steady`, :attr:`chip` (chip power) and
+    :attr:`stalls` (interrupt stall cycles), and -- only when
+    :attr:`keep_rows` (some lane records telemetry or history) -- of
+    :attr:`sensed`, :attr:`committed` (recording lanes only) and
     :attr:`powers` (history only), appending
     ``(duties, controls, latency_seconds)`` to :attr:`extras`.  A
     step in which a live lane did not measure (warmup, or a
     non-finite state) clears that lane's :attr:`measured` cell, fills
-    its temperature rows with finite values, and sets :attr:`masked`.
+    its non-finite temperature cells with finite values, and sets
+    :attr:`masked`.
 
     :meth:`flush` then receives ``slots``, the engine index of every
     column in order.  Totals are per slot: :attr:`peak_cycles`
@@ -136,20 +148,21 @@ class SampleStage:
     lane's hottest end temperature into :attr:`hottest_sum`.
     """
 
-    def __init__(
-        self, thermal, engines, sample: int, sample_seconds: float,
-        thresholds, group=None,
-    ) -> None:
+    def __init__(self, engines, group=None) -> None:
+        first = engines[0]
         lanes = len(engines)
-        blocks = len(thermal.names)
-        self._thermal = thermal
-        self._sample = sample
-        self._seconds = sample_seconds
-        self._thresholds = thresholds
+        blocks = len(first.floorplan.names)
+        self._thermal = first.thermal
+        self._sample = first.dtm_config.sampling_interval
+        self._seconds = self._sample * first.machine.cycle_time
+        self._thresholds = thresholds = (
+            first.thermal_config.emergency_temperature,
+            first.dtm_config.nonct_trigger,
+        )
         shape = (STAGE_ROWS, lanes, blocks)
-        self.start = np.empty(shape)
+        self.rows = np.empty((STAGE_ROWS + 1, lanes, blocks))
+        self.end = self.rows[1:]
         self.steady = np.empty(shape)
-        self.end = np.empty(shape)
         self.measured = np.ones((STAGE_ROWS, lanes), dtype=bool)
         self.masked = False
         self.peak_cycles = np.zeros((len(thresholds), lanes))
@@ -201,7 +214,7 @@ class SampleStage:
             return
         lanes = len(slots)
         sample = self._sample
-        start = self.start[:steps, :lanes]
+        start = self.rows[:steps, :lanes]
         steady = self.steady[:steps, :lanes]
         end = self.end[:steps, :lanes]
         chip = self.chip[:steps, :lanes]
@@ -274,6 +287,8 @@ class SampleStage:
         if mask is not None:
             mask[:] = True
             self.masked = False
+        # The last end row is the next chunk's first start row.
+        self.rows[0, :lanes] = self.rows[steps, :lanes]
 
     def _emit_chip(self, steps, lanes, peaks, totals, hottest) -> None:
         """Hand the group's sink one chip row per step, as one block.

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 from repro.config import DTMConfig, MachineConfig, ThermalConfig
 from repro.dtm.mechanisms import FetchToggling
 from repro.dtm.policies import HierarchicalPolicy, make_policy
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.faults import FaultyActuator, FaultySensor
 from repro.sim.fast import FastEngine
 from repro.sim.results import RunResult
@@ -69,12 +69,7 @@ def build_engine(spec, telemetry=None) -> FastEngine:
         raise SimulationError(
             f"multicore spec {spec.benchmark!r} has no single-core engine"
         )
-    if spec.coordinator is not None:
-        # A coordinator arbitrates between cores: it needs a chip.
-        raise ConfigError(
-            f"single-core specs do not support coordinator="
-            f"{spec.coordinator!r}; set core_benchmarks"
-        )
+    spec.check()
     floorplan = (
         spec.floorplan if spec.floorplan is not None else Floorplan.default()
     )

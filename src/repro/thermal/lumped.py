@@ -6,17 +6,24 @@ normal resistance ``R_i`` and stores heat in its capacitance ``C_i``:
     T_i[n+1] = T_i[n] + dt/C_i * ( P_i[n] - (T_i[n] - T_sink) / R_i )
 
 This is exactly the difference equation the paper evaluates every clock
-cycle (Equation 5, dt = 0.667 ns).  Two update paths are provided:
+cycle (Equation 5, dt = 0.667 ns).  The model offers two updates:
 
 * :meth:`LumpedThermalModel.step_cycle` -- the paper's forward-Euler
-  per-cycle update, vectorized over blocks;
-* :meth:`LumpedThermalModel.advance` -- the exact exponential solution
-  for a constant-power interval,
+  per-cycle update, vectorized over blocks (the detailed simulator's);
+* the exact exponential solution for a constant-power interval,
   ``T(t+h) = T_ss + (T(t) - T_ss) * exp(-h / RC)`` with
-  ``T_ss = T_sink + P * R``, used by the fast engine to jump a whole
-  controller sampling interval at once with no integration error.
+  ``T_ss = T_sink + P * R``, which jumps a whole controller sampling
+  interval at once with no integration error.  It comes in four
+  shapes over the same expression: :meth:`~LumpedThermalModel.advance`
+  and :meth:`~LumpedThermalModel.advance_from` step the model's own
+  state; the sample kernel (:mod:`repro.sim.batch`) owns its lanes'
+  state and calls the pure :meth:`~LumpedThermalModel.advance_batch`
+  (stacked lanes, optionally in place) and
+  :meth:`~LumpedThermalModel.advance_row` (one lane on Python floats).
 
-Both paths agree to within Euler truncation error; a test asserts this.
+The two updates agree to within Euler truncation error; a test asserts
+this.  The model records no profiler spans: the kernel opens the
+``thermal.advance`` span around its plant call.
 """
 
 from __future__ import annotations
@@ -93,18 +100,6 @@ class LumpedThermalModel:
         #: ``(R, exp(-h / tau))`` as Python lists per interval, for the
         #: one-row update (see ``advance_row``).
         self._row_lists: dict[int, tuple[list, list]] = {}
-        #: Optional span profiler (:mod:`repro.telemetry`); ``None``
-        #: keeps the update paths free of instrumentation overhead.
-        self._profiler = None
-
-    def attach_profiler(self, profiler) -> None:
-        """Time future :meth:`step_cycle` / :meth:`advance` calls.
-
-        ``profiler`` is a :class:`~repro.telemetry.profiler.Profiler`
-        (or anything with its ``span(name)`` surface); pass ``None`` to
-        detach and restore the uninstrumented fast path.
-        """
-        self._profiler = profiler
 
     # -- state ---------------------------------------------------------------
     @property
@@ -189,12 +184,6 @@ class LumpedThermalModel:
         temperatures.  A timestep that large is rejected outright --
         use :meth:`advance` (exact for constant power) instead.
         """
-        if self._profiler is not None:
-            with self._profiler.span("thermal.step_cycle"):
-                return self._step_cycle(powers)
-        return self._step_cycle(powers)
-
-    def _step_cycle(self, powers: np.ndarray) -> np.ndarray:
         if self.cycle_time >= self._euler_limit:
             raise ThermalModelError(
                 f"cycle_time {self.cycle_time:g} s is forward-Euler "
@@ -218,10 +207,16 @@ class LumpedThermalModel:
         toward the steady state ``T_sink + P * R``; using it makes the
         fast engine's thermal state independent of the sampling interval.
         """
-        if self._profiler is not None:
-            with self._profiler.span("thermal.advance"):
-                return self._advance(powers, cycles)
-        return self._advance(powers, cycles)
+        if cycles <= 0:
+            raise ThermalModelError("cycles must be positive")
+        powers = np.asarray(powers, dtype=float)
+        if powers.shape != self._temps.shape:
+            raise ThermalModelError(
+                f"expected {self._temps.shape[0]} block powers, got {powers.shape}"
+            )
+        steady = self.heatsink_temperature + powers * self._resistance
+        self._temps = steady + (self._temps - steady) * self._decay(cycles)
+        return self._temps.copy()
 
     def _decay(self, cycles: int) -> np.ndarray:
         """Per-block ``exp(-h / tau)`` for an ``h = cycles`` interval.
@@ -248,18 +243,6 @@ class LumpedThermalModel:
             self._decay_cache[cycles] = decay
         return decay
 
-    def _advance(self, powers: np.ndarray, cycles: int) -> np.ndarray:
-        if cycles <= 0:
-            raise ThermalModelError("cycles must be positive")
-        powers = np.asarray(powers, dtype=float)
-        if powers.shape != self._temps.shape:
-            raise ThermalModelError(
-                f"expected {self._temps.shape[0]} block powers, got {powers.shape}"
-            )
-        steady = self.heatsink_temperature + powers * self._resistance
-        self._temps = steady + (self._temps - steady) * self._decay(cycles)
-        return self._temps.copy()
-
     def advance_from(
         self, start: np.ndarray, powers: np.ndarray, cycles: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -281,14 +264,6 @@ class LumpedThermalModel:
         the model's new state and must not be mutated by the caller;
         ``steady`` is freshly allocated and owned by the caller.
         """
-        if self._profiler is not None:
-            with self._profiler.span("thermal.advance"):
-                return self._advance_from(start, powers, cycles)
-        return self._advance_from(start, powers, cycles)
-
-    def _advance_from(
-        self, start: np.ndarray, powers: np.ndarray, cycles: int
-    ) -> tuple[np.ndarray, np.ndarray]:
         if cycles <= 0:
             raise ThermalModelError("cycles must be positive")
         if powers.shape != self._temps.shape:
@@ -327,18 +302,8 @@ class LumpedThermalModel:
 
         Pure: unlike :meth:`advance_from`, the model's own temperature
         state is **not** touched -- the caller (the lane-batched engine
-        of :mod:`repro.sim.batch`) owns the stacked state.  With a
-        profiler attached, the call is a ``thermal.advance`` span, as
-        :meth:`advance_from` is.
+        of :mod:`repro.sim.batch`) owns the stacked state.
         """
-        if self._profiler is not None:
-            with self._profiler.span("thermal.advance"):
-                return self._advance_batch(start, powers, cycles, out)
-        return self._advance_batch(start, powers, cycles, out)
-
-    def _advance_batch(
-        self, start: np.ndarray, powers: np.ndarray, cycles: int, out
-    ) -> tuple[np.ndarray, np.ndarray]:
         if cycles <= 0:
             raise ThermalModelError("cycles must be positive")
         start = np.asarray(start, dtype=float)
@@ -400,17 +365,8 @@ class LumpedThermalModel:
         that of numpy's own rows, depends on the loop that made it --
         without numpy's per-call dispatch on ``n_blocks``-element rows.
 
-        Pure, like :meth:`advance_batch`; with a profiler attached, the
-        call is a ``thermal.advance`` span.
+        Pure, like :meth:`advance_batch`.
         """
-        if self._profiler is not None:
-            with self._profiler.span("thermal.advance"):
-                return self._advance_row(start, powers, cycles)
-        return self._advance_row(start, powers, cycles)
-
-    def _advance_row(
-        self, start: list, powers: list, cycles: int
-    ) -> tuple[list, list]:
         lists = self._row_lists.get(cycles)
         if lists is None:
             if cycles <= 0:

@@ -184,18 +184,6 @@ class TestAdvanceRow:
                 assert_same_floats(row_end, stage[0, lane])
                 assert_same_floats(row_steady, stage[1, lane])
 
-    def test_one_row_update_is_a_thermal_advance_span(self):
-        from repro.telemetry.profiler import Profiler
-
-        model = LumpedThermalModel(FLOORPLAN, 100.0)
-        profiler = Profiler()
-        model.attach_profiler(profiler)
-        blocks = len(FLOORPLAN.names)
-        model.advance_row([100.0] * blocks, [1.0] * blocks, 1000)
-        assert profiler.stats("thermal.advance").count == 1
-        # Pure: the model's own state does not move.
-        assert np.all(model.temperatures == 100.0)
-
     def test_one_row_update_rejects_bad_rows(self):
         model = LumpedThermalModel(FLOORPLAN, 100.0)
         blocks = len(FLOORPLAN.names)

@@ -65,9 +65,11 @@ from repro.sim.parallel import (
     sweep_defaults,
 )
 from repro.power.leakage import LeakageModel
+from repro.multicore.engine import MulticoreEngine
 from repro.sim.fast import FastEngine
 from repro.sim.stage import STAGE_ROWS
 from repro.sim.sweep import build_engine, run_suite
+from repro.telemetry.core import Telemetry
 from repro.thermal.floorplan import Block, Floorplan
 from repro.thermal.lumped import LumpedThermalModel
 from repro.workloads.phases import Phase, uniform_activity
@@ -894,6 +896,51 @@ class TestOneSampleKernel:
                 ):
                     callers.add(path.relative_to(SIM_PACKAGE).as_posix())
         assert callers == {"batch.py"}
+
+
+class TestThermalSpan:
+    """The kernel opens one ``thermal.advance`` span per step, around
+    its plant call, in lane 0's profiler."""
+
+    @staticmethod
+    def _spans(telemetry) -> int:
+        names = telemetry.profiler.names()
+        if "thermal.advance" not in names:
+            return 0
+        return telemetry.profiler.stats("thermal.advance").count
+
+    def test_lone_run_records_one_span_per_step(self):
+        engine = _solo_engine(FastEngine, "gcc", "pid", telemetry=Telemetry())
+        result = engine.run(300_000)
+        assert self._spans(engine.telemetry) == result.cycles // SAMPLE
+
+    def test_ragged_batch_records_its_steps_in_lane_zero(self):
+        """Lane 0 leaves first; its profiler still counts every step,
+        stacked and one-row, and the other lanes' profilers none."""
+        engines = [
+            _solo_engine(
+                FastEngine, benchmark, policy, seed=seed,
+                telemetry=Telemetry(),
+            )
+            for seed, (benchmark, policy) in enumerate(
+                (("gzip", "toggle1"), ("gcc", "pid"), ("art", "pi"))
+            )
+        ]
+        results = BatchEngine(engines).run(
+            instructions=[150_000, 700_000, 400_000]
+        )
+        steps = [result.cycles // SAMPLE for result in results]
+        assert steps[0] < min(steps[1:]) and len(set(steps)) == 3
+        assert self._spans(engines[0].telemetry) == max(steps)
+        assert [self._spans(e.telemetry) for e in engines[1:]] == [0, 0]
+
+    def test_multicore_chip_records_none(self):
+        telemetry = Telemetry()
+        MulticoreEngine(
+            ["gcc", "art"], coordinator="proportional", telemetry=telemetry
+        ).run(200_000)
+        assert "multicore.run" in telemetry.profiler.names()
+        assert self._spans(telemetry) == 0
 
 
 #: Rows whose left-to-right and compensated sums differ: the built-in

@@ -50,6 +50,7 @@ from repro.sim.parallel import (
     RetryPolicy,
     SweepOptions,
     SweepDefaults,
+    WorkSpec,
     _run_task,
     matrix_specs,
     resolve_sweep,
@@ -1271,6 +1272,62 @@ class TestClusteredCache:
         assert [o.result for o in warm] == reference
         assert all(outcome.from_cache for outcome in warm)
         assert_telemetry_identical(warm_sink, cold_sink)
+
+
+#: Specs that fail their by-value checks: a single-core spec with a
+#: coordinator, and a multicore spec with a single-core field.
+BAD_SPECS = (
+    WorkSpec(
+        "gcc", "pid", instructions=INSTRUCTIONS,
+        coordinator="no-such-strategy",
+    ),
+    WorkSpec(
+        "gcc", "pid", instructions=INSTRUCTIONS,
+        core_benchmarks=("gcc", "gzip"), backup_trigger=101.8,
+    ),
+)
+
+
+class TestStaleEntryOfABadSpec:
+    """An entry stored under a bad spec's key, by a build that did not
+    check the spec, must not hide the spec's error: the spec runs and
+    fails as it does with an empty cache."""
+
+    @staticmethod
+    def _stale_store(tmp_path, bad):
+        store = ResultCache(tmp_path / "cache")
+        [result] = run_specs(
+            [WorkSpec("gcc", "pid", instructions=INSTRUCTIONS)], cache=False
+        )
+        assert store.store(cache_key(bad), bad, result)
+        return store
+
+    @pytest.mark.parametrize("bad", BAD_SPECS)
+    def test_fail_fast_sweep_raises(self, tmp_path, bad):
+        store = self._stale_store(tmp_path, bad)
+        with pytest.raises(ConfigError):
+            run_specs([bad], jobs=1, cache=store)
+
+    @pytest.mark.parametrize("bad", BAD_SPECS)
+    def test_fault_tolerant_sweep_fails_the_spec(self, tmp_path, bad):
+        store = self._stale_store(tmp_path, bad)
+        good = WorkSpec("gzip", "pid", instructions=INSTRUCTIONS)
+        [failed, ok] = run_outcomes(
+            [bad, good], jobs=1, options=SweepOptions(), cache=store
+        )
+        assert not failed.ok and not failed.from_cache
+        assert failed.error.exc_type == "ConfigError"
+        assert ok.ok
+
+    @pytest.mark.parametrize("bad", BAD_SPECS)
+    def test_cluster_fails_the_spec(self, tmp_path, bad):
+        store = self._stale_store(tmp_path, bad)
+        [failed], stats = TestClusteredCache()._run_clustered(
+            [bad], store, workers=1
+        )
+        assert not failed.ok and not failed.from_cache
+        assert failed.error.exc_type == "ConfigError"
+        assert stats["cached"] == 0
 
 
 class TestRunSuiteCache:

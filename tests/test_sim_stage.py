@@ -318,3 +318,128 @@ class TestLaneKernelChunks:
             assert_results_equal(
                 result, engine.run(lane[4], warmup_instructions=lane[5])
             )
+
+
+def _assert_lanes_match(batched, outcomes, reference, runs):
+    """Each lane equals its reference run, ``runs[i]`` being its
+    ``run()`` keywords: the result or the error with its diagnostics,
+    the telemetry, and the end state handed back to the engine."""
+    for engine, outcome, serial, kwargs in zip(
+        batched, outcomes, reference, runs
+    ):
+        if outcome.error is not None:
+            with pytest.raises(SimulationError) as info:
+                serial.run(**kwargs)
+            assert "non-finite" in str(info.value)
+            assert str(outcome.error) == str(info.value)
+            assert repr(outcome.error.diagnostics) == repr(
+                info.value.diagnostics
+            )
+        else:
+            assert_results_equal(outcome.result, serial.run(**kwargs))
+        assert_telemetry_equal(engine.telemetry, serial.telemetry)
+        assert np.array_equal(
+            engine.thermal.temperatures,
+            serial.thermal.temperatures,
+            equal_nan=True,
+        )
+
+
+class TestSharedStateRows:
+    """A step starts on the stage row the step before it ended on, and a
+    flush carries the chunk's last end row to row 0.  These runs put a
+    non-finite lane's stand-ins and a leaving lane at the rows that
+    buffer shares."""
+
+    @pytest.mark.parametrize("bad_lane", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_start_lane_beside_a_finite_lane(self, bad, bad_lane):
+        """One lane of a pair starts from a NaN or inf state: it dies on
+        its first step, as its reference run does, and the finite lane
+        runs on to its reference result."""
+
+        def engines(cls):
+            pair = [
+                _build(
+                    cls, "gcc", "pid", seed=1, record_history=True,
+                    telemetry=Telemetry(),
+                ),
+                _build(cls, "gzip", "toggle1", seed=2, telemetry=Telemetry()),
+            ]
+            floorplan = pair[bad_lane].floorplan
+            state = np.full(len(floorplan.names), 104.0)
+            state[floorplan.index("int_exec")] = bad
+            pair[bad_lane].thermal.set_temperatures(state)
+            return pair
+
+        batched = engines(FastEngine)
+        outcomes = BatchEngine(batched).run_outcomes(instructions=400_000)
+        assert outcomes[bad_lane].error is not None
+        assert outcomes[1 - bad_lane].error is None
+        _assert_lanes_match(
+            batched, outcomes, engines(ReferenceFastEngine),
+            [dict(instructions=400_000)] * 2,
+        )
+
+    def test_lane_turning_non_finite_on_a_chunks_first_step(self):
+        """The second chunk's first start row is the first chunk's
+        carried end row: a lane dying on that step keeps every record
+        before it, and the other lane runs on."""
+        at = STAGE_ROWS + 1  # the leakage call of the step, counted from 1
+
+        def engines(cls):
+            return [
+                _build(
+                    cls, "gcc", "pid", seed=1, leakage=_PoisonedLeakage(at),
+                    record_history=True, telemetry=Telemetry(),
+                ),
+                _build(
+                    cls, "art", "toggle1", seed=2, record_history=True,
+                    telemetry=Telemetry(),
+                ),
+            ]
+
+        batched = engines(FastEngine)
+        budgets = [5_000_000, 1_500_000]
+        outcomes = BatchEngine(batched).run_outcomes(instructions=budgets)
+        assert outcomes[0].error is not None
+        assert batched[0].telemetry.trace.emitted == STAGE_ROWS
+        assert _measured(outcomes[1].result) > at
+        _assert_lanes_match(
+            batched, outcomes, engines(ReferenceFastEngine),
+            [dict(instructions=budget) for budget in budgets],
+        )
+
+    def test_lane_leaving_exactly_at_a_chunks_end(self):
+        """A lane whose cycle budget runs out on step STAGE_ROWS leaves
+        as the chunk fills; the lanes that run on start the next chunk
+        from their carried rows."""
+        runs = [
+            dict(instructions=10**12, max_cycles=STAGE_ROWS * SAMPLE),
+            dict(instructions=1_500_000, max_cycles=None),
+            dict(instructions=2_000_000, max_cycles=None),
+        ]
+
+        def engines(cls):
+            return [
+                _build(
+                    cls, benchmark, policy, seed=seed, record_history=True,
+                    telemetry=Telemetry(),
+                )
+                for seed, (benchmark, policy) in enumerate(
+                    (("art", "pid"), ("gcc", "toggle1"), ("gzip", "pi"))
+                )
+            ]
+
+        batched = engines(FastEngine)
+        outcomes = BatchEngine(batched).run_outcomes(
+            instructions=[run["instructions"] for run in runs],
+            max_cycles=[run["max_cycles"] for run in runs],
+        )
+        assert _measured(outcomes[0].result) == STAGE_ROWS
+        assert min(
+            _measured(outcome.result) for outcome in outcomes[1:]
+        ) > STAGE_ROWS
+        _assert_lanes_match(
+            batched, outcomes, engines(ReferenceFastEngine), runs
+        )
