@@ -269,7 +269,7 @@ class MulticoreEngine:
             return rng, self.managers[core_index].on_sample
         return rng, lambda sensed: self._decisions[core_index]
 
-    def _arbitrate(self, sensed: list, core_max, step: int) -> None:
+    def _arbitrate(self, sensed: list, step: int) -> None:
         """Decide one step of a coordinated run, for every core at once.
 
         Every core's DTM loop proposes a duty from its hottest block,
@@ -282,7 +282,7 @@ class MulticoreEngine:
             for manager, temperature in zip(self.managers, sensed)
         ]
         granted = self.coordinator.arbitrate(
-            [duty for duty, _ in decisions], core_max, step
+            [duty for duty, _ in decisions], sensed, step
         )
         for core_index, (duty, stall) in enumerate(decisions):
             if granted[core_index] < duty - 1e-12:

@@ -24,9 +24,8 @@ every live lane through
 
 The stacked calls write straight into the shared
 :class:`~repro.sim.stage.SampleStage` rows (``advance_batch`` its end
-and steady state, the chip-power sum its chip column).  A step starts
-on the stage row the step before it ended on, so no state is copied
-in.  The stage owns every total no controller reads
+and steady state, the chip-power sum its chip column); no state is
+copied in.  The stage owns every total no controller reads
 (threshold fractions, temperatures, chip power, energy, stall cycles)
 and folds them once per chunk of :data:`~repro.sim.stage.STAGE_ROWS`
 steps.  A lane's jittered activity does not need the controller, so it
@@ -44,28 +43,18 @@ operands are tiled to the full lane shape once per run, so those calls
 take numpy's same-shape fast path instead of broadcasting a row or a
 Python scalar.
 
-The step takes one of three forms, each owning its sensing, its
-power pass and its plant call:
-
-* the stacked form (:class:`_Stacked`), for two or more independent
-  lanes, as above;
-* the one-row form (:class:`_OneRow`), for one live lane -- every step
-  of a lone run, and the steps a ragged group's last lane runs alone:
-  the same arithmetic on Python floats (:func:`_row_power`, then
-  :meth:`~repro.thermal.lumped.LumpedThermalModel.advance_row`), with
-  the lane's state a list, assigned into the same stage rows.  At
-  these sizes a numpy call costs about a microsecond of dispatch
-  whatever its length, so at one lane the stacked pass's calls cost
-  more than its arithmetic and amortize over nothing;
-* the coupled group's form (:class:`_Group`), the stacked pass over a
-  chip's cores with the group's hooks (see :class:`BatchEngine`).
-
-The form is chosen where the views for k live lanes are rebuilt,
-which happens only when lanes leave; a leaving lane flushes the stage,
-so a chunk has one form.  The kernel's per-step loop is the lane pass,
-the cycle-deadline check and the leave/flush hand-off.  A form looks its plant step up on the model
-when it is built, inside a ``thermal.advance`` span when lane 0's
-profiler is on.
+A step with one live lane -- every step of a lone run, and the steps
+a ragged group's last lane runs alone -- takes the one-row form
+(:class:`_OneRow`) instead: the same arithmetic on Python floats
+(:func:`_row_power`, then
+:meth:`~repro.thermal.lumped.LumpedThermalModel.advance_row`).  At
+these sizes a numpy call costs about a microsecond of dispatch
+whatever its length, so at one lane the stacked pass's calls cost
+more than its arithmetic and amortize over nothing.  A coupled group
+takes a third form (:class:`_Group`).  The form, which owns the step's
+sensing, power pass and plant call, is chosen where the views for k
+live lanes are rebuilt, which happens only when lanes leave; a leaving
+lane flushes the stage, so a chunk has one form.
 
 Bit-identity, not approximate equivalence, is the contract: every
 vectorized expression is the same elementwise arithmetic a per-sample
@@ -282,7 +271,7 @@ class _Lane:
         "phase_jitter", "phase_ipc", "single_phase", "built", "draws",
         "ipc_draws", "cursor", "max_cycles", "deadline", "instructions",
         "position", "committed", "warmup", "warmup_samples", "error",
-        "end_state", "leakage", "monitored",
+        "leakage", "monitored",
     )
 
     def build_activity(self, index: int, rows: np.ndarray) -> None:
@@ -336,14 +325,9 @@ class BatchEngine:
 
     Each lane's result is bit-identical to a one-lane run of its
     engine.  Two deliberate observability exceptions: profiler *spans*
-    are not reproduced lane-per-lane (each step's plant call records
-    one ``thermal.advance`` span in lane 0's profiler), and per-sample
+    are not reproduced lane-per-lane (each step's plant call is one
+    ``thermal.advance`` span in lane 0's profiler), and per-sample
     ``latency_seconds`` measures the batched step.
-
-    A step with a single live lane runs on Python floats (see the
-    module docstring): its thermal call is
-    :meth:`~repro.thermal.lumped.LumpedThermalModel.advance_row`, not
-    ``advance_batch``.
 
     ``group``, when given, makes the lanes one *coupled lane group*,
     the cores of one chip: a
@@ -417,8 +401,9 @@ class BatchEngine:
         )
         return self._run(instructions, max_cycles, warmup_instructions)
 
-    def _start_lanes(self, instructions, max_cycles, warmup, outcomes):
-        """Per-lane scalar state, phase tables and jitter draw buffer."""
+    def _start_lanes(self, instructions, max_cycles, warmup, outcomes, stage):
+        """Per-lane scalar state, phase tables and jitter draw buffer;
+        a lane whose budget allows no step gets its outcome here."""
         first = self.engines[0]
         names = first.floorplan.names
         sample = first.dtm_config.sampling_interval
@@ -441,7 +426,6 @@ class BatchEngine:
             lane.engine = engine
             lane.slot = slot
             lane.error = None
-            lane.end_state = None
             lane.telemetry = engine.telemetry
             lane.recording = engine.telemetry.enabled
             if self.group is not None:
@@ -466,7 +450,10 @@ class BatchEngine:
             lane.draws = no_draws
             lane.ipc_draws = []
             lane.cursor = 0
-            lanes.append(lane)
+            if lane.deadline > 0:
+                lanes.append(lane)
+            else:
+                outcomes[slot] = _finish(stage, lane, 0)
         return lanes
 
     def _run(self, instructions, max_cycles, warmup) -> list[LaneOutcome]:
@@ -475,23 +462,19 @@ class BatchEngine:
         fetch_supply = first.machine.fetch_width * SUPPLY_EFFICIENCY
         count = len(self.engines)
         outcomes = [LaneOutcome() for _ in range(count)]
-        live = self._start_lanes(instructions, max_cycles, warmup, outcomes)
         # The deferred threshold pass: lanes' rows are staged per step
         # and flushed per chunk, and whenever lanes leave.
         stage = SampleStage(self.engines, self.group)
-        # A lane whose budget allows no step measures nothing.
-        for lane in [lane for lane in live if lane.deadline <= 0]:
-            live.remove(lane)
-            outcomes[lane.slot] = _finish(stage, lane, 0)
+        live = self._start_lanes(
+            instructions, max_cycles, warmup, outcomes, stage
+        )
         if not live:
             return outcomes
 
-        slots = np.fromiter((lane.slot for lane in live), dtype=np.intp)
         # The lanes' start states are the first chunk's row 0.
         stage.rows[0, :len(live)] = [
             lane.engine.thermal.temperatures_view for lane in live
         ]
-        timing = any(lane.time_samples for lane in live)
         stalls, keep_rows = stage.stalls, stage.keep_rows
         # Column r of ``activity`` holds live lane r's activity rows for
         # the chunk (_Lane.build_activity), and ``ratios[r]`` its
@@ -503,16 +486,24 @@ class BatchEngine:
 
         steps = 0  # steps every live lane has taken: all start together
         step = 0  # the stage row of this step
-        next_deadline = min(lane.deadline for lane in live)
         k = 0
         try:
             while live:
                 if k != len(live):
-                    # The step's form for k live lanes, chosen only when
-                    # lanes leave.  A leaving lane flushes the stage, so
-                    # a chunk has one form.
+                    # The step's form and views for k live lanes, chosen
+                    # only when lanes leave.  A leaving lane flushes the
+                    # stage, so a chunk has one form.  A group steps
+                    # stacked even for one core.
                     k = len(live)
-                    form = self._form(live, stage, activity, ratios)
+                    slots = np.fromiter(
+                        (lane.slot for lane in live), dtype=np.intp
+                    )
+                    next_deadline = min(lane.deadline for lane in live)
+                    timing = any(lane.time_samples for lane in live)
+                    form = (
+                        _Group if self.group is not None
+                        else _OneRow if k == 1 else _Stacked
+                    )(self, live, stage, activity, ratios)
                 iter_start = perf_counter() if timing else 0.0
                 sensed = form.sense(step, steps)
                 stall_row = stalls[step]
@@ -598,23 +589,12 @@ class BatchEngine:
                     gone = set(leaving)
                     for r in gone:
                         lane = live[r]
-                        lane.engine.thermal.set_temperatures(
-                            end[r] if lane.end_state is None
-                            else lane.end_state
-                        )
-                        outcomes[lane.slot] = (
-                            LaneOutcome(error=lane.error)
-                            if lane.error is not None
-                            else _finish(stage, lane, steps)
-                        )
+                        lane.engine.thermal.set_temperatures(end[r])
+                        outcomes[lane.slot] = _finish(stage, lane, steps)
                     kept = [r for r in range(k) if r not in gone]
                     live = [live[r] for r in kept]
-                    slots = slots[kept]
                     # The kept lanes' end rows start the next chunk.
                     stage.rows[0, :len(kept)] = end[kept]
-                    if live:
-                        next_deadline = min(lane.deadline for lane in live)
-                        timing = any(lane.time_samples for lane in live)
                 elif step == STAGE_ROWS:
                     step = 0
                     stage.flush(STAGE_ROWS, slots)
@@ -626,97 +606,109 @@ class BatchEngine:
             stage.flush(step, slots)
         return form.finish(stage, steps, outcomes, end)
 
-    def _form(self, live, stage, activity, ratios) -> _Form:
-        """The step form for the ``live`` lanes, built when they change.
-
-        A coupled group steps stacked even for one core; otherwise one
-        live lane takes the one-row form and more the stacked one.  The
-        form looks its plant step up on the model here, inside a
-        ``thermal.advance`` span when lane 0's profiler is on.
-        """
-        first = self.engines[0]
-        telemetry = first.telemetry
-        profiler = (
-            telemetry.profiler
-            if telemetry.enabled and telemetry.profiler.enabled
-            else None
-        )
-        args = (first, live, stage, activity, ratios, profiler)
-        if self.group is not None:
-            return _Group(self.group, *args)
-        return _OneRow(*args) if len(live) == 1 else _Stacked(*args)
-
-
-def _spanned(plant, profiler):
-    """``plant``, inside a ``thermal.advance`` span of ``profiler``.
-
-    ``profiler`` ``None`` returns ``plant`` itself: an unprofiled step
-    pays for no span.
-    """
-    if profiler is None:
-        return plant
-
-    def advance(*args, **kwargs):
-        with profiler.span("thermal.advance"):
-            return plant(*args, **kwargs)
-
-    return advance
-
-
-def _power_constants(first) -> np.ndarray:
-    """The power pass's constant rows, over ``n + 1`` columns.
-
-    The divisor (1.0 per block and ``n`` for the last column, the
-    unmonitored area's, whose utilization is the blocks' sum), the
-    active and idle fractions of CC3 power, and the peak powers.
-    """
-    block_count = len(first.floorplan.names)
-    idle = first.power_model.idle_fraction
-    return np.array((
-        [1.0] * block_count + [float(block_count)],
-        [1.0 - idle] * (block_count + 1),
-        [idle] * (block_count + 1),
-        np.append(
-            first.power_model.peaks_view,
-            first.floorplan.unmonitored_peak_power,
-        ),
-    ))
-
-
-class _Form:
-    """One form of the kernel's step for ``k`` live lanes.
-
-    A form owns the step's sensing (:meth:`sense`, the sensed maxima as
-    Python floats), its power pass and plant call (:meth:`advance`,
-    into the stage's rows; returns whether the step's sums are
-    finite), the masked path (:meth:`settle`), how many leaving lanes
-    end a chunk (:attr:`quorum`) and the run's outcomes once every lane
-    has left (:meth:`finish`).  Step ``s`` starts on stage row
-    ``rows[s]`` and ends on ``end[s]``.
+class _Stacked:
+    """The stacked step form of independent lanes, and the base of the
+    other two: :meth:`sense` returns the sensed maxima, :meth:`advance`
+    runs the power pass and plant call into the stage's rows and tells
+    whether the step's sums are finite.  The power pass runs in place on
+    ``n + 1``-column rows (the last the unmonitored area's) against
+    constants tiled to the full shape, so dividing the block columns by
+    1.0 (exact) and the sum column by ``n`` is one full-shape call.
     """
 
-    #: Any leaving lane flushes the chunk and leaves alone.
+    #: Leaving lanes that flush the chunk and leave: any one.
     quorum = 1
 
-    def __init__(self, first, live, stage, activity, ratios) -> None:
-        self.k = len(live)
+    def __init__(self, kernel, live, stage, activity, ratios) -> None:
+        first = kernel.engines[0]
+        self.k = k = len(live)
         self.stage = stage
         self.activity = activity
         self.ratios = ratios
         self.sample = first.dtm_config.sampling_interval
         self.peaks = first.power_model.peaks_view
-        self.keep_rows = stage.keep_rows
-        self.history = stage.powers is not None
+        # The plant call's span goes to lane 0's profiler, if it is on.
+        self.profiler = first.telemetry.profiler
+        n = len(first.floorplan.names)
+        idle = first.power_model.idle_fraction
+        constants = np.array((
+            [1.0] * n + [float(n)],
+            [1.0 - idle] * (n + 1),
+            [idle] * (n + 1),
+            np.append(self.peaks, first.floorplan.unmonitored_peak_power),
+        ))
+        self.tiles = tuple(np.repeat(constants[:, None], k, axis=1))
+        self.lane_ratios = ratios[:k, None]
+        self.utilization = np.empty((k, n + 1))
+        self.block_utilization = self.utilization[:, :n]
+        self.mean_utilization = self.utilization[:, n]
+        self.power = np.empty((k, n + 1))
+        self.powers = self.power[:, :n]
+        self.unmonitored = self.power[:, n]
+        self.leaky = [
+            (r, lane.leakage) for r, lane in enumerate(live)
+            if lane.leakage is not None
+        ]
+        self.placed = [
+            (r, lane.monitored) for r, lane in enumerate(live)
+            if lane.monitored is not None
+        ]
+        self.advance_lanes = self.profiler.wrap(
+            "thermal.advance", first.thermal.advance_batch
+        )
+
+    def sense(self, step, steps) -> list:
+        stage = self.stage
+        start = stage.rows[step, :self.k]
+        sensed = np.maximum.reduce(
+            start, axis=1,
+            out=stage.sensed[step, :self.k] if stage.keep_rows else None,
+        )
+        for r, monitored in self.placed:
+            sensed[r] = start[r, monitored].max()
+        return sensed.tolist()
+
+    def advance(self, step) -> bool:
+        k = self.k
+        stage = self.stage
+        start = stage.rows[step, :k]
+        utilization, power, powers = self.utilization, self.power, self.powers
+        divisor, active_frac, idle_frac, peaks = self.tiles
+        np.multiply(
+            self.activity[step, :k], self.lane_ratios,
+            out=self.block_utilization,
+        )
+        np.add.reduce(
+            self.block_utilization, axis=1, out=self.mean_utilization
+        )
+        np.divide(utilization, divisor, out=utilization)
+        np.multiply(utilization, active_frac, out=power)
+        np.add(power, idle_frac, out=power)
+        np.multiply(power, peaks, out=power)
+        for r, lane_leakage in self.leaky:
+            # Quasi-static leakage at the sample's start state.
+            powers[r] += lane_leakage.power(self.peaks, start[r])
+        chip_power = np.add.reduce(powers, axis=1, out=stage.chip[step, :k])
+        chip_power += self.unmonitored
+        end, _ = self.advance_lanes(
+            start, powers, self.sample,
+            out=(stage.end[step, :k], stage.steady[step, :k]),
+        )
+        if stage.powers is not None:
+            stage.powers[step, :k] = powers
+        # A sum is finite only if every term is: one cheap test for the
+        # common step, on Python floats; the exact per-lane mask (and
+        # the rare overflowing sum) takes the masked path.
+        return math.isfinite(
+            sum(chip_power.tolist()) + sum(end.ravel().tolist())
+        )
 
     def settle(self, live, step, steps, duties, warming) -> list[int]:
-        """Mask a step with a warming or non-finite lane out of the stage.
+        """Mask a step with a warming or non-finite lane out of the stage;
+        return the non-finite rows, which leave with the run's error.
 
-        A warming lane's step is excluded from every total; a non-finite
-        lane's also gets the run's non-finite error and finite stand-in
-        temperature cells for the threshold pass.  The error
-        diagnostics and the lane's end state (what its engine gets
-        back) are taken from the stage's rows before the stand-ins
-        overwrite them.  Returns the non-finite rows, which leave.
+        A non-finite lane's start and steady rows get finite stand-ins
+        for the threshold pass; its end row stays, for its engine.
         """
         stage = self.stage
         end = stage.end[step, :self.k]
@@ -724,9 +716,8 @@ class _Form:
         finite = np.isfinite(chip_power) & np.logical_and.reduce(
             np.isfinite(end), axis=1
         )
-        measured = finite.copy()
-        measured[warming] = False
-        stage.measured[step, :self.k] = measured
+        stage.measured[step, :self.k] = finite
+        stage.measured[step, warming] = False
         stage.masked = True
         bad = np.flatnonzero(~finite).tolist()
         for r in bad:
@@ -736,7 +727,6 @@ class _Form:
             lane.error = lane.engine._non_finite(
                 end[r], float(chip_power[r]), duties[r]
             )
-            lane.end_state = end[r].copy()
         if bad:
             # The start row is the previous step's end row, which the
             # flush still counts: only its non-finite cells get a
@@ -744,7 +734,6 @@ class _Form:
             start = stage.rows[step, bad]
             stage.rows[step, bad] = np.where(np.isfinite(start), start, 0.0)
             stage.steady[step, bad] = 0.0
-            end[bad] = 0.0
         return bad
 
     def finish(self, stage, steps, outcomes, end) -> list[LaneOutcome]:
@@ -752,16 +741,14 @@ class _Form:
         return outcomes
 
 
-class _OneRow(_Form):
-    """The step of one live lane, on Python floats.
+class _OneRow(_Stacked):
+    """The stacked pass's one-row form, for one live lane: the same
+    arithmetic on Python floats (:func:`_row_power`, then
+    ``advance_row``), with the lane's state a list."""
 
-    The stacked pass's arithmetic on one row (:func:`_row_power`, then
-    :meth:`~repro.thermal.lumped.LumpedThermalModel.advance_row`), with
-    the lane's state a list, assigned into the stage's rows.
-    """
-
-    def __init__(self, first, live, stage, activity, ratios, profiler):
-        super().__init__(first, live, stage, activity, ratios)
+    def __init__(self, kernel, live, stage, activity, ratios) -> None:
+        super().__init__(kernel, live, stage, activity, ratios)
+        first = kernel.engines[0]
         lane = live[0]
         self.state = stage.rows[0, 0].tolist()
         self.leakage = lane.leakage
@@ -772,16 +759,18 @@ class _OneRow(_Form):
         # row a step ends on passes the finiteness test, so only the
         # run's start state can hold one.
         self.exact_max = any(temp != temp for temp in self.state)
-        constants = _power_constants(first)
-        block_count = len(self.state)
+        divisor, active_frac, idle_frac, peaks = self.tiles
+        n = len(self.state)
         self.constants = (
-            constants[1, 0].item(),
-            constants[2, 0].item(),
-            constants[3, :block_count].tolist(),
-            constants[0, block_count].item(),
-            constants[3, block_count].item(),
+            active_frac[0, 0].item(),
+            idle_frac[0, 0].item(),
+            peaks[0, :n].tolist(),
+            divisor[0, n].item(),
+            peaks[0, n].item(),
         )
-        self.advance_row = _spanned(first.thermal.advance_row, profiler)
+        self.advance_row = self.profiler.wrap(
+            "thermal.advance", first.thermal.advance_row
+        )
 
     def sense(self, step, steps) -> list:
         start = self.state
@@ -799,7 +788,7 @@ class _OneRow(_Form):
                 row = row[sensors]
             sensed = row.max().item()
             self.exact_max = False
-        if self.keep_rows:
+        if self.stage.keep_rows:
             self.stage.sensed[step, 0] = sensed
         return [sensed]
 
@@ -818,7 +807,7 @@ class _OneRow(_Form):
         stage.chip[step, 0] = chip_power
         stage.steady[step, 0] = steady
         stage.end[step, 0] = end
-        if self.history:
+        if stage.powers is not None:
             stage.powers[step, 0] = powers
         self.state = end
         # Tested as the stacked pass tests its sums; the value is not
@@ -826,121 +815,28 @@ class _OneRow(_Form):
         return math.isfinite(sum(end, chip_power))
 
 
-class _Stacked(_Form):
-    """The stacked step of two or more independent lanes.
-
-    One lane's elementwise arithmetic, broadcast over the lane axis and
-    written straight into the stage's rows.  The power pass runs on
-    ``utilization``/``power`` rows of ``n + 1`` columns, the last the
-    unmonitored area's, against constants tiled to the full shape
-    (:func:`_power_constants`): dividing the block columns by 1.0 and
-    the sum column by ``n`` is one full-shape call, and ``x / 1.0`` is
-    ``x``.  ``add.reduce / n`` is what ``mean`` computes, minus its
-    Python wrapper.
-    """
-
-    def __init__(self, first, live, stage, activity, ratios, profiler):
-        super().__init__(first, live, stage, activity, ratios)
-        k = self.k
-        block_count = len(first.floorplan.names)
-        self.lane_ratios = ratios[:k, None]
-        self.utilization = np.empty((k, block_count + 1))
-        self.block_utilization = self.utilization[:, :block_count]
-        self.mean_utilization = self.utilization[:, block_count]
-        self.power = np.empty((k, block_count + 1))
-        self.powers = self.power[:, :block_count]
-        self.unmonitored = self.power[:, block_count]
-        (
-            self.divisor, self.active_frac, self.idle_frac, self.peak_tiles,
-        ) = np.repeat(_power_constants(first)[:, None], k, axis=1)
-        self.leaky = [
-            (r, lane.leakage) for r, lane in enumerate(live)
-            if lane.leakage is not None
-        ]
-        self.placed = [
-            (r, lane.monitored) for r, lane in enumerate(live)
-            if lane.monitored is not None
-        ]
-        self.advance_lanes = _spanned(first.thermal.advance_batch, profiler)
-
-    def sensed(self, step) -> np.ndarray:
-        """Each lane's sensed maximum, staged when rows are kept."""
-        start = self.stage.rows[step, :self.k]
-        sensed = np.maximum.reduce(
-            start, axis=1,
-            out=self.stage.sensed[step, :self.k] if self.keep_rows else None,
-        )
-        for r, monitored in self.placed:
-            sensed[r] = start[r, monitored].max()
-        return sensed
-
-    def sense(self, step, steps) -> list:
-        return self.sensed(step).tolist()
-
-    def advance(self, step) -> bool:
-        k = self.k
-        stage = self.stage
-        start = stage.rows[step, :k]
-        utilization = self.utilization
-        power = self.power
-        powers = self.powers
-        np.multiply(
-            self.activity[step, :k], self.lane_ratios,
-            out=self.block_utilization,
-        )
-        np.add.reduce(
-            self.block_utilization, axis=1, out=self.mean_utilization
-        )
-        np.divide(utilization, self.divisor, out=utilization)
-        np.multiply(utilization, self.active_frac, out=power)
-        np.add(power, self.idle_frac, out=power)
-        np.multiply(power, self.peak_tiles, out=power)
-        for r, lane_leakage in self.leaky:
-            # Quasi-static leakage at the sample's start state.
-            powers[r] += lane_leakage.power(self.peaks, start[r])
-        chip_power = np.add.reduce(powers, axis=1, out=stage.chip[step, :k])
-        chip_power += self.unmonitored
-        end, _ = self.advance_lanes(
-            start, powers, self.sample,
-            out=(stage.end[step, :k], stage.steady[step, :k]),
-        )
-        if self.history:
-            stage.powers[step, :k] = powers
-        # A sum is finite only if every term is: one cheap test for the
-        # common step, on Python floats; the exact per-lane mask (and
-        # the rare overflowing sum) takes the masked path.
-        return math.isfinite(
-            sum(chip_power.tolist()) + sum(end.ravel().tolist())
-        )
-
-
 class _Group(_Stacked):
-    """The stacked step of a coupled lane group, one chip's cores.
+    """A coupled lane group's step (see :class:`BatchEngine`): the
+    stacked pass with the group's hooks."""
 
-    Its plant step is the chip's coupled update,
-    ``group.thermal.advance_lanes``; a coordinated group's
-    ``arbitrate`` makes every core's decision before the lane pass; the
-    lanes leave only all together; a non-finite core fails the whole
-    run (``group.check_finite``); and the run's one outcome is the
-    chip's result (``group.finish``).
-    """
-
-    def __init__(self, group, first, live, stage, activity, ratios, profiler):
-        super().__init__(first, live, stage, activity, ratios, profiler)
-        self.group = group
-        self.quorum = self.k
-        self.advance_lanes = _spanned(group.thermal.advance_lanes, profiler)
+    def __init__(self, kernel, live, stage, activity, ratios) -> None:
+        super().__init__(kernel, live, stage, activity, ratios)
+        self.group = group = kernel.group
+        self.quorum = self.k  # the lanes leave only all together
+        self.advance_lanes = self.profiler.wrap(
+            "thermal.advance", group.thermal.advance_lanes
+        )
 
     def sense(self, step, steps) -> list:
-        sensed = self.sensed(step)
-        sensed_py = sensed.tolist()
+        sensed = super().sense(step, steps)
         if self.group.arbitrate is not None:
             # Every core's DTM decision, then the coordinator's grant,
             # which the lane's on_sample returns.
-            self.group.arbitrate(sensed_py, sensed, steps)
-        return sensed_py
+            self.group.arbitrate(sensed, steps)
+        return sensed
 
     def settle(self, live, step, steps, duties, warming) -> list[int]:
+        # A non-finite core fails the whole run.
         self.group.check_finite(
             self.stage.end[step, :self.k],
             self.stage.chip[step, :self.k],
@@ -950,7 +846,9 @@ class _Group(_Stacked):
         return []
 
     def finish(self, stage, steps, outcomes, end) -> list[LaneOutcome]:
-        return [LaneOutcome(result=self.group.finish(stage, steps, outcomes, end))]
+        # The chip's result, from its cores' outcomes.
+        result = self.group.finish(stage, steps, outcomes, end)
+        return [LaneOutcome(result=result)]
 
 
 def _row_power(activity, ratio, constants, leakage) -> tuple[list, float]:
@@ -1020,6 +918,8 @@ def _pairwise_sum(values: list) -> float:
 
 def _finish(stage: SampleStage, lane: _Lane, steps: int) -> LaneOutcome:
     """One leaving lane's outcome after ``steps`` steps."""
+    if lane.error is not None:
+        return LaneOutcome(error=lane.error)
     try:
         result = stage.result(
             lane.slot,

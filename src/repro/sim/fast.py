@@ -181,7 +181,9 @@ class FastEngine:
             # Generous budget: even duty-0 policies eventually release.
             max_cycles = int(40 * instructions / max(0.1, self.profile.mean_ipc))
         telemetry = self.telemetry
-        on_sample = self.manager.on_sample
+        on_sample = telemetry.profiler.wrap(
+            "dtm.on_sample", self.manager.on_sample
+        )
         time_samples = False
         if telemetry.enabled:
             telemetry.set_context(self.profile.name, self.policy.name)
@@ -194,14 +196,6 @@ class FastEngine:
                 supply_efficiency=SUPPLY_EFFICIENCY,
             )
             time_samples = telemetry.config.sample_latency
-            if telemetry.profiler.enabled:
-                def on_sample(
-                    sensed,
-                    _base=self.manager.on_sample,
-                    _span=telemetry.profiler.span,
-                ):
-                    with _span("dtm.on_sample"):
-                        return _base(sensed)
         rng = np.random.default_rng(
             np.random.SeedSequence([self.profile.seed, self.seed])
         )

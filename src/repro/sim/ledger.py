@@ -92,15 +92,6 @@ class SpecOutcome:
         return self.error is None
 
 
-def _checks_pass(spec) -> bool:
-    """Whether ``spec`` passes its by-value checks."""
-    try:
-        spec.check()
-    except ConfigError:
-        return False
-    return True
-
-
 def _take_entry(entries: list[dict] | None, need_telemetry: bool):
     """Pop the first journal entry that may replay, or ``None``.
 
@@ -166,12 +157,11 @@ class SweepLedger:
 
         Opens the journal (fresh, or appending on resume).  Each spec
         takes the first journal entry it can replay, else a cache hit
-        it can replay, else it runs.  A spec that fails its by-value
-        checks (:meth:`~repro.sim.parallel.WorkSpec.check`) replays
-        from neither: an entry saved under its key, by a build that did
-        not check, would hide the error, so the spec runs and fails as
-        it would with no saved entry.  Emits ``{family}.resume`` and
-        ``cache.hit`` when either source answered anything.
+        it can replay, else it runs.  A spec that fails
+        :meth:`~repro.sim.parallel.WorkSpec.check` replays from neither,
+        so it fails as it would with nothing saved.  Emits
+        ``{family}.resume`` and ``cache.hit`` when either source
+        answered anything.
         """
         options = self.options
         saved: dict[str, list[dict]] = {}
@@ -186,7 +176,9 @@ class SweepLedger:
         need_telemetry = self.sink.enabled
         todo: list[int] = []
         for index, spec in enumerate(self.specs):
-            if not _checks_pass(spec):
+            try:
+                spec.check()
+            except ConfigError:
                 todo.append(index)
                 continue
             entry = (

@@ -484,16 +484,9 @@ class WorkSpec:
         return (self.benchmark, self.policy, self.seed)
 
     def check(self) -> None:
-        """Reject fields this kind of spec does not use: :class:`ConfigError`.
-
-        A single-core spec takes no ``coordinator`` (it arbitrates
-        between cores), and a multicore spec none of the single-core
-        fields.  These are the spec's by-value checks: the executor
-        makes them before it builds an engine, and a spec that fails
-        them never replays from a cache or a journal (see
-        :meth:`~repro.sim.ledger.SweepLedger.open`), so it fails as it
-        would with neither.
-        """
+        """The spec's by-value checks: :class:`ConfigError` on a field
+        its kind does not use (a single-core ``coordinator``, which
+        arbitrates between cores, or a multicore single-core field)."""
         if not self.core_benchmarks:
             if self.coordinator is not None:
                 raise ConfigError(

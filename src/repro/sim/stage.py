@@ -7,13 +7,12 @@ controller reads those fractions: they feed only the run's
 accumulators, its history rows and its telemetry records.  So the
 kernel does not evaluate them per sample.  Each sample's ``(start,
 steady, end)`` block rows go into a :class:`SampleStage` -- fixed
-buffers of :data:`STAGE_ROWS` steps with one column per lane.  A
-run's states share one buffer of ``STAGE_ROWS + 1`` rows: step ``s``
-starts on row ``s`` and ends on row ``s + 1``, so no start state is
-ever copied in.  The kernel's thermal update writes its steady and end
-state there directly (the stacked update in place; a one-lane step
-assigns its Python-float rows), and the stage's
-:meth:`~SampleStage.flush` post-pass then
+:data:`STAGE_ROWS`-step buffers with one column per lane, the states in
+one buffer whose row ``s`` ends step ``s - 1`` and starts step ``s``,
+which the kernel's thermal update writes its steady and end state into
+directly (the stacked update in place; a one-lane step assigns its
+Python-float rows) -- and the stage's :meth:`~SampleStage.flush`
+post-pass then
 
 * evaluates every threshold fraction of the chunk in one broadcast
   ``fractions_above`` call;
@@ -31,8 +30,7 @@ assigns its Python-float rows), and the stage's
   :meth:`~repro.telemetry.core.Telemetry.take_control` transposed once
   per chunk; a coupled lane group (one multicore chip) reduces across
   lanes and hands the chip's sink one row per sample instead;
-* carries the chunk's last end row to row 0, the next chunk's first
-  start row: one copy per chunk.
+* carries the last end row to row 0, one copy per chunk.
 
 No controller reads any of these totals either, so the stage owns
 them: the kernel keeps only what steers a run (its committed
@@ -112,24 +110,20 @@ class _HistoryRows:
 class SampleStage:
     """Staged measured samples of one or more lanes, and their totals.
 
-    ``engines`` are the kernel's engines, one lane (column slot) each,
-    which share lane 0's simulation environment: its thermal model's
-    floorplan, its sampling interval, and its emergency and stress
-    thresholds (the emergency temperature and the non-control-theoretic
-    trigger), in that order.  Step ``s`` of a chunk starts
-    on row ``s`` of :attr:`rows` (row 0 holds the run's start states,
-    then each flush's carried end row) and ends on row ``s`` of
-    :attr:`end`, the view ``rows[1:]``.  Per step the kernel writes the
-    rows of its live lanes into columns ``[:k]`` of row ``s`` of
-    :attr:`end`, :attr:`steady`, :attr:`chip` (chip power) and
-    :attr:`stalls` (interrupt stall cycles), and -- only when
-    :attr:`keep_rows` (some lane records telemetry or history) -- of
-    :attr:`sensed`, :attr:`committed` (recording lanes only) and
+    ``engines`` are the kernel's engines, one lane (column slot) each;
+    they share lane 0's environment (floorplan, sampling interval,
+    thresholds).  Step ``s`` starts on row ``s`` of :attr:`rows` and
+    ends on row ``s`` of :attr:`end`, the view ``rows[1:]``.  Per step
+    the kernel writes the rows of its live lanes into columns ``[:k]``
+    of row ``s`` of :attr:`end`, :attr:`steady`, :attr:`chip` (chip
+    power) and :attr:`stalls` (interrupt stall cycles), and -- only
+    when :attr:`keep_rows` (some lane records telemetry or history) --
+    of :attr:`sensed`, :attr:`committed` (recording lanes only) and
     :attr:`powers` (history only), appending
     ``(duties, controls, latency_seconds)`` to :attr:`extras`.  A
     step in which a live lane did not measure (warmup, or a
-    non-finite state) clears that lane's :attr:`measured` cell, fills
-    its non-finite temperature cells with finite values, and sets
+    non-finite state) clears that lane's :attr:`measured` cell, gives
+    its non-finite start and steady cells finite values, and sets
     :attr:`masked`.
 
     :meth:`flush` then receives ``slots``, the engine index of every

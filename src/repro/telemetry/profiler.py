@@ -109,6 +109,10 @@ class Profiler:
         with self.span(name):
             return fn(*args, **kwargs)
 
+    def wrap(self, name: str, fn: Callable) -> Callable:
+        """``fn``, each call of it inside a span named ``name``."""
+        return lambda *args, **kwargs: self.time(name, fn, *args, **kwargs)
+
     # -- read side -----------------------------------------------------------
     def stats(self, name: str) -> SpanStats:
         """Statistics for one span name (raises if never entered)."""
@@ -182,6 +186,10 @@ class NullProfiler:
     def time(self, name: str, fn: Callable, *args, **kwargs):
         """Call ``fn`` directly."""
         return fn(*args, **kwargs)
+
+    def wrap(self, name: str, fn: Callable) -> Callable:
+        """``fn`` itself: its calls pay for no span."""
+        return fn
 
     def names(self) -> tuple[str, ...]:
         """No spans are ever recorded."""

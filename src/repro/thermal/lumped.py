@@ -207,16 +207,8 @@ class LumpedThermalModel:
         toward the steady state ``T_sink + P * R``; using it makes the
         fast engine's thermal state independent of the sampling interval.
         """
-        if cycles <= 0:
-            raise ThermalModelError("cycles must be positive")
         powers = np.asarray(powers, dtype=float)
-        if powers.shape != self._temps.shape:
-            raise ThermalModelError(
-                f"expected {self._temps.shape[0]} block powers, got {powers.shape}"
-            )
-        steady = self.heatsink_temperature + powers * self._resistance
-        self._temps = steady + (self._temps - steady) * self._decay(cycles)
-        return self._temps.copy()
+        return self.advance_from(self._temps, powers, cycles)[0].copy()
 
     def _decay(self, cycles: int) -> np.ndarray:
         """Per-block ``exp(-h / tau)`` for an ``h = cycles`` interval.
