@@ -624,7 +624,6 @@ class _Stacked:
         self.k = k = len(live)
         self.stage = stage
         self.activity = activity
-        self.ratios = ratios
         self.sample = first.dtm_config.sampling_interval
         self.peaks = first.power_model.peaks_view
         # The plant call's span goes to lane 0's profiler, if it is on.
@@ -748,7 +747,6 @@ class _OneRow(_Stacked):
 
     def __init__(self, kernel, live, stage, activity, ratios) -> None:
         super().__init__(kernel, live, stage, activity, ratios)
-        first = kernel.engines[0]
         lane = live[0]
         self.state = stage.rows[0, 0].tolist()
         self.leakage = lane.leakage
@@ -769,7 +767,7 @@ class _OneRow(_Stacked):
             peaks[0, n].item(),
         )
         self.advance_row = self.profiler.wrap(
-            "thermal.advance", first.thermal.advance_row
+            "thermal.advance", kernel.engines[0].thermal.advance_row
         )
 
     def sense(self, step, steps) -> list:
@@ -797,7 +795,7 @@ class _OneRow(_Stacked):
         leakage = self.leakage
         powers, chip_power = _row_power(
             self.activity[step, 0].tolist(),
-            self.ratios.item(0),
+            self.lane_ratios.item(0),
             self.constants,
             None if leakage is None else leakage.power(
                 self.peaks, stage.rows[step, 0]
