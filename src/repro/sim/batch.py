@@ -483,6 +483,12 @@ class BatchEngine:
         ratios = np.empty(count)
         duties: list = [0.0] * count
         controls: list = [None] * count
+        # The step forms for one live lane and for more; a coupled group
+        # steps stacked even for one core.
+        forms = (
+            (_Group, _Group) if self.group is not None
+            else (_OneRow, _Stacked)
+        )
 
         steps = 0  # steps every live lane has taken: all start together
         step = 0  # the stage row of this step
@@ -492,18 +498,14 @@ class BatchEngine:
                 if k != len(live):
                     # The step's form and views for k live lanes, chosen
                     # only when lanes leave.  A leaving lane flushes the
-                    # stage, so a chunk has one form.  A group steps
-                    # stacked even for one core.
+                    # stage, so a chunk has one form.
                     k = len(live)
                     slots = np.fromiter(
                         (lane.slot for lane in live), dtype=np.intp
                     )
                     next_deadline = min(lane.deadline for lane in live)
                     timing = any(lane.time_samples for lane in live)
-                    form = (
-                        _Group if self.group is not None
-                        else _OneRow if k == 1 else _Stacked
-                    )(self, live, stage, activity, ratios)
+                    form = forms[k > 1](self, live, stage, activity, ratios)
                 iter_start = perf_counter() if timing else 0.0
                 sensed = form.sense(step, steps)
                 stall_row = stalls[step]
