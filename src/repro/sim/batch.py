@@ -261,8 +261,6 @@ class _Lane:
     instructions), ``warmup`` (warmup instructions outstanding) and
     ``warmup_samples``.
     ``deadline`` is the step count at which the cycle budget runs out.
-    ``leakage`` and ``monitored`` are the engine's leakage model and
-    sensed block indices, or ``None``.
     """
 
     __slots__ = (
@@ -271,7 +269,6 @@ class _Lane:
         "phase_jitter", "phase_ipc", "single_phase", "built", "draws",
         "ipc_draws", "cursor", "max_cycles", "deadline", "instructions",
         "position", "committed", "warmup", "warmup_samples", "error",
-        "leakage", "monitored",
     )
 
     def build_activity(self, index: int, rows: np.ndarray) -> None:
@@ -438,8 +435,6 @@ class BatchEngine:
             lane.committed = 0.0
             lane.warmup = float(warmup[slot])
             lane.warmup_samples = 0
-            lane.leakage = engine.leakage
-            lane.monitored = engine._monitored
             lane.phase_total = engine.profile.total_instructions
             (
                 lane.phase_ends, lane.phase_activity, lane.phase_jitter,
@@ -485,10 +480,8 @@ class BatchEngine:
         controls: list = [None] * count
         # The step forms for one live lane and for more; a coupled group
         # steps stacked even for one core.
-        forms = (
-            (_Group, _Group) if self.group is not None
-            else (_OneRow, _Stacked)
-        )
+        stacked = _Stacked if self.group is None else _Group
+        lone = _OneRow if self.group is None else _Group
 
         steps = 0  # steps every live lane has taken: all start together
         step = 0  # the stage row of this step
@@ -505,9 +498,13 @@ class BatchEngine:
                     )
                     next_deadline = min(lane.deadline for lane in live)
                     timing = any(lane.time_samples for lane in live)
-                    form = forms[k > 1](self, live, stage, activity, ratios)
+                    form = (lone if k == 1 else stacked)(
+                        self, live, stage, activity, ratios
+                    )
+                    sense, advance = form.sense, form.advance
+                    quorum = form.quorum
                 iter_start = perf_counter() if timing else 0.0
-                sensed = form.sense(step, steps)
+                sensed = sense(step, steps)
                 stall_row = stalls[step]
                 if keep_rows:
                     committed_row = stage.committed[step]
@@ -559,7 +556,7 @@ class BatchEngine:
                         controls[r] = lane.telemetry.take_control()
                         committed_row[r] = committed
 
-                finite = form.advance(step)
+                finite = advance(step)
                 if keep_rows:
                     stage.extras.append((
                         duties[:k],
@@ -582,7 +579,7 @@ class BatchEngine:
                                 )
                             leaving.append(r)
 
-                if leaving and len(leaving) >= form.quorum:
+                if leaving and len(leaving) >= quorum:
                     # Flush before compacting: the staged columns are
                     # the live lanes of this chunk.
                     staged, step = step, 0
@@ -606,107 +603,35 @@ class BatchEngine:
                         lane.built = -1
         finally:
             stage.flush(step, slots)
-        return form.finish(stage, steps, outcomes, end)
+        return form.finish(outcomes, steps, end)
 
-class _Stacked:
-    """The stacked step form of independent lanes, and the base of the
-    other two: :meth:`sense` returns the sensed maxima, :meth:`advance`
+
+class _Form:
+    """What every step form shares.
+
+    :meth:`sense` returns the step's sensed maxima; :meth:`advance`
     runs the power pass and plant call into the stage's rows and tells
-    whether the step's sums are finite.  The power pass runs in place on
-    ``n + 1``-column rows (the last the unmonitored area's) against
-    constants tiled to the full shape, so dividing the block columns by
-    1.0 (exact) and the sum column by ``n`` is one full-shape call.
+    whether the step's sums are finite; :meth:`settle` masks a step
+    with a warming or non-finite lane; :meth:`finish` makes the run's
+    outcomes once every lane has left.  A form looks its plant up on
+    the thermal model when it is built, so a patched method is the one
+    called, and wraps it in lane 0's ``thermal.advance`` span, if its
+    profiler is on.
     """
 
     #: Leaving lanes that flush the chunk and leave: any one.
     quorum = 1
 
-    def __init__(self, kernel, live, stage, activity, ratios) -> None:
+    def __init__(self, kernel, live, stage) -> None:
         first = kernel.engines[0]
-        self.k = k = len(live)
+        self.k = len(live)
         self.stage = stage
-        self.activity = activity
         self.sample = first.dtm_config.sampling_interval
         self.peaks = first.power_model.peaks_view
-        # The plant call's span goes to lane 0's profiler, if it is on.
-        self.profiler = first.telemetry.profiler
-        n = len(first.floorplan.names)
-        idle = first.power_model.idle_fraction
-        constants = np.array((
-            [1.0] * n + [float(n)],
-            [1.0 - idle] * (n + 1),
-            [idle] * (n + 1),
-            np.append(self.peaks, first.floorplan.unmonitored_peak_power),
-        ))
-        self.tiles = tuple(np.repeat(constants[:, None], k, axis=1))
-        self.lane_ratios = ratios[:k, None]
-        self.utilization = np.empty((k, n + 1))
-        self.block_utilization = self.utilization[:, :n]
-        self.mean_utilization = self.utilization[:, n]
-        self.power = np.empty((k, n + 1))
-        self.powers = self.power[:, :n]
-        self.unmonitored = self.power[:, n]
-        self.leaky = [
-            (r, lane.leakage) for r, lane in enumerate(live)
-            if lane.leakage is not None
-        ]
-        self.placed = [
-            (r, lane.monitored) for r, lane in enumerate(live)
-            if lane.monitored is not None
-        ]
-        self.advance_lanes = self.profiler.wrap(
-            "thermal.advance", first.thermal.advance_batch
-        )
-
-    def sense(self, step, steps) -> list:
-        stage = self.stage
-        start = stage.rows[step, :self.k]
-        sensed = np.maximum.reduce(
-            start, axis=1,
-            out=stage.sensed[step, :self.k] if stage.keep_rows else None,
-        )
-        for r, monitored in self.placed:
-            sensed[r] = start[r, monitored].max()
-        return sensed.tolist()
-
-    def advance(self, step) -> bool:
-        k = self.k
-        stage = self.stage
-        start = stage.rows[step, :k]
-        utilization, power, powers = self.utilization, self.power, self.powers
-        divisor, active_frac, idle_frac, peaks = self.tiles
-        np.multiply(
-            self.activity[step, :k], self.lane_ratios,
-            out=self.block_utilization,
-        )
-        np.add.reduce(
-            self.block_utilization, axis=1, out=self.mean_utilization
-        )
-        np.divide(utilization, divisor, out=utilization)
-        np.multiply(utilization, active_frac, out=power)
-        np.add(power, idle_frac, out=power)
-        np.multiply(power, peaks, out=power)
-        for r, lane_leakage in self.leaky:
-            # Quasi-static leakage at the sample's start state.
-            powers[r] += lane_leakage.power(self.peaks, start[r])
-        chip_power = np.add.reduce(powers, axis=1, out=stage.chip[step, :k])
-        chip_power += self.unmonitored
-        end, _ = self.advance_lanes(
-            start, powers, self.sample,
-            out=(stage.end[step, :k], stage.steady[step, :k]),
-        )
-        if stage.powers is not None:
-            stage.powers[step, :k] = powers
-        # A sum is finite only if every term is: one cheap test for the
-        # common step, on Python floats; the exact per-lane mask (and
-        # the rare overflowing sum) takes the masked path.
-        return math.isfinite(
-            sum(chip_power.tolist()) + sum(end.ravel().tolist())
-        )
 
     def settle(self, live, step, steps, duties, warming) -> list[int]:
-        """Mask a step with a warming or non-finite lane out of the stage;
-        return the non-finite rows, which leave with the run's error.
+        """Mask the step out of the stage; return the non-finite rows,
+        which leave with the run's error.
 
         A non-finite lane's start and steady rows get finite stand-ins
         for the threshold pass; its end row stays, for its engine.
@@ -737,39 +662,42 @@ class _Stacked:
             stage.steady[step, bad] = 0.0
         return bad
 
-    def finish(self, stage, steps, outcomes, end) -> list[LaneOutcome]:
-        """The run's outcomes, once every lane has left on ``end``."""
+    def finish(self, outcomes, steps, end) -> list[LaneOutcome]:
+        """The run's outcomes once every lane has left, the last after
+        ``steps`` steps on the ``end`` rows: the lanes' own."""
         return outcomes
 
 
-class _OneRow(_Stacked):
+class _OneRow(_Form):
     """The stacked pass's one-row form, for one live lane: the same
     arithmetic on Python floats (:func:`_row_power`, then
     ``advance_row``), with the lane's state a list."""
 
     def __init__(self, kernel, live, stage, activity, ratios) -> None:
-        super().__init__(kernel, live, stage, activity, ratios)
-        lane = live[0]
+        super().__init__(kernel, live, stage)
+        first = kernel.engines[0]
+        engine = live[0].engine
+        self.advance_row = first.telemetry.profiler.wrap(
+            "thermal.advance", first.thermal.advance_row
+        )
+        self.activity = activity[:, 0]
+        self.ratios = ratios
         self.state = stage.rows[0, 0].tolist()
-        self.leakage = lane.leakage
+        self.leakage = engine.leakage
         self.sensors = (
-            None if lane.monitored is None else lane.monitored.tolist()
+            None if engine._monitored is None else engine._monitored.tolist()
         )
         # numpy's maximum propagates a NaN that max() may skip.  Every
         # row a step ends on passes the finiteness test, so only the
         # run's start state can hold one.
         self.exact_max = any(temp != temp for temp in self.state)
-        divisor, active_frac, idle_frac, peaks = self.tiles
-        n = len(self.state)
+        idle = float(first.power_model.idle_fraction)
         self.constants = (
-            active_frac[0, 0].item(),
-            idle_frac[0, 0].item(),
-            peaks[0, :n].tolist(),
-            divisor[0, n].item(),
-            peaks[0, n].item(),
-        )
-        self.advance_row = self.profiler.wrap(
-            "thermal.advance", kernel.engines[0].thermal.advance_row
+            1.0 - idle,
+            idle,
+            self.peaks.tolist(),
+            float(len(self.state)),
+            float(first.floorplan.unmonitored_peak_power),
         )
 
     def sense(self, step, steps) -> list:
@@ -796,8 +724,8 @@ class _OneRow(_Stacked):
         stage = self.stage
         leakage = self.leakage
         powers, chip_power = _row_power(
-            self.activity[step, 0].tolist(),
-            self.lane_ratios.item(0),
+            self.activity[step].tolist(),
+            self.ratios.item(0),
             self.constants,
             None if leakage is None else leakage.power(
                 self.peaks, stage.rows[step, 0]
@@ -815,17 +743,110 @@ class _OneRow(_Stacked):
         return math.isfinite(sum(end, chip_power))
 
 
+class _Stacked(_Form):
+    """The stacked form, for two or more independent lanes.  The power
+    pass runs in place on ``n + 1``-column rows (the last the
+    unmonitored area's) against constants tiled to the full shape, so
+    dividing the block columns by 1.0 (exact) and the sum column by
+    ``n`` is one full-shape call.  A step indexes the stage's rows,
+    viewed at the k live lanes once per form, by its row.
+    """
+
+    #: The lanes' plant: the thermal model's method of that name.
+    plant = "advance_batch"
+
+    def __init__(self, kernel, live, stage, activity, ratios) -> None:
+        super().__init__(kernel, live, stage)
+        k = self.k
+        n = len(self.peaks)
+        first = kernel.engines[0]
+        model = first.thermal if kernel.group is None else kernel.group.thermal
+        self.advance_lanes = first.telemetry.profiler.wrap(
+            "thermal.advance", getattr(model, self.plant)
+        )
+        idle = first.power_model.idle_fraction
+        constants = np.array((
+            [1.0] * n + [float(n)],
+            [1.0 - idle] * (n + 1),
+            [idle] * (n + 1),
+            np.append(self.peaks, first.floorplan.unmonitored_peak_power),
+        ))
+        self.tiles = tuple(np.repeat(constants[:, None], k, axis=1))
+        self.lane_ratios = ratios[:k, None]
+        self.utilization = np.empty((k, n + 1))
+        self.block_utilization = self.utilization[:, :n]
+        self.mean_utilization = self.utilization[:, n]
+        self.power = np.empty((k, n + 1))
+        self.powers = self.power[:, :n]
+        self.unmonitored = self.power[:, n]
+        engines = [lane.engine for lane in live]
+        self.leaky = [
+            (r, engine.leakage) for r, engine in enumerate(engines)
+            if engine.leakage is not None
+        ]
+        self.placed = [
+            (r, engine._monitored) for r, engine in enumerate(engines)
+            if engine._monitored is not None
+        ]
+        self.activity = activity[:, :k]
+        self.starts = stage.rows[:, :k]
+        self.ends = stage.end[:, :k]
+        self.steadies = stage.steady[:, :k]
+        self.chips = stage.chip[:, :k]
+
+    def sense(self, step, steps) -> list:
+        start = self.starts[step]
+        stage = self.stage
+        sensed = np.maximum.reduce(
+            start, axis=1,
+            out=stage.sensed[step, :self.k] if stage.keep_rows else None,
+        )
+        for r, monitored in self.placed:
+            sensed[r] = start[r, monitored].max()
+        return sensed.tolist()
+
+    def advance(self, step) -> bool:
+        start = self.starts[step]
+        utilization, power, powers = self.utilization, self.power, self.powers
+        block_utilization = self.block_utilization
+        divisor, active_frac, idle_frac, peaks = self.tiles
+        # A binary ufunc's ``out`` is passed by position, which numpy
+        # parses faster than the keyword.
+        np.multiply(self.activity[step], self.lane_ratios, block_utilization)
+        np.add.reduce(block_utilization, axis=1, out=self.mean_utilization)
+        np.divide(utilization, divisor, utilization)
+        np.multiply(utilization, active_frac, power)
+        np.add(power, idle_frac, power)
+        np.multiply(power, peaks, power)
+        for r, lane_leakage in self.leaky:
+            # Quasi-static leakage at the sample's start state.
+            powers[r] += lane_leakage.power(self.peaks, start[r])
+        chip_power = np.add.reduce(powers, axis=1, out=self.chips[step])
+        np.add(chip_power, self.unmonitored, chip_power)
+        end, _ = self.advance_lanes(
+            start, powers, self.sample,
+            out=(self.ends[step], self.steadies[step]),
+        )
+        if self.stage.powers is not None:
+            self.stage.powers[step, :self.k] = powers
+        # A sum is finite only if every term is: one cheap test for the
+        # common step, on Python floats; the exact per-lane mask (and
+        # the rare overflowing sum) takes the masked path.
+        return math.isfinite(
+            sum(chip_power.tolist()) + sum(end.ravel().tolist())
+        )
+
+
 class _Group(_Stacked):
     """A coupled lane group's step (see :class:`BatchEngine`): the
-    stacked pass with the group's hooks."""
+    stacked pass with the group's plant and hooks."""
+
+    plant = "advance_lanes"
 
     def __init__(self, kernel, live, stage, activity, ratios) -> None:
         super().__init__(kernel, live, stage, activity, ratios)
-        self.group = group = kernel.group
+        self.group = kernel.group
         self.quorum = self.k  # the lanes leave only all together
-        self.advance_lanes = self.profiler.wrap(
-            "thermal.advance", group.thermal.advance_lanes
-        )
 
     def sense(self, step, steps) -> list:
         sensed = super().sense(step, steps)
@@ -838,16 +859,13 @@ class _Group(_Stacked):
     def settle(self, live, step, steps, duties, warming) -> list[int]:
         # A non-finite core fails the whole run.
         self.group.check_finite(
-            self.stage.end[step, :self.k],
-            self.stage.chip[step, :self.k],
-            duties,
-            steps,
+            self.ends[step], self.chips[step], duties, steps
         )
         return []
 
-    def finish(self, stage, steps, outcomes, end) -> list[LaneOutcome]:
+    def finish(self, outcomes, steps, end) -> list[LaneOutcome]:
         # The chip's result, from its cores' outcomes.
-        result = self.group.finish(stage, steps, outcomes, end)
+        result = self.group.finish(self.stage, steps, outcomes, end)
         return [LaneOutcome(result=result)]
 
 

@@ -62,48 +62,27 @@ def _running_sum(total: np.ndarray, rows: np.ndarray, axis: int) -> np.ndarray:
 
 
 class _HistoryRows:
-    """One lane's history buffers (amortized-doubling growth)."""
+    """One lane's history rows, as the blocks its flushes measured."""
 
-    def __init__(self, block_count: int) -> None:
-        self.size = 0
-        self.max_temp = np.empty(1024)
-        self.duty = np.empty(1024)
-        self.chip_power = np.empty(1024)
-        self.block_temps = np.empty((1024, block_count))
-        self.block_powers = np.empty((1024, block_count))
-        self.block_emergency = np.empty((1024, block_count))
-        self.block_stress = np.empty((1024, block_count))
+    def __init__(self) -> None:
+        self.blocks: dict[str, list[np.ndarray]] = {}
 
     def extend(self, **columns) -> None:
-        """Append rows; each keyword names one buffer."""
-        start = self.size
-        stop = start + len(columns["max_temp"])
-        capacity = len(self.max_temp)
-        if stop > capacity:
-            while capacity < stop:
-                capacity *= 2
-            for name in columns:
-                buffer = getattr(self, name)
-                grown = np.empty((capacity, *buffer.shape[1:]))
-                grown[:start] = buffer[:start]
-                setattr(self, name, grown)
+        """Append rows; each keyword names one :class:`History` column."""
         for name, values in columns.items():
-            getattr(self, name)[start:stop] = values
-        self.size = stop
+            self.blocks.setdefault(name, []).append(
+                np.asarray(values, dtype=float)
+            )
 
     def build(self, sample_cycles: int, names) -> History:
-        """The recorded rows, trimmed (the copies drop the growth slack)."""
-        size = self.size
+        """The recorded rows, each column joined into one array."""
         return History(
             sample_cycles=sample_cycles,
             names=names,
-            max_temp=self.max_temp[:size].copy(),
-            duty=self.duty[:size].copy(),
-            chip_power=self.chip_power[:size].copy(),
-            block_temps=self.block_temps[:size].copy(),
-            block_powers=self.block_powers[:size].copy(),
-            block_emergency=self.block_emergency[:size].copy(),
-            block_stress=self.block_stress[:size].copy(),
+            **{
+                name: np.concatenate(blocks)
+                for name, blocks in self.blocks.items()
+            },
         )
 
 
@@ -173,7 +152,7 @@ class SampleStage:
             for engine in engines
         ]
         self._histories = [
-            _HistoryRows(blocks) if engine.record_history else None
+            _HistoryRows() if engine.record_history else None
             for engine in engines
         ]
         #: Measured samples emitted per slot (the next record's index).

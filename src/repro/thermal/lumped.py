@@ -311,11 +311,12 @@ class LumpedThermalModel:
             return end, steady
         end, steady = out
         sink, resistance, decay = self._lane_constants(len(powers), cycles)
-        np.multiply(powers, resistance, out=steady)
-        np.add(sink, steady, out=steady)
-        np.subtract(start, steady, out=end)
-        np.multiply(end, decay, out=end)
-        np.add(steady, end, out=end)
+        # ``out`` by position: numpy parses it faster than the keyword.
+        np.multiply(powers, resistance, steady)
+        np.add(sink, steady, steady)
+        np.subtract(start, steady, end)
+        np.multiply(end, decay, end)
+        np.add(steady, end, end)
         return end, steady
 
     def _lane_constants(self, lanes: int, cycles: int) -> tuple:

@@ -184,6 +184,14 @@ class TestAdvanceRow:
                 assert_same_floats(row_end, stage[0, lane])
                 assert_same_floats(row_steady, stage[1, lane])
 
+    def test_one_row_update_is_pure(self):
+        model = LumpedThermalModel(FLOORPLAN, 100.0)
+        blocks = len(FLOORPLAN.names)
+        end, _ = model.advance_row([50.0] * blocks, [1.0] * blocks, 1000)
+        assert end != [50.0] * blocks
+        # The model's own state does not move.
+        assert np.all(model.temperatures == 100.0)
+
     def test_one_row_update_rejects_bad_rows(self):
         model = LumpedThermalModel(FLOORPLAN, 100.0)
         blocks = len(FLOORPLAN.names)
