@@ -3,16 +3,16 @@
 The guarded claim (see docs/performance.md): a
 :class:`repro.sim.batch.BatchEngine` advancing B = 8 lanes through one
 structure-of-arrays kernel must sustain at least ``BATCH_FLOOR``
-(1.7x) the aggregate samples/sec of running the same 8 engines
+(1.1x) the aggregate samples/sec of running the same 8 engines
 sequentially, each as its own run (a one-lane batch:
 :meth:`~repro.sim.fast.FastEngine.run` is one).  Both sides run in
 this process on one core, so the guard is safe on single-CPU runners.
-The speedup is no longer pure vectorization: a step with one live
-lane skips the stacked pass and runs its arithmetic on Python floats,
-so the sequential side is not eight times the stacked pass's fixed
-cost.  What the batch still saves is that fixed cost, one stacked
-thermal advance and one duty/power broadcast per sampling interval
-for all 8 lanes, against 8 one-lane steps.
+Both sides step through the compiled lane step, one C call a step, so
+what the batch saves is that call's fixed cost and the kernel's
+per-step bookkeeping, paid once a step for 8 lanes against 8 one-lane
+steps; the per-lane Python pass (phase lookup, jitter, ``on_sample``)
+costs the same on both sides.  A batched step that lost the compiled
+form (a k = 8 step on the numpy pass) reads about 0.9x and fails.
 
 The receipt also records, without asserting, the lane kernel's cost
 per step at k = 1 (the sequential runs) and k = 8 live lanes
@@ -45,10 +45,12 @@ from repro.sim.batch import BatchEngine
 from repro.sim.parallel import WorkSpec
 from repro.sim.sweep import build_engine
 
-#: Required aggregate samples/sec multiple over sequential lanes: the
-#: lowest of five runs after one-lane steps moved to Python floats
-#: (1.77-1.86x on a shared 2-vCPU host), rounded down.
-BATCH_FLOOR = 1.7
+#: Required aggregate samples/sec multiple over sequential lanes.  With
+#: the compiled lane step, 30 whole runs on a shared 2-vCPU host read
+#: 1.19-1.30x (median 1.23x); with k >= 2 steps routed back to the
+#: numpy pass and k = 1 still compiled, 10 runs read 0.89-0.96x.  The
+#: floor sits between the two, 8% under the lowest passing run.
+BATCH_FLOOR = 1.1
 #: Aspirational target (recorded in the receipt, not asserted).
 BATCH_TARGET = 3.0
 
@@ -102,7 +104,7 @@ def _time_batched() -> tuple[float, int, int]:
 
 
 def test_batch_kernel_beats_sequential_lanes():
-    """B=8 batched kernel >= 1.7x aggregate throughput of 8 serial runs,
+    """B=8 batched kernel >= 1.1x aggregate throughput of 8 serial runs,
     in the median of alternating pairs."""
     pairs = [(_time_sequential(), _time_batched()) for _ in range(PAIRS)]
     sequential_samples = pairs[0][0][1]

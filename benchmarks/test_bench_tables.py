@@ -20,7 +20,7 @@ from repro.experiments import (
     table11_dtm_performance,
     table12_setpoint_sweep,
 )
-from repro.experiments.common import characterize_suite
+from repro.experiments.common import suite_runs
 
 
 def _once(benchmark, fn, **kwargs):
@@ -43,7 +43,7 @@ def test_bench_table3(benchmark):
 
 
 def test_bench_table4(benchmark):
-    characterize_suite.cache_clear()
+    suite_runs.cache_clear()
     result = _once(benchmark, table4_characterization.run, quick=True)
     assert len(result.rows) == 18
     by_name = {row["benchmark"]: row for row in result.rows}

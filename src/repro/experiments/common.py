@@ -1,8 +1,8 @@
 """Shared infrastructure for experiment drivers.
 
 Characterization experiments (Tables 4-10) all consume the same
-unmanaged suite run, one :func:`~repro.sim.parallel.run_specs` matrix,
-so it is computed once per process and cached per instruction budget.
+unmanaged suite runs, with their histories and traces, so they are
+computed once per process and cached per instruction budget.
 Budgets are per-benchmark: at least two full passes over the profile's
 phase sequence (bursty profiles like ``art`` need a full period to show
 their duty cycle).
@@ -40,9 +40,7 @@ def benchmark_budget(name: str, quick: bool = False) -> float:
 WARMUP_INSTRUCTIONS = 1_000_000
 
 
-def _suite_specs(
-    quick: bool, record_history: bool, seed: int
-) -> list[WorkSpec]:
+def _suite_specs(quick: bool, seed: int) -> list[WorkSpec]:
     """The unmanaged characterization matrix: one spec per benchmark."""
     return [
         WorkSpec(
@@ -50,7 +48,7 @@ def _suite_specs(
             "none",
             instructions=benchmark_budget(name, quick),
             seed=seed,
-            record_history=record_history,
+            record_history=True,
             warmup_instructions=WARMUP_INSTRUCTIONS,
         )
         for name in BENCHMARKS
@@ -58,15 +56,32 @@ def _suite_specs(
 
 
 @lru_cache(maxsize=8)
+def suite_runs(
+    quick: bool, seed: int
+) -> tuple[dict[str, RunResult], dict[str, Telemetry]]:
+    """The unmanaged suite, each benchmark run once, cached.
+
+    Each benchmark runs as its own one-spec sweep into a local
+    :class:`~repro.telemetry.core.Telemetry`, which keeps per-benchmark
+    trace extraction unambiguous.  Every run records its history
+    (Tables 9-10 read it) and its trace (Table 7 reads it), so Tables
+    4-10 share one set of runs, and a result cache replays them all.
+    Returns ``(results, sinks)``, both keyed by benchmark.
+    """
+    results: dict[str, RunResult] = {}
+    sinks: dict[str, Telemetry] = {}
+    for spec in _suite_specs(quick, seed):
+        local = Telemetry(TelemetryConfig())
+        [results[spec.benchmark]] = run_specs([spec], telemetry=local)
+        sinks[spec.benchmark] = local
+    return results, sinks
+
+
 def characterize_suite(
     quick: bool = False, seed: int = 0
 ) -> dict[str, RunResult]:
-    """Unmanaged (no-DTM) runs of all 18 benchmarks, cached.
-
-    Every run records its history (Tables 9-10 read it), so Tables
-    4-6 and 8-10 share one matrix.
-    """
-    return dict(zip(BENCHMARKS, run_specs(_suite_specs(quick, True, seed))))
+    """Unmanaged (no-DTM) runs of all 18 benchmarks, with history."""
+    return suite_runs(quick, seed)[0]
 
 
 def characterize_suite_traced(
@@ -74,25 +89,15 @@ def characterize_suite_traced(
 ) -> tuple[dict[str, RunResult], dict[str, list[TraceRecord]]]:
     """Unmanaged suite runs with per-benchmark DTM-sample traces.
 
-    The specs of :func:`characterize_suite` without history (telemetry
-    is purely observational, so the :class:`RunResult` values match
-    apart from ``history``), but each run also captures the shared
-    trace schema; returns ``(results, traces)`` with ``traces[name]``
-    the retained :class:`~repro.telemetry.trace.TraceRecord` list for
-    ``name``.
-
-    Each benchmark runs as its own one-spec sweep into a local
-    :class:`~repro.telemetry.core.Telemetry`, which is then folded into
-    the optional shared ``telemetry`` sink (records, events, metrics),
-    keeping per-benchmark extraction unambiguous even when the sink is
-    shared across many experiments.  Not cached: trace payloads are
-    large and callers usually export them.
+    The runs of :func:`characterize_suite`; returns ``(results,
+    traces)`` with ``traces[name]`` the retained
+    :class:`~repro.telemetry.trace.TraceRecord` list for ``name``.
+    Each run's local telemetry is folded into the optional shared
+    ``telemetry`` sink (records, events, metrics), in benchmark order.
     """
-    results: dict[str, RunResult] = {}
+    results, sinks = suite_runs(quick, seed)
     traces: dict[str, list[TraceRecord]] = {}
-    for spec in _suite_specs(quick, False, seed):
-        local = Telemetry(TelemetryConfig())
-        [results[spec.benchmark]] = run_specs([spec], telemetry=local)
-        traces[spec.benchmark] = local.trace.records()
+    for name, local in sinks.items():
+        traces[name] = local.trace.records()
         merge_telemetry(telemetry, local)
     return results, traces

@@ -16,62 +16,58 @@ every live lane through
   :class:`~repro.dtm.manager.DTMManager` control decision -- and for
   every per-lane scalar: demand, supply, throughput ratio, committed
   instructions and the lane's run bookkeeping stay Python floats;
-* one stacked utilization/power evaluation on the step's prebuilt
-  activity rows, the unmonitored area as one more power column, plus
-  each leaky lane's leakage row;
-* one stacked :meth:`~repro.thermal.lumped.LumpedThermalModel.
-  advance_batch` exponential update.
+* one power pass on the step's prebuilt activity rows (the
+  unmonitored area as one more power column, plus each leaky lane's
+  leakage row) and one exact exponential update of every lane, the
+  expression of :meth:`~repro.thermal.lumped.LumpedThermalModel.
+  advance_batch`.
 
-The stacked calls write straight into the shared
-:class:`~repro.sim.stage.SampleStage` rows (``advance_batch`` its end
-and steady state, the chip-power sum its chip column); no state is
-copied in.  The stage owns every total no controller reads
-(threshold fractions, temperatures, chip power, energy, stall cycles)
-and folds them once per chunk of :data:`~repro.sim.stage.STAGE_ROWS`
-steps.  A lane's jittered activity does not need the controller, so it
-is built ahead too: at a chunk's first step and whenever its phase
-changes, a lane draws the rest of the chunk's jitter in one
-``standard_normal`` call and builds its activity rows for those steps
-in one vectorized pass (:meth:`_Lane.build_activity`); the step reads
-the rows and takes each sample's IPC draw from a Python list.
+The step's form (:class:`_Form`) owns its sensing, its power pass and
+its plant call, and writes straight into the shared
+:class:`~repro.sim.stage.SampleStage` rows; no state is copied in.
+Independent lanes take the compiled form (:class:`_Compiled`) at every
+k: one C call (:mod:`repro.sim.lanestep`) runs the power pass and the
+update for all live lanes, tests each lane's values for finiteness and
+takes each end row's sensed maximum, which the next step reads.  Where
+the host cannot build or load that step, independent lanes take the
+stacked numpy form (:class:`_Stacked`) instead, with the same bits.  A
+coupled group takes the stacked form with its group's plant and hooks
+(:class:`_Group`).  The form is chosen where the views for k live
+lanes are rebuilt, which happens only when lanes leave; a leaving lane
+flushes the stage, so a chunk has one form.
 
-So a step costs a fixed number of stacked numpy calls plus the Python
-work of its live lanes: the per-call numpy dispatch overhead (the
-dominant cost at 7-block problem sizes) is amortized over the batch,
-and a lane's own scalars never pay it.  The stacked pass's constant
-operands are tiled to the full lane shape once per run, so those calls
-take numpy's same-shape fast path instead of broadcasting a row or a
-Python scalar.
+The stage owns every total no controller reads (threshold fractions,
+temperatures, chip power, energy, stall cycles) and folds them once per
+chunk of :data:`~repro.sim.stage.STAGE_ROWS` steps.  A lane's jittered
+activity does not need the controller, so it is built ahead too: at a
+chunk's first step and whenever its phase changes, a lane draws the
+rest of the chunk's jitter in one ``standard_normal`` call and builds
+its activity rows for those steps in one vectorized pass
+(:meth:`_Lane.build_activity`); the step reads the rows and takes each
+sample's IPC draw from a Python list.
 
-A step with one live lane -- every step of a lone run, and the steps
-a ragged group's last lane runs alone -- takes the one-row form
-(:class:`_OneRow`) instead: the same arithmetic on Python floats
-(:func:`_row_power`, then
-:meth:`~repro.thermal.lumped.LumpedThermalModel.advance_row`).  At
-these sizes a numpy call costs about a microsecond of dispatch
-whatever its length, so at one lane the stacked pass's calls cost
-more than its arithmetic and amortize over nothing.  A coupled group
-takes a third form (:class:`_Group`).  The form, which owns the step's
-sensing, power pass and plant call, is chosen where the views for k
-live lanes are rebuilt, which happens only when lanes leave; a leaving
-lane flushes the stage, so a chunk has one form.
+So the arithmetic of a step costs one C call, and what remains is the
+per-lane Python pass, which batching does not amortize.  The stacked
+form costs a fixed number of numpy calls a step, each about a
+microsecond of dispatch at 7-block sizes whatever its length; its
+constant operands are tiled to the full lane shape once per form, so
+those calls take numpy's same-shape fast path.
 
 Bit-identity, not approximate equivalence, is the contract: every
 vectorized expression is the same elementwise arithmetic a per-sample
 loop over one lane evaluates, merely broadcast over the leading lane
 axis, and the axis-1 reductions (``max``, ``sum``, ``mean``) run the
-same sequential inner loop numpy uses for 1-D arrays.  The one-row
-form keeps every operand order, and Python floats are IEEE doubles;
-its sums follow numpy's reduction (:func:`_row_sum`), never the
-built-in ``sum``, and its sensed maximum defers to numpy's wherever
-``max()`` could differ (a NaN in the run's start state, or a maximum
-of zero, whose sign numpy picks).  The tests hold each lane to the
-pinned per-sample reference kernel (``tests/reference_kernel.py``),
-or, where that frozen kernel keeps its old budget rule, to goldens of
-the deleted scalar kernel: results, histories, traces and metrics,
-including ragged lane lengths, warmup, cycle budgets, interrupt
-stalls, injected faults, failsafe engagement, leakage and sensor
-placement.
+same sequential inner loop numpy uses for 1-D arrays.  The compiled
+step keeps every operand order and numpy's reduction order, takes the
+decay and the leakage rows from numpy, and defers the sensed maximum
+to numpy wherever a compare could differ (a NaN, a maximum of zero,
+whose sign numpy picks, and a form's first step).  The tests hold each
+lane to the pinned per-sample reference kernel
+(``tests/reference_kernel.py``), or, where that frozen kernel keeps
+its old budget rule, to goldens of the deleted scalar kernel: results,
+histories, traces and metrics, including ragged lane lengths, warmup,
+cycle budgets, interrupt stalls, injected faults, failsafe engagement,
+leakage and sensor placement.
 
 Divergence between lanes is handled with masks, not synchronization:
 a step in which a lane warms up or dies on a non-finite state masks
@@ -104,6 +100,7 @@ import numpy as np
 
 from repro.errors import ConfigError, SimulationError
 from repro.sim.checkpoint import _canonical
+from repro.sim import lanestep
 from repro.sim.fast import SUPPLY_EFFICIENCY, FastEngine
 from repro.sim.results import RunResult
 from repro.sim.stage import STAGE_ROWS, SampleStage
@@ -478,10 +475,13 @@ class BatchEngine:
         ratios = np.empty(count)
         duties: list = [0.0] * count
         controls: list = [None] * count
-        # The step forms for one live lane and for more; a coupled group
-        # steps stacked even for one core.
-        stacked = _Stacked if self.group is None else _Group
-        lone = _OneRow if self.group is None else _Group
+        # Independent lanes take the compiled step where the host can
+        # build it, else the stacked numpy pass; a coupled group steps
+        # stacked, with its own plant and hooks.
+        if self.group is not None:
+            step_form = _Group
+        else:
+            step_form = _Stacked if lanestep.kernel() is None else _Compiled
 
         steps = 0  # steps every live lane has taken: all start together
         step = 0  # the stage row of this step
@@ -498,9 +498,7 @@ class BatchEngine:
                     )
                     next_deadline = min(lane.deadline for lane in live)
                     timing = any(lane.time_samples for lane in live)
-                    form = (lone if k == 1 else stacked)(
-                        self, live, stage, activity, ratios
-                    )
+                    form = step_form(self, live, stage, activity, ratios)
                     sense, advance = form.sense, form.advance
                     quorum = form.quorum
                 iter_start = perf_counter() if timing else 0.0
@@ -611,12 +609,12 @@ class _Form:
 
     :meth:`sense` returns the step's sensed maxima; :meth:`advance`
     runs the power pass and plant call into the stage's rows and tells
-    whether the step's sums are finite; :meth:`settle` masks a step
-    with a warming or non-finite lane; :meth:`finish` makes the run's
-    outcomes once every lane has left.  A form looks its plant up on
-    the thermal model when it is built, so a patched method is the one
-    called, and wraps it in lane 0's ``thermal.advance`` span, if its
-    profiler is on.
+    whether the step is finite; :meth:`settle` masks a step with a
+    warming or non-finite lane; :meth:`finish` makes the run's outcomes
+    once every lane has left.  A form takes its plant call when it is
+    built (a numpy form looks its plant up on the thermal model, so a
+    patched method is the one called) and wraps it in lane 0's
+    ``thermal.advance`` span, if its profiler is on.
     """
 
     #: Leaving lanes that flush the chunk and leave: any one.
@@ -628,6 +626,25 @@ class _Form:
         self.stage = stage
         self.sample = first.dtm_config.sampling_interval
         self.peaks = first.power_model.peaks_view
+        engines = [lane.engine for lane in live]
+        self.leaky = [
+            (r, engine.leakage) for r, engine in enumerate(engines)
+            if engine.leakage is not None
+        ]
+        self.placed = [
+            (r, engine._monitored) for r, engine in enumerate(engines)
+            if engine._monitored is not None
+        ]
+        self.starts = stage.rows[:, :self.k]
+
+    def maxima(self, step, out=None) -> np.ndarray:
+        """numpy's maximum of each lane's sensed blocks at the start of
+        ``step``, into ``out`` if given."""
+        start = self.starts[step]
+        sensed = np.maximum.reduce(start, axis=1, out=out)
+        for r, monitored in self.placed:
+            sensed[r] = start[r, monitored].max()
+        return sensed
 
     def settle(self, live, step, steps, duties, warming) -> list[int]:
         """Mask the step out of the stage; return the non-finite rows,
@@ -668,88 +685,14 @@ class _Form:
         return outcomes
 
 
-class _OneRow(_Form):
-    """The stacked pass's one-row form, for one live lane: the same
-    arithmetic on Python floats (:func:`_row_power`, then
-    ``advance_row``), with the lane's state a list."""
-
-    def __init__(self, kernel, live, stage, activity, ratios) -> None:
-        super().__init__(kernel, live, stage)
-        first = kernel.engines[0]
-        engine = live[0].engine
-        self.advance_row = first.telemetry.profiler.wrap(
-            "thermal.advance", first.thermal.advance_row
-        )
-        self.activity = activity[:, 0]
-        self.ratios = ratios
-        self.state = stage.rows[0, 0].tolist()
-        self.leakage = engine.leakage
-        self.sensors = (
-            None if engine._monitored is None else engine._monitored.tolist()
-        )
-        # numpy's maximum propagates a NaN that max() may skip.  Every
-        # row a step ends on passes the finiteness test, so only the
-        # run's start state can hold one.
-        self.exact_max = any(temp != temp for temp in self.state)
-        idle = float(first.power_model.idle_fraction)
-        self.constants = (
-            1.0 - idle,
-            idle,
-            self.peaks.tolist(),
-            float(len(self.state)),
-            float(first.floorplan.unmonitored_peak_power),
-        )
-
-    def sense(self, step, steps) -> list:
-        start = self.state
-        sensors = self.sensors
-        sensed = (
-            max(start) if sensors is None
-            else max([start[i] for i in sensors])
-        )
-        if self.exact_max or not sensed:
-            # numpy's own maximum, for its NaN propagation and its sign
-            # of a zero maximum (+0.0 tied with -0.0), on the staged
-            # start row.
-            row = self.stage.rows[step, 0]
-            if sensors is not None:
-                row = row[sensors]
-            sensed = row.max().item()
-            self.exact_max = False
-        if self.stage.keep_rows:
-            self.stage.sensed[step, 0] = sensed
-        return [sensed]
-
-    def advance(self, step) -> bool:
-        stage = self.stage
-        leakage = self.leakage
-        powers, chip_power = _row_power(
-            self.activity[step].tolist(),
-            self.ratios.item(0),
-            self.constants,
-            None if leakage is None else leakage.power(
-                self.peaks, stage.rows[step, 0]
-            ).tolist(),
-        )
-        end, steady = self.advance_row(self.state, powers, self.sample)
-        stage.chip[step, 0] = chip_power
-        stage.steady[step, 0] = steady
-        stage.end[step, 0] = end
-        if stage.powers is not None:
-            stage.powers[step, 0] = powers
-        self.state = end
-        # Tested as the stacked pass tests its sums; the value is not
-        # kept.
-        return math.isfinite(sum(end, chip_power))
-
-
 class _Stacked(_Form):
-    """The stacked form, for two or more independent lanes.  The power
-    pass runs in place on ``n + 1``-column rows (the last the
-    unmonitored area's) against constants tiled to the full shape, so
-    dividing the block columns by 1.0 (exact) and the sum column by
-    ``n`` is one full-shape call.  A step indexes the stage's rows,
-    viewed at the k live lanes once per form, by its row.
+    """The stacked numpy form: a coupled group's (:class:`_Group`), and
+    independent lanes' at every k where the compiled step is
+    unavailable.  The power pass runs in place on ``n + 1``-column rows
+    (the last the unmonitored area's) against constants tiled to the
+    full shape, so dividing the block columns by 1.0 (exact) and the
+    sum column by ``n`` is one full-shape call.  A step indexes the
+    stage's rows, viewed at the k live lanes once per form, by its row.
     """
 
     #: The lanes' plant: the thermal model's method of that name.
@@ -779,31 +722,16 @@ class _Stacked(_Form):
         self.power = np.empty((k, n + 1))
         self.powers = self.power[:, :n]
         self.unmonitored = self.power[:, n]
-        engines = [lane.engine for lane in live]
-        self.leaky = [
-            (r, engine.leakage) for r, engine in enumerate(engines)
-            if engine.leakage is not None
-        ]
-        self.placed = [
-            (r, engine._monitored) for r, engine in enumerate(engines)
-            if engine._monitored is not None
-        ]
         self.activity = activity[:, :k]
-        self.starts = stage.rows[:, :k]
         self.ends = stage.end[:, :k]
         self.steadies = stage.steady[:, :k]
         self.chips = stage.chip[:, :k]
 
     def sense(self, step, steps) -> list:
-        start = self.starts[step]
         stage = self.stage
-        sensed = np.maximum.reduce(
-            start, axis=1,
-            out=stage.sensed[step, :self.k] if stage.keep_rows else None,
-        )
-        for r, monitored in self.placed:
-            sensed[r] = start[r, monitored].max()
-        return sensed.tolist()
+        return self.maxima(
+            step, stage.sensed[step, :self.k] if stage.keep_rows else None
+        ).tolist()
 
     def advance(self, step) -> bool:
         start = self.starts[step]
@@ -837,6 +765,84 @@ class _Stacked(_Form):
         )
 
 
+class _Compiled(_Form):
+    """The compiled form, for independent lanes at every k: one C call
+    (:mod:`repro.sim.lanestep`) runs the stacked pass's power pass and
+    plant update for every live lane, straight into the stage's rows,
+    tests each lane's sums for finiteness, and takes each end row's
+    sensed maximum for the next step.  Its bits are the stacked
+    pass's: numpy computes the leakage rows and the decay, and the
+    sensed maximum wherever numpy's could differ from a plain compare
+    (a NaN, or a maximum of zero, whose sign numpy picks) -- and on a
+    form's first step, whose start rows no C call has seen.
+    """
+
+    def __init__(self, kernel, live, stage, activity, ratios) -> None:
+        super().__init__(kernel, live, stage)
+        k = self.k
+        n = len(self.peaks)
+        first = kernel.engines[0]
+        model = first.thermal
+        idle = float(first.power_model.idle_fraction)
+        self.sensed = np.empty(k)
+        self.leakage = np.empty((k, n))
+        leaky = np.zeros(k, dtype=np.uint8)
+        leaky[[r for r, _ in self.leaky]] = 1
+        # Lane r senses blocks monitored[offsets[r]:offsets[r + 1]],
+        # all of them where that range is empty.
+        sizes = np.zeros(k + 1, dtype=np.int64)
+        for r, blocks in self.placed:
+            sizes[r + 1] = len(blocks)
+        monitored = [blocks for _, blocks in self.placed]
+        # Everything the C step reads; the arrays stay alive with it.
+        self.arrays = dict(
+            activity=activity,
+            ratios=ratios,
+            states=stage.rows,
+            steady=stage.steady,
+            chip=stage.chip,
+            powers=stage.powers,
+            scratch=np.empty(n),
+            leakage=self.leakage,
+            leaky=leaky,
+            peaks=np.append(self.peaks, first.floorplan.unmonitored_peak_power),
+            resistance=model._resistance,
+            decay=model._decay(self.sample),
+            monitored=np.concatenate(monitored or [[]]).astype(np.int64),
+            offsets=np.cumsum(sizes),
+            sensed=self.sensed,
+        )
+        self.pointer = lanestep.arguments(
+            self.arrays, active=1.0 - idle, idle=idle,
+            sink=model.heatsink_temperature, k=k,
+        )
+        self.step = first.telemetry.profiler.wrap(
+            "thermal.advance", lanestep.kernel()
+        )
+        # The form's first step senses its start rows through numpy.
+        self.deferred = True
+
+    def sense(self, step, steps) -> list:
+        stage = self.stage
+        sensed = self.sensed
+        if self.deferred:
+            self.maxima(step, sensed)
+            self.deferred = False
+        if stage.keep_rows:
+            stage.sensed[step, :self.k] = sensed
+        return sensed.tolist()
+
+    def advance(self, step) -> bool:
+        if self.leaky:
+            start = self.starts[step]
+            for r, lane_leakage in self.leaky:
+                # Quasi-static leakage at the sample's start state.
+                self.leakage[r] = lane_leakage.power(self.peaks, start[r])
+        status = self.step(self.pointer, step)
+        self.deferred = status & 2
+        return not status & 1
+
+
 class _Group(_Stacked):
     """A coupled lane group's step (see :class:`BatchEngine`): the
     stacked pass with the group's plant and hooks."""
@@ -867,71 +873,6 @@ class _Group(_Stacked):
         # The chip's result, from its cores' outcomes.
         result = self.group.finish(self.stage, steps, outcomes, end)
         return [LaneOutcome(result=result)]
-
-
-def _row_power(activity, ratio, constants, leakage) -> tuple[list, float]:
-    """One lane's power row and chip power, on Python floats.
-
-    The stacked pass's arithmetic for one row, operand for operand:
-    utilization ``activity * ratio``; each block's power ``(u * (1 -
-    idle) + idle) * peak``, plus ``leakage`` (a row, or ``None``) after
-    it; the unmonitored area's the same on the blocks' mean
-    utilization; the chip power the blocks' sum plus the unmonitored
-    power.  ``constants`` are ``(1 - idle, idle, block peaks, block
-    count, unmonitored peak)`` as Python floats.  Returns ``(powers,
-    chip_power)``, bit-identical to the stacked pass's row.
-    """
-    active, idle, peaks, count, unmonitored_peak = constants
-    utilization = [value * ratio for value in activity]
-    powers = [(u * active + idle) * peak for u, peak in zip(utilization, peaks)]
-    if leakage is not None:
-        powers = [power + leak for power, leak in zip(powers, leakage)]
-    unmonitored = (
-        _row_sum(utilization) / count * active + idle
-    ) * unmonitored_peak
-    return powers, _row_sum(powers) + unmonitored
-
-
-def _row_sum(values: list) -> float:
-    """``np.add.reduce`` of one row, on Python floats.
-
-    numpy adds the row's pairwise sum to +0.0.  Under eight terms the
-    pairwise sum runs left to right, so the whole is a left-to-right
-    sum from +0.0 (a row of -0.0 sums to +0.0).  The built-in ``sum``
-    is no substitute: from Python 3.12 it compensates its rounding.
-    """
-    if len(values) < 8:
-        total = 0.0
-        for value in values:
-            total += value
-        return total
-    return 0.0 + _pairwise_sum(values)
-
-
-def _pairwise_sum(values: list) -> float:
-    """numpy's pairwise sum of eight or more float64 values.
-
-    Up to 128 terms, eight interleaved running sums, combined as a
-    tree, then the terms past the last multiple of eight left to right;
-    beyond that, the halves (split at a multiple of eight), each summed
-    alike.
-    """
-    count = len(values)
-    if count > 128:
-        half = count // 2
-        half -= half % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    sums = values[:8]
-    stop = count - count % 8
-    for first in range(8, stop, 8):
-        for lane in range(8):
-            sums[lane] += values[first + lane]
-    total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + (
-        (sums[4] + sums[5]) + (sums[6] + sums[7])
-    )
-    for value in values[stop:]:
-        total += value
-    return total
 
 
 def _finish(stage: SampleStage, lane: _Lane, steps: int) -> LaneOutcome:

@@ -13,13 +13,16 @@ cycle (Equation 5, dt = 0.667 ns).  The model offers two updates:
 * the exact exponential solution for a constant-power interval,
   ``T(t+h) = T_ss + (T(t) - T_ss) * exp(-h / RC)`` with
   ``T_ss = T_sink + P * R``, which jumps a whole controller sampling
-  interval at once with no integration error.  It comes in four
+  interval at once with no integration error.  It comes in three
   shapes over the same expression: :meth:`~LumpedThermalModel.advance`
   and :meth:`~LumpedThermalModel.advance_from` step the model's own
-  state; the sample kernel (:mod:`repro.sim.batch`) owns its lanes'
-  state and calls the pure :meth:`~LumpedThermalModel.advance_batch`
-  (stacked lanes, optionally in place) and
-  :meth:`~LumpedThermalModel.advance_row` (one lane on Python floats).
+  state; :meth:`~LumpedThermalModel.advance_batch` is pure and steps
+  stacked lanes, optionally in place.  The sample kernel
+  (:mod:`repro.sim.batch`) owns its lanes' state: its numpy pass calls
+  ``advance_batch``, and its compiled step (:mod:`repro.sim.lanestep`)
+  evaluates the same expression in C on the model's resistances and
+  its cached decay (:meth:`~LumpedThermalModel._decay`), so numpy's
+  ``exp`` makes every decay factor either form uses.
 
 The two updates agree to within Euler truncation error; a test asserts
 this.  The model records no profiler spans: the kernel opens the
@@ -97,9 +100,6 @@ class LumpedThermalModel:
         #: Constants tiled per (lane count, interval) for the stacked
         #: update's write-through form (see ``_lane_constants``).
         self._lane_tiles: dict[tuple[int, int], tuple] = {}
-        #: ``(R, exp(-h / tau))`` as Python lists per interval, for the
-        #: one-row update (see ``advance_row``).
-        self._row_lists: dict[int, tuple[list, list]] = {}
 
     # -- state ---------------------------------------------------------------
     @property
@@ -340,45 +340,6 @@ class LumpedThermalModel:
             )
             self._lane_tiles[key] = tiles
         return tiles
-
-    def advance_row(
-        self, start: list, powers: list, cycles: int
-    ) -> tuple[list, list]:
-        """One lane's exact update on Python floats: ``(end, steady)``.
-
-        The lane kernel's step when one lane is live.  ``start`` and
-        ``powers`` are lists of ``n_blocks`` floats; so are the
-        returned ``end`` and ``steady``.  Each element is the
-        expression :meth:`advance_batch` evaluates, with the same
-        operands in the same order (``T_sink + P * R``, then ``steady
-        + (start - steady) * decay``), and Python floats are IEEE
-        doubles, so the result is bit-identical to a row of
-        :meth:`advance_batch` -- signed zeros, subnormals and
-        infinities included; a NaN is a NaN, though its sign bit, like
-        that of numpy's own rows, depends on the loop that made it --
-        without numpy's per-call dispatch on ``n_blocks``-element rows.
-
-        Pure, like :meth:`advance_batch`.
-        """
-        lists = self._row_lists.get(cycles)
-        if lists is None:
-            if cycles <= 0:
-                raise ThermalModelError("cycles must be positive")
-            lists = self._resistance.tolist(), self._decay(cycles).tolist()
-            self._row_lists[cycles] = lists
-        resistance, decay = lists
-        if len(powers) != len(resistance) or len(start) != len(resistance):
-            raise ThermalModelError(
-                f"expected {len(resistance)} block temperatures and "
-                f"powers, got {len(start)} and {len(powers)}"
-            )
-        sink = self.heatsink_temperature
-        steady = [sink + power * r for power, r in zip(powers, resistance)]
-        end = [
-            level + (temp - level) * d
-            for level, temp, d in zip(steady, start, decay)
-        ]
-        return end, steady
 
     # -- analysis helpers ------------------------------------------------------
     def steady_state(self, powers: np.ndarray) -> np.ndarray:

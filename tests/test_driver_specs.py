@@ -218,3 +218,31 @@ def test_driver_text_is_identical_across_sweep_settings(tmp_path):
     assert _texts(SweepDefaults(cache=cache_dir)) == reference
     # The warm pass replayed every spec: no new misses, so nothing ran.
     assert ResultCache(cache_dir).stats()["misses"] == misses
+
+
+def test_characterization_runs_once_for_tables_4_to_10(monkeypatch):
+    """Tables 4-6 and 8-10 (results with history) and Table 7 (traces)
+    share one run per benchmark: the matrix is not simulated twice."""
+    from repro.experiments import common
+    from repro.workloads.profiles import BENCHMARKS
+
+    ran = []
+
+    def counted(specs, *args, **kwargs):
+        ran.extend(spec.benchmark for spec in specs)
+        return run_specs(specs, *args, **kwargs)
+
+    monkeypatch.setattr(common, "run_specs", counted)
+    monkeypatch.setattr(common, "QUICK_INSTRUCTIONS", 20_000)
+    monkeypatch.setattr(common, "WARMUP_INSTRUCTIONS", 10_000)
+    common.suite_runs.cache_clear()
+    try:
+        results = common.characterize_suite(quick=True)
+        traced, traces = common.characterize_suite_traced(quick=True)
+    finally:
+        common.suite_runs.cache_clear()
+    assert sorted(ran) == sorted(BENCHMARKS)
+    assert traced is results
+    for name in BENCHMARKS:
+        assert results[name].history is not None
+        assert traces[name]

@@ -1,13 +1,13 @@
 """Property-based tests (hypothesis) for the thermal models."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ThermalModelError
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.lumped import LumpedThermalModel
 from repro.thermal.rc_network import ThermalRCNetwork
@@ -153,54 +153,265 @@ def assert_same_floats(got, want):
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
-class TestAdvanceRow:
-    @given(
-        data=st.data(),
-        lanes=st.integers(1, 4),
-        cycles=st.integers(1, 100_000),
+class _RowLeakage:
+    """A leakage model whose power is a fixed row."""
+
+    def __init__(self, row) -> None:
+        self.row = np.array(row, dtype=float)
+
+    def power(self, peaks, temperatures):
+        return self.row
+
+
+@dataclass
+class LaneStepCase:
+    """One compiled-step input: a floorplan's ``(peak, R, C)`` per
+    block and its unmonitored peak power, the model's idle fraction and heatsink, per lane slot its
+    leakage row, sensed blocks and history switch, its start, activity
+    and throughput ratio, the live lane count ``k`` and the stage row
+    ``step``."""
+
+    blocks: list
+    unmonitored: float
+    idle: float
+    sink: float
+    leakage: list
+    monitored: list
+    history: list
+    starts: list
+    activity: list
+    ratios: list
+    k: int
+    step: int
+
+
+positive_float = st.one_of(
+    st.sampled_from((5e-324, 2.2250738585072014e-308, 0.5, 1.0, 1e16, 1e308)),
+    st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def lane_step_cases(draw, blocks):
+    """Lanes over ``blocks`` blocks; one lane slot may sit past the k
+    live lanes.  Rows mix special floats, modest values whose sums
+    round differently in another order, and signed-zero rows."""
+    from repro.sim.stage import STAGE_ROWS
+
+    k = draw(st.sampled_from((1, 2, 8)))
+    count = k + draw(st.integers(0, 1))
+    row = st.one_of(
+        st.lists(special_or_any_float, min_size=blocks, max_size=blocks),
+        st.lists(st.floats(-4.0, 4.0), min_size=blocks, max_size=blocks),
+        st.sampled_from(SPECIAL_FLOATS).map(lambda value: [value] * blocks),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_one_row_update_equals_a_row_of_advance_batch(
-        self, data, lanes, cycles
-    ):
-        """``advance_row`` on Python floats gives the bits of a row of
-        the stacked write-through update, one lane (the step it
-        replaces) or several: signed zeros, subnormals and infinities
-        included."""
-        blocks = len(FLOORPLAN.names)
-        rows = st.lists(special_or_any_float, min_size=blocks, max_size=blocks)
-        start = np.array([data.draw(rows) for _ in range(lanes)])
-        powers = np.array([data.draw(rows) for _ in range(lanes)])
-        model = LumpedThermalModel(FLOORPLAN, 100.0)
-        stage = np.empty((2, 8, blocks))
+    lanes = range(count)
+    return LaneStepCase(
+        blocks=[
+            draw(st.tuples(positive_float, positive_float, positive_float))
+            for _ in range(blocks)
+        ],
+        unmonitored=draw(positive_float),
+        idle=draw(st.sampled_from((0.0, 0.15, 0.5, 0.999))),
+        sink=draw(st.one_of(
+            st.sampled_from((0.0, -0.0, 100.0)), special_or_any_float
+        )),
+        leakage=[draw(st.one_of(st.none(), row)) for _ in lanes],
+        monitored=[
+            draw(st.one_of(st.none(), st.lists(
+                st.integers(0, blocks - 1), min_size=1, unique=True
+            )))
+            for _ in lanes
+        ],
+        history=[draw(st.booleans()) for _ in lanes],
+        starts=[draw(row) for _ in lanes],
+        activity=[draw(row) for _ in lanes],
+        ratios=[
+            draw(st.one_of(st.just(1.0), special_or_any_float))
+            for _ in lanes
+        ],
+        k=k,
+        step=draw(st.sampled_from((0, 1, STAGE_ROWS - 2, STAGE_ROWS - 1))),
+    )
+
+
+def _run_forms(case):
+    """Step ``case`` through the stacked pass, then the compiled step.
+
+    Returns, per form, ``(buffers, sensed, finite, stage)``: every stage
+    buffer the step writes, its sensed maxima at the step and the next
+    (the compiled step's own), and whether it found the step finite.
+    """
+    from types import SimpleNamespace
+    from unittest import mock
+
+    from repro.power.wattch import PowerModel
+    from repro.sim import batch, lanestep
+    from repro.sim.fast import FastEngine
+    from repro.sim.stage import STAGE_ROWS, SampleStage
+    from repro.thermal.floorplan import Block
+    from repro.workloads.profiles import get_profile
+
+    step_function = lanestep.load()
+    if step_function is None:
+        pytest.skip("the compiled lane step cannot be built here")
+    floorplan = Floorplan(
+        blocks=tuple(
+            Block(f"b{i}", 1e-9, peak, resistance=r, capacitance=c)
+            for i, (peak, r, c) in enumerate(case.blocks)
+        ),
+        unmonitored_peak_power=case.unmonitored,
+    )
+    names = floorplan.names
+    engines = [
+        FastEngine(
+            get_profile("gcc"),
+            floorplan=floorplan,
+            record_history=history,
+            leakage=None if leakage is None else _RowLeakage(leakage),
+            monitored_blocks=(
+                None if monitored is None
+                else tuple(names[i] for i in monitored)
+            ),
+        )
+        for leakage, monitored, history in zip(
+            case.leakage, case.monitored, case.history
+        )
+    ]
+    engines[0].power_model = PowerModel(floorplan, idle_fraction=case.idle)
+    engines[0].thermal.heatsink_temperature = case.sink
+    kernel = SimpleNamespace(engines=engines, group=None)
+    live = [SimpleNamespace(engine=engine) for engine in engines[:case.k]]
+    step = case.step
+    runs = []
+    for form_class in (batch._Stacked, batch._Compiled):
+        stage = SampleStage(engines)
+        buffers = [stage.rows, stage.steady, stage.chip]
+        if stage.powers is not None:
+            buffers.append(stage.powers)
+        if stage.keep_rows:
+            buffers.append(stage.sensed)
+        for buffer in buffers:
+            buffer.fill(-7.0)
+        stage.rows[step] = case.starts
+        activity = np.full((STAGE_ROWS, len(engines), len(names)), -7.0)
+        activity[step] = case.activity
+        ratios = np.array(case.ratios, dtype=float)
+        with mock.patch.object(lanestep, "_kernel", step_function):
+            form = form_class(kernel, live, stage, activity, ratios)
+            sensed = [form.sense(step, 0)]
+            finite = form.advance(step)
+            if step + 1 < STAGE_ROWS:
+                sensed.append(form.sense(step + 1, 1))
+        runs.append((buffers, sensed, finite, stage))
+    return runs
+
+
+class TestCompiledLaneStep:
+    """The compiled lane step (``repro.sim.lanestep``) gives the stacked
+    numpy pass's bits: every stage row it writes, each lane's
+    finiteness and the next step's sensed maxima.  Lanes carry leakage
+    rows, history power rows and sensor placement; operands run through
+    signed zeros, subnormals, infinities, NaN and huge values (a NaN
+    need only be a NaN); block counts cover numpy's left-to-right sums
+    (under eight), its eight interleaved sums and its pairwise halves
+    (over 128)."""
+
+    @given(data=st.data(), blocks=st.integers(1, 20))
+    @settings(max_examples=200, deadline=None)
+    def test_compiled_step_equals_the_stacked_pass(self, data, blocks):
+        self._check(data.draw(lane_step_cases(blocks)))
+
+    @given(case=lane_step_cases(131))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_over_128_blocks_sum_in_halves(self, case):
+        self._check(case)
+
+    @pytest.mark.parametrize("blocks", [7, 8, 9, 64, 67, 128, 131, 300])
+    def test_sums_of_uneven_rows_keep_numpys_order(self, blocks):
+        """Rows of unrelated magnitudes, whose sums round differently
+        in any other order: numpy's left-to-right, interleaved and
+        halved sums on each side of 8 and 128 terms."""
+        rng = np.random.default_rng(blocks)
+        lanes = range(8)
+
+        def rows():
+            return (rng.uniform(0.0, 1.0, (8, blocks)) * 10.0 ** rng.integers(
+                -3, 4, (8, blocks)
+            )).tolist()
+
+        case = LaneStepCase(
+            blocks=[
+                (peak, 0.5, 1e-3) for peak in rng.uniform(0.1, 30.0, blocks)
+            ],
+            unmonitored=7.0, idle=0.15, sink=100.0,
+            leakage=[row if lane % 2 else None for lane, row in zip(
+                lanes, rows()
+            )],
+            monitored=[None] * 8, history=[True] * 8, starts=rows(),
+            activity=rows(), ratios=rng.uniform(0.2, 1.0, 8).tolist(),
+            k=8, step=0,
+        )
+        self._check(case)
+
+    @pytest.mark.parametrize("blocks", [1, 9])
+    def test_negative_zero_powers_sum_to_positive_zero(self, blocks):
+        """Powers that underflow to -0.0 sum to numpy's +0.0."""
+        tiny = -5e-324
+        case = LaneStepCase(
+            blocks=[(0.5, 1.0, 1.0)] * blocks, unmonitored=0.5,
+            idle=0.0, sink=-0.0,
+            leakage=[None], monitored=[None], history=[True],
+            starts=[[tiny] * blocks], activity=[[tiny] * blocks],
+            ratios=[1.0], k=1, step=0,
+        )
+        runs = self._check(case)
+        assert math.copysign(1.0, runs[1][3].chip[0, 0]) == 1.0
+
+    @pytest.mark.parametrize("monitored", [None, [0, 1, 2, 5, 6, 7, 8]])
+    def test_zero_maximum_takes_numpys_sign(self, monitored):
+        """End rows whose maximum is +0.0 tied with -0.0: the next
+        step's sensed value carries numpy's sign, which a compare in
+        row order does not always give."""
+        blocks = 9
+        tiny = -5e-324
+        # Powers underflow to -0.0, and a subnormal capacitance makes
+        # the decay 0.0: a -5e-324 start ends on -0.0 and a +0.0 start
+        # on +0.0.
+        patterns = [
+            [tiny if (i + lane) % 3 else 0.0 for i in range(blocks)]
+            for lane in range(8)
+        ]
+        case = LaneStepCase(
+            blocks=[(0.5, 1.0, 5e-324)] * blocks, unmonitored=0.5,
+            idle=0.0, sink=-0.0, leakage=[None] * 8, monitored=[monitored] * 8,
+            history=[True] * 8, starts=patterns,
+            activity=[[tiny] * blocks] * 8, ratios=[1.0] * 8, k=8, step=0,
+        )
+        runs = self._check(case)
+        ends = runs[1][3].end[0, :8]
+        assert (ends == 0.0).all() and np.signbit(ends).any()
+
+    @staticmethod
+    def _check(case):
         with np.errstate(all="ignore"):
-            model.advance_batch(
-                start, powers, cycles, out=(stage[0, :lanes], stage[1, :lanes])
-            )
-            for lane in range(lanes):
-                row_end, row_steady = model.advance_row(
-                    start[lane].tolist(), powers[lane].tolist(), cycles
-                )
-                assert_same_floats(row_end, stage[0, lane])
-                assert_same_floats(row_steady, stage[1, lane])
-
-    def test_one_row_update_is_pure(self):
-        model = LumpedThermalModel(FLOORPLAN, 100.0)
-        blocks = len(FLOORPLAN.names)
-        end, _ = model.advance_row([50.0] * blocks, [1.0] * blocks, 1000)
-        assert end != [50.0] * blocks
-        # The model's own state does not move.
-        assert np.all(model.temperatures == 100.0)
-
-    def test_one_row_update_rejects_bad_rows(self):
-        model = LumpedThermalModel(FLOORPLAN, 100.0)
-        blocks = len(FLOORPLAN.names)
-        with pytest.raises(ThermalModelError):
-            model.advance_row([100.0] * blocks, [1.0] * blocks, 0)
-        with pytest.raises(ThermalModelError):
-            model.advance_row([100.0] * blocks, [1.0] * (blocks - 1), 10)
-        with pytest.raises(ThermalModelError):
-            model.advance_row([100.0] * (blocks + 1), [1.0] * blocks, 10)
+            runs = _run_forms(case)
+        want, want_sensed, stacked_finite, _ = runs[0]
+        got, got_sensed, finite, stage = runs[1]
+        for got_buffer, want_buffer in zip(got, want):
+            assert_same_floats(got_buffer, want_buffer)
+        for got_row, want_row in zip(got_sensed, want_sensed):
+            assert_same_floats(got_row, want_row)
+        # The stacked pass tests a sum, which may overflow; the compiled
+        # step tests every value.
+        k, step = case.k, case.step
+        exact = bool(
+            np.isfinite(stage.chip[step, :k]).all()
+            and np.isfinite(stage.end[step, :k]).all()
+        )
+        assert finite == exact
+        assert finite or not stacked_finite
+        return runs
 
 
 class TestNetworkProperties:

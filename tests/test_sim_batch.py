@@ -71,7 +71,6 @@ from repro.sim.stage import STAGE_ROWS
 from repro.sim.sweep import build_engine, run_suite
 from repro.telemetry.core import Telemetry
 from repro.thermal.floorplan import Block, Floorplan
-from repro.thermal.lumped import LumpedThermalModel
 from repro.workloads.phases import Phase, uniform_activity
 from repro.workloads.profiles import (
     BenchmarkProfile,
@@ -82,10 +81,6 @@ from tests.reference_kernel import (
     ReferenceFastEngine,
     build_reference,
     scalar_golden,
-)
-from tests.test_properties_thermal import (
-    assert_same_floats,
-    special_or_any_float,
 )
 from tests.test_sim_parallel import (
     INSTRUCTIONS,
@@ -892,7 +887,7 @@ class TestOneSampleKernel:
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr
-                    in ("advance_batch", "advance_from", "advance_row")
+                    in ("advance_batch", "advance_from", "advance_lanes")
                 ):
                     callers.add(path.relative_to(SIM_PACKAGE).as_posix())
         assert callers == {"batch.py"}
@@ -943,62 +938,6 @@ class TestThermalSpan:
         assert self._spans(telemetry) == 0
 
 
-#: Rows whose left-to-right and compensated sums differ: the built-in
-#: ``sum`` compensates from Python 3.12 on, so ``sum([1e16, 1.0,
-#: -1e16])`` is 1.0 there and 0.0 (numpy's answer) before.
-CANCELLING_ROWS = (
-    [1e16, 1.0, -1e16],
-    [1e16, 1.0, -1e16, 1.0, 0.5, 0.25, 3.0],
-    [1.0, 1e16, 1.0, -1e16, 1.0, 1.0, 1.0],
-    [0.1, 0.2, 0.3, 1e16, -1e16, 0.7, 3.0, 1e-3, 1e16, -1e16, 1.0],
-)
-
-float_rows = st.one_of(
-    st.sampled_from(CANCELLING_ROWS),
-    st.lists(special_or_any_float, min_size=1, max_size=40),
-    st.integers(129, 300).flatmap(
-        lambda n: st.lists(
-            st.sampled_from([1e16, -1e16, 1.0, 0.1, -0.0, 3.5]),
-            min_size=n, max_size=n,
-        )
-    ),
-)
-
-
-def stacked_power(activity, ratios, idle, peaks, unmonitored_peak, leakage):
-    """The lane kernel's stacked power pass over ``k`` lanes, call for
-    call: the oracle of the one-row form.  ``leakage`` holds a row or
-    ``None`` per lane.  Returns ``(powers, chip_power)`` arrays."""
-    k, blocks = activity.shape
-    constants = np.array((
-        [1.0] * blocks + [float(blocks)],
-        [1.0 - idle] * (blocks + 1),
-        [idle] * (blocks + 1),
-        np.append(peaks, unmonitored_peak),
-    ))
-    divisor, active_frac, idle_frac, tiled_peaks = np.repeat(
-        constants[:, None], k, axis=1
-    )
-    utilization = np.empty((k, blocks + 1))
-    power = np.empty((k, blocks + 1))
-    chip = np.empty((2, 8))
-    np.multiply(activity, ratios[:, None], out=utilization[:, :blocks])
-    np.add.reduce(
-        utilization[:, :blocks], axis=1, out=utilization[:, blocks]
-    )
-    np.divide(utilization, divisor, out=utilization)
-    np.multiply(utilization, active_frac, out=power)
-    np.add(power, idle_frac, out=power)
-    np.multiply(power, tiled_peaks, out=power)
-    powers = power[:, :blocks]
-    for r, row in enumerate(leakage):
-        if row is not None:
-            powers[r] += row
-    chip_power = np.add.reduce(powers, axis=1, out=chip[1, :k])
-    chip_power += power[:, blocks]
-    return powers, chip_power
-
-
 def _solo_engine(cls, benchmark, policy, seed=0, telemetry=None, **kwargs):
     floorplan = Floorplan.default()
     return cls(
@@ -1011,66 +950,10 @@ def _solo_engine(cls, benchmark, policy, seed=0, telemetry=None, **kwargs):
     )
 
 
-FLOORPLAN = Floorplan.default()
-
-
 class TestOneRowStep:
-    """A step with one live lane runs the stacked pass on Python floats
-    (the lone run's only form); it must give the stacked pass's bits."""
-
-    @given(values=float_rows)
-    @settings(max_examples=200, deadline=None)
-    def test_row_sum_is_numpys_reduction(self, values):
-        row = np.empty((1, len(values) + 1))
-        row[0, :-1] = values
-        with np.errstate(all="ignore"):
-            np.add.reduce(row[:, :-1], axis=1, out=row[:, -1])
-        assert_same_floats([batch_module._row_sum(values)], row[0, -1:])
-
-    def test_row_sum_of_negative_zeros_and_cancelling_terms(self):
-        row_sum = batch_module._row_sum
-        assert math.copysign(1.0, row_sum([-0.0] * 7)) == 1.0
-        assert row_sum([1e16, 1.0, -1e16]) == 0.0
-        assert row_sum([1e16, 1.0, -1e16, 1.0]) == 1.0
-
-    @given(
-        data=st.data(),
-        lanes=st.integers(1, 4),
-        idle=st.sampled_from([0.0, 0.15, 0.5, 0.999]),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_power_helper_equals_the_stacked_pass_row(
-        self, data, lanes, idle
-    ):
-        blocks = 7
-        row = st.lists(special_or_any_float, min_size=blocks, max_size=blocks)
-        peaks = np.array(data.draw(st.one_of(
-            st.just([block.peak_power for block in FLOORPLAN.blocks]), row
-        )))
-        unmonitored_peak = data.draw(special_or_any_float)
-        activity = np.array([
-            data.draw(st.one_of(st.sampled_from(CANCELLING_ROWS[1:3]), row))
-            for _ in range(lanes)
-        ])
-        ratios = np.array([
-            data.draw(special_or_any_float) for _ in range(lanes)
-        ])
-        leakage = [
-            data.draw(st.one_of(st.none(), row)) for _ in range(lanes)
-        ]
-        with np.errstate(all="ignore"):
-            powers, chip = stacked_power(
-                activity, ratios, idle, peaks, unmonitored_peak, leakage
-            )
-        constants = (
-            1.0 - idle, idle, peaks.tolist(), float(blocks), unmonitored_peak
-        )
-        for r in range(lanes):
-            row_powers, row_chip = batch_module._row_power(
-                activity[r].tolist(), ratios.item(r), constants, leakage[r]
-            )
-            assert_same_floats(row_powers, powers[r])
-            assert_same_floats([row_chip], chip[r:r + 1])
+    """Steps with one live lane: every step of a lone run, and a ragged
+    batch's last lane.  Whichever form steps them, they give the
+    reference kernel's bits."""
 
     @pytest.mark.parametrize("extra", [2, 10])
     def test_wide_floorplan_matches_reference(self, extra):
@@ -1156,21 +1039,11 @@ class TestOneRowStep:
             sensed.append(math.copysign(1.0, first) if first == 0 else first)
         assert sensed[0] == sensed[1]
 
-    def test_ragged_survivor_finishes_alone_like_its_lone_run(
-        self, monkeypatch
-    ):
-        """The long lane of a ragged pair steps stacked, then alone on
-        the one-row form from a new chunk; it equals the reference and
-        its own lone run: result, history, trace and metrics."""
-        calls = {"advance_batch": 0, "advance_row": 0}
-        for name in calls:
-            method = getattr(LumpedThermalModel, name)
-
-            def counted(self, *args, _method=method, _name=name, **kwargs):
-                calls[_name] += 1
-                return _method(self, *args, **kwargs)
-
-            monkeypatch.setattr(LumpedThermalModel, name, counted)
+    def test_ragged_survivor_finishes_alone_like_its_lone_run(self):
+        """The long lane of a ragged pair steps beside the short one,
+        then alone from a new chunk for more than a chunk; it equals
+        the reference and its own lone run: result, history, trace and
+        metrics."""
         survivor = dict(
             record_history=True,
             leakage=LeakageModel(),
@@ -1184,15 +1057,11 @@ class TestOneRowStep:
 
         sinks = [quiet_telemetry() for _ in range(3)]
         short = _solo_engine(FastEngine, "gzip", "toggle1", seed=1)
-        _, batched = BatchEngine(
+        paired, batched = BatchEngine(
             [short, long_lane(FastEngine, sinks[0])]
         ).run(instructions=[150_000, 700_000])
-        # One thermal call a step: stacked while both lanes live, then
-        # the one-row form for more than a chunk.
-        assert calls["advance_batch"] + calls["advance_row"] == (
-            batched.cycles // SAMPLE
-        )
-        assert 0 < calls["advance_batch"] and STAGE_ROWS < calls["advance_row"]
+        alone = (batched.cycles - paired.cycles) // SAMPLE
+        assert paired.cycles > 0 and alone > STAGE_ROWS
         lone = long_lane(FastEngine, sinks[1]).run(700_000)
         reference = long_lane(ReferenceFastEngine, sinks[2]).run(700_000)
         for result in (lone, reference):

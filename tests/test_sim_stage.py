@@ -206,39 +206,18 @@ class TestLaneKernelChunks:
 
     def test_lane_turning_non_finite_mid_chunk(self):
         """Lane 0 (the longest, so always row 0) blows up at sample
-        ``at``; the other lanes run on to their reference results."""
+        ``at``, its leakage turning NaN there; the other lanes run on
+        to their reference results."""
         at = 2 * STAGE_ROWS + 77
 
         engines = _lane_engines(LANES)
-        advance_batch = engines[0].thermal.advance_batch
-        batch_calls = [0]
-
-        def poisoned_batch(start, powers, cycles, out=None):
-            # ``end`` is the kernel's stage row: the poison lands where
-            # a genuinely non-finite update would.
-            end, steady = advance_batch(start, powers, cycles, out)
-            batch_calls[0] += 1
-            if batch_calls[0] == at:
-                end[0] = math.nan
-            return end, steady
-
-        engines[0].thermal.advance_batch = poisoned_batch
+        engines[0].leakage = _PoisonedLeakage(at)
         outcomes = BatchEngine(engines).run_outcomes(
             instructions=[lane[4] for lane in LANES],
             warmup_instructions=[lane[5] for lane in LANES],
         )
         serial = _lane_engines(LANES, build=build_reference)
-        advance = serial[0].thermal.advance
-        calls = [0]
-
-        def poisoned(powers, cycles):
-            end = advance(powers, cycles)
-            calls[0] += 1
-            if calls[0] == at:
-                end[:] = math.nan
-            return end
-
-        serial[0].thermal.advance = poisoned
+        serial[0].leakage = _PoisonedLeakage(at)
         with pytest.raises(SimulationError, match="non-finite") as info:
             serial[0].run(LANES[0][4], warmup_instructions=LANES[0][5])
         error = outcomes[0].error
