@@ -911,7 +911,8 @@ class TestThermalSpan:
 
     def test_ragged_batch_records_its_steps_in_lane_zero(self):
         """Lane 0 leaves first; its profiler still counts every step,
-        stacked and one-row, and the other lanes' profilers none."""
+        at every live lane count, and the other lanes' profilers
+        none."""
         engines = [
             _solo_engine(
                 FastEngine, benchmark, policy, seed=seed,
