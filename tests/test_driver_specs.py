@@ -20,6 +20,7 @@ from repro.errors import ConfigError
 from repro.experiments import (
     ablation_quantization,
     ablation_sensors,
+    common,
     extension_hierarchical,
     figure4_traces,
     power_breakdown,
@@ -36,7 +37,7 @@ from repro.sim.parallel import (
 )
 from repro.sim.sweep import build_engine, run_one
 from repro.thermal.sensors import NoisySensor, QuantizedSensor, SensorConfig
-from repro.workloads.profiles import get_profile
+from repro.workloads.profiles import BENCHMARKS, get_profile
 from tests.test_sim_parallel import assert_results_equal
 
 INSTRUCTIONS = 200_000
@@ -223,9 +224,6 @@ def test_driver_text_is_identical_across_sweep_settings(tmp_path):
 def test_characterization_runs_once_for_tables_4_to_10(monkeypatch):
     """Tables 4-6 and 8-10 (results with history) and Table 7 (traces)
     share one run per benchmark: the matrix is not simulated twice."""
-    from repro.experiments import common
-    from repro.workloads.profiles import BENCHMARKS
-
     ran = []
 
     def counted(specs, *args, **kwargs):

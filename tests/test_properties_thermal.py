@@ -2,15 +2,22 @@
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.thermal.floorplan import Floorplan
+from repro.power.wattch import PowerModel
+from repro.sim import batch, lanestep
+from repro.sim.fast import FastEngine
+from repro.sim.stage import STAGE_ROWS, SampleStage
+from repro.thermal.floorplan import Block, Floorplan
 from repro.thermal.lumped import LumpedThermalModel
 from repro.thermal.rc_network import ThermalRCNetwork
+from repro.workloads.profiles import get_profile
 
 FLOORPLAN = Floorplan.default()
 
@@ -166,10 +173,10 @@ class _RowLeakage:
 @dataclass
 class LaneStepCase:
     """One compiled-step input: a floorplan's ``(peak, R, C)`` per
-    block and its unmonitored peak power, the model's idle fraction and heatsink, per lane slot its
-    leakage row, sensed blocks and history switch, its start, activity
-    and throughput ratio, the live lane count ``k`` and the stage row
-    ``step``."""
+    block and its unmonitored peak power, the model's idle fraction
+    and heatsink, per lane slot its leakage row, sensed blocks and
+    history switch, its start, activity and throughput ratio, the live
+    lane count ``k`` and the stage row ``step``."""
 
     blocks: list
     unmonitored: float
@@ -195,9 +202,8 @@ positive_float = st.one_of(
 def lane_step_cases(draw, blocks):
     """Lanes over ``blocks`` blocks; one lane slot may sit past the k
     live lanes.  Rows mix special floats, modest values whose sums
-    round differently in another order, and signed-zero rows."""
-    from repro.sim.stage import STAGE_ROWS
-
+    round differently in another order, and rows of one special value
+    (signed zeros among them)."""
     k = draw(st.sampled_from((1, 2, 8)))
     count = k + draw(st.integers(0, 1))
     row = st.one_of(
@@ -242,16 +248,6 @@ def _run_forms(case):
     buffer the step writes, its sensed maxima at the step and the next
     (the compiled step's own), and whether it found the step finite.
     """
-    from types import SimpleNamespace
-    from unittest import mock
-
-    from repro.power.wattch import PowerModel
-    from repro.sim import batch, lanestep
-    from repro.sim.fast import FastEngine
-    from repro.sim.stage import STAGE_ROWS, SampleStage
-    from repro.thermal.floorplan import Block
-    from repro.workloads.profiles import get_profile
-
     step_function = lanestep.load()
     if step_function is None:
         pytest.skip("the compiled lane step cannot be built here")
