@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the thermal models."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -241,16 +241,9 @@ def lane_step_cases(draw, blocks):
     )
 
 
-def _run_forms(case):
-    """Step ``case`` through the stacked pass, then the compiled step.
-
-    Returns, per form, ``(buffers, sensed, finite, stage)``: every stage
-    buffer the step writes, its sensed maxima at the step and the next
-    (the compiled step's own), and whether it found the step finite.
-    """
-    step_function = lanestep.load()
-    if step_function is None:
-        pytest.skip("the compiled lane step cannot be built here")
+def _case_engines(case):
+    """One engine per lane slot of ``case``; the first carries the
+    model's idle fraction and heatsink, which the lane step reads."""
     floorplan = Floorplan(
         blocks=tuple(
             Block(f"b{i}", 1e-9, peak, resistance=r, capacitance=c)
@@ -276,6 +269,21 @@ def _run_forms(case):
     ]
     engines[0].power_model = PowerModel(floorplan, idle_fraction=case.idle)
     engines[0].thermal.heatsink_temperature = case.sink
+    return engines
+
+
+def _run_forms(case):
+    """Step ``case`` through the stacked pass, then the compiled step.
+
+    Returns, per form, ``(buffers, sensed, finite, stage)``: every stage
+    buffer the step writes, its sensed maxima at the step and the next
+    (the compiled step's own), and whether it found the step finite.
+    """
+    step_function = lanestep.load()
+    if step_function is None:
+        pytest.skip("the compiled lane step cannot be built here")
+    engines = _case_engines(case)
+    names = engines[0].floorplan.names
     kernel = SimpleNamespace(engines=engines, group=None)
     live = [SimpleNamespace(engine=engine) for engine in engines[:case.k]]
     step = case.step
@@ -408,6 +416,31 @@ class TestCompiledLaneStep:
         assert finite == exact
         assert finite or not stacked_finite
         return runs
+
+
+class TestAdvanceRow:
+    @given(data=st.data(), blocks=st.integers(1, 20))
+    @settings(max_examples=150, deadline=None)
+    def test_one_row_update_equals_a_row_of_advance_batch(self, data, blocks):
+        """Each live lane of the compiled step's plant update gives the
+        bits of a one-row ``advance_batch`` from that lane's start row
+        and the power row the step staged: signed zeros, subnormals and
+        infinities included (a NaN need only be a NaN)."""
+        case = data.draw(lane_step_cases(blocks))
+        case = replace(case, history=[True] * len(case.history))
+        step = case.step
+        with np.errstate(all="ignore"):
+            engine = _case_engines(case)[0]
+            cycles = engine.dtm_config.sampling_interval
+            stage = _run_forms(case)[1][3]
+            for lane in range(case.k):
+                end, steady = engine.thermal.advance_batch(
+                    stage.rows[step, lane:lane + 1],
+                    stage.powers[step, lane:lane + 1],
+                    cycles,
+                )
+                assert_same_floats(end[0], stage.end[step, lane])
+                assert_same_floats(steady[0], stage.steady[step, lane])
 
 
 class TestNetworkProperties:

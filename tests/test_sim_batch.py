@@ -82,6 +82,11 @@ from tests.reference_kernel import (
     build_reference,
     scalar_golden,
 )
+from tests.test_properties_thermal import (
+    _run_forms,
+    assert_same_floats,
+    lane_step_cases,
+)
 from tests.test_sim_parallel import (
     INSTRUCTIONS,
     assert_metrics_match,
@@ -1039,6 +1044,34 @@ class TestOneRowStep:
             first = engine.telemetry.trace.records()[0].sensed
             sensed.append(math.copysign(1.0, first) if first == 0 else first)
         assert sensed[0] == sensed[1]
+
+    @given(data=st.data(), blocks=st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_power_helper_equals_the_stacked_pass_row(self, data, blocks):
+        """The compiled step's power pass with one live lane gives the
+        bits of that lane's row of the stacked pass over every lane:
+        its block powers (leakage included) and its chip power."""
+        case = data.draw(lane_step_cases(blocks))
+        lanes = len(case.history)
+        case = dataclasses.replace(case, history=[True] * lanes, k=lanes)
+        step = case.step
+        with np.errstate(all="ignore"):
+            stacked = _run_forms(case)[0][3]
+            for lane in range(lanes):
+                alone = dataclasses.replace(case, k=1, **{
+                    field: [getattr(case, field)[lane]]
+                    for field in (
+                        "leakage", "monitored", "history", "starts",
+                        "activity", "ratios",
+                    )
+                })
+                stage = _run_forms(alone)[1][3]
+                assert_same_floats(
+                    stage.powers[step, 0], stacked.powers[step, lane]
+                )
+                assert_same_floats(
+                    stage.chip[step, :1], stacked.chip[step, lane:lane + 1]
+                )
 
     def test_ragged_survivor_finishes_alone_like_its_lone_run(self):
         """The long lane of a ragged pair steps beside the short one,
