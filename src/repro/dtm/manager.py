@@ -18,9 +18,10 @@ Two optional robustness layers extend the paper's loop:
 When a :class:`~repro.telemetry.core.Telemetry` instance is attached,
 the manager stages the controller-side half of each trace record
 (gated measurement, error and P/I/D terms, pre/post-saturation output,
-quantized duty, failsafe state) via ``record_control``; the engine
-completes the record with the plant-side fields.  The default is the
-null telemetry, which costs one boolean test per sample.
+quantized duty, failsafe state) in one positional ``record_control``
+call per sample; the engine completes the record with the plant-side
+fields.  The default is the null telemetry, which costs one boolean
+test per sample.
 """
 
 from __future__ import annotations
@@ -35,7 +36,15 @@ from repro.telemetry.core import ensure_telemetry
 
 
 class DTMManager:
-    """Runs one policy against a stream of temperature samples."""
+    """Runs one policy against a stream of temperature samples.
+
+    With an enabled telemetry, each :meth:`on_sample` stages the
+    sample's controller half: a CT policy's controller attributes as
+    its last update left them (``last_error``, ``last_proportional``,
+    ``integral``, ``last_derivative``, ``last_unsaturated``,
+    ``last_output``), or NaN terms and the policy's raw output, clamped
+    to [0, 1], for any other policy.
+    """
 
     def __init__(
         self,
@@ -47,6 +56,8 @@ class DTMManager:
         telemetry=None,
     ) -> None:
         self.policy = policy
+        #: A CT policy's controller, whose attributes the trace reads.
+        self._controller = getattr(policy, "controller", None)
         self.config = dtm_config if dtm_config is not None else DTMConfig()
         self.actuator = (
             actuator
@@ -140,43 +151,36 @@ class DTMManager:
         if duty != previous and (duty < 1.0) != (previous < 1.0):
             stall = self.interrupts.on_transition()
         if self._telemetry.enabled:
-            self._note_control(measurement, stall)
+            # The controller half of this sample's trace record, staged
+            # in one positional call from the controller's attributes.
+            controller = self._controller
+            if controller is not None:
+                error = controller.last_error
+                p_term = controller.last_proportional
+                i_term = controller.integral
+                d_term = controller.last_derivative
+                pre = controller.last_unsaturated
+                post = controller.last_output
+            else:
+                error = p_term = i_term = d_term = math.nan
+                pre = self._raw_output
+                # min(1.0, max(0.0, pre)) without the two calls.
+                post = pre if pre > 0.0 else 0.0
+                if post >= 1.0:
+                    post = 1.0
+            self._telemetry.record_control(
+                index,
+                math.nan if measurement is None else measurement,
+                error, p_term, i_term, d_term, pre, post,
+                duty,
+                stall,
+                self.failsafe.state.value if self.failsafe is not None else "",
+            )
         self._sample_index = index + 1
         self.samples += 1
         if duty < 1.0:
             self.engaged_samples += 1
         return duty, stall
-
-    def _note_control(self, measurement: float | None, stall: int) -> None:
-        """Stage the controller half of this sample's trace record."""
-        nan = math.nan
-        controller = getattr(self.policy, "controller", None)
-        terms = getattr(controller, "terms", None) if controller else None
-        state = self.failsafe.state.value if self.failsafe is not None else ""
-        if terms is not None:
-            self._telemetry.record_control(
-                sample_index=self._sample_index,
-                measurement=nan if measurement is None else measurement,
-                error=terms["error"],
-                p_term=terms["proportional"],
-                i_term=terms["integral"],
-                d_term=terms["derivative"],
-                pre_saturation=terms["unsaturated"],
-                post_saturation=terms["output"],
-                duty=self.actuator.duty,
-                stall_cycles=stall,
-                failsafe_state=state,
-            )
-        else:
-            self._telemetry.record_control(
-                sample_index=self._sample_index,
-                measurement=nan if measurement is None else measurement,
-                pre_saturation=self._raw_output,
-                post_saturation=min(1.0, max(0.0, self._raw_output)),
-                duty=self.actuator.duty,
-                stall_cycles=stall,
-                failsafe_state=state,
-            )
 
     def reset(self) -> None:
         """Restore the manager, policy, and actuator to initial state."""

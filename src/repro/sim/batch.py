@@ -261,7 +261,7 @@ class _Lane:
     """
 
     __slots__ = (
-        "engine", "slot", "telemetry", "recording", "time_samples",
+        "engine", "slot", "telemetry", "staged", "time_samples",
         "on_sample", "rng", "phase_total", "phase_ends", "phase_activity",
         "phase_jitter", "phase_ipc", "single_phase", "built", "draws",
         "ipc_draws", "cursor", "max_cycles", "deadline", "instructions",
@@ -421,12 +421,12 @@ class BatchEngine:
             lane.slot = slot
             lane.error = None
             lane.telemetry = engine.telemetry
-            lane.recording = engine.telemetry.enabled
+            # The lane's staged rows, where it records or keeps history
+            # (or, in a group, the chip's trace rows read its commits).
+            lane.staged = stage.staged[slot]
             if self.group is not None:
-                # A core's jitter stream and DTM decision are the
-                # chip's, and its commits feed the chip's trace rows.
+                # A core's jitter stream and DTM decision are the chip's.
                 lane.rng, lane.on_sample = self.group.lane(slot)
-                lane.recording = self.group.telemetry.enabled
             lane.instructions = budget
             lane.position = 0.0
             lane.committed = 0.0
@@ -474,7 +474,7 @@ class BatchEngine:
         activity = np.empty((STAGE_ROWS, count, len(first.floorplan.names)))
         ratios = np.empty(count)
         duties: list = [0.0] * count
-        controls: list = [None] * count
+        latency = stage.latency
         # Independent lanes take the compiled step where the host can
         # build it, else the stacked numpy pass; a coupled group steps
         # stacked, with its own plant and hooks.
@@ -504,8 +504,6 @@ class BatchEngine:
                 iter_start = perf_counter() if timing else 0.0
                 sensed = sense(step, steps)
                 stall_row = stalls[step]
-                if keep_rows:
-                    committed_row = stage.committed[step]
                 warming: list[int] = []
                 leaving: list[int] = []
                 for r, lane in enumerate(live):
@@ -550,17 +548,18 @@ class BatchEngine:
                         lane.committed += committed
                         if lane.committed >= lane.instructions:
                             leaving.append(r)
-                    if lane.recording:
-                        controls[r] = lane.telemetry.take_control()
-                        committed_row[r] = committed
+                    staged = lane.staged
+                    if staged is not None:
+                        staged.append((
+                            sensed[r], duty, committed,
+                            lane.telemetry.take_control(),
+                        ))
 
                 finite = advance(step)
                 if keep_rows:
-                    stage.extras.append((
-                        duties[:k],
-                        controls[:k],
-                        perf_counter() - iter_start if timing else math.nan,
-                    ))
+                    latency.append(
+                        perf_counter() - iter_start if timing else math.nan
+                    )
                 if warming or not finite:
                     leaving += form.settle(live, step, steps, duties, warming)
                 steps += 1
@@ -728,10 +727,7 @@ class _Stacked(_Form):
         self.chips = stage.chip[:, :k]
 
     def sense(self, step, steps) -> list:
-        stage = self.stage
-        return self.maxima(
-            step, stage.sensed[step, :self.k] if stage.keep_rows else None
-        ).tolist()
+        return self.maxima(step).tolist()
 
     def advance(self, step) -> bool:
         start = self.starts[step]
@@ -823,13 +819,10 @@ class _Compiled(_Form):
         self.deferred = True
 
     def sense(self, step, steps) -> list:
-        stage = self.stage
         sensed = self.sensed
         if self.deferred:
             self.maxima(step, sensed)
             self.deferred = False
-        if stage.keep_rows:
-            stage.sensed[step, :self.k] = sensed
         return sensed.tolist()
 
     def advance(self, step) -> bool:

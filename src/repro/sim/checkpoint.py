@@ -56,10 +56,10 @@ import numpy as np
 from repro.errors import CheckpointError, CodecError
 from repro.sim.codec import (
     check_saved_outcome,
+    encode_saved_line,
     fold_saved_telemetry,
     history_from_dict,
     history_to_dict,
-    json_default,
     result_from_dict,
     result_to_dict,
     telemetry_to_dict,
@@ -293,9 +293,16 @@ class AppendLog:
 
     @staticmethod
     def encode(record: dict) -> bytes:
-        """One record as a log line (numpy scalars via ``json_default``)."""
-        line = json.dumps(record, default=json_default) + "\n"
-        return line.encode("utf-8")
+        """One record as a log line (numpy scalars via ``json_default``).
+
+        The bytes are ``json.dumps(record, default=json_default)``'s
+        plus the newline.  A saved outcome's trace base64 skips the
+        dump's escape scan: :func:`~repro.sim.codec.encode_saved_line`
+        dumps the record without it and splices it in, the write-side
+        mirror of :class:`~repro.sim.codec.SavedLineDecoder`; a line
+        with no trace takes the plain dump after a few dict lookups.
+        """
+        return encode_saved_line(record)
 
     def prepare(self) -> None:
         """Cut a torn tail (even a torn header); add a header if empty."""

@@ -670,6 +670,93 @@ class SavedLineDecoder(json.JSONDecoder):
         return super().decode(s, *args)
 
 
+#: The keys of a saved block's float data, in the writer's order.
+_BLOCK_KEYS = ["dtype", "shape", "data"]
+
+
+def _writer_data(record) -> bytes | None:
+    """The trace base64 of a record in the writer's layout, as ASCII
+    bytes, if it has one that ``json.dumps`` writes as it is; else
+    ``None``.
+
+    The layout is :func:`telemetry_to_dict`'s block head (``dtype``
+    ``"<f8"``, a two-int ``shape``, then ``data``), which
+    :data:`_BLOCK_DATA` matches once dumped.  ``json.dumps`` writes
+    printable ASCII other than the quote and the backslash unescaped.
+    """
+    telemetry = record.get("telemetry")
+    if type(telemetry) is not dict:
+        return None
+    records = telemetry.get("records")
+    if type(records) is not dict:
+        return None
+    floats = records.get("floats")
+    if type(floats) is not dict or list(floats) != _BLOCK_KEYS:
+        return None
+    shape, data = floats["shape"], floats["data"]
+    if not (
+        floats["dtype"] == _BLOCK_DTYPE
+        and type(shape) is list
+        and len(shape) == 2
+        and all(type(size) is int and size >= 0 for size in shape)
+        and type(data) is str
+        and data
+        and data.isascii()
+    ):
+        return None
+    raw = data.encode("ascii")
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    if codes.min() < 0x20 or codes.max() > 0x7E or b'"' in raw or b"\\" in raw:
+        return None
+    return raw
+
+
+def encode_saved_line(record: dict) -> bytes:
+    """``json.dumps(record, default=json_default)`` and a newline, as
+    UTF-8, sparing the trace's base64: the write-side mirror of
+    :class:`SavedLineDecoder`.
+
+    ``json.dumps`` scans a string character by character for escapes,
+    and a trace block's base64 is most of a saved line.  A record in the
+    writer's layout is dumped with that string empty, and the string's
+    bytes are spliced in where the one block head of the dumped line
+    ends.  The bytes equal the plain dump's: the splice is taken only
+    for a string ``json.dumps`` writes as it is, and only where the
+    dumped line holds exactly one block head, which is then the
+    record's own.  Any other record (a line with no trace, an empty
+    trace, another layout) takes the plain dump after a few dict
+    lookups.
+    """
+    data = _writer_data(record)
+    if data is not None:
+        telemetry = record["telemetry"]
+        records = telemetry["records"]
+        line = json.dumps(
+            {
+                **record,
+                "telemetry": {
+                    **telemetry,
+                    "records": {
+                        **records,
+                        "floats": {**records["floats"], "data": ""},
+                    },
+                },
+            },
+            default=json_default,
+        )
+        match = _BLOCK_DATA.search(line)
+        if match is not None:
+            cut = match.end()
+            if line.startswith('"', cut) and not _BLOCK_DATA.search(line, cut):
+                return b"".join((
+                    line[:cut].encode("utf-8"),
+                    data,
+                    line[cut:].encode("utf-8"),
+                    b"\n",
+                ))
+    return (json.dumps(record, default=json_default) + "\n").encode("utf-8")
+
+
 def fold_saved_telemetry(sink, saved) -> None:
     """Re-emit one saved run's telemetry onto a live sink.
 

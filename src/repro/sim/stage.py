@@ -9,9 +9,9 @@ kernel does not evaluate them per sample.  Each sample's ``(start,
 steady, end)`` block rows go into a :class:`SampleStage` -- fixed
 :data:`STAGE_ROWS`-step buffers with one column per lane, the states in
 one buffer whose row ``s`` ends step ``s - 1`` and starts step ``s``,
-which the kernel's thermal update writes its steady and end state into
-directly (the stacked update in place; a one-lane step assigns its
-Python-float rows) -- and the stage's :meth:`~SampleStage.flush`
+which the kernel's thermal update (the compiled step or the stacked
+numpy pass) writes its steady and end state into directly -- and the
+stage's :meth:`~SampleStage.flush`
 post-pass then
 
 * evaluates every threshold fraction of the chunk in one broadcast
@@ -26,10 +26,12 @@ post-pass then
 * fills the history rows;
 * hands each lane's telemetry sink the lane's rows of the chunk as one
   column block (:meth:`~repro.telemetry.core.Telemetry.record_block`),
-  in sample order, with the controller halves each sample took from
-  :meth:`~repro.telemetry.core.Telemetry.take_control` transposed once
-  per chunk; a coupled lane group (one multicore chip) reduces across
-  lanes and hands the chip's sink one row per sample instead;
+  in sample order, its columns written in place from the lane's staged
+  rows -- the controller halves each step took from
+  :meth:`~repro.telemetry.core.Telemetry.take_control` in one pass --
+  and the stage's buffers; a coupled lane group (one multicore chip)
+  reduces across lanes and hands the chip's sink one row per sample
+  instead;
 * carries the last end row to row 0, one copy per chunk.
 
 No controller reads any of these totals either, so the stage owns
@@ -44,16 +46,23 @@ per-sample loop's.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.sim.results import History, RunResult
 from repro.telemetry.core import NO_CONTROL
+from repro.telemetry.trace import COLUMN, FLOAT_FIELDS
 
 #: Samples (kernel steps) staged per threshold pass.  A module
 #: constant, not a knob: results do not depend on it, and 512 rows keep
 #: a chunk under a megabyte.
 STAGE_ROWS = 512
+
+#: A trace block's scalar float columns; the block temperatures follow.
+_SCALARS = len(FLOAT_FIELDS)
+_MEASUREMENT = COLUMN["measurement"]
 
 def _running_sum(total: np.ndarray, rows: np.ndarray, axis: int) -> np.ndarray:
     """``total`` plus every slice of ``rows`` along ``axis``, in order."""
@@ -70,8 +79,9 @@ class _HistoryRows:
     def extend(self, **columns) -> None:
         """Append rows; each keyword names one :class:`History` column."""
         for name, values in columns.items():
+            # A copy: the values may be views of the stage's buffers.
             self.blocks.setdefault(name, []).append(
-                np.asarray(values, dtype=float)
+                np.array(values, dtype=float)
             )
 
     def build(self, sample_cycles: int, names) -> History:
@@ -95,15 +105,19 @@ class SampleStage:
     ends on row ``s`` of :attr:`end`, the view ``rows[1:]``.  Per step
     the kernel writes the rows of its live lanes into columns ``[:k]``
     of row ``s`` of :attr:`end`, :attr:`steady`, :attr:`chip` (chip
-    power) and :attr:`stalls` (interrupt stall cycles), and -- only
-    when :attr:`keep_rows` (some lane records telemetry or history) --
-    of :attr:`sensed`, :attr:`committed` (recording lanes only) and
-    :attr:`powers` (history only), appending
-    ``(duties, controls, latency_seconds)`` to :attr:`extras`.  A
-    step in which a live lane did not measure (warmup, or a
-    non-finite state) clears that lane's :attr:`measured` cell, gives
-    its non-finite start and steady cells finite values, and sets
-    :attr:`masked`.
+    power), :attr:`stalls` (interrupt stall cycles) and, for history,
+    :attr:`powers`.  A lane that records telemetry or keeps history
+    (or any lane of a recording group) has a list in :attr:`staged`,
+    to which each step appends the lane's row as Python values,
+    ``(sensed, duty, committed, control)``: its sensed maximum, duty,
+    committed instructions and the controller half its sink staged
+    (``None`` where none was); where some lane does
+    (:attr:`keep_rows`), each step appends its sample latency in
+    seconds (NaN untimed) to :attr:`latency`.  A step writes no stage
+    array cell for the trace.  A step in which a live lane did not
+    measure (warmup, or a non-finite state) clears that lane's
+    :attr:`measured` cell, gives its non-finite start and steady cells
+    finite values, and sets :attr:`masked`.
 
     :meth:`flush` then receives ``slots``, the engine index of every
     column in order.  Totals are per slot: :attr:`peak_cycles`
@@ -166,15 +180,20 @@ class SampleStage:
             self.hottest_sum = np.zeros(lanes)
             if group.telemetry.enabled:
                 self._chip_sink = group.telemetry
-        self.keep_rows = (
-            any(recorder is not None for recorder in self._recorders)
-            or any(history is not None for history in self._histories)
+        #: Each slot's staged rows, where the slot keeps any: one
+        #: ``(sensed, duty, committed, control)`` tuple a step.
+        self.staged = [
+            []
+            if recorder is not None
+            or history is not None
             or self._chip_sink is not None
-        )
-        if self.keep_rows:
-            self.sensed = np.empty((STAGE_ROWS, lanes))
-            self.committed = np.empty((STAGE_ROWS, lanes))
-            self.extras: list[tuple] = []
+            else None
+            for recorder, history in zip(self._recorders, self._histories)
+        ]
+        self.keep_rows = any(rows is not None for rows in self.staged)
+        #: Each step's sample latency in seconds (NaN untimed), where
+        #: some slot keeps rows.
+        self.latency: list[float] = []
         self.powers = (
             np.empty(shape)
             if any(history is not None for history in self._histories)
@@ -183,6 +202,11 @@ class SampleStage:
 
     def flush(self, steps: int, slots: np.ndarray) -> None:
         """The post-pass over the first ``steps`` staged rows."""
+        if self.keep_rows:
+            # A step that raised staged some lanes' rows, not all.
+            for rows in self.staged:
+                if rows is not None:
+                    del rows[steps:]
         if not steps:
             return
         lanes = len(slots)
@@ -256,7 +280,10 @@ class SampleStage:
                 self._emit_chip(steps, lanes, peaks, totals, hottest)
         if self.keep_rows:
             self._emit(steps, slots.tolist(), fractions, peaks, mask)
-            self.extras.clear()
+            for rows in self.staged:
+                if rows is not None:
+                    rows.clear()
+            self.latency.clear()
         if mask is not None:
             mask[:] = True
             self.masked = False
@@ -273,14 +300,22 @@ class SampleStage:
         first = self._emitted_chip
         self._emitted_chip = first + steps
         index = np.arange(first, first + steps)
+        # (steps, lanes) rows of the lanes' sensed maxima, duties and
+        # commits, reduced across lanes in the kernel's layout.
+        sensed, duty, committed = (
+            np.ascontiguousarray(np.transpose([
+                [row[field] for row in rows]
+                for rows in self.staged[:lanes]
+            ]))
+            for field in range(3)
+        )
         floats = np.column_stack((
-            self.sensed[:steps, :lanes].max(axis=1),
+            sensed.max(axis=1),
             hottest.max(axis=1),
             totals,
-            np.add.reduce(self.committed[:steps, :lanes], axis=1)
-            / self._sample,
+            np.add.reduce(committed, axis=1) / self._sample,
             np.full((steps, 7), np.nan),
-            np.array([extra[0] for extra in self.extras]).mean(axis=1),
+            duty.mean(axis=1),
             peaks[0].max(axis=1),
             peaks[1].max(axis=1),
             hottest,
@@ -294,18 +329,22 @@ class SampleStage:
         lanes = len(slots)
         end = self.end[:steps, :lanes]
         max_temp = end.max(axis=2)
-        extras = self.extras
         for column, slot in enumerate(slots):
             history = self._histories[slot]
             telemetry = self._recorders[slot]
             if history is None and telemetry is None:
                 continue
-            rows = (
-                np.arange(steps)
-                if mask is None
-                else np.flatnonzero(mask[:, column])
-            )
-            duty = [extras[row][0][column] for row in rows.tolist()]
+            staged = self.staged[slot]
+            latency = self.latency
+            if mask is None:
+                # Every row: views, and the staged rows as they are.
+                rows = slice(steps)
+            else:
+                rows = np.flatnonzero(mask[:, column])
+                picks = rows.tolist()
+                staged = [staged[row] for row in picks]
+                latency = [latency[row] for row in picks]
+            duty = [row[1] for row in staged]
             if history is not None:
                 history.extend(
                     max_temp=max_temp[rows, column],
@@ -316,38 +355,54 @@ class SampleStage:
                     block_emergency=fractions[0, rows, column],
                     block_stress=fractions[1, rows, column],
                 )
-            if telemetry is not None and len(rows):
+            if telemetry is not None and staged:
                 self._emit_chunk(
-                    telemetry, slot, rows, column, duty, max_temp, peaks
+                    telemetry, slot, rows, column, staged, duty, latency,
+                    max_temp, peaks,
                 )
 
     def _emit_chunk(
-        self, telemetry, slot, rows, column, duty, max_temp, peaks
+        self, telemetry, slot, rows, column, staged, duty, latency,
+        max_temp, peaks,
     ) -> None:
-        """Hand one lane's measured ``rows`` to its sink as one block."""
+        """Hand one lane's measured ``rows`` to its sink as one block.
+
+        ``staged`` are the lane's staged rows and ``latency`` the
+        steps' latencies, both of ``rows`` only.  The block's columns are
+        written in place, and the controller halves become their float,
+        stall and failsafe columns in one pass: the halves laid end to
+        end, each column a strided slice.
+        """
+        count = len(staged)
         first = self._emitted[slot]
-        self._emitted[slot] = first + len(rows)
-        index = np.arange(first, first + len(rows))
-        extras = [self.extras[row] for row in rows.tolist()]
-        # The staged controller halves, transposed once per chunk.
-        control = list(zip(*(
-            extra[1][column] or NO_CONTROL for extra in extras
-        )))
-        # The float columns in FLOAT_FIELDS order, then the block rows.
-        floats = np.column_stack((
-            self.sensed[rows, column],
-            max_temp[rows, column],
-            self.chip[rows, column],
-            self.committed[rows, column] / self._sample,
-            np.transpose(control[1:8]),
-            duty,
-            peaks[0][rows, column],
-            peaks[1][rows, column],
-            self.end[rows, column],
-        ))
-        ints = np.column_stack((index, (index + 1) * self._sample, control[9]))
-        latency = np.array([extra[2] for extra in extras])
-        telemetry.record_block(floats, ints, control[10], latency)
+        self._emitted[slot] = first + count
+        halves = list(chain.from_iterable([
+            row[3] or NO_CONTROL for row in staged
+        ]))
+        width = len(NO_CONTROL)
+        floats = np.empty((count, _SCALARS + self.end.shape[2]))
+        floats[:, COLUMN["sensed"]] = [row[0] for row in staged]
+        floats[:, COLUMN["max_temp"]] = max_temp[rows, column]
+        floats[:, COLUMN["chip_power"]] = self.chip[rows, column]
+        ipc = floats[:, COLUMN["ipc"]]
+        ipc[:] = [row[2] for row in staged]
+        ipc /= self._sample
+        # Half fields 1-7, measurement to post_saturation, are the float
+        # fields from ``measurement`` on, in order.
+        for offset in range(7):
+            floats[:, _MEASUREMENT + offset] = halves[1 + offset::width]
+        floats[:, COLUMN["duty"]] = duty
+        floats[:, COLUMN["emergency_fraction"]] = peaks[0][rows, column]
+        floats[:, COLUMN["stress_fraction"]] = peaks[1][rows, column]
+        floats[:, _SCALARS:] = self.end[rows, column]
+        index = np.arange(first, first + count)
+        ints = np.empty((count, 3), dtype=np.int64)
+        ints[:, 0] = index
+        ints[:, 1] = (index + 1) * self._sample
+        ints[:, 2] = halves[9::width]
+        telemetry.record_block(
+            floats, ints, halves[10::width], np.array(latency)
+        )
 
     def result(
         self,

@@ -191,7 +191,9 @@ class Telemetry:
         TraceBlock` columns, ``failsafe`` the per-row failsafe state and
         ``latency`` the per-row sample latency in seconds (NaN for an
         untimed sample, which the latency histogram skips).  Benchmark
-        and policy come from the context.
+        and policy come from the context.  The trace may keep ``floats``
+        and ``ints`` as they are, so the caller must not write them
+        afterwards.
         """
         text = np.empty((len(ints), len(TEXT_FIELDS)), dtype=object)
         text[:, 0] = self.benchmark

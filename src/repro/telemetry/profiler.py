@@ -111,7 +111,14 @@ class Profiler:
 
     def wrap(self, name: str, fn: Callable) -> Callable:
         """``fn``, each call of it inside a span named ``name``."""
-        return lambda *args, **kwargs: self.time(name, fn, *args, **kwargs)
+
+        def timed(*args, **kwargs):
+            # :meth:`time` without its two calls: a wrapped plant or
+            # DTM hook runs once per sample.
+            with _Span(self, name):
+                return fn(*args, **kwargs)
+
+        return timed
 
     # -- read side -----------------------------------------------------------
     def stats(self, name: str) -> SpanStats:

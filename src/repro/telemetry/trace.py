@@ -237,6 +237,14 @@ class TraceBlock:
         ]
 
 
+def _rows_of(block, start: int, step: int):
+    """Rows ``start, start + step, ...`` of ``block``: the block itself
+    when that is all of a :class:`TraceBlock`, else their copy."""
+    if start == 0 and step == 1 and type(block) is TraceBlock:
+        return block
+    return block.take(np.arange(start, len(block), step))
+
+
 class TraceRecorder:
     """Bounded retention of per-sample records plus an event stream.
 
@@ -315,13 +323,16 @@ class TraceRecorder:
         ))
 
     def record_many(self, block: TraceBlock) -> None:
-        """Emit ``block``'s rows in order, as one :meth:`record` each."""
+        """Emit ``block``'s rows in order, as one :meth:`record` each.
+
+        A :class:`TraceBlock` retained whole is kept as it is, not
+        copied: blocks are never written after construction.
+        """
         self._flush_rows()
         first, count = self.emitted, len(block)
         self.emitted += count
         if self.mode == "ring":
-            self._append(block.take(np.arange(max(0, count - self.capacity),
-                                              count)))
+            self._append(_rows_of(block, max(0, count - self.capacity), 1))
             excess = len(self) - self.capacity
             while excess > 0:
                 head = self._blocks[0]
@@ -341,7 +352,7 @@ class TraceRecorder:
                 if len(rows):
                     kept.append(held.take(rows))
             self._blocks, self._stride = kept, stride
-        self._append(block.take(np.arange(-first % stride, count, stride)))
+        self._append(_rows_of(block, -first % stride, stride))
 
     def _append(self, block: TraceBlock) -> None:
         if len(block):

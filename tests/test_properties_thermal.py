@@ -293,8 +293,6 @@ def _run_forms(case):
         buffers = [stage.rows, stage.steady, stage.chip]
         if stage.powers is not None:
             buffers.append(stage.powers)
-        if stage.keep_rows:
-            buffers.append(stage.sensed)
         for buffer in buffers:
             buffer.fill(-7.0)
         stage.rows[step] = case.starts
